@@ -3,22 +3,18 @@
 Times the same N=64 fleet through the serial :class:`BatchEngine` and
 the process-parallel :class:`ShardedEngine` at 4 workers, asserts the
 two results are bit-identical (the parity contract is part of the
-bench), and appends the numbers as the ``"parallel"`` stage of
-``BENCH_throughput.json`` — read-modify-write, so the X0 serial
-figures persist alongside.
+bench), and prints the numbers with the machine fingerprint.
 
 The ≥1.8x speedup bar only applies where it is physically attainable:
-on hosts with fewer than 4 CPUs (CI smoke runners, this container)
+on hosts with fewer than 4 CPUs (CI smoke runners, 2-CPU containers)
 sharding overhead without spare cores cannot beat the serial engine, so
-the stage is recorded as ``{"skipped": true}`` — no misleading speedup
-figure — and the test skips.
+the test skips — no misleading speedup figure.
 """
 
 import json
 import os
 import platform
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +38,7 @@ def _fleet():
 
 
 def _machine():
-    """The host fingerprint every stage records, skipped ones included.
+    """The host fingerprint the printed figures carry.
 
     A throughput figure (or the absence of one) is meaningless without
     the machine it came from; downstream comparisons key on these.
@@ -55,20 +51,11 @@ def _machine():
 
 
 def test_x01_sharded_engine_throughput():
-    """Serial vs 4-way sharded run at N=64; appends the parallel stage."""
+    """Serial vs 4-way sharded run at N=64 (the ≥1.8x bar)."""
     cpus = os.cpu_count() or 1
-    out = Path(__file__).resolve().parents[1] / "BENCH_throughput.json"
     if cpus < WORKERS:
         # Without spare cores a speedup figure would be noise, not
-        # signal: record the stage as skipped and bail out.
-        payload = json.loads(out.read_text()) if out.exists() else {}
-        payload["parallel"] = {
-            "n_monitors": N_MONITORS,
-            "workers": WORKERS,
-            "skipped": True,
-            **_machine(),
-        }
-        out.write_text(json.dumps(payload, indent=2) + "\n")
+        # signal.
         pytest.skip(f"{cpus} CPU(s) < {WORKERS} workers: sharded speedup "
                     f"is not measurable on this host")
 
@@ -99,9 +86,7 @@ def test_x01_sharded_engine_throughput():
         "speedup": serial_s / sharded_s,
         "bit_identical": True,
     }
-    payload = json.loads(out.read_text()) if out.exists() else {}
-    payload["parallel"] = stage
-    out.write_text(json.dumps(payload, indent=2) + "\n")
+    print(json.dumps({"parallel": stage}, indent=2))
     # With real cores to spread over, sharding must pay for itself.
     assert stage["speedup"] >= 1.8, stage
     assert stage["sharded_samples_per_s"] > 0.0

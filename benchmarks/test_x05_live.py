@@ -6,22 +6,18 @@ at its service-default 20 Hz test cadence and with it off, interleaved
 best-of-3 so machine drift hits both arms equally.  The bars: the
 sampler costs at most 3 % of streaming wall time at N=16, and the
 streamed results are bit-identical in both modes (monitoring must
-never perturb numerics).  Appends the ``"live"`` stage to
-``BENCH_throughput.json`` read-modify-write, preserving the X0-X4
-figures alongside.
+never perturb numerics).
 """
 
 import asyncio
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import observability as obs
 from repro.observability import MetricsRegistry
-from repro.runtime import RunResult
+from repro.runtime import FleetSpec, RunResult
 from repro.service import FleetService
 from repro.station.profiles import hold
 
@@ -42,8 +38,8 @@ def _run_once(sample: bool):
         async with FleetService(
                 tick_steps=TICK_STEPS,
                 sample_every_s=CADENCE_S if sample else None) as service:
-            client = await service.attach(profile, n_monitors=N_MONITORS,
-                                          seed=SEED, fast_calibration=True)
+            client = await service.attach(profile, fleet=FleetSpec.homogeneous(
+                    N_MONITORS, seed=SEED, fast_calibration=True))
             t0 = time.perf_counter()
             async for _ in client.snapshots():
                 pass
@@ -105,10 +101,5 @@ def test_x05_live_sampler_overhead_and_parity():
           f"({stage['on_s'] * 1e3:.1f} ms), "
           f"{ring_total} ring samples")
     print(f"  overhead: {overhead:+.2%}")
-
-    out = Path(__file__).resolve().parents[1] / "BENCH_throughput.json"
-    payload = json.loads(out.read_text()) if out.exists() else {}
-    payload["live"] = stage
-    out.write_text(json.dumps(payload, indent=2) + "\n")
 
     assert overhead <= 0.03, stage

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from repro import Session, hold
+from repro import FleetSpec, Session, hold
 from repro.analysis.report import format_table
 
 N_MONITORS = 12
@@ -26,9 +26,10 @@ def main() -> None:
     print(f"Calibrating a {N_MONITORS}-monitor fleet ...")
     # Continuous drive for clean steady statistics (the pulsed drive
     # gates the estimator to a 30 % duty and is studied elsewhere).
-    with Session(n_monitors=N_MONITORS, seed=2024,
-                 use_pulsed_drive=False,
-                 fast_calibration=True) as session:
+    fleet = FleetSpec.homogeneous(N_MONITORS, seed=2024,
+                                  use_pulsed_drive=False,
+                                  fast_calibration=True)
+    with Session(fleet=fleet) as session:
         session.calibrate()
 
         profile = hold(SPEED_CMPS, DURATION_S)

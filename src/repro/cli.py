@@ -506,6 +506,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import time
 
+    from repro.runtime import FleetSpec
     from repro.service import FleetService
     from repro.station.profiles import staircase
     profile = staircase(levels, dwell_s=args.dwell)
@@ -526,10 +527,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print(f"live observability plane at {service.http_url} "
                       f"(/metrics /health /ready /snapshot)")
             clients = [
-                await service.attach(profile, n_monitors=args.n_monitors,
-                                     seed=args.seed + i,
-                                     use_pulsed_drive=False,
-                                     fast_calibration=True)
+                await service.attach(profile, fleet=FleetSpec.homogeneous(
+                    args.n_monitors, seed=args.seed + i,
+                    use_pulsed_drive=False, fast_calibration=True))
                 for i in range(args.clients)
             ]
 

@@ -33,8 +33,10 @@
   policy behind the unified ``numerics="exact" | "fast"`` knob every
   run surface accepts (see ``docs/performance.md``),
 - :func:`save_checkpoint` / :func:`load_checkpoint` /
-  :func:`run_durable` (:mod:`repro.runtime.checkpoint`) — bit-exact
-  engine checkpoints and the windowed durable-run loop behind
+  :class:`WindowedRun` / :func:`run_durable`
+  (:mod:`repro.runtime.checkpoint`) — bit-exact engine checkpoints,
+  the one windowed-run driver behind durable runs, campaigns and
+  service cohorts, and the durable-run loop behind
   ``Session(checkpoint_dir=...)`` (see ``docs/durability.md``).
 
 The scalar classes (`TestRig`, `CTAController`, ...) remain the
@@ -44,8 +46,9 @@ bit-identical outputs on shared seeds.
 
 from repro.runtime.batch import BatchEngine, run_batch
 from repro.runtime.checkpoint import (CHECKPOINT_FORMAT_VERSION, Checkpoint,
-                                      engine_kind, load_checkpoint,
-                                      run_durable, save_checkpoint)
+                                      WindowedRun, engine_kind,
+                                      load_checkpoint, run_durable,
+                                      save_checkpoint)
 from repro.runtime.kernels import NUMERICS_MODES, Numerics, resolve_numerics
 from repro.runtime.mixed import MixedEngine, config_group_key, fleet_groups
 from repro.runtime.parallel import (ShardedEngine, partition_monitors,
@@ -65,4 +68,5 @@ __all__ = ["BatchEngine", "run_batch", "RunResult", "Session",
            "FleetSpec", "RigSpec",
            "NUMERICS_MODES", "Numerics", "resolve_numerics",
            "Checkpoint", "save_checkpoint", "load_checkpoint",
-           "run_durable", "engine_kind", "CHECKPOINT_FORMAT_VERSION"]
+           "WindowedRun", "run_durable", "engine_kind",
+           "CHECKPOINT_FORMAT_VERSION"]

@@ -597,7 +597,7 @@ class BatchEngine:
         :class:`RunResult` holds only the window's recorded ticks
         (possibly zero of them when ``steps`` is shorter than the
         decimation stride); stitch windows with
-        :meth:`RunResult.concat_time`.
+        ``RunResult.concat(windows, axis="time")``.
 
         Raises
         ------

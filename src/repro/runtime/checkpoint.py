@@ -24,12 +24,13 @@ Engine kinds and what gets snapshotted:
 - ``"mixed"`` — a :class:`~repro.runtime.mixed.MixedEngine` (per-group
   engines plus the interleave map).
 
-:func:`run_durable` is the turnkey loop built on top: advance in
-windows, checkpoint after each, resume from the artifact after a crash
-— used by ``Session(checkpoint_dir=...)`` and the CLI.  Campaign- and
-service-level recovery (:func:`repro.station.campaign.run_campaign`,
-:func:`repro.service.recover_cohorts`) layer their own bookkeeping over
-:func:`save_checkpoint` / :func:`load_checkpoint`.
+:class:`WindowedRun` is the one windowed-run driver built on top:
+advance in windows, checkpoint after each non-final one, resume from
+the artifact after a crash, delete it on success.  Every durable run
+kind goes through it — :func:`run_durable` (``Session(checkpoint_dir=
+...)`` and the CLI), :func:`repro.station.campaign.run_campaign` and
+the service cohorts recovered by :func:`repro.service.recover_cohorts`
+— each adding only its own bookkeeping as the checkpoint's ``state``.
 
 Failures raise :class:`~repro.errors.CheckpointError` with a
 machine-readable ``reason``: ``"missing"``, ``"corrupt"``,
@@ -49,6 +50,7 @@ from pathlib import Path
 from repro.errors import CheckpointError, ConfigurationError
 from repro.observability import get_registry
 from repro.runtime.batch import BatchEngine
+from repro.runtime.faults import checkpoint_site
 from repro.runtime.kernels import resolve_numerics
 from repro.runtime.mixed import MixedEngine
 from repro.runtime.parallel import ShardedEngine
@@ -58,10 +60,13 @@ from repro.station.rig import TestRig
 from repro.store import canonical_key
 
 __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint",
-           "run_durable", "engine_kind", "CHECKPOINT_FORMAT_VERSION"]
+           "WindowedRun", "run_durable", "run_fingerprint", "engine_kind",
+           "CHECKPOINT_FORMAT_VERSION"]
 
-#: On-disk checkpoint format version; bumped on incompatible changes.
-CHECKPOINT_FORMAT_VERSION = 1
+#: On-disk checkpoint format version; bumped on incompatible changes
+#: (2: durable runs, campaigns and service cohorts share the
+#: :class:`WindowedRun` meta layout).
+CHECKPOINT_FORMAT_VERSION = 2
 
 #: Header magic identifying a checkpoint artifact.
 _MAGIC = "repro-checkpoint"
@@ -234,19 +239,160 @@ def load_checkpoint(path, *, expect_kind: str | None = None) -> Checkpoint:
                       engine=record["engine"])
 
 
-def _run_fingerprint(profile: Profile, total_steps: int, n_monitors: int,
-                     record_every_n: int, numerics: str) -> str:
-    """Canonical hash of everything a resumed run must agree on."""
+def run_fingerprint(profile: Profile, total_steps: int,
+                    record_every_n: int, numerics: str, **extra) -> str:
+    """Canonical hash of everything a resumed run must agree on.
+
+    Covers the profile (type and segments), the horizon, the recording
+    cadence and the numerics mode; callers add what else pins their
+    run (``n_monitors`` for :func:`run_durable`, the fleet spec and
+    chunk size for campaigns) as ``extra`` keys.
+    """
     return canonical_key({
         "profile_type": type(profile).__name__,
         "segments": [(s.duration_s, s.speed_mps, s.pressure_pa,
                       s.temperature_k, s.interpolate)
                      for s in profile.segments],
         "total_steps": total_steps,
-        "n_monitors": n_monitors,
         "record_every_n": record_every_n,
         "numerics": numerics,
+        **extra,
     })
+
+
+class WindowedRun:
+    """One engine advanced toward a fixed horizon in checkpointed windows.
+
+    The single driver behind every durable run kind —
+    :func:`run_durable`, :func:`repro.station.campaign.run_campaign`
+    and the :class:`~repro.service.FleetService` cohorts.  It owns the
+    mechanics they share; callers keep only their own bookkeeping
+    (window reports, member slicing, health scoring), which they hand
+    to :meth:`checkpoint` as an opaque ``state``:
+
+    - :meth:`advance` clamps the window budget to the steps left and
+      advances the engine, keeping the run offset :attr:`done`;
+    - :meth:`checkpoint` snapshots the engine, the offset and the
+      caller's state after every non-final window (a no-op for a run
+      without ``checkpoint_path`` and after the final window), then
+      fires the ``kill:<k>`` fault site of :mod:`repro.runtime.faults`;
+    - :meth:`restore` resumes from a checkpoint whose fingerprint
+      matches the caller's (``reason="mismatch"`` otherwise);
+    - :meth:`finish` deletes the checkpoint once the run's work is
+      safe.
+
+    A run may chain several engines over consecutive legs — a
+    campaign runs its execution groups one after the other inside one
+    horizon — by assigning :attr:`engine` and :attr:`profile` before a
+    leg's first window.  The engine may also be attached late (a
+    service cohort builds it when the cohort seals).
+
+    Attributes
+    ----------
+    engine:
+        The live engine (anything with ``advance``), or None until
+        attached.
+    profile:
+        Setpoint schedule the engine advances through.
+    total_steps:
+        Horizon in loop ticks; the run is :attr:`complete` at it.
+    record_every_n:
+        Recording decimation.
+    done:
+        Loop ticks completed so far (the run offset).
+    """
+
+    def __init__(self, engine, profile: Profile, total_steps: int, *,
+                 record_every_n: int, checkpoint_path=None,
+                 fingerprint: str | None = None, done: int = 0) -> None:
+        self.engine = engine
+        self.profile = profile
+        self.total_steps = int(total_steps)
+        self.record_every_n = int(record_every_n)
+        self.checkpoint_path = (None if checkpoint_path is None
+                                else Path(checkpoint_path))
+        self.fingerprint = fingerprint
+        self.done = int(done)
+
+    @property
+    def remaining(self) -> int:
+        """Loop ticks left to the horizon."""
+        return self.total_steps - self.done
+
+    @property
+    def complete(self) -> bool:
+        """Whether the run reached its horizon."""
+        return self.done >= self.total_steps
+
+    def budget(self, steps: int) -> int:
+        """The window :meth:`advance` takes when asked for ``steps``."""
+        return min(int(steps), self.remaining)
+
+    def advance(self, steps: int) -> RunResult:
+        """Advance one window of at most ``steps`` ticks; its rows."""
+        budget = self.budget(steps)
+        rows = self.engine.advance(self.profile, budget,
+                                   record_every_n=self.record_every_n)
+        self.done += budget
+        return rows
+
+    def checkpoint(self, state: dict) -> None:
+        """Snapshot the run after a non-final window (atomic write).
+
+        ``state`` is the caller's bookkeeping at the same cut point,
+        returned verbatim by :meth:`restore`.
+        """
+        if self.checkpoint_path is None or self.complete:
+            return
+        save_checkpoint(self.engine, self.checkpoint_path, meta={
+            "fingerprint": self.fingerprint,
+            "done": self.done,
+            "total_steps": self.total_steps,
+            "record_every_n": self.record_every_n,
+            "profile": self.profile,
+            "state": state,
+        })
+        checkpoint_site()
+
+    @classmethod
+    def restore(cls, checkpoint_path, fingerprint: str | None = None, *,
+                expect_kind: str | None = None,
+                ) -> tuple["WindowedRun", dict]:
+        """Resume a run from its checkpoint: ``(run, state)``.
+
+        A run checkpointed without a fingerprint (a service cohort,
+        adopted as whatever run the dead process was executing)
+        restores with the default ``fingerprint=None``.
+
+        Raises
+        ------
+        CheckpointError
+            As for :func:`load_checkpoint`, plus ``reason="mismatch"``
+            when the artifact's fingerprint differs from
+            ``fingerprint`` (it belongs to another run configuration).
+        """
+        ckpt = load_checkpoint(checkpoint_path, expect_kind=expect_kind)
+        meta = ckpt.meta
+        if meta.get("fingerprint") != fingerprint:
+            raise CheckpointError(
+                f"checkpoint {checkpoint_path} was taken under a different "
+                f"run configuration; refusing to resume", reason="mismatch")
+        run = cls(ckpt.engine, meta["profile"], meta["total_steps"],
+                  record_every_n=meta["record_every_n"],
+                  checkpoint_path=checkpoint_path, fingerprint=fingerprint,
+                  done=meta["done"])
+        return run, meta["state"]
+
+    def finish(self) -> None:
+        """Delete the checkpoint: the run's results are safe elsewhere."""
+        if self.checkpoint_path is not None:
+            self.checkpoint_path.unlink(missing_ok=True)
+
+    def close(self) -> None:
+        """Release the engine's worker-side state, if it holds any."""
+        close = getattr(self.engine, "close", None)
+        if close is not None:
+            close()
 
 
 def run_durable(rigs: list[TestRig], profile: Profile, *,
@@ -258,13 +404,13 @@ def run_durable(rigs: list[TestRig], profile: Profile, *,
     """Run a fleet with per-window checkpoints; resume after a crash.
 
     The fleet runs as a :class:`MixedEngine` (whose single-group path
-    is byte-identical to a plain :class:`BatchEngine`), advanced in
-    ``window_steps`` slices; after each window the live engine and the
-    accumulated window results are checkpointed at ``checkpoint_path``.
-    If the process dies, calling again with ``resume=True`` picks up at
-    the last completed window and the final :class:`RunResult` is
-    bit-identical to an uninterrupted run.  On success the checkpoint
-    is deleted.
+    is byte-identical to a plain :class:`BatchEngine`), advanced by a
+    :class:`WindowedRun` in ``window_steps`` slices; after each window
+    the live engine and the accumulated window results are
+    checkpointed at ``checkpoint_path``.  If the process dies, calling
+    again with ``resume=True`` picks up at the last completed window
+    and the final :class:`RunResult` is bit-identical to an
+    uninterrupted run.  On success the checkpoint is deleted.
 
     Parameters
     ----------
@@ -308,44 +454,30 @@ def run_durable(rigs: list[TestRig], profile: Profile, *,
         raise ConfigurationError("record_every_n must be >= 1")
     if not rigs:
         raise ConfigurationError("run_durable needs at least one rig")
-    checkpoint_path = Path(checkpoint_path)
     numerics = resolve_numerics(numerics)
     dt = rigs[0].monitor.platform.dt_s
     total = int(round(profile.duration_s / dt))
     if total < 1:
         raise ConfigurationError("profile shorter than one loop tick")
-    fingerprint = _run_fingerprint(profile, total, len(rigs),
-                                   record_every_n, numerics)
+    fingerprint = run_fingerprint(profile, total, record_every_n, numerics,
+                                  n_monitors=len(rigs))
     if resume:
-        ckpt = load_checkpoint(checkpoint_path)
-        if ckpt.meta.get("fingerprint") != fingerprint:
-            raise CheckpointError(
-                f"checkpoint {checkpoint_path} was taken under a different "
-                f"run configuration (profile/fleet/cadence/numerics); "
-                f"refusing to resume", reason="mismatch")
-        engine = ckpt.engine
-        windows: list[RunResult] = list(ckpt.meta["windows"])
-        done = int(ckpt.offset)
+        run, state = WindowedRun.restore(checkpoint_path, fingerprint)
+        windows: list[RunResult] = list(state["windows"])
     else:
-        engine = MixedEngine(list(rigs), chunk_size=chunk_size,
-                             numerics=numerics, workers=workers,
-                             backend=backend)
+        run = WindowedRun(
+            MixedEngine(list(rigs), chunk_size=chunk_size,
+                        numerics=numerics, workers=workers,
+                        backend=backend),
+            profile, total, record_every_n=record_every_n,
+            checkpoint_path=checkpoint_path, fingerprint=fingerprint)
         windows = []
-        done = 0
     try:
-        while done < total:
-            budget = min(window_steps, total - done)
-            windows.append(engine.advance(profile, budget,
-                                          record_every_n=record_every_n))
-            done += budget
-            if done < total:
-                save_checkpoint(engine, checkpoint_path,
-                                meta={"fingerprint": fingerprint,
-                                      "windows": windows})
+        while not run.complete:
+            windows.append(run.advance(window_steps))
+            run.checkpoint({"windows": windows})
     finally:
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+        run.close()
     result = RunResult.concat(windows, axis="time")
-    checkpoint_path.unlink(missing_ok=True)
+    run.finish()
     return result

@@ -50,11 +50,10 @@ in the parent registry exactly once — only *successful* attempts
 harvest, so retries cannot double-count, and fallback shards already
 run in-process under the parent sinks directly.
 
-A fault hook for tests: set ``REPRO_SHARD_FAULT`` to
-``crash:<shard>``, ``hang:<shard>``, ``raise:<shard>`` or
-``crash-once:<shard>:<marker-dir>`` to make that shard's worker die,
-hang, raise, or die exactly once (the marker directory persists the
-"already tripped" bit across retried worker processes).
+Worker faults are injected through the one ``REPRO_FAULT`` hook
+(:mod:`repro.runtime.faults`): ``crash:<shard>``, ``hang:<shard>``,
+``raise:<shard>`` or ``crash-once:<shard>:<marker-dir>`` make that
+shard's worker die, hang, raise, or die exactly once.
 
 Windowed execution (:meth:`ShardedEngine.advance`) keeps the same
 parity contract across checkpoint cut points: each shard's
@@ -90,7 +89,6 @@ import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 import numpy as np
 
@@ -102,6 +100,7 @@ from repro.observability.remote import (TelemetryHarvest, TelemetryRequest,
                                         install_worker_telemetry,
                                         merge_harvest)
 from repro.runtime.batch import BatchEngine
+from repro.runtime.faults import shard_site
 from repro.runtime.kernels import resolve_numerics
 from repro.runtime.result import RunResult
 from repro.runtime.shm import (PoolWorkerError, SharedBlock, empty_result,
@@ -112,12 +111,7 @@ from repro.station.profiles import Profile
 from repro.station.rig import TestRig
 
 __all__ = ["ShardedEngine", "partition_monitors", "spawn_monitor_seeds",
-           "resolve_workers", "FAULT_ENV"]
-
-#: Environment variable consulted by the worker entrypoint to inject
-#: faults (test hook): ``crash:<i>``, ``hang:<i>``, ``raise:<i>`` or
-#: ``crash-once:<i>:<marker-dir>``.
-FAULT_ENV = "REPRO_SHARD_FAULT"
+           "resolve_workers"]
 
 
 def resolve_workers(workers: int | None, n_monitors: int) -> int:
@@ -181,28 +175,6 @@ def spawn_monitor_seeds(seed: int, n_monitors: int) -> list[int]:
     return [int(child.generate_state(1)[0]) for child in children]
 
 
-def _maybe_inject_fault(shard_index: int) -> None:
-    """Honour the ``REPRO_SHARD_FAULT`` test hook in a worker process."""
-    spec = os.environ.get(FAULT_ENV)
-    if not spec:
-        return
-    parts = spec.split(":")
-    mode, target = parts[0], int(parts[1])
-    if target != shard_index:
-        return
-    if mode == "crash":
-        os._exit(3)  # hard death: the parent sees a broken pool
-    elif mode == "hang":
-        time.sleep(3600.0)
-    elif mode == "raise":
-        raise RuntimeError(f"injected worker fault on shard {shard_index}")
-    elif mode == "crash-once":
-        marker = Path(parts[2]) / f"shard{shard_index}.tripped"
-        if not marker.exists():
-            marker.touch()
-            os._exit(3)
-
-
 def _run_shard(shard_index: int, rigs: list[TestRig], profile: Profile,
                record_every_n: int, chunk_size: int,
                numerics: str = "exact",
@@ -225,7 +197,7 @@ def _run_shard(shard_index: int, rigs: list[TestRig], profile: Profile,
     crashed, hung or raising attempt returns nothing, so retried shards
     cannot double-count.
     """
-    _maybe_inject_fault(shard_index)
+    shard_site(shard_index)
     previous = (install_worker_telemetry(telemetry)
                 if telemetry is not None else None)
     harvest = None
@@ -257,7 +229,7 @@ def _advance_shard(shard_index: int, blob: bytes, profile: Profile,
     window runs under fresh worker sinks inside a ``shard.worker``
     span, and the harvest only ships on success.
     """
-    _maybe_inject_fault(shard_index)
+    shard_site(shard_index)
     previous = (install_worker_telemetry(telemetry)
                 if telemetry is not None else None)
     harvest = None

@@ -10,7 +10,6 @@ so all existing single-monitor analysis keeps working.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,42 +17,12 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.station.rig import RigRecord
 
-__all__ = ["RunResult", "SummaryDict"]
+__all__ = ["RunResult"]
 
 #: Namespace prefix aligning summary keys with the metrics registry
 #: (``run.measured_mps`` matches the ``run.measured_mps.mean`` gauge the
 #: session publishes after an instrumented run).
 _SUMMARY_PREFIX = "run."
-
-
-class SummaryDict(dict):
-    """Summary statistics keyed by registry metric names (``run.<field>``).
-
-    Legacy bare-field keys (``"measured_mps"``) still resolve — with a
-    :class:`FutureWarning` — so existing analysis code keeps working
-    while it migrates to the namespaced keys.  The bare aliases will be
-    removed in 2.0.
-    """
-
-    def __missing__(self, key):
-        alias = _SUMMARY_PREFIX + str(key)
-        if dict.__contains__(self, alias):
-            warnings.warn(
-                f"summary key {key!r} is deprecated and will stop "
-                f"resolving in repro 2.0; use {alias!r}",
-                FutureWarning, stacklevel=2)
-            return dict.__getitem__(self, alias)
-        raise KeyError(key)
-
-    def __contains__(self, key):
-        return (dict.__contains__(self, key)
-                or dict.__contains__(self, _SUMMARY_PREFIX + str(key)))
-
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
 
 
 @dataclass
@@ -128,22 +97,20 @@ class RunResult:
         return {name: dict(values)
                 for name, values in getattr(self, "_profile", {}).items()}
 
-    def summary(self, monitor: int | None = None) -> SummaryDict:
+    def summary(self, monitor: int | None = None) -> dict:
         """Per-trace mean/std/min/max statistics.
 
-        Keys are registry metric names (``run.<field>``); the legacy
-        bare-field keys keep resolving through :class:`SummaryDict`
-        with a :class:`FutureWarning`.  With ``monitor`` given,
-        statistics for that monitor's traces (the values of
-        ``trace(monitor).summary()``); otherwise the statistics are
-        pooled across the whole fleet.
+        Keys are registry metric names (``run.<field>``).  With
+        ``monitor`` given, statistics for that monitor's traces (the
+        values of ``trace(monitor).summary()``); otherwise the
+        statistics are pooled across the whole fleet.
         """
         if monitor is not None:
-            return SummaryDict({
+            return {
                 _SUMMARY_PREFIX + name: stats
                 for name, stats in self.trace(monitor).summary().items()
-            })
-        out = SummaryDict()
+            }
+        out = {}
         for name in ("time_s",) + self.STACKED_FIELDS:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.size == 0:
@@ -245,7 +212,6 @@ class RunResult:
         window hands back the ticks it recorded and joining them in
         advance order restores the uninterrupted run exactly.
         Zero-tick windows contribute nothing and are legal anywhere.
-        :meth:`concat_time` is a thin alias for this spelling.
 
         Raises
         ------
@@ -261,7 +227,7 @@ class RunResult:
             if indices is not None:
                 raise ConfigurationError(
                     "indices apply to the fleet axis only")
-            return cls._concat_time(parts)
+            return cls._join_windows(parts)
         if axis != "fleet":
             raise ConfigurationError(
                 f"unknown concat axis {axis!r}; use 'fleet' or 'time'")
@@ -317,7 +283,7 @@ class RunResult:
         return cls._merge_profiles(merged, parts)
 
     @classmethod
-    def _concat_time(cls, parts: list["RunResult"]) -> "RunResult":
+    def _join_windows(cls, parts: list["RunResult"]) -> "RunResult":
         """The time-axis merge behind ``concat(axis="time")``."""
         if not parts:
             raise ConfigurationError("need at least one window to concatenate")
@@ -340,13 +306,6 @@ class RunResult:
                for name in cls.STACKED_FIELDS},
         )
         return cls._merge_profiles(merged, parts)
-
-    @classmethod
-    def concat_time(cls, parts: list["RunResult"]) -> "RunResult":
-        """Thin alias for ``concat(parts, axis="time")`` (kept for
-        existing callers; :meth:`concat` is the documented entry
-        point)."""
-        return cls.concat(parts, axis="time")
 
     @classmethod
     def shared_layout(cls, n_monitors: int,
@@ -446,8 +405,3 @@ class RunResult:
                for name in cls.STACKED_FIELDS},
         )
 
-
-# Single-source marker asserted by tests/test_api_quality.py: the legacy
-# window-stitch spelling is a thin alias of concat(axis="time"), not a
-# second implementation.
-RunResult.concat_time.__func__._alias_of = "concat"

@@ -21,7 +21,6 @@ out of order raises :class:`~repro.errors.SessionError`.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, SessionError
@@ -32,7 +31,7 @@ from repro.conditioning.monitor import WaterFlowMonitor
 from repro.runtime.batch import BatchEngine
 from repro.runtime.kernels import resolve_numerics
 from repro.runtime.result import RunResult
-from repro.runtime.spec import FleetSpec, warn_once
+from repro.runtime.spec import FleetSpec
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
 from repro.station.scenarios import build_calibrated_monitor, \
@@ -101,28 +100,17 @@ class Session:
         possibly *mixed* (entries with different build configurations);
         :meth:`run` sub-batches a mixed fleet per config group through
         :class:`repro.runtime.mixed.MixedEngine`, bit-identical per rig
-        to running its group alone.  Mutually exclusive with every
-        other fleet-shape argument below; scenario-bearing specs are
-        refused (events belong to :func:`repro.station.run_campaign`).
+        to running its group alone.  The spec carries every build
+        setting (``FleetSpec.homogeneous(n, seed=s, fast_calibration=
+        True)`` and so on).  Mutually exclusive with ``n_monitors`` /
+        ``seed``; scenario-bearing specs are refused (events belong to
+        :func:`repro.station.run_campaign`).
     n_monitors:
-        Fleet size (classic homogeneous spelling; default 1).
+        Fleet size of a homogeneous default-build fleet (default 1).
     seed:
         Session seed; per-monitor seeds are spawned from it with
         :class:`numpy.random.SeedSequence`, so fleets with different
         sizes share the leading monitors' realizations (default 42).
-    loop_rate_hz / overtemperature_k / output_bandwidth_hz /
-    use_pulsed_drive / calibration_speeds_cmps / fast_calibration /
-    use_cache:
-        Forwarded to
-        :func:`repro.station.scenarios.build_calibrated_monitor`.
-
-        .. deprecated:: 1.2
-            Per-call build kwargs are deprecated (removed in 2.0) —
-            describe the build in a
-            :class:`~repro.runtime.FleetSpec` and pass ``fleet=``.
-            They warn once per process and keep working bit-identically
-            (``Session(fleet=FleetSpec.homogeneous(n, seed, **build))``
-            is the same fleet).
     chunk_size:
         Batch-engine noise pre-draw block length.
     checkpoint_dir:
@@ -140,30 +128,13 @@ class Session:
     def __init__(self, n_monitors: int | None = None,
                  seed: int | None = None, *,
                  fleet: FleetSpec | None = None,
-                 loop_rate_hz: float | None = None,
-                 overtemperature_k: float | None = None,
-                 output_bandwidth_hz: float | None = None,
-                 use_pulsed_drive: bool | None = None,
-                 calibration_speeds_cmps: list[float] | None = None,
-                 fast_calibration: bool | None = None,
-                 use_cache: bool | None = None,
                  chunk_size: int = 1024,
                  checkpoint_dir=None) -> None:
-        build = dict(
-            loop_rate_hz=loop_rate_hz,
-            overtemperature_k=overtemperature_k,
-            output_bandwidth_hz=output_bandwidth_hz,
-            use_pulsed_drive=use_pulsed_drive,
-            calibration_speeds_cmps=calibration_speeds_cmps,
-            fast_calibration=fast_calibration,
-            use_cache=use_cache,
-        )
-        explicit = {k: v for k, v in build.items() if v is not None}
         if fleet is not None:
-            if n_monitors is not None or seed is not None or explicit:
+            if n_monitors is not None or seed is not None:
                 raise ConfigurationError(
                     "fleet= fully describes the fleet; do not combine it "
-                    "with n_monitors/seed or per-call build kwargs")
+                    "with n_monitors/seed")
             if fleet.has_scenarios:
                 raise ConfigurationError(
                     "this FleetSpec carries scenarios; run it with "
@@ -171,23 +142,14 @@ class Session:
                     "injection")
             self._fleet = fleet
         else:
-            if explicit:
-                warn_once(
-                    "session-build-kwargs",
-                    "per-call build kwargs on Session "
-                    f"({', '.join(sorted(explicit))}) are deprecated and "
-                    "will be removed in repro 2.0; describe the fleet "
-                    "with repro.runtime.FleetSpec and pass "
-                    "Session(fleet=...)")
             n = 1 if n_monitors is None else int(n_monitors)
             if n < 1:
                 raise ConfigurationError(
                     "session needs at least one monitor")
             self._fleet = FleetSpec.homogeneous(
-                n, seed=42 if seed is None else int(seed), **explicit)
+                n, seed=42 if seed is None else int(seed))
         self.n_monitors = self._fleet.n_monitors
         self.seed = int(self._fleet.seed)
-        self._build_kwargs = self._fleet.rigs[0].build_kwargs()
         self._chunk = int(chunk_size)
         self._state = "new"
         self._seeds: list[int] = []
@@ -248,7 +210,7 @@ class Session:
                              n_monitors=self.n_monitors)
         return self._handles
 
-    def run(self, profile: Profile, *args,
+    def run(self, profile: Profile, *,
             snapshot_s: float | None = None,
             collect: str = "result",
             engine: str = "batch",
@@ -318,26 +280,7 @@ class Session:
             ``docs/performance.md``).  Bit-identical either way.
             ``Session.close`` tears the shm pool down after a session
             that used it.
-
-        .. deprecated:: 1.1
-            Positional ``engine`` / ``record_every_n`` still work but
-            emit :class:`FutureWarning`; pass them by keyword.  The
-            positional forms will be removed in 2.0.
         """
-        if args:
-            warnings.warn(
-                "positional engine/record_every_n are deprecated and will "
-                "be removed in repro 2.0; Session.run is keyword-only "
-                "after profile — pass engine=.../record_every_n=... "
-                "(or snapshot_s=...)",
-                FutureWarning, stacklevel=2)
-            if len(args) > 2:
-                raise ConfigurationError(
-                    f"Session.run takes at most profile, engine, "
-                    f"record_every_n positionally (got {1 + len(args)})")
-            engine = args[0]
-            if len(args) == 2:
-                record_every_n = args[1]
         self._expect("calibrated")
         if engine not in ("batch", "scalar"):
             raise ConfigurationError(

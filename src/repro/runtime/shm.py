@@ -304,10 +304,10 @@ def _handle(engines: dict, msg: tuple) -> tuple:
         return ("ok", None, None)
     if op == "advance":
         _, eid, spec = msg
-        # The same fault hook the spawn workers honour, so the failure
+        # The same fault site the spawn workers honour, so the failure
         # tests can kill/hang/raise a specific shm shard too.
-        from repro.runtime.parallel import _maybe_inject_fault
-        _maybe_inject_fault(spec["shard"])
+        from repro.runtime.faults import shard_site
+        shard_site(spec["shard"])
         telemetry = spec["telemetry"]
         previous = (install_worker_telemetry(telemetry)
                     if telemetry is not None else None)

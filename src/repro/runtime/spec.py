@@ -29,7 +29,6 @@ the events.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,23 +36,6 @@ import numpy as np
 from repro.errors import ConfigurationError
 
 __all__ = ["FleetSpec", "RigSpec"]
-
-#: Deprecation shims that have already fired this process (warn-once
-#: bookkeeping; tests clear this set between cases).
-_WARNED: set[str] = set()
-
-
-def warn_once(key: str, message: str, stacklevel: int = 3) -> None:
-    """Emit ``message`` as a FutureWarning once per process per ``key``.
-
-    The PR-6 escalation pattern: deprecated surfaces warn exactly once,
-    name their replacement, and state the 2.0 removal.
-    """
-    if key in _WARNED:
-        return
-    _WARNED.add(key)
-    warnings.warn(message, FutureWarning, stacklevel=stacklevel)
-
 
 def _scenario_to_json(scenario):
     """JSON-safe form of a scenario tag (name string or spec dict)."""

@@ -32,8 +32,7 @@ def run(profile: Profile, *, fleet=None,
         snapshot_s: float | None = None, collect: str = "result",
         engine: str = "batch", workers: int | None = None,
         numerics: str = "exact", backend: str = "spawn",
-        record_every_n: int | None = None,
-        **session_kwargs) -> RunResult | dict:
+        record_every_n: int | None = None) -> RunResult | dict:
     """One-shot fleet run: session lifecycle in a single call.
 
     Equivalent to building a :class:`~repro.runtime.Session`,
@@ -49,10 +48,8 @@ def run(profile: Profile, *, fleet=None,
     The fleet is described either by ``fleet=`` (a
     :class:`~repro.runtime.FleetSpec`, possibly mixed — a structurally
     heterogeneous fleet sub-batches per config group, bit-identical per
-    rig to running its group alone) or by the legacy
-    ``n_monitors``/``seed``/``session_kwargs`` spelling (``loop_rate_hz``,
-    ``use_pulsed_drive``, ``fast_calibration``, ... — deprecated at the
-    Session layer in favor of ``fleet=``).  All other keywords mirror
+    rig to running its group alone) or by ``n_monitors``/``seed`` for a
+    homogeneous default-build fleet.  All other keywords mirror
     :meth:`repro.runtime.Session.run` (``snapshot_s``/``record_every_n``
     cadence, ``collect``, ``engine``, ``workers``, ``backend``,
     ``numerics``).
@@ -64,12 +61,11 @@ def run(profile: Profile, *, fleet=None,
     ------
     ConfigurationError
         For invalid knobs (propagated from the session layer), and for
-        ``fleet=`` combined with the legacy fleet kwargs or a
+        ``fleet=`` combined with ``n_monitors``/``seed`` or a
         scenario-bearing spec (campaigns belong to
         :func:`repro.station.run_campaign`).
     """
-    with Session(n_monitors, seed, fleet=fleet,
-                 **session_kwargs) as session:
+    with Session(n_monitors, seed, fleet=fleet) as session:
         session.calibrate()
         return session.run(profile, snapshot_s=snapshot_s, collect=collect,
                            engine=engine, workers=workers, numerics=numerics,

@@ -3,10 +3,10 @@
 :class:`FleetService` is a long-lived asyncio component that multiplexes
 concurrent client runs onto shared engine advances.  Clients
 :meth:`~FleetService.attach` a profile with their own fleet description
-(a :class:`~repro.runtime.FleetSpec`, or the legacy size/seed/build
-kwargs); the service groups clients who share a profile, cadence, loop
-rate and numerics into *cohorts* — build configurations may differ
-freely, because each cohort runs on a
+(a :class:`~repro.runtime.FleetSpec`, or a homogeneous default-build
+size/seed pair); the service groups clients who share a profile,
+cadence, loop rate and numerics into *cohorts* — build configurations
+may differ freely, because each cohort runs on a
 :class:`~repro.runtime.mixed.MixedEngine` that sub-batches per config
 group — advances each cohort in bounded tick slices, and streams every
 client its own rows of each window through a bounded
@@ -31,8 +31,10 @@ with no locks.  Backpressure is cooperative: a cohort only ticks while
 every member's stream has space, so one slow consumer stalls its cohort
 (bounded memory) without blocking other cohorts.
 
-Crash recovery: with ``checkpoint_dir=`` the service snapshots every
-sealed cohort after each tick — the live
+Crash recovery: every cohort is a
+:class:`~repro.runtime.checkpoint.WindowedRun`, the windowed-run driver
+durable runs and campaigns share.  With ``checkpoint_dir=`` the driver
+snapshots every sealed cohort after each non-final tick — the live
 :class:`~repro.runtime.mixed.MixedEngine` plus each member's streamed
 windows, a consistent pair — into ``cohort-<id>.ckpt`` artifacts, and
 deletes them when the cohort completes, crashes deterministically, or
@@ -55,7 +57,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ReproError, ServiceError
 from repro.observability import get_event_log, get_registry, get_tracer
-from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
+from repro.runtime.checkpoint import WindowedRun
 from repro.runtime.mixed import MixedEngine
 from repro.runtime.result import RunResult
 from repro.runtime.session import Session, resolve_record_every_n
@@ -130,25 +132,22 @@ class _Group:
     same key keep joining.  The first tick seals it (builds the engine
     from every member's rigs, in attach order); later attaches with the
     same key start a fresh cohort, because a running engine cannot admit
-    new rigs without disturbing the shared clocks.
+    new rigs without disturbing the shared clocks.  The cohort's
+    :class:`~repro.runtime.checkpoint.WindowedRun` carries the profile,
+    horizon, cadence, offset and (once sealed) the engine.
     """
 
-    __slots__ = ("group_id", "key", "profile", "record_every_n", "numerics",
-                 "chunk_size", "total_steps", "members", "engine", "done")
+    __slots__ = ("group_id", "key", "numerics", "chunk_size", "members",
+                 "run")
 
-    def __init__(self, group_id: int, key: tuple, profile: Profile,
-                 record_every_n: int, numerics: str, chunk_size: int,
-                 total_steps: int) -> None:
+    def __init__(self, group_id: int, key: tuple, run: WindowedRun,
+                 numerics: str, chunk_size: int) -> None:
         self.group_id = group_id
         self.key = key
-        self.profile = profile
-        self.record_every_n = record_every_n
+        self.run = run
         self.numerics = numerics
         self.chunk_size = chunk_size
-        self.total_steps = total_steps
         self.members: list[_Member] = []
-        self.engine: MixedEngine | None = None
-        self.done = 0
 
     def ready(self) -> bool:
         """Whether every member's stream can take one more snapshot."""
@@ -191,7 +190,7 @@ class ClientSession:
             return 0
         if member.finalized or member.group is None:
             return member.done
-        return member.group.done
+        return member.group.run.done
 
     @property
     def group_id(self) -> int:
@@ -445,8 +444,7 @@ class FleetService:
         for member in list(self._members):
             self._finalize(member, error=exc)
         for group in self._groups.values():
-            if group.engine is not None:
-                group.engine.close()
+            group.run.close()
         self._groups.clear()
         self._open_by_key.clear()
         if self._backend == "shm":
@@ -473,31 +471,27 @@ class FleetService:
                      seed: int | None = None,
                      snapshot_s: float | None = None,
                      record_every_n: int | None = None,
-                     numerics: str = "exact",
-                     **session_kwargs) -> ClientSession:
+                     numerics: str = "exact") -> ClientSession:
         """Join the service with a profile; returns the client handle.
 
         Builds (and calibrates) a :class:`~repro.runtime.Session` for
-        the client's fleet — preferably a
-        :class:`~repro.runtime.FleetSpec` via ``fleet=`` (possibly
-        mixed), or the legacy ``n_monitors``/``seed``/``session_kwargs``
-        spelling — the same deterministic materialization a standalone
-        run uses, which is what makes the streamed rows bit-identical
-        to ``Session.run`` — then queues the rigs into an *open* cohort
-        of clients sharing this profile, cadence, loop rate and
-        numerics.  Build configurations may differ across a cohort's
-        members: the cohort engine sub-batches per config group
-        (:class:`~repro.runtime.mixed.MixedEngine`), bit-identical per
-        rig to a cohort of its own.  The cohort seals at its first
-        tick; every client attached before that (e.g. an attach storm
-        racing the loop) lands in one shared engine.
+        the client's fleet — a :class:`~repro.runtime.FleetSpec` via
+        ``fleet=`` (possibly mixed), or ``n_monitors``/``seed`` for a
+        homogeneous default-build fleet — the same deterministic
+        materialization a standalone run uses, which is what makes the
+        streamed rows bit-identical to ``Session.run`` — then queues
+        the rigs into an *open* cohort of clients sharing this profile,
+        cadence, loop rate and numerics.  Build configurations may
+        differ across a cohort's members: the cohort engine sub-batches
+        per config group (:class:`~repro.runtime.mixed.MixedEngine`),
+        bit-identical per rig to a cohort of its own.  The cohort seals
+        at its first tick; every client attached before that (e.g. an
+        attach storm racing the loop) lands in one shared engine.
 
         Parameters mirror :meth:`repro.runtime.Session.run` where they
         overlap (``snapshot_s`` / ``record_every_n`` cadence,
-        ``numerics``); ``session_kwargs`` forward to the Session
-        constructor (``loop_rate_hz``, ``use_pulsed_drive``,
-        ``fast_calibration``, ... — deprecated there in favor of
-        ``fleet=``, warning once per process).
+        ``numerics``); the fleet arguments mirror the
+        :class:`~repro.runtime.Session` constructor.
 
         Raises
         ------
@@ -505,21 +499,14 @@ class FleetService:
             If the service was stopped (``reason="stopped"``).
         ConfigurationError
             For an empty profile, conflicting cadence spellings, or
-            ``fleet=`` combined with the legacy fleet kwargs.
+            ``fleet=`` combined with ``n_monitors``/``seed``.
         """
         if self._stopped:
             raise ServiceError("service stopped", reason="stopped")
         mode = resolve_numerics(numerics)
-        if fleet is not None:
-            # Session refuses fleet= + legacy kwargs with the precise
-            # error; just forward both spellings.
-            session = Session(n_monitors, seed, fleet=fleet,
-                              chunk_size=self._chunk, **session_kwargs)
-        else:
-            session = Session(n_monitors=1 if n_monitors is None
-                              else n_monitors,
-                              seed=42 if seed is None else seed,
-                              chunk_size=self._chunk, **session_kwargs)
+        # Session refuses fleet= + n_monitors/seed with the precise error.
+        session = Session(n_monitors, seed, fleet=fleet,
+                          chunk_size=self._chunk)
         n_monitors = session.n_monitors
         seed = session.seed
         session.open()
@@ -560,8 +547,13 @@ class FleetService:
         group = self._open_by_key.get(key)
         if group is None:
             self._group_seq += 1
-            group = _Group(self._group_seq, key, profile, every, mode,
-                           self._chunk, total_steps)
+            path = (None if self._checkpoint_dir is None else
+                    self._checkpoint_dir / f"cohort-{self._group_seq}.ckpt")
+            group = _Group(self._group_seq, key,
+                           WindowedRun(None, profile, total_steps,
+                                       record_every_n=every,
+                                       checkpoint_path=path),
+                           mode, self._chunk)
             self._groups[group.group_id] = group
             self._open_by_key[key] = group
         group.members.append(member)
@@ -591,15 +583,16 @@ class FleetService:
         groups = []
         for g in list(self._groups.values()):
             members = list(g.members)
+            engine = g.run.engine
             groups.append({
                 "group_id": g.group_id,
-                "sealed": g.engine is not None,
+                "sealed": engine is not None,
                 "members": len(members),
                 "fleet_size": sum(m.n for m in members),
-                "config_groups": (len(g.engine.groups)
-                                  if g.engine is not None else None),
-                "done_steps": g.done,
-                "total_steps": g.total_steps,
+                "config_groups": (len(engine.groups)
+                                  if engine is not None else None),
+                "done_steps": g.run.done,
+                "total_steps": g.run.total_steps,
                 "queue_depth": max((m.stream.depth for m in members),
                                    default=0),
             })
@@ -639,7 +632,7 @@ class FleetService:
             pool["workers_alive"] = 0 if live is None else live.size
             # A sealed cohort with no live pool means ticks will stall.
             if (status == "ok" and live is None
-                    and any(g.engine is not None
+                    and any(g.run.engine is not None
                             for g in list(self._groups.values()))):
                 status = "degraded"
         worst = []
@@ -705,9 +698,9 @@ class FleetService:
                                group=group.group_id if group else -1):
             if group is not None:
                 index = group.members.index(member)
-                if group.engine is not None:
+                if group.run.engine is not None:
                     lo = sum(m.n for m in group.members[:index])
-                    group.engine.drop(list(range(lo, lo + member.n)))
+                    group.run.engine.drop(list(range(lo, lo + member.n)))
                 group.members.pop(index)
                 if not group.members:
                     self._discard_group(group)
@@ -720,7 +713,7 @@ class FleetService:
             registry.gauge("service.clients").set(len(self._members))
             registry.gauge("service.groups").set(len(self._groups))
         get_event_log().emit("service.detach", client=client.client_id,
-                             done_steps=group.done if group else 0)
+                             done_steps=group.run.done if group else 0)
         self._wake.set()
         return partial
 
@@ -728,7 +721,7 @@ class FleetService:
         """Concatenate a member's streamed windows into one result."""
         if not member.windows:
             return _empty_result(member.n)
-        return RunResult.concat_time(member.windows)
+        return RunResult.concat(member.windows, axis="time")
 
     def _finalize(self, member: _Member,
                   result: RunResult | None = None,
@@ -738,7 +731,7 @@ class FleetService:
             return
         member.finalized = True
         if member.group is not None:
-            member.done = member.group.done
+            member.done = member.group.run.done
         self._members.discard(member)
         if not member.future.done():
             if error is not None:
@@ -752,18 +745,15 @@ class FleetService:
             registry.gauge("service.clients").set(len(self._members))
 
     def _discard_group(self, group: _Group) -> None:
-        if group.engine is not None:
-            # Evict any pool-resident shard state the cohort engine
-            # holds (a no-op for serial groups).
-            group.engine.close()
+        # Evict any pool-resident shard state the cohort engine holds
+        # (a no-op for serial groups).
+        group.run.close()
         self._groups.pop(group.group_id, None)
         if self._open_by_key.get(group.key) is group:
             del self._open_by_key[group.key]
-        if self._checkpoint_dir is not None:
-            # The cohort ended (completed, crashed or emptied): its
-            # checkpoint no longer names recoverable work.
-            (self._checkpoint_dir
-             / f"cohort-{group.group_id}.ckpt").unlink(missing_ok=True)
+        # The cohort ended (completed, crashed or emptied): its
+        # checkpoint no longer names recoverable work.
+        group.run.finish()
         registry = get_registry()
         if registry.enabled:
             registry.gauge("service.groups").set(len(self._groups))
@@ -784,10 +774,10 @@ class FleetService:
         if self._open_by_key.get(group.key) is group:
             del self._open_by_key[group.key]
         rigs = [rig for member in group.members for rig in member.rigs]
-        group.engine = MixedEngine(rigs, chunk_size=group.chunk_size,
-                                   numerics=group.numerics,
-                                   workers=self._workers,
-                                   backend=self._backend)
+        group.run.engine = MixedEngine(rigs, chunk_size=group.chunk_size,
+                                       numerics=group.numerics,
+                                       workers=self._workers,
+                                       backend=self._backend)
 
     def _fail_group(self, group: _Group, exc: BaseException) -> None:
         """Propagate an engine fault to every member; drop the cohort."""
@@ -803,23 +793,21 @@ class FleetService:
         """Advance one cohort by one bounded slice; fan out snapshots."""
         tick_start = time.perf_counter()
         tracer = get_tracer()
-        if group.engine is None:
+        run = group.run
+        if run.engine is None:
             try:
                 self._seal(group)
             except ReproError as exc:
                 self._fail_group(group, exc)
                 return
-        budget = min(self._tick_steps, group.total_steps - group.done)
+        budget = run.budget(self._tick_steps)
         with tracer.span("service.tick", group=group.group_id,
                          steps=budget, clients=len(group.members)):
             try:
-                window = group.engine.advance(
-                    group.profile, budget, group.record_every_n)
+                window = run.advance(budget)
             except ReproError as exc:
                 self._fail_group(group, exc)
                 return
-        group.done += budget
-        complete = group.done >= group.total_steps
         if self._health_scores and len(window):
             self._score_window(group, window)
         lo = 0
@@ -831,8 +819,8 @@ class FleetService:
                 seq=len(member.windows) - 1,
                 window=rows,
                 summary=rows.summary(),
-                done_steps=group.done,
-                total_steps=group.total_steps,
+                done_steps=run.done,
+                total_steps=run.total_steps,
             ))
         self._counters["ticks"] += 1
         self._counters["snapshots"] += len(group.members)
@@ -849,14 +837,26 @@ class FleetService:
             registry.gauge(f"service.group.{group.group_id}.queue_depth").set(
                 depth)
             registry.gauge("service.queue.depth").set(depth)
-        if complete:
+        if run.complete:
             self._counters["completed"] += len(group.members)
             for member in list(group.members):
                 self._finalize(member, result=self._stitch(member))
             group.members.clear()
             self._discard_group(group)
         elif self._checkpoint_dir is not None:
-            self._checkpoint_group(group)
+            # Every member's streamed windows pair with the engine at
+            # the same cut point, so a resume continues exactly where
+            # the streamed data ends.
+            run.checkpoint({
+                "group_id": group.group_id,
+                "members": [
+                    {"client_id": m.client.client_id,
+                     "seed": m.client.seed,
+                     "n": m.n,
+                     "windows": list(m.windows)}
+                    for m in group.members
+                ],
+            })
 
     def _score_window(self, group: _Group, window: RunResult) -> None:
         """Feed one cohort window through every member's health trackers.
@@ -866,7 +866,7 @@ class FleetService:
         the shared demand profile and isolates per-rig anomalies; see
         :mod:`repro.station.health`.
         """
-        dt_s = group.key[2] * group.record_every_n
+        dt_s = group.key[2] * group.run.record_every_n
         ref_speed = fleet_reference(window, "measured_mps")
         ref_press = fleet_reference(window, "pressure_pa")
         ref_temp = fleet_reference(window, "temperature_k")
@@ -893,33 +893,6 @@ class FleetService:
         registry = get_registry()
         if registry.enabled:
             registry.gauge("service.health.worst").set(worst)
-
-    def _checkpoint_group(self, group: _Group) -> None:
-        """Snapshot a sealed cohort to ``cohort-<id>.ckpt``.
-
-        The artifact pairs the live engine with every member's streamed
-        windows *at the same cut point*, so a resume continues exactly
-        where the streamed data ends.  The write is atomic, so a crash
-        mid-save leaves the previous tick's checkpoint intact.
-        """
-        save_checkpoint(
-            group.engine,
-            self._checkpoint_dir / f"cohort-{group.group_id}.ckpt",
-            meta={
-                "service": "cohort",
-                "group_id": group.group_id,
-                "done": group.done,
-                "total_steps": group.total_steps,
-                "record_every_n": group.record_every_n,
-                "profile": group.profile,
-                "members": [
-                    {"client_id": m.client.client_id,
-                     "seed": m.client.seed,
-                     "n": m.n,
-                     "windows": list(m.windows)}
-                    for m in group.members
-                ],
-            })
 
     async def _loop(self) -> None:
         """The tick loop: round-robin over ready cohorts, stall on none.
@@ -958,9 +931,10 @@ class FleetService:
 class RecoveredCohort:
     """One orphaned cohort salvaged from a dead service's checkpoints.
 
-    Produced by :func:`recover_cohorts`.  Holds the restored live
-    engine plus every member's already-streamed windows at the same cut
-    point; :meth:`resume` finishes the run offline.
+    Produced by :func:`recover_cohorts`.  Holds the restored windowed
+    run (live engine included) plus every member's already-streamed
+    windows at the same cut point; :meth:`resume` finishes the run
+    offline.
 
     Attributes
     ----------
@@ -982,9 +956,8 @@ class RecoveredCohort:
     total_steps: int
     record_every_n: int
     clients: list[str]
-    _profile: Profile
     _members: list[dict]
-    _engine: MixedEngine
+    _run: WindowedRun
 
     def resume(self) -> dict[str, RunResult]:
         """Finish the cohort's run; per-client stitched results.
@@ -997,22 +970,21 @@ class RecoveredCohort:
         resolved from :meth:`ClientSession.result`.  On success the
         checkpoint artifact is deleted.
         """
+        run = self._run
         windows = [list(m["windows"]) for m in self._members]
-        remaining = self.total_steps - self.done
-        if remaining > 0:
-            window = self._engine.advance(
-                self._profile, remaining,
-                record_every_n=self.record_every_n)
+        if not run.complete:
+            window = run.advance(run.remaining)
             lo = 0
             for m, acc in zip(self._members, windows):
                 acc.append(_slice_rows(window, lo, lo + m["n"]))
                 lo += m["n"]
+        run.close()
         results = {
-            m["client_id"]: (RunResult.concat_time(acc) if acc
+            m["client_id"]: (RunResult.concat(acc, axis="time") if acc
                              else _empty_result(m["n"]))
             for m, acc in zip(self._members, windows)
         }
-        self.path.unlink(missing_ok=True)
+        run.finish()
         return results
 
 
@@ -1037,18 +1009,18 @@ def recover_cohorts(checkpoint_dir) -> list[RecoveredCohort]:
     root = Path(checkpoint_dir)
     cohorts = []
     for path in sorted(root.glob("cohort-*.ckpt")):
-        ckpt = load_checkpoint(path, expect_kind="mixed")
-        meta = ckpt.meta
+        # Cohorts carry no fingerprint: an orphan is adopted as whatever
+        # run the dead service was executing.
+        run, state = WindowedRun.restore(path, expect_kind="mixed")
         cohorts.append(RecoveredCohort(
             path=path,
-            group_id=int(meta["group_id"]),
-            done=int(meta["done"]),
-            total_steps=int(meta["total_steps"]),
-            record_every_n=int(meta["record_every_n"]),
-            clients=[m["client_id"] for m in meta["members"]],
-            _profile=meta["profile"],
-            _members=meta["members"],
-            _engine=ckpt.engine,
+            group_id=int(state["group_id"]),
+            done=run.done,
+            total_steps=run.total_steps,
+            record_every_n=run.record_every_n,
+            clients=[m["client_id"] for m in state["members"]],
+            _members=state["members"],
+            _run=run,
         ))
     cohorts.sort(key=lambda cohort: cohort.group_id)
     return cohorts

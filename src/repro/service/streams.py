@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ServiceError
-from repro.runtime.result import RunResult, SummaryDict
+from repro.runtime.result import RunResult
 
 __all__ = ["Snapshot", "SnapshotStream"]
 
@@ -41,8 +41,8 @@ class Snapshot:
         The client's rows for the ticks recorded in this window (a
         :class:`~repro.runtime.result.RunResult`; may hold zero ticks
         when the window was shorter than the decimation stride).
-        Windows concatenate with ``RunResult.concat_time`` into the
-        uninterrupted run, bit for bit.
+        Windows concatenate with ``RunResult.concat(..., axis="time")``
+        into the uninterrupted run, bit for bit.
     summary:
         ``window.summary()`` — the incremental ``run.*`` statistics
         over just this window (the streamed summary delta).
@@ -53,7 +53,7 @@ class Snapshot:
 
     seq: int
     window: RunResult
-    summary: SummaryDict
+    summary: dict
     done_steps: int
     total_steps: int
 

@@ -36,25 +36,26 @@ idiom).
 Campaigns are durable: pass ``checkpoint_dir=`` and
 :func:`run_campaign` snapshots the live group engine plus all completed
 bookkeeping after every window (the event-edge cuts it already advances
-between).  A killed campaign restarted with ``resume=True`` skips the
-completed groups and windows and produces a :class:`CampaignReport`
-bit-identical to an uninterrupted run — groups execute in a
-deterministic order and untouched groups re-materialize from their
-seeds, so only the in-flight engine needs to ride the checkpoint.  A
-fault hook for tests and CI: set ``REPRO_CAMPAIGN_FAULT=kill:<k>`` to
-SIGKILL the process right after the k-th checkpoint write.
+between), through the windowed-run driver
+:class:`repro.runtime.checkpoint.WindowedRun` — the whole campaign is
+one run whose legs are the execution groups.  A killed campaign
+restarted with ``resume=True`` skips the completed groups and windows
+and produces a :class:`CampaignReport` bit-identical to an
+uninterrupted run — groups execute in a deterministic order and
+untouched groups re-materialize from their seeds, so only the
+in-flight engine needs to ride the checkpoint.  The driver's
+``REPRO_FAULT=kill:<k>`` site (:mod:`repro.runtime.faults`) SIGKILLs
+the process right after the k-th checkpoint write, for tests and CI.
 """
 
 from __future__ import annotations
 
-import os
-import signal
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.observability import get_event_log, get_registry, get_tracer
 from repro.station.demand import DiurnalDemand, DiurnalDemandShape
 from repro.station.profiles import Profile, Segment
@@ -62,34 +63,7 @@ from repro.station.profiles import Profile, Segment
 __all__ = ["EVENT_KINDS", "SCENARIO_NAMES", "Event", "ScenarioSpec",
            "ScenarioProfile", "CampaignReport", "builtin_scenario",
            "resolve_scenario", "household_demand", "station_demand",
-           "run_campaign", "CAMPAIGN_FAULT_ENV"]
-
-#: Environment variable consulted after every campaign checkpoint write
-#: (test hook): ``kill:<k>`` SIGKILLs the process right after the k-th
-#: write — the deterministic mid-window crash the durability CI job and
-#: the resume tests rely on.
-CAMPAIGN_FAULT_ENV = "REPRO_CAMPAIGN_FAULT"
-
-_CAMPAIGN_CHECKPOINT_WRITES = 0
-
-
-def _maybe_campaign_fault() -> None:
-    """Honour the ``REPRO_CAMPAIGN_FAULT`` test hook after a write."""
-    spec = os.environ.get(CAMPAIGN_FAULT_ENV)
-    if not spec:
-        return
-    mode, target = spec.split(":")
-    if mode == "kill" and _CAMPAIGN_CHECKPOINT_WRITES == int(target):
-        os.kill(os.getpid(), signal.SIGKILL)
-
-
-def _write_campaign_checkpoint(engine, path, meta: dict) -> None:
-    """One durable campaign snapshot, then the fault hook (tests/CI)."""
-    global _CAMPAIGN_CHECKPOINT_WRITES
-    from repro.runtime.checkpoint import save_checkpoint
-    save_checkpoint(engine, path, meta=meta)
-    _CAMPAIGN_CHECKPOINT_WRITES += 1
-    _maybe_campaign_fault()
+           "run_campaign"]
 
 
 def _slab_leak(s: float, p: float, t: float, m: float):
@@ -455,11 +429,10 @@ def run_campaign(fleet, *, duration_s: float | None = None,
     # Lazy runtime imports: station must not pull repro.runtime at
     # module-import time (cycle; see module docstring).
     from repro.runtime import BatchEngine, FleetSpec, RunResult
-    from repro.runtime.checkpoint import load_checkpoint
+    from repro.runtime.checkpoint import WindowedRun, run_fingerprint
     from repro.runtime.kernels import resolve_numerics
     from repro.runtime.mixed import config_group_key
     from repro.runtime.session import resolve_record_every_n
-    from repro.store import canonical_key
 
     if not isinstance(fleet, FleetSpec):
         raise ConfigurationError(
@@ -489,6 +462,10 @@ def run_campaign(fleet, *, duration_s: float | None = None,
     total_steps = int(round(horizon_s / dt))
     if total_steps < 1:
         raise ConfigurationError("campaign horizon shorter than one tick")
+    if resume and checkpoint_dir is None:
+        raise ConfigurationError(
+            "resume=True requires checkpoint_dir (the campaign "
+            "checkpoint to pick up)")
 
     seeds = fleet.monitor_seeds()
     rigs = fleet.materialize(seeds)
@@ -506,53 +483,36 @@ def run_campaign(fleet, *, duration_s: float | None = None,
         group["positions"].append(pos)
         group["rigs"].append(rig)
 
+    # The whole campaign is one windowed run whose legs are the
+    # execution groups, each over the full horizon.  Completed groups
+    # travel inside the checkpoint state; groups the crash never
+    # reached re-materialize deterministically from their seeds, so
+    # only the in-flight engine rides the artifact.
     checkpoint_path = (Path(checkpoint_dir) / "campaign.ckpt"
                        if checkpoint_dir is not None else None)
-    fingerprint = None
-    if checkpoint_path is not None:
-        fingerprint = canonical_key({
-            "fleet": fleet.to_dict(),
-            "segments": [(s.duration_s, s.speed_mps, s.pressure_pa,
-                          s.temperature_k, s.interpolate)
-                         for s in base_profile.segments],
-            "total_steps": total_steps,
-            "record_every_n": every,
-            "numerics": resolve_numerics(numerics),
-            "chunk_size": int(chunk_size),
-        })
-    restored = None
+    fingerprint = run_fingerprint(
+        base_profile, total_steps, every, resolve_numerics(numerics),
+        fleet=fleet.to_dict(), chunk_size=int(chunk_size))
     if resume:
-        if checkpoint_path is None:
-            raise ConfigurationError(
-                "resume=True requires checkpoint_dir (the campaign "
-                "checkpoint to pick up)")
-        restored = load_checkpoint(checkpoint_path, expect_kind="batch")
-        if restored.meta.get("fingerprint") != fingerprint:
-            raise CheckpointError(
-                f"checkpoint {checkpoint_path} was taken under a different "
-                f"campaign configuration (fleet/profile/cadence/numerics); "
-                f"refusing to resume", reason="mismatch")
+        run, state = WindowedRun.restore(checkpoint_path, fingerprint,
+                                         expect_kind="batch")
+        completed, current = list(state["completed"]), state["current"]
+    else:
+        run = WindowedRun(None, base_profile,
+                          len(exec_groups) * total_steps,
+                          record_every_n=every,
+                          checkpoint_path=checkpoint_path,
+                          fingerprint=fingerprint)
+        completed, current = [], None
 
     with get_tracer().span("station.campaign", n_monitors=len(rigs),
                            n_groups=len(exec_groups),
                            duration_s=horizon_s):
-        group_reports = []
-        blocks = []
-        indices = []
-        # Completed groups travel inside the checkpoint; groups the
-        # crash never reached re-materialize deterministically from
-        # their seeds, so only the in-flight engine rides the artifact.
-        completed = list(restored.meta["completed"]) if restored else []
-        current = restored.meta["current"] if restored else None
         for gi, group in enumerate(exec_groups.values()):
-            scenario = group["scenario"]
             if gi < len(completed):
-                entry = completed[gi]
-                blocks.append(entry["block"])
-                indices.append(list(group["positions"]))
-                group_reports.append(entry["report"])
                 continue
-            profile = ScenarioProfile(base_profile, scenario.events)
+            scenario = group["scenario"]
+            run.profile = ScenarioProfile(base_profile, scenario.events)
             # Window boundaries at the event edges, as absolute steps
             # (the same rounding used to label window activity below —
             # edge times carry float dust from fraction-of-horizon
@@ -567,22 +527,23 @@ def run_campaign(fleet, *, duration_s: float | None = None,
                     if 0 < step < total_steps:
                         cuts.add(step)
             bounds = sorted(cuts)
-            if current is not None and gi == len(completed):
-                engine = restored.engine
+            if current is not None:
+                # The restored engine is the in-flight group's.
                 windows = list(current["windows"])
                 window_rows = list(current["window_rows"])
                 first_window = current["next_window"]
                 current = None
             else:
-                engine = BatchEngine(group["rigs"], chunk_size=chunk_size,
-                                     numerics=numerics)
+                run.engine = BatchEngine(group["rigs"],
+                                         chunk_size=chunk_size,
+                                         numerics=numerics)
                 windows = []
                 window_rows = []
                 first_window = 0
-            for wi in range(first_window, len(bounds) - 1):
+            last_window = len(bounds) - 2
+            for wi in range(first_window, last_window + 1):
                 lo, hi = bounds[wi], bounds[wi + 1]
-                rows = engine.advance(profile, hi - lo,
-                                      record_every_n=every)
+                rows = run.advance(hi - lo)
                 active = sorted({kind for kind, start, end in edges
                                  if start < hi and end > lo})
                 window_rows.append(rows)
@@ -591,39 +552,19 @@ def run_campaign(fleet, *, duration_s: float | None = None,
                     "active": active,
                     "means": _window_means(rows),
                 })
-                if checkpoint_path is not None and wi < len(bounds) - 2:
-                    _write_campaign_checkpoint(
-                        engine, checkpoint_path,
-                        meta={"fingerprint": fingerprint,
-                              "completed": completed,
-                              "current": {"windows": windows,
-                                          "window_rows": window_rows,
-                                          "next_window": wi + 1}})
-            baseline_means = windows[0]["means"]
-            for window in windows:
-                window["deltas"] = {
-                    name: window["means"][name] - baseline_means[name]
-                    for name in window["means"]}
-            merged = RunResult.concat(window_rows, axis="time") \
-                if len(window_rows) > 1 else window_rows[0]
-            blocks.append(merged)
-            indices.append(group["positions"])
-            report = {
-                "scenario": scenario.name,
-                "config_key": group["config_key"],
-                "positions": list(group["positions"]),
-                "events": [event.to_dict()
-                           for event in scenario.events],
-                "windows": windows,
-            }
-            group_reports.append(report)
-            if checkpoint_path is not None and gi < len(exec_groups) - 1:
-                completed.append({"report": report, "block": merged})
-                _write_campaign_checkpoint(
-                    engine, checkpoint_path,
-                    meta={"fingerprint": fingerprint,
-                          "completed": completed,
-                          "current": None})
+                if wi < last_window:
+                    progress = {"windows": windows,
+                                "window_rows": window_rows,
+                                "next_window": wi + 1}
+                else:
+                    completed.append(
+                        _finish_group(group, windows, window_rows))
+                    progress = None
+                run.checkpoint({"completed": completed,
+                                "current": progress})
+        blocks = [entry["block"] for entry in completed]
+        group_reports = [entry["report"] for entry in completed]
+        indices = [group["positions"] for group in exec_groups.values()]
         if len(blocks) == 1 and indices[0] == list(range(len(rigs))):
             result = blocks[0]
         else:
@@ -641,12 +582,34 @@ def run_campaign(fleet, *, duration_s: float | None = None,
     get_event_log().emit("station.campaign", n_monitors=len(rigs),
                          n_groups=len(exec_groups), duration_s=horizon_s)
 
-    if checkpoint_path is not None:
-        checkpoint_path.unlink(missing_ok=True)
+    run.finish()
     day_reports = _day_rollups(result, horizon_s, days)
     return CampaignReport(result=result, groups=group_reports,
                           days=day_reports, duration_s=horizon_s,
                           record_every_n=every)
+
+
+def _finish_group(group: dict, windows: list[dict],
+                  window_rows: list) -> dict:
+    """A finished group's report (with per-window deltas vs its first,
+    pre-event window) and its merged trace block."""
+    from repro.runtime import RunResult  # lazy: see module docstring
+    baseline_means = windows[0]["means"]
+    for window in windows:
+        window["deltas"] = {
+            name: window["means"][name] - baseline_means[name]
+            for name in window["means"]}
+    merged = RunResult.concat(window_rows, axis="time") \
+        if len(window_rows) > 1 else window_rows[0]
+    scenario = group["scenario"]
+    report = {
+        "scenario": scenario.name,
+        "config_key": group["config_key"],
+        "positions": list(group["positions"]),
+        "events": [event.to_dict() for event in scenario.events],
+        "windows": windows,
+    }
+    return {"report": report, "block": merged}
 
 
 def _exec_label(group_reports: list[dict], pos: int) -> str:

@@ -13,7 +13,6 @@ anchored to the detailed model.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +28,10 @@ __all__ = ["MeterCharacter", "MonitoredNetwork", "FleetReport",
            "characterize_meter_pool"]
 
 
-def characterize_meter_pool(fleet=None, seed: int = 0, *,
-                            n_meters: int | None = None,
+def characterize_meter_pool(fleet, *,
                             speed_cmps: float = 100.0,
                             duration_s: float = 20.0,
                             settle_s: float = 8.0,
-                            fast_calibration: bool = True,
                             workers: int | None = None,
                             numerics: str = "exact",
                             backend: str = "spawn",
@@ -53,27 +50,14 @@ def characterize_meter_pool(fleet=None, seed: int = 0, *,
         A :class:`repro.runtime.FleetSpec` describing the pool —
         possibly mixed; a structurally heterogeneous pool sub-batches
         per config group through the mixed engine, bit-identical per
-        meter to characterizing its group alone.
-
-        .. deprecated:: 1.2
-            An integer meter count (the old ``n_meters=`` spelling,
-            paired with ``seed``/``fast_calibration``) still works —
-            it warns once per process and is removed in 2.0; pass
-            ``FleetSpec.homogeneous(n, seed=s, use_pulsed_drive=False,
-            fast_calibration=True)`` instead (the integer path forces
-            continuous drive, as it always has).
-    seed:
-        Session seed for the integer spelling (per-meter seeds are
-        spawned from it).  Must stay at its default with a
-        ``FleetSpec`` — the spec carries its own seed.
+        meter to characterizing its group alone.  The spec carries the
+        seed and every build setting (a typical pool:
+        ``FleetSpec.homogeneous(n, seed=s, use_pulsed_drive=False,
+        fast_calibration=True)``).
     speed_cmps:
         Steady characterization speed [cm/s].
     duration_s / settle_s:
         Hold duration and the initial transient to discard.
-    fast_calibration:
-        Short calibration windows for the integer spelling (keep True
-        except for final benches); a ``FleetSpec`` entry carries its
-        own ``fast_calibration``.
     workers:
         Forwarded to :meth:`repro.runtime.Session.run`; with
         ``workers > 1`` the characterization hold runs through the
@@ -96,39 +80,13 @@ def characterize_meter_pool(fleet=None, seed: int = 0, *,
     """
     from repro.runtime import (  # local: avoid a station->runtime cycle
         FleetSpec, Session)
-    from repro.runtime.spec import warn_once
     from repro.station.profiles import hold
 
-    if n_meters is not None:
-        if fleet is not None:
-            raise ConfigurationError(
-                "pass either a FleetSpec or the deprecated n_meters=, "
-                "not both")
-        fleet = n_meters
-    if fleet is None:
+    if not isinstance(fleet, FleetSpec):
         raise ConfigurationError(
-            "characterize_meter_pool needs a FleetSpec describing the "
-            "pool (or, deprecated, an integer meter count)")
-    if isinstance(fleet, FleetSpec):
-        if seed != 0:
-            raise ConfigurationError(
-                "a FleetSpec carries its own seed; do not also pass "
-                "seed= to characterize_meter_pool")
-        spec = fleet
-    else:
-        n_meters = int(fleet)
-        if n_meters < 1:
-            raise ConfigurationError("need at least one meter")
-        warn_once(
-            "characterize-meter-pool-n-meters",
-            "characterize_meter_pool(n_meters=...) is deprecated and "
-            "will be removed in repro 2.0; describe the pool with "
-            "repro.runtime.FleetSpec (e.g. FleetSpec.homogeneous(n, "
-            "seed=s, use_pulsed_drive=False, fast_calibration=True)) "
-            "and pass it as the first argument")
-        spec = FleetSpec.homogeneous(
-            n_meters, seed=seed, use_pulsed_drive=False,
-            fast_calibration=fast_calibration)
+            f"characterize_meter_pool takes a FleetSpec describing the "
+            f"pool, got {type(fleet).__name__}")
+    spec = fleet
     n_meters = spec.n_monitors
     if not 0.0 <= settle_s < duration_s:
         raise ConfigurationError("settle window must fit inside the hold")
@@ -294,19 +252,24 @@ class MonitoredNetwork:
             ratio = imb[name] / inlet[name] if inlet[name] > 0.0 else 0.0
             self.detector.segment(name).set_baseline(baseline_ratio=ratio)
 
-    def run(self, profile: Profile | float | None = None, *args,
-            snapshot_s: float | None = None,
+    def run(self, profile: Profile | float, *,
+            snapshot_s: float = 60.0,
             collect: str = "result",
             leak: tuple[str, str, float] | None = None,
-            leak_at_h: float | None = None,
-            workers: int | None = None,
-            hours: float | None = None) -> FleetReport | dict:
+            leak_at_h: float | None = None) -> FleetReport | dict:
         """Simulate the fleet for a duration.
 
         This is the unified run surface (shared with
         :meth:`repro.runtime.session.Session.run` and
         :meth:`repro.station.rig.TestRig.run`): a profile (or a plain
         duration in hours) first, everything else keyword-only.
+
+        The day-scale fleet model executes serially by construction:
+        every meter reading is drawn from one shared RNG stream, so
+        sharding it across processes would change the realized noise.
+        The heavy lifting that *does* parallelize — characterizing the
+        meter pool — goes through :func:`characterize_meter_pool`'s
+        ``workers``.
 
         Parameters
         ----------
@@ -324,60 +287,16 @@ class MonitoredNetwork:
         leak / leak_at_h:
             Optional (upstream, downstream, m3/s) leak opened at the
             given hour.
-        workers:
-            Accepted for surface uniformity with the other run methods
-            and validated (``>= 1``), but the day-scale fleet model
-            always executes serially: every meter reading is drawn from
-            one shared RNG stream, so sharding it across processes
-            would change the realized noise.  The heavy lifting that
-            *does* parallelize — characterizing the meter pool — goes
-            through :func:`characterize_meter_pool`'s ``workers``.
 
         Returns
         -------
         FleetReport | dict
-
-        .. deprecated:: 1.1
-            The ``hours=`` keyword and positional ``snapshot_s`` still
-            work but emit :class:`FutureWarning`; pass the span as
-            ``profile`` and the cadence by keyword.  Both legacy
-            spellings will be removed in 2.0.
         """
-        if args:
-            warnings.warn(
-                "positional snapshot_s is deprecated and will be removed "
-                "in repro 2.0; MonitoredNetwork.run is keyword-only after "
-                "the duration — pass snapshot_s=...",
-                FutureWarning, stacklevel=2)
-            if len(args) > 1:
-                raise ConfigurationError(
-                    f"MonitoredNetwork.run takes at most the duration and "
-                    f"snapshot_s positionally (got {1 + len(args)})")
-            if snapshot_s is not None:
-                raise ConfigurationError(
-                    "snapshot_s given both positionally and by keyword")
-            snapshot_s = args[0]
-        if hours is not None:
-            warnings.warn(
-                "hours= is deprecated and will be removed in repro 2.0; "
-                "pass the duration (hours or a Profile) as the first "
-                "argument: run(1.0, ...)",
-                FutureWarning, stacklevel=2)
-            if profile is not None:
-                raise ConfigurationError(
-                    "pass the duration as profile or hours=, not both")
-            profile = hours
-        if profile is None:
-            raise ConfigurationError("a duration (hours or Profile) is required")
         if collect not in ("result", "summary"):
             raise ConfigurationError(
                 f"unknown collect {collect!r}; use 'result' or 'summary'")
-        if workers is not None and workers < 1:
-            raise ConfigurationError("workers must be >= 1")
         span_h = (profile.duration_s / 3600.0
                   if isinstance(profile, Profile) else float(profile))
-        if snapshot_s is None:
-            snapshot_s = 60.0
         if span_h <= 0.0 or snapshot_s <= 0.0:
             raise ConfigurationError("hours and cadence must be positive")
         with get_tracer().span("fleet.run", hours=span_h,

@@ -9,7 +9,6 @@ paper's calibration.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,7 +138,7 @@ class TestRig:
             turbulence_multiplier=monitor.sensor.housing.turbulence_multiplier())
         self.reference = reference or Promag50()
 
-    def run(self, profile: Profile, *args,
+    def run(self, profile: Profile, *,
             snapshot_s: float | None = None,
             collect: str = "result",
             record_every_n: int | None = None) -> RigRecord | dict:
@@ -166,29 +165,10 @@ class TestRig:
         ------
         ConfigurationError
             On an empty profile or non-positive decimation.
-
-        .. deprecated:: 1.1
-            Positional ``record_every_n`` still works but emits
-            :class:`FutureWarning`; pass it by keyword.  The positional
-            form will be removed in 2.0.
         """
         # Local import: repro.runtime.session imports this module.
         from repro.runtime.session import resolve_record_every_n
 
-        if args:
-            warnings.warn(
-                "positional record_every_n is deprecated and will be "
-                "removed in repro 2.0; TestRig.run is keyword-only after "
-                "profile — pass record_every_n=... (or snapshot_s=...)",
-                FutureWarning, stacklevel=2)
-            if len(args) > 1:
-                raise ConfigurationError(
-                    f"TestRig.run takes at most profile and record_every_n "
-                    f"positionally (got {1 + len(args)})")
-            if record_every_n is not None:
-                raise ConfigurationError(
-                    "record_every_n given both positionally and by keyword")
-            record_every_n = args[0]
         if collect not in ("result", "summary"):
             raise ConfigurationError(
                 f"unknown collect {collect!r}; use 'result' or 'summary'")

@@ -142,7 +142,7 @@ def _fleet_resume(engine) -> dict[str, np.ndarray]:
     restored = _checkpoint_roundtrip(engine)
     rest = restored.advance(_PROFILE, _TOTAL_STEPS - _RESUME_AT,
                             record_every_n=_RECORD_EVERY_N)
-    result = RunResult.concat_time([first, rest])
+    result = RunResult.concat([first, rest], axis="time")
     return {name: np.asarray(getattr(result, name))
             for name in ("time_s",) + RunResult.STACKED_FIELDS}
 

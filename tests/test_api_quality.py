@@ -78,7 +78,7 @@ def test_all_exports_resolve(pkg_name):
 
 
 def test_version_string():
-    assert repro.__version__ == "1.0.0"
+    assert repro.__version__ == "2.0.0"
 
 
 def test_error_hierarchy_single_source():
@@ -128,13 +128,13 @@ def test_facade_single_source():
 def test_concat_single_source():
     """``RunResult.concat`` is THE merge: one axis-aware classmethod.
 
-    ``concat_time`` survives only as a declared thin alias (the
-    ``_alias_of`` marker) so no second merge implementation can creep
-    back in behind it.
+    The 1.x ``concat_time`` alias is gone, so no second merge spelling
+    can creep back in beside it.
     """
     from repro.runtime import RunResult
-    assert getattr(RunResult.concat_time.__func__, "_alias_of", None) == \
-        "concat", "concat_time must stay a thin alias of concat"
+    public = [name for name in vars(RunResult)
+              if "concat" in name and not name.startswith("_")]
+    assert public == ["concat"], public
 
 
 def test_errors_reexported_from_top_level():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime import RunResult, Session
+from repro.runtime import FleetSpec, RunResult, Session
 from repro.runtime.batch import BatchEngine
 from repro.station.profiles import staircase
 
@@ -23,7 +23,8 @@ STEPS = int(round(PROFILE.duration_s / 1e-3))
 
 
 def fresh_rigs(seed=7, n=3):
-    with Session(n_monitors=n, seed=seed, fast_calibration=True) as s:
+    with Session(fleet=FleetSpec.homogeneous(
+            n, seed=seed, fast_calibration=True)) as s:
         s.calibrate()
         return [h.rig for h in s.monitors]
 
@@ -55,7 +56,7 @@ def test_advance_slices_bit_identical(reference):
         prev = cut
     assert engine.offset == STEPS
     assert len(parts[1]) == 1  # 6-step window still lands one tick
-    stitched = RunResult.concat_time(parts)
+    stitched = RunResult.concat(parts, axis="time")
     assert_traces_equal(stitched, reference)
 
 
@@ -128,12 +129,12 @@ def test_concat_time_validation():
     a = engine.advance(PROFILE, 100, record_every_n=20)
     b = engine.advance(PROFILE, 100, record_every_n=20)
     with pytest.raises(ConfigurationError):
-        RunResult.concat_time([])
+        RunResult.concat([], axis="time")
     with pytest.raises(ConfigurationError):
-        RunResult.concat_time([b, a])  # out of order
+        RunResult.concat([b, a], axis="time")  # out of order
     other = BatchEngine(fresh_rigs(n=1), chunk_size=256).advance(
         PROFILE, 100, record_every_n=20)
     with pytest.raises(ConfigurationError):
-        RunResult.concat_time([a, other])  # fleet-size mismatch
-    both = RunResult.concat_time([a, b])
+        RunResult.concat([a, other], axis="time")  # fleet-size mismatch
+    both = RunResult.concat([a, b], axis="time")
     assert len(both) == len(a) + len(b)

@@ -4,12 +4,11 @@ The contract under test (``repro.runtime.checkpoint``): a checkpoint
 is the pickled live engine between ``advance`` windows, so restoring it
 and finishing the run is byte-identical to never having stopped —
 for every engine kind, from arbitrary cut points, across real process
-deaths (the campaign SIGKILL test at the bottom).
+deaths of every windowed run kind (the SIGKILL tests at the bottom).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import signal
@@ -21,10 +20,12 @@ import numpy as np
 import pytest
 
 from repro.errors import CheckpointError, ConfigurationError
-from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, Session,
-                           ShardedEngine, load_checkpoint, run_durable,
-                           save_checkpoint, spawn_monitor_seeds)
+from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, RunResult,
+                           Session, ShardedEngine, WindowedRun,
+                           load_checkpoint, run_durable, save_checkpoint,
+                           spawn_monitor_seeds)
 from repro.runtime.checkpoint import CHECKPOINT_FORMAT_VERSION, engine_kind
+from repro.station.campaign import run_campaign
 from repro.station.profiles import staircase
 from repro.station.scenarios import (build_calibrated_monitor,
                                      clear_calibration_cache)
@@ -127,8 +128,7 @@ def test_batch_resume_bit_identical(tmp_path, cut):
     save_checkpoint(engine, tmp_path / "cut.ckpt")
     restored = load_checkpoint(tmp_path / "cut.ckpt").engine
     rest = restored.advance(_PROFILE, _TOTAL - cut, record_every_n=_EVERY)
-    from repro.runtime import RunResult
-    _assert_bit_equal(RunResult.concat_time([first, rest]), ref)
+    _assert_bit_equal(RunResult.concat([first, rest], axis="time"), ref)
 
 
 def test_run_durable_matches_plain_batch(tmp_path):
@@ -235,49 +235,165 @@ def test_session_resume_requires_durable_run(tmp_path):
             session.run(_PROFILE, resume=True, workers=2)  # not serial
 
 
-# -- campaign process-death recovery -----------------------------------------
+# -- the windowed-run driver --------------------------------------------------
 
 
-def _campaign_cmd(ckpt_dir: Path, out: Path, resume: bool = False):
-    cmd = [sys.executable, "-m", "repro", "campaign",
-           "--duration", "2", "--scenarios", "baseline,tank_leak",
-           "--checkpoint-dir", str(ckpt_dir), "--out", str(out)]
-    if resume:
-        cmd.append("--resume")
-    return cmd
+def test_windowed_run_checkpoints_non_final_windows_and_finishes(tmp_path):
+    ref = BatchEngine(_rigs(2)).run(_PROFILE, record_every_n=_EVERY)
+    path = tmp_path / "w.ckpt"
+    run = WindowedRun(BatchEngine(_rigs(2)), _PROFILE, _TOTAL,
+                      record_every_n=_EVERY, checkpoint_path=path,
+                      fingerprint="fp")
+    windows = [run.advance(300)]
+    run.checkpoint({"windows": windows})
+    assert load_checkpoint(path).meta["done"] == 300
+    windows.append(run.advance(300))  # clamped to the 200 steps left
+    assert run.complete and run.done == _TOTAL
+    run.checkpoint({"windows": windows})  # final window: no snapshot
+    assert load_checkpoint(path).meta["done"] == 300
+    run.finish()
+    assert not path.exists()
+    _assert_bit_equal(RunResult.concat(windows, axis="time"), ref)
 
 
-def test_campaign_sigkill_resume_summary_bit_identical(tmp_path):
-    """SIGKILL a campaign mid-window; the resumed summary is identical.
+def test_windowed_run_refuses_foreign_fingerprint(tmp_path):
+    path = tmp_path / "w.ckpt"
+    run = WindowedRun(BatchEngine(_rigs(1)), _PROFILE, _TOTAL,
+                      record_every_n=_EVERY, checkpoint_path=path,
+                      fingerprint="this-run")
+    run.advance(100)
+    run.checkpoint({"note": 1})
+    with pytest.raises(CheckpointError) as exc:
+        WindowedRun.restore(path, "another-run")
+    assert exc.value.reason == "mismatch"
+    restored, state = WindowedRun.restore(path, "this-run")
+    assert state == {"note": 1}
+    assert restored.done == restored.engine.offset == 100
 
-    The ``REPRO_CAMPAIGN_FAULT=kill:2`` hook hard-kills the process
-    right after its second checkpoint write — a real process death, not
-    an exception — and the resumed run's summary JSON must equal an
-    uninterrupted reference byte for byte.
+
+def test_campaign_resume_refuses_foreign_checkpoint(tmp_path):
+    path = tmp_path / "campaign.ckpt"
+    run = WindowedRun(BatchEngine(_rigs(1)), _PROFILE, _TOTAL,
+                      record_every_n=_EVERY, checkpoint_path=path,
+                      fingerprint="not-this-campaign")
+    run.advance(100)
+    run.checkpoint({"completed": [], "current": None})
+    fleet = FleetSpec.homogeneous(1, seed=3, fast_calibration=True)
+    with pytest.raises(CheckpointError) as exc:
+        run_campaign(fleet, duration_s=0.5, checkpoint_dir=tmp_path,
+                     resume=True)
+    assert exc.value.reason == "mismatch"
+
+
+def test_previous_format_version_refused(tmp_path):
+    """A version-1 artifact (the pre-driver meta layout) is refused."""
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(pickle.dumps({
+        "magic": "repro-checkpoint", "version": 1, "kind": "batch",
+        "offset": 0, "meta": {"fingerprint": "x", "windows": []},
+        "engine": BatchEngine(_rigs(1))}))
+    assert CHECKPOINT_FORMAT_VERSION == 2
+    with pytest.raises(CheckpointError) as exc:
+        WindowedRun.restore(path, "x")
+    assert exc.value.reason == "version"
+
+
+# -- process-death recovery, every windowed run kind -------------------------
+
+#: A checkpointing service with two clients in one cohort; with
+#: ``--resume`` it recovers the orphaned cohort and finishes it instead.
+_SERVICE_CHILD = """
+import asyncio, sys
+import numpy as np
+from repro import FleetService, FleetSpec, recover_cohorts, staircase
+
+ckpt, out = sys.argv[1], sys.argv[2]
+if sys.argv[3:] == ["--resume"]:
+    (cohort,) = recover_cohorts(ckpt)
+    results = cohort.resume()
+else:
+    async def main():
+        profile = staircase([0.0, 60.0], dwell_s=1.0)
+        async with FleetService(tick_steps=500,
+                                checkpoint_dir=ckpt) as service:
+            fleets = [FleetSpec.homogeneous(n, seed=seed,
+                                            fast_calibration=True)
+                      for n, seed in ((2, 11), (1, 12))]
+            clients = [await service.attach(profile, fleet=fleet)
+                       for fleet in fleets]
+
+            async def drain(client):
+                async for _ in client.snapshots():
+                    pass
+                return client.client_id, await client.result()
+
+            return dict(await asyncio.gather(*map(drain, clients)))
+    results = asyncio.run(main())
+np.savez(out, **{f"{cid}.{name}": getattr(result, name)
+                 for cid, result in results.items()
+                 for name in ("time_s",) + result.STACKED_FIELDS})
+"""
+
+#: Per run kind: the command (checkpoint dir, output path), the
+#: checkpoint artifact it leaves, and the output suffix.
+_KINDS = {
+    "campaign": (lambda ck, out: [
+        sys.executable, "-m", "repro", "campaign", "--duration", "2",
+        "--scenarios", "baseline,tank_leak", "--checkpoint-dir", str(ck),
+        "--out", str(out)], "campaign.ckpt", ".json"),
+    "durable": (lambda ck, out: [
+        sys.executable, "-m", "repro", "fleet", "--n-monitors", "2",
+        "--levels", "0,60", "--dwell", "1.5", "--checkpoint-dir", str(ck),
+        "--out", str(out)], "run-0.ckpt", ".npz"),
+    "service": (lambda ck, out: [
+        sys.executable, "-c", _SERVICE_CHILD, str(ck), str(out)],
+        "cohort-1.ckpt", ".npz"),
+}
+
+
+def _output_bytes(path: Path) -> dict:
+    """Every array (or the whole JSON summary) of a run's output file."""
+    if path.suffix == ".json":
+        return {"summary": path.read_bytes()}
+    with np.load(path) as data:
+        return {name: data[name].tobytes() for name in data.files}
+
+
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_sigkill_resume_bit_identical(tmp_path, kind):
+    """SIGKILL a windowed run mid-flight; the resumed output is identical.
+
+    ``REPRO_FAULT=kill:2`` hard-kills the process right after the
+    driver's second checkpoint write — a real process death, not an
+    exception — for a campaign, a ``Session(checkpoint_dir=...)``
+    durable run and a checkpointing service cohort (resumed through
+    ``recover_cohorts``).  The resumed output must equal an
+    uninterrupted reference bit for bit, and the checkpoint must be
+    gone afterwards.
     """
+    command, artifact, suffix = _KINDS[kind]
     env = {**os.environ, "PYTHONPATH": "src"}
+    env.pop("REPRO_FAULT", None)
     repo = Path(__file__).resolve().parent.parent
 
-    ref_out = tmp_path / "ref.json"
-    ref = subprocess.run(_campaign_cmd(tmp_path / "ck-ref", ref_out),
-                         cwd=repo, env=env, capture_output=True, text=True)
-    assert ref.returncode == 0, ref.stderr
-    assert not (tmp_path / "ck-ref" / "campaign.ckpt").exists()
+    def run(ck, out, *extra, **more_env):
+        return subprocess.run(command(tmp_path / ck, tmp_path / out)
+                              + list(extra), cwd=repo,
+                              env={**env, **more_env},
+                              capture_output=True, text=True)
 
-    killed = subprocess.run(
-        _campaign_cmd(tmp_path / "ck", tmp_path / "never.json"),
-        cwd=repo, env={**env, "REPRO_CAMPAIGN_FAULT": "kill:2"},
-        capture_output=True, text=True)
+    ref = run("ck-ref", "ref" + suffix)
+    assert ref.returncode == 0, ref.stderr
+    assert not (tmp_path / "ck-ref" / artifact).exists()
+
+    killed = run("ck", "never" + suffix, REPRO_FAULT="kill:2")
     assert killed.returncode == -signal.SIGKILL, (killed.returncode,
                                                   killed.stderr)
-    assert (tmp_path / "ck" / "campaign.ckpt").exists()
-    assert not (tmp_path / "never.json").exists()
+    assert (tmp_path / "ck" / artifact).exists()
+    assert not (tmp_path / ("never" + suffix)).exists()
 
-    out = tmp_path / "resumed.json"
-    resumed = subprocess.run(_campaign_cmd(tmp_path / "ck", out, resume=True),
-                             cwd=repo, env=env, capture_output=True,
-                             text=True)
+    resumed = run("ck", "resumed" + suffix, "--resume")
     assert resumed.returncode == 0, resumed.stderr
-    assert out.read_bytes() == ref_out.read_bytes()
-    assert not (tmp_path / "ck" / "campaign.ckpt").exists()
-    assert json.loads(out.read_text())  # valid, non-empty summary
+    got = _output_bytes(tmp_path / ("resumed" + suffix))
+    assert got and got == _output_bytes(tmp_path / ("ref" + suffix))
+    assert not (tmp_path / "ck" / artifact).exists()

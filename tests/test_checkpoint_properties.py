@@ -89,7 +89,8 @@ def test_arbitrary_cut_resume_is_uninterrupted(cuts, kind):
                                       record_every_n=_EVERY))
         if hi < _TOTAL:
             engine = _roundtrip(engine)
-    assert _bytes_of(RunResult.concat_time(windows)) == _reference(kind)
+    assert _bytes_of(RunResult.concat(windows, axis="time")) == \
+        _reference(kind)
 
 
 @settings(**_SETTINGS)
@@ -127,8 +128,8 @@ def test_double_resume_is_idempotent(cut):
         assert path.read_bytes() == blob_before
     rest_a = a.advance(_PROFILE, _TOTAL - cut, record_every_n=_EVERY)
     rest_b = b.advance(_PROFILE, _TOTAL - cut, record_every_n=_EVERY)
-    bytes_a = _bytes_of(RunResult.concat_time([first, rest_a]))
-    bytes_b = _bytes_of(RunResult.concat_time([first, rest_b]))
+    bytes_a = _bytes_of(RunResult.concat([first, rest_a], axis="time"))
+    bytes_b = _bytes_of(RunResult.concat([first, rest_b], axis="time"))
     assert bytes_a == bytes_b == _reference("mixed")
 
 

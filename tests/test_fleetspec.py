@@ -3,28 +3,18 @@
 Covers seed-derivation bit-compatibility with the classic Session
 plumbing, dict round-trips (scenario tags included), the ``fleet=``
 redesign of Session / run_batch / characterize_meter_pool, the
-conflict and scenario refusals, and the warn-once deprecation shims.
+conflict and scenario refusals, and the removal of the 1.x per-call
+build spellings.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime import FleetSpec, RigSpec, RunResult, Session, run_batch
-from repro.runtime import spec as spec_module
 from repro.station.campaign import Event, ScenarioSpec
 from repro.station.fleet import characterize_meter_pool
 from repro.station.profiles import hold
-
-
-@pytest.fixture(autouse=True)
-def _fresh_warn_once():
-    """Each test sees the warn-once shims in their pristine state."""
-    spec_module._WARNED.clear()
-    yield
-    spec_module._WARNED.clear()
 
 
 def _assert_bit_equal(a: RunResult, b: RunResult):
@@ -95,18 +85,12 @@ def test_empty_and_invalid_specs_refused():
 
 
 def test_session_fleet_matches_legacy_session():
-    profile = hold(70.0, 1.0)
-    spec = FleetSpec.homogeneous(2, seed=31, fast_calibration=True)
-    with Session(fleet=spec) as session:
-        session.calibrate()
-        from_spec = session.run(profile)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FutureWarning)
-        with Session(n_monitors=2, seed=31,
-                     fast_calibration=True) as session:
-            session.calibrate()
-            legacy = session.run(profile)
-    _assert_bit_equal(from_spec, legacy)
+    """``Session(n_monitors=n, seed=s)`` is the default-build spec."""
+    legacy = Session(n_monitors=2, seed=31)
+    spec = FleetSpec.homogeneous(2, seed=31)
+    assert legacy._fleet == spec
+    with legacy, Session(fleet=spec) as from_spec:
+        assert legacy._seeds == from_spec._seeds == spec.monitor_seeds()
 
 
 def test_session_fleet_conflicts_refused():
@@ -115,8 +99,8 @@ def test_session_fleet_conflicts_refused():
         Session(n_monitors=2, fleet=spec)
     with pytest.raises(ConfigurationError):
         Session(seed=7, fleet=spec)
-    with pytest.raises(ConfigurationError):
-        Session(fleet=spec, fast_calibration=True)
+    with pytest.raises(TypeError):
+        Session(fleet=spec, fast_calibration=True)  # removed in 2.0
 
 
 def test_scenario_specs_refused_outside_campaign():
@@ -142,35 +126,35 @@ def test_run_batch_accepts_fleet_spec():
     _assert_bit_equal(batched, from_session)
 
 
-def test_session_build_kwargs_warn_exactly_once():
-    with pytest.warns(FutureWarning, match="FleetSpec") as record:
-        Session(n_monitors=1, seed=1, fast_calibration=True)
-        Session(n_monitors=1, seed=2, use_pulsed_drive=False)
-    assert len(record) == 1
+def test_session_build_kwargs_removed():
+    """The 1.x per-call build kwargs are gone; the spec carries them."""
+    for build in ({"fast_calibration": True}, {"use_pulsed_drive": False},
+                  {"loop_rate_hz": 1000.0}, {"overtemperature_k": 7.0},
+                  {"output_bandwidth_hz": 0.1}, {"use_cache": False},
+                  {"calibration_speeds_cmps": [0.0, 50.0]}):
+        with pytest.raises(TypeError):
+            Session(n_monitors=1, seed=1, **build)
 
 
-def test_characterize_meter_pool_n_meters_warns_once():
-    with pytest.warns(FutureWarning, match="FleetSpec") as record:
-        pool_a = characterize_meter_pool(2, seed=3, duration_s=4.0,
-                                         settle_s=2.0)
-        pool_b = characterize_meter_pool(2, seed=3, duration_s=4.0,
-                                         settle_s=2.0)
-    assert len(record) == 1
-    assert [(m.bias_fraction, m.noise_mps) for m in pool_a] == \
-        [(m.bias_fraction, m.noise_mps) for m in pool_b]
+def test_characterize_meter_pool_requires_fleet_spec():
+    """The integer / ``n_meters=`` / ``seed=`` / ``fast_calibration=``
+    spelling is gone: only a FleetSpec describes the pool."""
+    with pytest.raises(ConfigurationError):
+        characterize_meter_pool(2)
+    for legacy in ({"n_meters": 2}, {"seed": 3},
+                   {"fast_calibration": True}):
+        with pytest.raises(TypeError):
+            characterize_meter_pool(FleetSpec.homogeneous(2), **legacy)
 
 
 def test_characterize_meter_pool_accepts_fleet_spec():
     spec = FleetSpec.homogeneous(2, seed=3, use_pulsed_drive=False,
                                  fast_calibration=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", FutureWarning)
-        from_spec = characterize_meter_pool(spec, duration_s=4.0,
-                                            settle_s=2.0)
-    with pytest.warns(FutureWarning):
-        legacy = characterize_meter_pool(2, seed=3, duration_s=4.0,
-                                         settle_s=2.0)
+    from_spec = characterize_meter_pool(spec, duration_s=4.0, settle_s=2.0)
+    # The same pool spelled entry by entry characterizes identically.
+    by_entry = FleetSpec(rigs=(RigSpec(count=2, use_pulsed_drive=False,
+                                       fast_calibration=True),), seed=3)
+    again = characterize_meter_pool(by_entry, duration_s=4.0, settle_s=2.0)
+    assert len(from_spec) == 2
     assert [(m.bias_fraction, m.noise_mps) for m in from_spec] == \
-        [(m.bias_fraction, m.noise_mps) for m in legacy]
-    with pytest.raises(ConfigurationError):
-        characterize_meter_pool(spec, seed=9)
+        [(m.bias_fraction, m.noise_mps) for m in again]

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime import BatchEngine, RunResult, Session
+from repro.runtime import BatchEngine, FleetSpec, RunResult, Session
 from repro.runtime.batch import _vexp, run_batch
 from repro.runtime.kernels import (NUMERICS_MODES, Numerics, exp_exact,
                                    film_conductance, pow10_exact, pow_exact,
@@ -196,7 +196,8 @@ def test_engines_reject_unknown_numerics(shared_setup):
 
 
 def test_session_run_validates_numerics():
-    with Session(n_monitors=1, seed=42, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            1, seed=42, fast_calibration=True)) as session:
         session.calibrate()
         with pytest.raises(ConfigurationError) as excinfo:
             session.run(staircase([0.0, 50.0], dwell_s=0.5),

@@ -21,7 +21,7 @@ from repro.observability import (EventLog, MetricsRegistry, Tracer,
                                  parse_prometheus)
 from repro.observability.live import LiveServer, SnapshotPipeline
 from repro.observability.live.http import PROMETHEUS_CONTENT_TYPE
-from repro.runtime import RunResult, Session
+from repro.runtime import FleetSpec, RunResult, Session
 from repro.service import FleetService
 from repro.station.profiles import hold
 
@@ -65,8 +65,8 @@ async def wait_until(predicate, timeout=30.0):
 
 
 def standalone(profile, *, n_monitors, seed):
-    with Session(n_monitors=n_monitors, seed=seed,
-                 fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            n_monitors, seed=seed, fast_calibration=True)) as session:
         session.calibrate()
         return session.run(profile)
 
@@ -144,8 +144,8 @@ def test_service_live_plane_serves_mid_run_and_streams_stay_bit_exact(fresh):
             assert service.pipeline is not None and service.pipeline.running
             url = service.http_url
             assert url is not None
-            client = await service.attach(profile, seed=9,
-                                          fast_calibration=True)
+            client = await service.attach(profile, fleet=FleetSpec.homogeneous(
+                    1, seed=9, fast_calibration=True))
             # Let the tick loop run unconsumed until backpressure provably
             # holds the run mid-flight, with sampler frames in the ring.
             await wait_until(

@@ -317,12 +317,13 @@ def test_observed_context_restores_state(fresh):
 
 def test_instrumented_session_run_populates_metrics(fresh):
     registry, tracer, log = fresh
-    from repro.runtime import Session
+    from repro.runtime import FleetSpec, Session
     from repro.station.profiles import hold
     from repro.station.scenarios import clear_calibration_cache
 
     clear_calibration_cache()
-    with Session(n_monitors=2, seed=31, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            2, seed=31, fast_calibration=True)) as session:
         session.calibrate()
         session.run(hold(60.0, 1.0))
         stats = session.stats()
@@ -356,10 +357,11 @@ def test_instrumented_session_run_populates_metrics(fresh):
 def test_observability_disabled_run_is_clean(fresh):
     registry, _, _ = fresh
     obs.disable()
-    from repro.runtime import Session
+    from repro.runtime import FleetSpec, Session
     from repro.station.profiles import hold
 
-    with Session(n_monitors=1, seed=32, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            1, seed=32, fast_calibration=True)) as session:
         session.calibrate()
         session.run(hold(60.0, 0.5))
         stats = session.stats()

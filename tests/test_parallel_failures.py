@@ -1,6 +1,6 @@
 """Sharded-runtime failure semantics: retry, fallback, watchdog.
 
-Worker failures are injected through the ``REPRO_SHARD_FAULT`` env-var
+Worker failures are injected through the ``REPRO_FAULT`` env-var
 hook in the worker entrypoint (crash = hard ``os._exit``, hang = sleep,
 raise = in-worker exception, crash-once = die on the first attempt
 only).  Every scenario must still produce the bit-identical serial
@@ -14,7 +14,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.observability import MetricsRegistry, get_registry, set_registry
 from repro.runtime import BatchEngine, RunResult, ShardedEngine
-from repro.runtime.parallel import FAULT_ENV
+from repro.runtime.faults import FAULT_ENV
 from repro.station.fleet import MonitoredNetwork
 from repro.station.network import PipeNetwork
 from repro.station.profiles import hold
@@ -116,19 +116,21 @@ def test_knob_validation():
 
 
 def test_session_refuses_workers_on_scalar_engine():
-    from repro.runtime import Session
-    with Session(n_monitors=1, seed=5, fast_calibration=True) as session:
+    from repro.runtime import FleetSpec, Session
+    with Session(fleet=FleetSpec.homogeneous(
+            1, seed=5, fast_calibration=True)) as session:
         session.calibrate()
         with pytest.raises(ConfigurationError):
             session.run(PROFILE, engine="scalar", workers=2)
 
 
 def test_monitored_network_validates_workers():
+    """The fleet model is serial by construction: ``workers=`` is refused."""
     network = PipeNetwork()
     network.add_pipe("reservoir", "a", demand_m3_s=0.5e-3)
     fleet = MonitoredNetwork(network, seed=1)
-    with pytest.raises(ConfigurationError):
-        fleet.run(0.1, workers=0)
-    # workers=1 is accepted (documented serial execution).
-    report = fleet.run(0.1, workers=1)
+    for workers in (0, 1, 2):
+        with pytest.raises(TypeError):
+            fleet.run(0.1, workers=workers)
+    report = fleet.run(0.1)
     assert report.snapshots > 0

@@ -16,10 +16,10 @@ from repro import observability as obs
 from repro.observability import (EventLog, MetricsRegistry, Profiler, Tracer,
                                  export_jsonl, export_spans_jsonl,
                                  parse_jsonl, parse_spans_jsonl, span_tree)
-from repro.runtime import (RunResult, Session, ShardedEngine,
+from repro.runtime import (FleetSpec, RunResult, Session, ShardedEngine,
                            spawn_monitor_seeds)
+from repro.runtime.faults import FAULT_ENV
 from repro.runtime.kernels import PROFILE_STAGES
-from repro.runtime.parallel import FAULT_ENV
 from repro.station.profiles import hold
 from repro.station.scenarios import (build_calibrated_monitor,
                                      clear_calibration_cache)
@@ -54,7 +54,8 @@ def fresh():
 def test_sharded_session_merges_worker_telemetry(fresh):
     registry, tracer, _, _ = fresh
     clear_calibration_cache()
-    with Session(n_monitors=4, seed=SEED, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            4, seed=SEED, fast_calibration=True)) as session:
         session.calibrate()
         result = session.run(hold(50.0, 1.0), workers=4)
     snap = registry.snapshot()
@@ -177,8 +178,9 @@ def test_sharded_fleet_characterize_emits_event(fresh):
     from repro.station.fleet import characterize_meter_pool
 
     clear_calibration_cache()
-    characterize_meter_pool(n_meters=2, seed=SEED, workers=2,
-                            duration_s=2.0, settle_s=0.5)
+    pool = FleetSpec.homogeneous(2, seed=SEED, use_pulsed_drive=False,
+                                 fast_calibration=True)
+    characterize_meter_pool(pool, workers=2, duration_s=2.0, settle_s=0.5)
     events = log.events("fleet.characterize")
     assert len(events) == 1
     assert events[0].fields["n_meters"] == 2

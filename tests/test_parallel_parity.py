@@ -11,9 +11,9 @@ through every public surface (`ShardedEngine`, `Session.run(workers=)`,
 import numpy as np
 import pytest
 
-from repro.runtime import (BatchEngine, RunResult, Session, ShardedEngine,
-                           run_batch, spawn_monitor_seeds)
-from repro.runtime.parallel import FAULT_ENV
+from repro.runtime import (BatchEngine, FleetSpec, RunResult, Session,
+                           ShardedEngine, run_batch, spawn_monitor_seeds)
+from repro.runtime.faults import FAULT_ENV
 from repro.station.profiles import hold, staircase
 from repro.station.scenarios import build_calibrated_monitor
 
@@ -69,7 +69,8 @@ def test_sharded_scheduler_accounting_matches_serial():
 
 def test_session_workers_parity():
     profile = staircase([0.0, 80.0], dwell_s=1.0)
-    with Session(n_monitors=3, seed=SEED, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            3, seed=SEED, fast_calibration=True)) as session:
         session.calibrate()
         serial = session.run(profile)
         sharded = session.run(profile, workers=3)

@@ -183,11 +183,12 @@ def test_concat_sums_part_profiles():
 
 
 def test_session_stats_exposes_profile(fresh_profiler):
-    from repro.runtime import Session
+    from repro.runtime import FleetSpec, Session
     from repro.station.scenarios import clear_calibration_cache
 
     clear_calibration_cache()
-    with Session(n_monitors=1, seed=33, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            1, seed=33, fast_calibration=True)) as session:
         session.calibrate()
         result = session.run(hold(60.0, 0.5))
         stats = session.stats()

@@ -1,17 +1,14 @@
 """Tests for the unified run API across Session, TestRig and fleet.
 
-One surface: ``run(profile, *, snapshot_s=..., collect=...)`` everywhere,
-with deprecation shims keeping the old positional/keyword spellings
-alive for one release.
+One surface: ``run(profile, *, snapshot_s=..., collect=...)`` everywhere;
+the 1.x positional/keyword spellings are gone in 2.0.
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime import RunResult, Session
+from repro.runtime import FleetSpec, RunResult, Session
 from repro.runtime.session import resolve_record_every_n
 from repro.station.demand import DiurnalDemand
 from repro.station.fleet import MonitoredNetwork
@@ -33,7 +30,8 @@ def test_resolve_record_every_n():
 
 @pytest.fixture(scope="module")
 def session():
-    with Session(n_monitors=1, seed=21, fast_calibration=True) as s:
+    with Session(fleet=FleetSpec.homogeneous(
+            1, seed=21, fast_calibration=True)) as s:
         s.calibrate()
         yield s
 
@@ -45,14 +43,11 @@ def test_session_run_snapshot_s_equals_record_every_n(session):
     assert np.array_equal(a.measured_mps, b.measured_mps)
 
 
-def test_session_run_positional_args_warn_but_work(session):
-    with pytest.warns(FutureWarning):
-        old = session.run(hold(60.0, 0.5), "scalar", 25)
-    new = session.run(hold(60.0, 0.5), engine="scalar", record_every_n=25)
-    assert np.array_equal(old.measured_mps, new.measured_mps)
-    with pytest.raises(ConfigurationError), warnings.catch_warnings():
-        warnings.simplefilter("ignore", FutureWarning)
-        session.run(hold(60.0, 0.5), "scalar", 25, "extra")
+def test_session_run_is_keyword_only(session):
+    with pytest.raises(TypeError):
+        session.run(hold(60.0, 0.5), "scalar", 25)
+    result = session.run(hold(60.0, 0.5), engine="scalar", record_every_n=25)
+    assert result.n_monitors == 1
 
 
 def test_session_run_collect_summary(session):
@@ -78,8 +73,8 @@ def test_rig_run_unified_signature():
     assert len(rec) == 25
     summary = rig.run(hold(50.0, 0.5), collect="summary")
     assert "measured_mps" in summary
-    with pytest.warns(FutureWarning):
-        rig.run(hold(50.0, 0.2), 10)
+    with pytest.raises(TypeError):
+        rig.run(hold(50.0, 0.2), 10)  # keyword-only since 2.0
     with pytest.raises(ConfigurationError):
         rig.run(hold(50.0, 0.2), snapshot_s=0.02, record_every_n=10)
     with pytest.raises(ConfigurationError):
@@ -109,71 +104,46 @@ def test_fleet_run_unified_signature():
 
 
 def test_fleet_run_deprecation_shims():
+    """The 1.x ``hours=`` and positional ``snapshot_s`` shims are gone."""
     fleet = build_fleet(seed=12)
-    with pytest.warns(FutureWarning):
-        by_kw = fleet.run(hours=1.0)
-    with pytest.warns(FutureWarning):
-        by_pos = fleet.run(1.0, 60.0)
-    assert by_kw.snapshots == by_pos.snapshots == 60
-    with pytest.raises(ConfigurationError), warnings.catch_warnings():
-        warnings.simplefilter("ignore", FutureWarning)
-        fleet.run(1.0, hours=1.0)  # duration twice
-    with pytest.raises(ConfigurationError):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", FutureWarning)
-            fleet.run(1.0, 60.0, snapshot_s=30.0)  # cadence twice
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(TypeError):
+        fleet.run(hours=1.0)
+    with pytest.raises(TypeError):
+        fleet.run(1.0, 60.0)  # snapshot_s is keyword-only
+    with pytest.raises(TypeError):
         fleet.run()  # no duration at all
     with pytest.raises(ConfigurationError):
         fleet.run(1.0, collect="nope")
+    assert fleet.run(1.0, snapshot_s=60.0).snapshots == 60
 
 
-def _sole_warning(record):
-    """The single warning captured by a ``pytest.warns`` block."""
-    assert len(record) == 1, (
-        f"expected exactly one warning, got "
-        f"{[str(w.message) for w in record]}")
-    return str(record[0].message)
+def test_removed_1x_surfaces_are_gone():
+    """Each 1.x spelling that warned "removed in repro 2.0" is gone.
 
-
-def test_every_deprecated_surface_warns_once_with_replacement():
-    """Each legacy spelling warns exactly once and names its successor.
-
-    The PR-2 shims are now :class:`FutureWarning` with a stated removal
-    version (2.0): Session.run positional args, TestRig.run positional
-    record_every_n, MonitoredNetwork.run positional snapshot_s and
-    ``hours=``, and the bare SummaryDict key aliases.
+    Session.run and TestRig.run positional arguments, the
+    ``concat_time`` alias and the bare summary keys; the fleet-run and
+    build-kwarg spellings have their own tests above and in
+    ``test_fleetspec.py``.
     """
-    with Session(n_monitors=1, seed=24, fast_calibration=True) as s:
+    with Session(fleet=FleetSpec.homogeneous(
+            1, seed=24, fast_calibration=True)) as s:
         s.calibrate()
-        with pytest.warns(FutureWarning) as rec:
-            s.run(hold(60.0, 0.2), "scalar", 25)
-        message = _sole_warning(rec)
-        assert "2.0" in message and "keyword" in message
+        with pytest.raises(TypeError):
+            s.run(hold(60.0, 0.2), "scalar")
         result = s.run(hold(60.0, 0.2))
     setup = build_calibrated_monitor(seed=24, fast=True)
-    with pytest.warns(FutureWarning) as rec:
+    with pytest.raises(TypeError):
         setup.rig.run(hold(50.0, 0.2), 10)
-    message = _sole_warning(rec)
-    assert "2.0" in message and "record_every_n=" in message
-    fleet = build_fleet(seed=13)
-    with pytest.warns(FutureWarning) as rec:
-        fleet.run(1.0, 60.0)
-    message = _sole_warning(rec)
-    assert "2.0" in message and "snapshot_s=" in message
-    with pytest.warns(FutureWarning) as rec:
-        fleet.run(hours=1.0)
-    message = _sole_warning(rec)
-    assert "2.0" in message and "first" in message
+    assert not hasattr(RunResult, "concat_time")
     summary = result.summary()
-    with pytest.warns(FutureWarning) as rec:
+    assert type(summary) is dict
+    with pytest.raises(KeyError):
         summary["measured_mps"]
-    message = _sole_warning(rec)
-    assert "2.0" in message and "run.measured_mps" in message
 
 
 def test_run_result_summary_metric_keys():
-    with Session(n_monitors=1, seed=23, fast_calibration=True) as s:
+    with Session(fleet=FleetSpec.homogeneous(
+            1, seed=23, fast_calibration=True)) as s:
         s.calibrate()
         result = s.run(hold(60.0, 0.5))
     summary = result.summary()
@@ -182,15 +152,9 @@ def test_run_result_summary_metric_keys():
         "run.measured_mps", "run.direction", "run.pressure_pa",
         "run.temperature_k", "run.bubble_coverage",
     }
-    # legacy keys resolve through the deprecation alias
-    with pytest.warns(FutureWarning):
-        legacy = summary["measured_mps"]
-    assert legacy is summary["run.measured_mps"]
-    assert "measured_mps" in summary
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FutureWarning)
-        assert summary.get("measured_mps", None) is not None
-    assert summary.get("not_a_field") is None
+    # bare field names are not keys (the 1.x aliases are gone)
+    assert "measured_mps" not in summary
+    assert summary.get("measured_mps") is None
     with pytest.raises(KeyError):
         summary["not_a_field"]
     per_monitor = result.summary(monitor=0)

@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SessionError
-from repro.runtime import BatchEngine, RunResult, Session, run_batch
+from repro.runtime import (BatchEngine, FleetSpec, RunResult, Session,
+                           run_batch)
 from repro.station.profiles import bidirectional_staircase, hold, staircase
 from repro.station.scenarios import build_calibrated_monitor
 
 
 def _parity_case(profile, n_monitors=2, seed=2024):
-    with Session(n_monitors=n_monitors, seed=seed,
-                 fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            n_monitors, seed=seed, fast_calibration=True)) as session:
         session.calibrate()
         batched = session.run(profile, engine="batch")
         scalar = session.run(profile, engine="scalar")
@@ -70,14 +71,16 @@ def test_batch_engine_refuses_heterogeneous_fleet():
 
 
 def test_session_unknown_engine_rejected():
-    with Session(n_monitors=1, seed=5, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            1, seed=5, fast_calibration=True)) as session:
         session.calibrate()
         with pytest.raises(ConfigurationError):
             session.run(hold(50.0, 1.0), engine="quantum")
 
 
 def test_session_lifecycle_enforced():
-    session = Session(n_monitors=1, seed=5, fast_calibration=True)
+    session = Session(fleet=FleetSpec.homogeneous(
+            1, seed=5, fast_calibration=True))
     with pytest.raises(SessionError):
         session.run(hold(50.0, 1.0))  # not even open
     with pytest.raises(SessionError):
@@ -95,7 +98,8 @@ def test_session_lifecycle_enforced():
 
 def test_session_runs_are_repeatable():
     profile = hold(90.0, 2.0)
-    with Session(n_monitors=2, seed=31, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            2, seed=31, fast_calibration=True)) as session:
         session.calibrate()
         first = session.run(profile)
         second = session.run(profile)
@@ -104,7 +108,8 @@ def test_session_runs_are_repeatable():
 
 
 def test_run_result_trace_roundtrip():
-    with Session(n_monitors=2, seed=8, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            2, seed=8, fast_calibration=True)) as session:
         session.calibrate()
         result = session.run(hold(70.0, 1.5))
     assert result.n_monitors == 2

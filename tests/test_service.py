@@ -16,7 +16,7 @@ import pytest
 
 import repro
 from repro.errors import ConfigurationError, SensorFault, ServiceError
-from repro.runtime import RunResult, Session
+from repro.runtime import FleetSpec, RunResult, Session
 from repro.runtime.batch import BatchEngine
 from repro.service import FleetService, Snapshot, SnapshotStream, connect
 from repro.station.profiles import hold, staircase
@@ -43,10 +43,15 @@ async def wait_until(predicate, timeout=30.0):
     await asyncio.wait_for(poll(), timeout=timeout)
 
 
+def fast_fleet(n_monitors, seed, **build):
+    """A homogeneous fast-calibration fleet (the suite's default build)."""
+    return FleetSpec.homogeneous(n_monitors, seed=seed,
+                                 fast_calibration=True, **build)
+
+
 def standalone(profile, *, n_monitors, seed):
     """The reference a service client must match bit for bit."""
-    with Session(n_monitors=n_monitors, seed=seed,
-                 fast_calibration=True) as session:
+    with Session(fleet=fast_fleet(n_monitors, seed)) as session:
         session.calibrate()
         return session.run(profile)
 
@@ -64,10 +69,8 @@ def test_cohort_coalescing_and_bit_exact_parity():
 
     async def main():
         async with FleetService(tick_steps=700) as service:
-            a = await service.attach(PROFILE, n_monitors=2, seed=11,
-                                     fast_calibration=True)
-            b = await service.attach(PROFILE, n_monitors=3, seed=12,
-                                     fast_calibration=True)
+            a = await service.attach(PROFILE, fleet=fast_fleet(2, 11))
+            b = await service.attach(PROFILE, fleet=fast_fleet(3, 12))
             snaps_a = [snap async for snap in a.snapshots()]
             result_a, result_b = await asyncio.gather(a.result(), b.result())
             stats = service.stats()
@@ -84,8 +87,8 @@ def test_cohort_coalescing_and_bit_exact_parity():
     assert snaps_a[-1].complete and not snaps_a[0].complete
     assert "run.measured_mps" in snaps_a[0].summary
     # windows stitch into exactly the awaited result
-    assert_traces_equal(RunResult.concat_time([s.window for s in snaps_a]),
-                        result_a)
+    assert_traces_equal(
+        RunResult.concat([s.window for s in snaps_a], axis="time"), result_a)
     # and both clients match a standalone run of their own config/seed
     assert_traces_equal(result_a, standalone(PROFILE, n_monitors=2, seed=11))
     assert_traces_equal(result_b, standalone(PROFILE, n_monitors=3, seed=12))
@@ -96,13 +99,13 @@ def test_cohort_coalescing_and_bit_exact_parity():
 def test_config_mismatch_opens_separate_cohorts():
     async def main():
         async with FleetService() as service:
-            base = await service.attach(hold(50.0, 0.5), seed=5,
-                                        fast_calibration=True)
-            cadence = await service.attach(hold(50.0, 0.5), seed=5,
-                                           fast_calibration=True,
+            base = await service.attach(hold(50.0, 0.5),
+                                        fleet=fast_fleet(1, 5))
+            cadence = await service.attach(hold(50.0, 0.5),
+                                           fleet=fast_fleet(1, 5),
                                            record_every_n=10)
-            numerics = await service.attach(hold(50.0, 0.5), seed=5,
-                                            fast_calibration=True,
+            numerics = await service.attach(hold(50.0, 0.5),
+                                            fleet=fast_fleet(1, 5),
                                             numerics="fast")
             groups = {base.group_id, cadence.group_id, numerics.group_id}
             await asyncio.gather(base.result(), cadence.result(),
@@ -117,10 +120,8 @@ def test_detach_mid_run_partial_and_survivor_parity():
 
     async def main():
         async with FleetService(tick_steps=700, max_pending=2) as service:
-            a = await service.attach(PROFILE, n_monitors=2, seed=11,
-                                     fast_calibration=True)
-            b = await service.attach(PROFILE, n_monitors=1, seed=12,
-                                     fast_calibration=True)
+            a = await service.attach(PROFILE, fleet=fast_fleet(2, 11))
+            b = await service.attach(PROFILE, fleet=fast_fleet(1, 12))
             # nobody consumes: the cohort stalls at max_pending ticks
             await wait_until(lambda: b.done_steps >= 1400)
             partial = await b.detach()
@@ -141,7 +142,8 @@ def test_detach_mid_run_partial_and_survivor_parity():
     assert frozen == 1400
     assert [snap.seq for snap in leftovers] == [0, 1]
     assert_traces_equal(
-        RunResult.concat_time([snap.window for snap in leftovers]), partial)
+        RunResult.concat([snap.window for snap in leftovers], axis="time"),
+        partial)
     # partial == the first 1400 steps (70 ticks) of b's standalone run
     assert len(partial) == 70
     assert_traces_equal(partial, standalone(PROFILE, n_monitors=1, seed=12),
@@ -153,8 +155,7 @@ def test_detach_mid_run_partial_and_survivor_parity():
 def test_detach_before_any_tick_returns_empty_partial():
     async def main():
         service = FleetService()  # never started: no ticks can happen
-        client = await service.attach(hold(50.0, 0.5), seed=5,
-                                      fast_calibration=True)
+        client = await service.attach(hold(50.0, 0.5), fleet=fast_fleet(1, 5))
         partial = await client.detach()
         await service.stop()
         return client, partial
@@ -172,7 +173,7 @@ def test_attach_storm_lands_in_one_cohort():
     async def main():
         service = FleetService()
         clients = [
-            await service.attach(profile, seed=seed, fast_calibration=True)
+            await service.attach(profile, fleet=fast_fleet(1, seed))
             for seed in seeds
         ]
         group_ids = {client.group_id for client in clients}
@@ -196,12 +197,10 @@ def test_engine_crash_propagates_typed_to_all_members():
 
     async def main():
         async with FleetService(tick_steps=200) as service:
-            doomed_a = await service.attach(burst, seed=5,
-                                            fast_calibration=True)
-            doomed_b = await service.attach(burst, n_monitors=2, seed=6,
-                                            fast_calibration=True)
-            bystander = await service.attach(hold(40.0, 0.5), seed=7,
-                                             fast_calibration=True)
+            doomed_a = await service.attach(burst, fleet=fast_fleet(1, 5))
+            doomed_b = await service.attach(burst, fleet=fast_fleet(2, 6))
+            bystander = await service.attach(hold(40.0, 0.5),
+                                             fleet=fast_fleet(1, 7))
             with pytest.raises(SensorFault):
                 await doomed_a.result()
             with pytest.raises(SensorFault):
@@ -226,8 +225,8 @@ def test_unexpected_tick_fault_fails_clients_not_the_loop():
 
     async def main():
         async with FleetService(tick_steps=100) as service:
-            doomed = await service.attach(hold(50.0, 0.5), seed=5,
-                                          fast_calibration=True)
+            doomed = await service.attach(hold(50.0, 0.5),
+                                          fleet=fast_fleet(1, 5))
             original = BatchEngine.advance
             BatchEngine.advance = buggy_advance
             try:
@@ -239,8 +238,8 @@ def test_unexpected_tick_fault_fails_clients_not_the_loop():
                 BatchEngine.advance = original
             alive = service.running
             # the loop survived: a fresh cohort still runs to completion
-            fresh = await service.attach(hold(50.0, 0.3), seed=7,
-                                         fast_calibration=True)
+            fresh = await service.attach(hold(50.0, 0.3),
+                                         fleet=fast_fleet(1, 7))
             result = await fresh.result()
             stats = service.stats()
         return alive, result, stats
@@ -268,12 +267,10 @@ def test_attach_validation_failure_closes_the_opened_session(monkeypatch):
     async def main():
         async with FleetService() as service:
             with pytest.raises(ConfigurationError):
-                await service.attach(hold(50.0, 0.5), seed=5,
-                                     record_every_n=0,
-                                     fast_calibration=True)
+                await service.attach(hold(50.0, 0.5),
+                                     fleet=fast_fleet(1, 5), record_every_n=0)
             with pytest.raises(ConfigurationError):
-                await service.attach(hold(50.0, 1e-4), seed=5,
-                                     fast_calibration=True)
+                await service.attach(hold(50.0, 1e-4), fleet=fast_fleet(1, 5))
             return service.stats()
 
     stats = asyncio.run(main())
@@ -286,8 +283,7 @@ def test_backpressure_bounds_memory_and_drains_to_completion():
 
     async def main():
         async with FleetService(tick_steps=100, max_pending=3) as service:
-            client = await service.attach(profile, seed=9,
-                                          fast_calibration=True)
+            client = await service.attach(profile, fleet=fast_fleet(1, 9))
             # let the loop run with no consumer until it provably stalls
             await wait_until(lambda: client.stream_depth == 3 and
                              service.stats()["backpressure_stalls"] > 0)
@@ -310,8 +306,7 @@ def test_backpressure_bounds_memory_and_drains_to_completion():
 def test_stop_fails_attached_clients_with_service_error():
     async def main():
         service = await FleetService(max_pending=1).start()
-        client = await service.attach(hold(60.0, 10.0), seed=9,
-                                      fast_calibration=True)
+        client = await service.attach(hold(60.0, 10.0), fleet=fast_fleet(1, 9))
         await asyncio.sleep(0)
         await service.stop()
         with pytest.raises(ServiceError) as from_result:
@@ -320,7 +315,7 @@ def test_stop_fails_attached_clients_with_service_error():
             while await client.snapshot() is not None:
                 pass
         with pytest.raises(ServiceError) as from_attach:
-            await service.attach(hold(60.0, 1.0), fast_calibration=True)
+            await service.attach(hold(60.0, 1.0), fleet=fast_fleet(1, 42))
         return from_result.value, from_stream.value, from_attach.value
 
     from_result, from_stream, from_attach = asyncio.run(main())
@@ -367,13 +362,11 @@ def test_snapshot_stream_bound_and_close_semantics():
 
 def test_facade_run_and_connect_are_bit_identical():
     profile = hold(55.0, 0.5)
-    oneshot = repro.run(profile, n_monitors=2, seed=17,
-                        fast_calibration=True)
+    oneshot = repro.run(profile, fleet=fast_fleet(2, 17))
 
     async def main():
         async with connect(tick_steps=300) as client:
-            return await client.run(profile, n_monitors=2, seed=17,
-                                    fast_calibration=True)
+            return await client.run(profile, fleet=fast_fleet(2, 17))
 
     assert_traces_equal(asyncio.run(main()), oneshot)
     assert_traces_equal(oneshot, standalone(profile, n_monitors=2, seed=17))
@@ -387,7 +380,7 @@ def test_facade_run_drains_past_the_stream_bound():
     async def main():
         async with connect(tick_steps=100, max_pending=2) as client:
             return await asyncio.wait_for(
-                client.run(profile, seed=13, fast_calibration=True),
+                client.run(profile, fleet=fast_fleet(1, 13)),
                 timeout=60.0)
 
     assert_traces_equal(asyncio.run(main()),
@@ -401,13 +394,12 @@ def test_connect_shares_a_resident_service_without_owning_it():
                 connect(service, tick_steps=100)  # service or kwargs
             client = connect(service)
             assert client.service is service
-            session = await client.attach(hold(50.0, 0.3), seed=5,
-                                          fast_calibration=True)
+            session = await client.attach(hold(50.0, 0.3),
+                                          fleet=fast_fleet(1, 5))
             result = await session.result()
             await client.close()  # shared: must NOT stop the service
             still_running = service.running
-            again = await client.run(hold(50.0, 0.3), seed=5,
-                                     fast_calibration=True)
+            again = await client.run(hold(50.0, 0.3), fleet=fast_fleet(1, 5))
         return result, still_running, again
 
     result, still_running, again = asyncio.run(main())
@@ -418,8 +410,8 @@ def test_connect_shares_a_resident_service_without_owning_it():
 def test_service_stats_reports_live_cohorts():
     async def main():
         async with FleetService(tick_steps=100, max_pending=1) as service:
-            client = await service.attach(hold(60.0, 5.0), seed=9,
-                                          fast_calibration=True)
+            client = await service.attach(hold(60.0, 5.0),
+                                          fleet=fast_fleet(1, 9))
             open_stats = service.stats()  # before the first tick
             await wait_until(lambda: (stats := service.stats())["groups"]
                              and stats["groups"][0]["sealed"]
@@ -455,11 +447,10 @@ def test_mixed_build_clients_share_one_cohort():
 
     async def main():
         async with FleetService(tick_steps=700) as service:
-            plain = await service.attach(short, n_monitors=1, seed=11,
-                                         fast_calibration=True)
-            hot = await service.attach(short, n_monitors=1, seed=12,
-                                       overtemperature_k=7.0,
-                                       fast_calibration=True)
+            plain = await service.attach(short, fleet=fast_fleet(1, 11))
+            hot = await service.attach(short,
+                                       fleet=fast_fleet(
+                                           1, 12, overtemperature_k=7.0))
             from_spec = await service.attach(short, fleet=spec)
             mid_stats = {}
 
@@ -483,8 +474,7 @@ def test_mixed_build_clients_share_one_cohort():
     assert_traces_equal(results[0],
                         standalone(short, n_monitors=1, seed=11),
                         ticks=len(results[0]))
-    with Session(n_monitors=1, seed=12, overtemperature_k=7.0,
-                 fast_calibration=True) as session:
+    with Session(fleet=fast_fleet(1, 12, overtemperature_k=7.0)) as session:
         session.calibrate()
         hot_ref = session.run(short)
     assert_traces_equal(results[1], hot_ref, ticks=len(results[1]))
@@ -497,11 +487,10 @@ def test_mixed_cohort_detach_preserves_survivor_bits():
 
     async def main():
         async with FleetService(tick_steps=400) as service:
-            survivor = await service.attach(short, n_monitors=1, seed=21,
-                                            fast_calibration=True)
-            leaver = await service.attach(short, n_monitors=1, seed=22,
-                                          overtemperature_k=7.0,
-                                          fast_calibration=True)
+            survivor = await service.attach(short, fleet=fast_fleet(1, 21))
+            leaver = await service.attach(short,
+                                          fleet=fast_fleet(
+                                              1, 22, overtemperature_k=7.0))
             assert survivor.group_id == leaver.group_id
             ticks = 0
             async for _ in survivor.snapshots():
@@ -533,10 +522,8 @@ def test_crash_recovery_resumes_cohort_bit_identical(tmp_path):
     async def main():
         async with FleetService(tick_steps=400, max_pending=2,
                                 checkpoint_dir=tmp_path) as service:
-            a = await service.attach(profile, n_monitors=2, seed=101,
-                                     fast_calibration=True)
-            b = await service.attach(profile, n_monitors=1, seed=202,
-                                     fast_calibration=True)
+            a = await service.attach(profile, fleet=fast_fleet(2, 101))
+            b = await service.attach(profile, fleet=fast_fleet(1, 202))
             # nobody consumes: the cohort stalls two ticks in, leaving a
             # checkpoint pairing the engine with both members' windows
             # at the 800-step cut
@@ -600,8 +587,7 @@ def test_tick_loop_instruments_registry_and_health_surface():
         async def main():
             async with FleetService(tick_steps=500,
                                     max_pending=2) as service:
-                client = await service.attach(PROFILE, n_monitors=2, seed=5,
-                                              fast_calibration=True)
+                client = await service.attach(PROFILE, fleet=fast_fleet(2, 5))
                 await wait_until(
                     lambda: client.stream_depth == 2 and
                     service.stats()["backpressure_stalls"] > 0)
@@ -656,8 +642,8 @@ def test_health_scoring_can_be_disabled():
     async def main():
         async with FleetService(tick_steps=1500,
                                 health_scores=False) as service:
-            client = await service.attach(hold(60.0, 1.5), seed=3,
-                                          fast_calibration=True)
+            client = await service.attach(hold(60.0, 1.5),
+                                          fleet=fast_fleet(1, 3))
             await client.result()
             return client.health(), service.health()
 

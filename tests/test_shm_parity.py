@@ -18,7 +18,7 @@ import pytest
 from repro.runtime import (BatchEngine, FleetSpec, RunResult, Session,
                            ShardedEngine, run_batch, shutdown_pool,
                            spawn_monitor_seeds)
-from repro.runtime.parallel import FAULT_ENV
+from repro.runtime.faults import FAULT_ENV
 from repro.station.fleet import characterize_meter_pool
 from repro.station.profiles import hold, staircase
 from repro.station.scenarios import build_calibrated_monitor
@@ -116,7 +116,8 @@ def test_shm_scheduler_accounting_matches_serial():
 
 def test_session_shm_backend_parity():
     profile = staircase([0.0, 80.0], dwell_s=1.0)
-    with Session(n_monitors=3, seed=SEED, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            3, seed=SEED, fast_calibration=True)) as session:
         session.calibrate()
         serial = session.run(profile)
         shm = session.run(profile, workers=3, backend="shm")

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime import (BatchEngine, MixedEngine, PoolWorkerError,
-                           RunResult, Session, ShardedEngine, ShmPool,
+from repro.runtime import (BatchEngine, FleetSpec, MixedEngine,
+                           PoolWorkerError, RunResult, Session,
+                           ShardedEngine, ShmPool,
                            get_pool, resolve_backend, run_durable,
                            shutdown_pool, spawn_monitor_seeds)
-from repro.runtime.parallel import FAULT_ENV
+from repro.runtime.faults import FAULT_ENV
 from repro.runtime.shm import existing_pool
 from repro.service import FleetService
 from repro.station.profiles import hold, staircase
@@ -201,14 +202,16 @@ def test_fleet_service_shm_backend_parity():
     async def main():
         async with FleetService(tick_steps=700, workers=2,
                                 backend="shm") as service:
-            session = await service.attach(PROFILE, n_monitors=2, seed=11,
-                                           fast_calibration=True)
+            session = await service.attach(
+                PROFILE, fleet=FleetSpec.homogeneous(
+                    2, seed=11, fast_calibration=True))
             async for _ in session.snapshots():
                 pass
             return await session.result()
 
     result = asyncio.run(main())
-    with Session(n_monitors=2, seed=11, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            2, seed=11, fast_calibration=True)) as session:
         session.calibrate()
         reference = session.run(PROFILE)
     _assert_bit_identical(result, reference)
@@ -217,7 +220,8 @@ def test_fleet_service_shm_backend_parity():
 
 
 def test_session_close_tears_down_pool(fresh_pool):
-    with Session(n_monitors=2, seed=SEED, fast_calibration=True) as session:
+    with Session(fleet=FleetSpec.homogeneous(
+            2, seed=SEED, fast_calibration=True)) as session:
         session.calibrate()
         session.run(PROFILE, workers=2, backend="shm")
         assert existing_pool() is not None
@@ -228,7 +232,6 @@ def test_facade_run_accepts_backend():
     """``repro.run`` forwards ``backend=`` to the session run, not to
     the Session constructor."""
     import repro
-    from repro.runtime import FleetSpec
 
     profile = hold(60.0, 0.5)
     spec = FleetSpec.homogeneous(2, seed=SEED, fast_calibration=True)
