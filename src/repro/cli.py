@@ -137,12 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes; >1 shards the fleet across a "
                           "process pool with bit-identical results "
                           "(default 1 = serial)")
-    flt.add_argument("--backend", choices=["spawn", "shm"],
-                     default="spawn",
-                     help="parallel backend for --workers >1: 'spawn' "
-                          "uses per-run worker processes, 'shm' the "
-                          "persistent zero-copy shared-memory pool "
-                          "(bit-identical results; default spawn)")
     flt.add_argument("--levels", type=str, default="0,50,120",
                      help="comma-separated staircase speeds [cm/s]")
     flt.add_argument("--dwell", type=float, default=4.0,
@@ -161,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     flt.add_argument("--checkpoint-dir", type=Path, default=None,
                      metavar="DIR",
                      help="checkpoint the run after every engine window "
-                          "under DIR (works with any --workers/--backend) "
+                          "under DIR (works with any --workers) "
                           "and layer a disk-backed calibration store "
                           "under the in-process cache")
     flt.add_argument("--resume", action="store_true",
@@ -399,7 +393,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             use_pulsed_drive=False, fast_calibration=True)
         desc = f"fleet of {n_monitors} monitors"
     profile = staircase(levels, dwell_s=args.dwell)
-    print(f"{desc}, {args.workers} worker(s) [{args.backend}], "
+    print(f"{desc}, {args.workers} worker(s), "
           f"staircase {levels} cm/s, numerics={args.numerics} ...")
     if args.checkpoint_dir is not None:
         print(f"checkpointing to {args.checkpoint_dir}"
@@ -408,8 +402,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         session.calibrate()
         t0 = time.perf_counter()
         result = session.run(profile, workers=args.workers,
-                             numerics=args.numerics, resume=args.resume,
-                             backend=args.backend)
+                             numerics=args.numerics, resume=args.resume)
         elapsed = time.perf_counter() - t0
     samples = int(profile.duration_s * 1000.0) * spec.n_monitors
     print(f"ran {profile.duration_s:.1f} s x {result.n_monitors} monitors "

@@ -11,13 +11,8 @@
 - :class:`ShardedEngine` (:mod:`repro.runtime.parallel`) — the same
   fleet partitioned across worker processes, bit-identical to the
   serial engine for any shard count, with bounded retry and serial
-  fallback on worker failure,
-- :class:`ShmPool` / :func:`get_pool` / :func:`shutdown_pool`
-  (:mod:`repro.runtime.shm`) — the persistent worker pool and
-  shared-memory trace buffers behind ``backend="shm"``: engines load
-  once, stay pool-resident across windows, and shard rows merge
-  zero-copy via :meth:`RunResult.from_shared` (see
-  ``docs/performance.md``),
+  fallback on worker failure; its workers live only for the call that
+  started them,
 - :class:`RunResult` — stacked ``(N, M)`` traces with scalar
   ``RigRecord`` rehydration and shard-block concatenation,
 - :class:`MixedEngine` (:mod:`repro.runtime.mixed`) — group-by-config
@@ -55,15 +50,11 @@ from repro.runtime.parallel import (ShardedEngine, partition_monitors,
                                     resolve_workers, spawn_monitor_seeds)
 from repro.runtime.result import RunResult
 from repro.runtime.session import MonitorHandle, Session
-from repro.runtime.shm import (BACKENDS, PoolWorkerError, ShmPool, get_pool,
-                               resolve_backend, shutdown_pool)
 from repro.runtime.spec import FleetSpec, RigSpec
 
 __all__ = ["BatchEngine", "run_batch", "RunResult", "Session",
            "MonitorHandle", "ShardedEngine", "partition_monitors",
            "resolve_workers", "spawn_monitor_seeds",
-           "BACKENDS", "PoolWorkerError", "ShmPool", "get_pool",
-           "resolve_backend", "shutdown_pool",
            "MixedEngine", "config_group_key", "fleet_groups",
            "FleetSpec", "RigSpec",
            "NUMERICS_MODES", "Numerics", "resolve_numerics",

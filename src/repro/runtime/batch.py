@@ -1409,8 +1409,7 @@ class BatchEngine:
 def run_batch(rigs, profile: Profile,
               record_every_n: int = 20, chunk_size: int = 1024,
               workers: int | None = None,
-              numerics: str = "exact",
-              backend: str = "spawn") -> RunResult:
+              numerics: str = "exact") -> RunResult:
     """One-shot convenience: build the right engine and run it.
 
     ``rigs`` is either a rig list or a
@@ -1422,9 +1421,7 @@ def run_batch(rigs, profile: Profile,
     :class:`BatchEngine` path.  With ``workers > 1`` the fleet (or each
     config group) is partitioned across worker processes by
     :class:`repro.runtime.parallel.ShardedEngine`, whose merged result
-    is bit-identical to the serial path; ``backend`` selects how those
-    workers run (``"spawn"`` per-run processes, or ``"shm"`` — the
-    persistent zero-copy pool of :mod:`repro.runtime.shm`).
+    is bit-identical to the serial path.
     ``numerics`` selects the kernel mode (``"exact"`` — the default,
     bit-identical — or ``"fast"``) on whichever engine runs.
 
@@ -1456,13 +1453,12 @@ def run_batch(rigs, profile: Profile,
     if len(rigs) > 1 and len(fleet_groups(rigs)) > 1:
         return MixedEngine(rigs, chunk_size=chunk_size,
                            numerics=numerics).run(
-            profile, record_every_n=record_every_n, workers=workers,
-            backend=backend)
+            profile, record_every_n=record_every_n, workers=workers)
     if workers is not None and workers != 1:
         # Imported lazily: parallel.py itself imports this module.
         from repro.runtime.parallel import ShardedEngine
         return ShardedEngine(rigs, workers=workers, chunk_size=chunk_size,
-                             numerics=numerics, backend=backend).run(
+                             numerics=numerics).run(
             profile, record_every_n=record_every_n)
     return BatchEngine(rigs, chunk_size=chunk_size, numerics=numerics).run(
         profile, record_every_n=record_every_n)

@@ -65,8 +65,9 @@ __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint",
 
 #: On-disk checkpoint format version; bumped on incompatible changes
 #: (2: durable runs, campaigns and service cohorts share the
-#: :class:`WindowedRun` meta layout).
-CHECKPOINT_FORMAT_VERSION = 2
+#: :class:`WindowedRun` meta layout; 3: the pickled
+#: :class:`ShardedEngine` layout lost its shared-memory pool state).
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: Header magic identifying a checkpoint artifact.
 _MAGIC = "repro-checkpoint"
@@ -389,7 +390,7 @@ class WindowedRun:
             self.checkpoint_path.unlink(missing_ok=True)
 
     def close(self) -> None:
-        """Release the engine's worker-side state, if it holds any."""
+        """Close the engine, if it has a lifecycle."""
         close = getattr(self.engine, "close", None)
         if close is not None:
             close()
@@ -399,8 +400,7 @@ def run_durable(rigs: list[TestRig], profile: Profile, *,
                 checkpoint_path, record_every_n: int = 20,
                 window_steps: int = 1000, resume: bool = False,
                 chunk_size: int = 1024, numerics: str = "exact",
-                workers: int | None = None, backend: str = "spawn",
-                ) -> RunResult:
+                workers: int | None = None) -> RunResult:
     """Run a fleet with per-window checkpoints; resume after a crash.
 
     The fleet runs as a :class:`MixedEngine` (whose single-group path
@@ -428,16 +428,13 @@ def run_durable(rigs: list[TestRig], profile: Profile, *,
         Continue from an existing checkpoint instead of starting fresh.
         The checkpoint's run fingerprint (profile, fleet size, cadence,
         numerics) must match this call's.
-    workers / backend:
+    workers:
         Parallelize each window across worker processes (see
-        :class:`MixedEngine`); any worker count and either backend
-        (``"spawn"`` / ``"shm"``) is bit-identical to the serial run,
-        so the run fingerprint deliberately excludes both and a
-        checkpoint taken under any parallel configuration resumes
-        cleanly (the restored engine continues with the configuration
-        it was checkpointed with).  Checkpointing an shm engine dumps
-        its pool-resident shard state back into owned blobs; resume
-        re-loads them into the pool on the next window.
+        :class:`MixedEngine`); any worker count is bit-identical to the
+        serial run, so the run fingerprint deliberately excludes it and
+        a checkpoint taken under any worker count resumes cleanly (the
+        restored engine continues with the worker count it was
+        checkpointed with).
 
     Raises
     ------
@@ -467,8 +464,7 @@ def run_durable(rigs: list[TestRig], profile: Profile, *,
     else:
         run = WindowedRun(
             MixedEngine(list(rigs), chunk_size=chunk_size,
-                        numerics=numerics, workers=workers,
-                        backend=backend),
+                        numerics=numerics, workers=workers),
             profile, total, record_every_n=record_every_n,
             checkpoint_path=checkpoint_path, fingerprint=fingerprint)
         windows = []

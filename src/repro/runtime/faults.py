@@ -3,7 +3,7 @@
 Tests and CI set one variable to make a run fail at a chosen point.
 The spec is parsed here and nowhere else, and two sites honour it:
 
-- the shard worker entry of both parallel backends
+- the shard worker entry of the parallel runtime
   (:func:`shard_site`): ``crash:<i>`` hard-exits, ``hang:<i>`` sleeps
   for an hour, ``raise:<i>`` raises, and ``crash-once:<i>:<marker-dir>``
   hard-exits the first time only (the marker directory persists the

@@ -141,8 +141,8 @@ class _MixGroup:
     __slots__ = ("key", "positions", "rigs", "engine", "dt", "line_time")
 
     def __init__(self, key: str, positions: list[int], rigs: list[TestRig],
-                 chunk_size: int, numerics: str, workers: int | None,
-                 backend: str) -> None:
+                 chunk_size: int, numerics: str,
+                 workers: int | None) -> None:
         self.key = key
         self.positions = positions
         self.rigs = rigs
@@ -156,7 +156,7 @@ class _MixGroup:
             from repro.runtime.parallel import ShardedEngine
             self.engine = ShardedEngine(rigs, workers=effective,
                                         chunk_size=chunk_size,
-                                        numerics=numerics, backend=backend)
+                                        numerics=numerics)
         else:
             self.engine = probe
 
@@ -187,11 +187,10 @@ class MixedEngine:
         result needs a single time base).
     chunk_size / numerics:
         Forwarded to every group's ``BatchEngine``.
-    workers / backend:
+    workers:
         With ``workers > 1`` each group large enough to shard runs on
         its own :class:`~repro.runtime.parallel.ShardedEngine`
-        (``min(workers, group size)`` shards, on the given backend —
-        ``"spawn"`` or ``"shm"``), *including* the incremental
+        (``min(workers, group size)`` shards), *including* the incremental
         :meth:`advance`/:meth:`drop` surface — this is how the fleet
         service and durable runs parallelize cohort ticks.  Groups of
         one rig stay on a plain ``BatchEngine``.  Bit-identical either
@@ -206,14 +205,13 @@ class MixedEngine:
     """
 
     def __init__(self, rigs: list[TestRig], chunk_size: int = 1024,
-                 numerics: str = "exact", workers: int | None = None,
-                 backend: str = "spawn") -> None:
+                 numerics: str = "exact",
+                 workers: int | None = None) -> None:
         grouped = fleet_groups(rigs)
         self._workers = None if workers is None else int(workers)
-        self._backend = backend
         self._groups = [
             _MixGroup(key, positions, [rigs[i] for i in positions],
-                      chunk_size, numerics, self._workers, backend)
+                      chunk_size, numerics, self._workers)
             for key, positions in grouped.items()
         ]
         self._n = len(rigs)
@@ -286,8 +284,7 @@ class MixedEngine:
         return merged
 
     def run(self, profile: Profile, record_every_n: int = 20,
-            workers: int | None = None,
-            backend: str = "spawn") -> RunResult:
+            workers: int | None = None) -> RunResult:
         """Execute a profile over the whole mixed fleet.
 
         With ``workers`` left at None (or 1) every group advances on
@@ -296,7 +293,7 @@ class MixedEngine:
         Passing ``workers > 1`` *here* is the legacy one-shot spelling:
         each group is sharded within itself on a fresh
         :class:`~repro.runtime.parallel.ShardedEngine` (capped at the
-        group size, on ``backend``), and the engine is consumed —
+        group size), and the engine is consumed —
         further :meth:`run`/:meth:`advance` calls are refused.  Every
         path is bit-identical for any worker count.
 
@@ -325,7 +322,7 @@ class MixedEngine:
         blocks = [
             ShardedEngine(g.rigs, workers=min(int(workers), len(g.rigs)),
                           chunk_size=self._chunk,
-                          numerics=self._numerics, backend=backend).run(
+                          numerics=self._numerics).run(
                 profile, record_every_n=record_every_n)
             for g in self._groups
         ]
@@ -402,12 +399,11 @@ class MixedEngine:
         self._n = len(keep)
 
     def close(self) -> None:
-        """Release group engines that hold external state (idempotent).
+        """Close every group engine that has a lifecycle (idempotent).
 
-        Sharded groups evict their pool-resident shard engines
-        (:meth:`ShardedEngine.close
+        Sharded groups are closed (:meth:`ShardedEngine.close
         <repro.runtime.parallel.ShardedEngine.close>`); serial groups
-        have nothing to release.  The fleet service calls this when a
+        have nothing to close.  The fleet service calls this when a
         cohort finishes, fails or is discarded.
         """
         for g in self._groups:

@@ -26,10 +26,12 @@ worker interleaving, ``ShardedEngine.run`` returns the same bits as
 ``BatchEngine.run`` on the whole fleet (``tests/test_parallel_parity.py``
 asserts this for shard counts 1, 2, 3 and N).
 
-Failure semantics: a worker crash, an unpicklable payload or a hung
-worker triggers a bounded re-submission of just that shard on a fresh
-worker (``max_retries`` times), then a serial in-process fallback, so a
-sharded run degrades to the serial engine rather than failing.
+Failure semantics, the same for one-shot runs and windows: a worker
+crash, an unpicklable payload or a hung worker triggers a bounded
+re-submission of just that shard on a fresh worker (``max_retries``
+times), then a serial in-process fallback, so a sharded run degrades to
+the serial engine rather than failing.  Every worker process is reaped
+before the call returns; none outlives a run or a window.
 Deterministic simulation errors (:class:`~repro.errors.ReproError`,
 e.g. a membrane burst) are re-raised immediately — retrying cannot
 change physics.  ``shard.retries`` / ``shard.fallbacks`` counters and
@@ -63,24 +65,6 @@ with its advanced state, so any slicing of a run into windows is
 bit-identical to the uninterrupted run — and the whole engine (blobs
 included) is itself picklable, which is what
 :func:`repro.runtime.checkpoint.save_checkpoint` relies on.
-
-Everything above describes the default ``backend="spawn"``.  With
-``backend="shm"`` the same partition, seeds and merge order ride the
-zero-copy runtime of :mod:`repro.runtime.shm` instead: shard engines
-are loaded **once** into a persistent worker pool and advanced in
-place by small commands, trace blocks land in parent-owned shared
-memory, and the merge is :meth:`RunResult.from_shared
-<repro.runtime.result.RunResult.from_shared>` pointer assembly.  The
-parity contract is identical — same bits for any worker count — but
-the failure semantics differ for *windowed* runs: a pool worker that
-dies mid-sequence takes its shard's live state with it, so
-:meth:`advance` raises :class:`~repro.runtime.shm.PoolWorkerError`
-instead of silently degrading (durable runs recover through their last
-checkpoint; one-shot :meth:`run` still falls back to the serial
-engine, whose state lives in the parent).  Checkpointing an shm engine
-dumps the pool-resident shard engines back into pickled blobs
-(:meth:`__getstate__`), so a checkpoint holds owned bytes, never pool
-references; resume re-loads the blobs into whatever pool exists then.
 """
 
 from __future__ import annotations
@@ -89,6 +73,7 @@ import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import accumulate
 
 import numpy as np
 
@@ -103,10 +88,6 @@ from repro.runtime.batch import BatchEngine
 from repro.runtime.faults import shard_site
 from repro.runtime.kernels import resolve_numerics
 from repro.runtime.result import RunResult
-from repro.runtime.shm import (PoolWorkerError, SharedBlock, empty_result,
-                               existing_pool, get_pool, next_engine_id,
-                               recorded_ticks, resolve_backend,
-                               write_block_rows)
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
 
@@ -179,21 +160,19 @@ def _run_shard(shard_index: int, rigs: list[TestRig], profile: Profile,
                record_every_n: int, chunk_size: int,
                numerics: str = "exact",
                telemetry: TelemetryRequest | None = None,
-               ) -> tuple[int, RunResult, TelemetryHarvest | None]:
+               ) -> tuple[RunResult, TelemetryHarvest | None]:
     """Worker entrypoint: advance one shard and return its trace block.
 
     Runs in a worker process on *pickled copies* of the shard's rigs,
     builds a fresh :class:`BatchEngine` over them (in the parent's
-    numerics mode), and returns the ``(N_shard, M)`` block tagged with
-    the shard index so the parent can merge blocks in fleet order
-    regardless of completion order.
+    numerics mode), and returns the ``(N_shard, M)`` block.
 
     With a ``telemetry`` request the run executes under fresh
     observability sinks (the fork start method would otherwise leak the
     parent's registry contents into the harvest), inside a
     ``shard.worker`` span nested under the parent's propagated trace
     context, and the collected :class:`TelemetryHarvest` rides home as
-    the third tuple element.  Telemetry only ships on success: a
+    the second tuple element.  Telemetry only ships on success: a
     crashed, hung or raising attempt returns nothing, so retried shards
     cannot double-count.
     """
@@ -209,21 +188,22 @@ def _run_shard(shard_index: int, rigs: list[TestRig], profile: Profile,
     finally:
         if previous is not None:
             harvest = harvest_worker_telemetry(previous)
-    return shard_index, block, harvest
+    return block, harvest
 
 
 def _advance_shard(shard_index: int, blob: bytes, profile: Profile,
                    steps: int, record_every_n: int,
                    telemetry: TelemetryRequest | None = None,
-                   ) -> tuple[int, RunResult, bytes, TelemetryHarvest | None]:
+                   ) -> tuple[tuple[RunResult, bytes],
+                              TelemetryHarvest | None]:
     """Worker entrypoint: advance one pickled shard engine by a window.
 
     The blob is the shard's live :class:`BatchEngine` (rigs, RNG
     streams, decimation phase and all) as pickled by the parent after
     the previous window; it is advanced ``steps`` samples and shipped
-    home re-pickled together with the window's trace block, tagged with
-    the shard index for in-order merging.  Pickle round-trips the
-    engine state exactly, so windowing introduces no drift.
+    home re-pickled together with the window's trace block.  Pickle
+    round-trips the engine state exactly, so windowing introduces no
+    drift.
 
     Telemetry handling mirrors :func:`_run_shard`: with a request the
     window runs under fresh worker sinks inside a ``shard.worker``
@@ -243,7 +223,16 @@ def _advance_shard(shard_index: int, blob: bytes, profile: Profile,
     finally:
         if previous is not None:
             harvest = harvest_worker_telemetry(previous)
-    return shard_index, block, new_blob, harvest
+    return (block, new_blob), harvest
+
+
+def _advance_blob(blob: bytes, profile: Profile, steps: int,
+                  record_every_n: int) -> tuple[RunResult, bytes]:
+    """In-process fallback for one window: :func:`_advance_shard` minus
+    the worker (fault site and telemetry bracket)."""
+    engine = pickle.loads(blob)
+    block = engine.advance(profile, steps, record_every_n=record_every_n)
+    return block, pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _terminate(executor: ProcessPoolExecutor) -> None:
@@ -284,42 +273,35 @@ class ShardedEngine:
     max_retries:
         Re-submissions allowed per shard after an infrastructure
         failure (crash / hang / pickling error) before that shard falls
-        back to the serial in-process engine.
+        back to the serial in-process engine — per run, and per window
+        of :meth:`advance`.
     timeout_s:
-        Per-shard wall-clock budget measured from submission; ``None``
-        disables the watchdog.  A timed-out worker is killed, not
-        abandoned.
+        Per-attempt wall-clock budget, measured from that attempt's
+        submission; ``None`` disables the watchdog.  A timed-out worker
+        is killed, not abandoned.
     numerics:
         Kernel numerics mode for every shard engine (``"exact"``, the
         default, or ``"fast"``); a :class:`~repro.runtime.kernels.Numerics`
         policy is accepted too.  Shard-count invariance holds per mode:
         every worker runs the same kernels the serial engine would.
-    backend:
-        ``"spawn"`` (the default) runs each shard on per-run
-        single-worker executors; ``"shm"`` runs shards on the
-        persistent zero-copy pool of :mod:`repro.runtime.shm` (see the
-        module docstring for how the failure semantics differ).  Both
-        are bit-identical to serial for any worker count.
 
     Raises
     ------
     ConfigurationError
         From the fleet homogeneity validation, or on invalid knobs
-        (``reason="numerics"`` for an unknown numerics mode,
-        ``reason="backend"`` for an unknown backend).
+        (``reason="numerics"`` for an unknown numerics mode).
     """
 
     def __init__(self, rigs: list[TestRig], workers: int | None = None,
                  chunk_size: int = 1024, max_retries: int = 1,
                  timeout_s: float | None = None,
-                 numerics: str = "exact", backend: str = "spawn") -> None:
+                 numerics: str = "exact") -> None:
         if max_retries < 0:
             raise ConfigurationError("max_retries must be non-negative")
         if timeout_s is not None and timeout_s <= 0.0:
             raise ConfigurationError("timeout_s must be positive")
         self._rigs = list(rigs)
         self._numerics = resolve_numerics(numerics)
-        self._backend = resolve_backend(backend)
         # Validate homogeneity (and every BatchEngine precondition) in
         # the parent, before any process is spawned: construction only
         # reads rig state, it does not consume the rigs.
@@ -332,14 +314,10 @@ class ShardedEngine:
         self._offset = 0
         self._ran = False
         self._closed = False
-        self._bounds: list[tuple[int, int]] | None = None
+        # Windowed state: one pickled shard engine per live shard, and
+        # each shard's live row count (drop-aware).
         self._blobs: list[bytes] | None = None
-        # shm-backend state: pool engine ids (worker i holds engine
-        # _eids[i]), live shard sizes (drop-aware), and blobs restored
-        # from a checkpoint awaiting re-load into the pool.
-        self._eids: list[int] | None = None
         self._sizes: list[int] | None = None
-        self._pending_blobs: list[bytes] | None = None
 
     @property
     def workers(self) -> int:
@@ -362,11 +340,6 @@ class ShardedEngine:
     def numerics(self) -> str:
         """The resolved numerics mode shared by every shard engine."""
         return self._numerics
-
-    @property
-    def backend(self) -> str:
-        """The resolved parallel backend (``"spawn"`` or ``"shm"``)."""
-        return self._backend
 
     def run(self, profile: Profile, record_every_n: int = 20) -> RunResult:
         """Execute a profile over the sharded fleet; merged traces out.
@@ -402,21 +375,31 @@ class ShardedEngine:
             return BatchEngine(self._rigs, chunk_size=self._chunk,
                                numerics=self._numerics).run(
                 profile, record_every_n=record_every_n)
-        if self._backend == "shm":
-            with get_tracer().span("shm.run", n_monitors=len(self._rigs),
-                                   workers=self._workers):
-                result, fell_back = self._run_shm(profile, record_every_n,
-                                                  steps)
-        else:
-            with get_tracer().span("shard.run", n_monitors=len(self._rigs),
-                                   workers=self._workers):
-                result, fell_back = self._run_sharded(profile,
-                                                      record_every_n)
+        bounds = partition_monitors(len(self._rigs), self._workers)
+        registry = get_registry()
+        if registry.enabled:
+            registry.gauge("shard.workers").set(self._workers)
+            registry.counter("shard.runs").inc()
+
+        def serial(i: int) -> RunResult:
+            return BatchEngine(self._rigs[slice(*bounds[i])],
+                               chunk_size=self._chunk,
+                               numerics=self._numerics).run(
+                profile, record_every_n=record_every_n)
+
+        with get_tracer().span("shard.run", n_monitors=len(self._rigs),
+                               workers=self._workers):
+            blocks, fell_back = self._dispatch(
+                _run_shard, len(bounds),
+                lambda i: (self._rigs[slice(*bounds[i])], profile,
+                           record_every_n, self._chunk, self._numerics),
+                serial)
+            result = RunResult.concat(blocks)
         # Mirror the serial engine's scheduler accounting on the parent
         # rigs (worker-side copies advanced their own, then died).
         # Fallback shards already ran in-process on the parent rigs.
-        ticked_serially = {id(rig) for start, stop in fell_back
-                           for rig in self._rigs[start:stop]}
+        ticked_serially = {id(rig) for i in fell_back
+                           for rig in self._rigs[slice(*bounds[i])]}
         for rig in self._rigs:
             if id(rig) not in ticked_serially:
                 rig.monitor.platform.scheduler.bulk_tick(steps)
@@ -438,10 +421,14 @@ class ShardedEngine:
         run state lives in the parent — ready to be checkpointed by
         pickling this engine.
 
-        A worker that dies, hangs or fails to pickle degrades that
-        shard's window to an in-process advance of the same blob
-        (``shard.fallbacks`` counts these); deterministic simulation
-        errors re-raise immediately, exactly as in :meth:`run`.
+        Worker failures take the same path as in :meth:`run`: a worker
+        that dies, hangs or fails to pickle is retried on a fresh
+        worker (``shard.retries``), then that shard's window degrades to
+        an in-process advance of the same blob (``shard.fallbacks``).
+        A blob is only replaced once its window succeeded, so a retry
+        or fallback resumes from exactly the state the failed worker
+        started with.  Deterministic simulation errors re-raise
+        immediately, exactly as in :meth:`run`.
 
         Raises
         ------
@@ -464,29 +451,26 @@ class ShardedEngine:
         if not self._rigs:
             raise ConfigurationError("every rig was dropped; nothing to "
                                      "advance")
-        if self._backend == "shm":
-            with get_tracer().span("shm.advance",
-                                   n_monitors=len(self._rigs),
-                                   workers=self._workers, steps=steps):
-                window = self._advance_shm(profile, steps, record_every_n)
-            for rig in self._rigs:
-                rig.monitor.platform.scheduler.bulk_tick(steps)
-            self._offset += steps
-            return window
         if self._blobs is None:
-            self._bounds = partition_monitors(len(self._rigs), self._workers)
-            self._sizes = [stop - start for start, stop in self._bounds]
+            bounds = partition_monitors(len(self._rigs), self._workers)
+            self._sizes = [stop - start for start, stop in bounds]
             self._blobs = [
                 pickle.dumps(
                     BatchEngine(self._rigs[start:stop],
                                 chunk_size=self._chunk,
                                 numerics=self._numerics),
                     protocol=pickle.HIGHEST_PROTOCOL)
-                for start, stop in self._bounds
+                for start, stop in bounds
             ]
         with get_tracer().span("shard.advance", n_monitors=len(self._rigs),
                                workers=self._workers, steps=steps):
-            window = self._advance_window(profile, steps, record_every_n)
+            payloads, _ = self._dispatch(
+                _advance_shard, len(self._blobs),
+                lambda i: (self._blobs[i], profile, steps, record_every_n),
+                lambda i: _advance_blob(self._blobs[i], profile, steps,
+                                        record_every_n))
+            self._blobs = [blob for _, blob in payloads]
+            window = RunResult.concat([block for block, _ in payloads])
         # Mirror the serial engine's scheduler accounting on the parent
         # rigs (the live state advanced inside the blobs).
         for rig in self._rigs:
@@ -494,154 +478,88 @@ class ShardedEngine:
         self._offset += steps
         return window
 
-    def _advance_window(self, profile: Profile, steps: int,
-                        record_every_n: int) -> RunResult:
-        """Ship every shard blob out for one window, collect in order.
+    def _telemetry_request(self) -> TelemetryRequest | None:
+        """Worker telemetry request when any parent sink is on (or None).
 
-        One single-process executor per shard, submitted concurrently;
-        infrastructure failures degrade that shard to an in-process
-        advance of the same blob (the blob is only replaced by a
-        *successful* attempt, so a fallback resumes from exactly the
-        state the failed worker started with).
+        Each sink re-gates itself at merge time; the trace context
+        captured here is the live ``shard.run``/``shard.advance`` span,
+        so worker spans nest under it.
+        """
+        tracer = get_tracer()
+        profiler = get_profiler()
+        collecting = (get_registry().enabled or tracer.enabled
+                      or get_event_log().enabled or profiler.enabled)
+        if not collecting:
+            return None
+        return TelemetryRequest(trace_context=tracer.current_context(),
+                                profile=profiler.enabled)
+
+    def _dispatch(self, entry, n_shards: int, shard_args, serial,
+                  ) -> tuple[list, list[int]]:
+        """The one submit/collect/retry/fallback loop.
+
+        Shard ``i`` runs ``entry(i, *shard_args(i), telemetry=...)`` on
+        its own single-process executor, all shards submitted at once;
+        a crashed or hung worker cannot contaminate its siblings'
+        futures.  Each attempt's ``timeout_s`` budget runs from its own
+        submission, whatever order the results are collected in.  An
+        infrastructure failure (timeout, dead worker, pickling error,
+        injected fault) kills that worker and re-submits the shard up to
+        ``max_retries`` times, then ``serial(i)`` runs it in-process
+        under the parent sinks.  A deterministic
+        :class:`~repro.errors.ReproError` re-raises at once — retrying
+        cannot change physics.  Every worker is reaped before this
+        returns or raises.
+
+        Returns the per-shard payloads in shard order and the indices of
+        the shards that fell back.
         """
         registry = get_registry()
         tracer = get_tracer()
         event_log = get_event_log()
         profiler = get_profiler()
         observing = registry.enabled
-        collecting = (observing or tracer.enabled or event_log.enabled
-                      or profiler.enabled)
-        telemetry = (TelemetryRequest(trace_context=tracer.current_context(),
-                                      profile=profiler.enabled)
-                     if collecting else None)
-        n_shards = len(self._blobs)
-        executors: dict[int, ProcessPoolExecutor] = {}
-        futures: dict[int, object] = {}
-        results: dict[int, RunResult] = {}
-        harvests: dict[int, TelemetryHarvest] = {}
-        fallback: list[int] = []
-        try:
-            for i in range(n_shards):
-                executors[i] = ProcessPoolExecutor(max_workers=1)
-                futures[i] = executors[i].submit(
-                    _advance_shard, i, self._blobs[i], profile, steps,
-                    record_every_n, telemetry)
-            for i in range(n_shards):
-                try:
-                    index, block, new_blob, harvest = futures[i].result(
-                        timeout=self._timeout_s)
-                    results[index] = block
-                    self._blobs[index] = new_blob
-                    if harvest is not None:
-                        harvests[index] = harvest
-                    executors.pop(i).shutdown(wait=True)
-                except ReproError:
-                    raise
-                except Exception:
-                    _terminate(executors.pop(i))
-                    fallback.append(i)
-        finally:
-            for executor in executors.values():
-                _terminate(executor)
-        for i in fallback:
-            if observing:
-                registry.counter(
-                    "shard.fallbacks",
-                    "shards degraded to the serial in-process "
-                    "engine").inc()
-            engine = pickle.loads(self._blobs[i])
-            results[i] = engine.advance(profile, steps,
-                                        record_every_n=record_every_n)
-            self._blobs[i] = pickle.dumps(
-                engine, protocol=pickle.HIGHEST_PROTOCOL)
-        for i in range(n_shards):
-            harvest = harvests.get(i)
-            if harvest is not None:
-                merge_harvest(harvest, registry=registry, tracer=tracer,
-                              event_log=event_log, profiler=profiler)
-        return RunResult.concat([results[i] for i in range(n_shards)])
-
-    def _run_sharded(
-            self, profile: Profile, record_every_n: int,
-    ) -> tuple[RunResult, list[tuple[int, int]]]:
-        """Submit shards, collect blocks, retry/fallback, merge.
-
-        Returns the merged result plus the ``(start, stop)`` bounds of
-        every shard that degraded to the in-process fallback (those
-        parent rigs were consumed — and scheduler-ticked — serially).
-        """
-        registry = get_registry()
-        tracer = get_tracer()
-        event_log = get_event_log()
-        profiler = get_profiler()
-        observing = registry.enabled
-        # Ask workers to collect telemetry when *any* parent sink is on
-        # (each sink re-gates itself at merge time); the trace context
-        # captured here is the live "shard.run" span, so worker spans
-        # nest under it.
-        collecting = (observing or tracer.enabled or event_log.enabled
-                      or profiler.enabled)
-        telemetry = (TelemetryRequest(trace_context=tracer.current_context(),
-                                      profile=profiler.enabled)
-                     if collecting else None)
-        bounds = partition_monitors(len(self._rigs), self._workers)
+        telemetry = self._telemetry_request()
         if observing:
-            registry.gauge("shard.workers").set(self._workers)
-            registry.counter("shard.runs").inc()
             worker_hist = registry.histogram(
                 "shard.worker_s", "per-shard worker wall time")
 
         executors: dict[int, ProcessPoolExecutor] = {}
         futures: dict[int, object] = {}
-        deadlines: dict[int, float | None] = {}
         started: dict[int, float] = {}
-        attempts = {i: 0 for i in range(len(bounds))}
-        results: dict[int, RunResult] = {}
+        attempts = [0] * n_shards
+        payloads: dict[int, object] = {}
         harvests: dict[int, TelemetryHarvest] = {}
         fallback: list[int] = []
 
         def launch(i: int) -> None:
-            # One single-process executor per shard: a crashed or hung
-            # worker cannot contaminate its siblings' futures.
-            start, stop = bounds[i]
             executors[i] = ProcessPoolExecutor(max_workers=1)
-            futures[i] = executors[i].submit(
-                _run_shard, i, self._rigs[start:stop], profile,
-                record_every_n, self._chunk, self._numerics, telemetry)
+            futures[i] = executors[i].submit(entry, i, *shard_args(i),
+                                             telemetry=telemetry)
             started[i] = time.perf_counter()
-            deadlines[i] = (None if self._timeout_s is None
-                            else started[i] + self._timeout_s)
 
         try:
-            queue = list(range(len(bounds)))
+            queue = list(range(n_shards))
             for i in queue:
                 launch(i)
             cursor = 0
             while cursor < len(queue):
                 i = queue[cursor]
                 cursor += 1
-                deadline = deadlines[i]
-                timeout = (None if deadline is None
-                           else max(0.0, deadline - time.perf_counter()))
+                timeout = (None if self._timeout_s is None else max(
+                    0.0, started[i] + self._timeout_s - time.perf_counter()))
                 try:
-                    index, block, harvest = futures[i].result(timeout=timeout)
-                    results[index] = block
+                    payloads[i], harvest = futures[i].result(timeout=timeout)
                     if harvest is not None:
-                        harvests[index] = harvest
+                        harvests[i] = harvest
                     if observing:
-                        worker_hist.observe(
-                            time.perf_counter() - started[i])
+                        worker_hist.observe(time.perf_counter() - started[i])
                     # The worker already returned; reap it promptly so
-                    # no executor lingers into interpreter shutdown.
+                    # no process outlives the call.
                     executors.pop(i).shutdown(wait=True)
                 except ReproError:
-                    # Deterministic simulation outcome (membrane burst,
-                    # bad profile, ...): identical on every retry.
                     raise
                 except Exception:
-                    # Infrastructure failure: timeout, dead worker
-                    # (BrokenProcessPool), pickling error, injected
-                    # fault — retry on a fresh worker, then fall back.
                     _terminate(executors.pop(i))
                     attempts[i] += 1
                     if attempts[i] <= self._max_retries:
@@ -664,313 +582,22 @@ class ShardedEngine:
                     "shard.fallbacks",
                     "shards degraded to the serial in-process "
                     "engine").inc()
-            start, stop = bounds[i]
-            results[i] = BatchEngine(
-                self._rigs[start:stop], chunk_size=self._chunk,
-                numerics=self._numerics).run(
-                profile, record_every_n=record_every_n)
-
+            payloads[i] = serial(i)
         # Fold worker telemetry home in shard-index order — completion
         # order must not leak into the merged registry (determinism).
         # Fallback shards have no harvest: they already ran in-process
         # under the parent sinks.
-        for i in range(len(bounds)):
+        for i in range(n_shards):
             harvest = harvests.get(i)
             if harvest is not None:
                 merge_harvest(harvest, registry=registry, tracer=tracer,
                               event_log=event_log, profiler=profiler)
-
-        merged = RunResult.concat([results[i] for i in range(len(bounds))])
-        return merged, [bounds[i] for i in fallback]
-
-    # -- the shm backend -----------------------------------------------------
+        return [payloads[i] for i in range(n_shards)], fallback
 
     def _require_open(self) -> None:
         if self._closed:
             raise ConfigurationError(
                 "this engine is closed; build a fresh ShardedEngine")
-
-    def _telemetry_request(self):
-        """Worker telemetry request when any parent sink is on (or None)."""
-        tracer = get_tracer()
-        profiler = get_profiler()
-        collecting = (get_registry().enabled or tracer.enabled
-                      or get_event_log().enabled or profiler.enabled)
-        if not collecting:
-            return None
-        return TelemetryRequest(trace_context=tracer.current_context(),
-                                profile=profiler.enabled)
-
-    @staticmethod
-    def _check_replies(replies: dict[int, tuple]) -> dict[int, object]:
-        """Split pool replies into payloads; raise on any failure.
-
-        Deterministic :class:`~repro.errors.ReproError` re-raises
-        as itself (lowest shard first — merge order, not completion
-        order); any infrastructure failure raises
-        :class:`~repro.runtime.shm.PoolWorkerError`.
-        """
-        payloads: dict[int, object] = {}
-        infra: tuple[int, Exception] | None = None
-        for index in sorted(replies):
-            status, payload, _ = replies[index]
-            if status == "ok":
-                payloads[index] = payload
-            elif isinstance(payload, ReproError):
-                raise payload
-            elif infra is None:
-                infra = (index, payload)
-        if infra is not None:
-            index, exc = infra
-            raise PoolWorkerError(
-                f"shm pool worker for shard {index} failed: {exc}") from exc
-        return payloads
-
-    def _shard_starts(self) -> list[int]:
-        """Row offsets of each live shard in the merged fleet layout."""
-        starts, cursor = [], 0
-        for size in self._sizes:
-            starts.append(cursor)
-            cursor += size
-        return starts
-
-    def _load_shm(self) -> None:
-        """Load each shard's engine into the persistent pool, once.
-
-        Fresh engines are pickled from the parent rigs; an engine
-        restored from a checkpoint re-loads its dumped blobs instead
-        (``_pending_blobs``), resuming bit-exactly from the cut point.
-        """
-        if self._eids is not None:
-            return
-        if self._sizes is None:
-            self._bounds = partition_monitors(len(self._rigs), self._workers)
-            self._sizes = [stop - start for start, stop in self._bounds]
-        if self._pending_blobs is not None:
-            blobs, self._pending_blobs = self._pending_blobs, None
-        else:
-            blobs = [
-                pickle.dumps(
-                    BatchEngine(self._rigs[start:stop],
-                                chunk_size=self._chunk,
-                                numerics=self._numerics),
-                    protocol=pickle.HIGHEST_PROTOCOL)
-                for start, stop in self._bounds
-            ]
-        pool = get_pool(len(blobs))
-        eids = [next_engine_id() for _ in blobs]
-        replies = pool.call_many(
-            {i: ("load", eids[i], blobs[i]) for i in range(len(blobs))},
-            timeout=self._timeout_s)
-        self._check_replies(replies)
-        self._eids = eids
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "shm.loads",
-                "shard engines loaded into the pool").inc(len(eids))
-
-    def _advance_messages(self, profile: Profile, steps: int,
-                          record_every_n: int, eids: list[int],
-                          block: SharedBlock | None, n_ticks: int,
-                          telemetry) -> dict[int, tuple]:
-        """Build one advance command per shard (shard 0 writes time)."""
-        starts = self._shard_starts()
-        messages = {}
-        for i, eid in enumerate(eids):
-            spec = {
-                "shard": i,
-                "profile": profile,
-                "steps": steps,
-                "record_every_n": record_every_n,
-                "shm_name": None if block is None else block.name,
-                "n_total": len(self._rigs),
-                "n_ticks": n_ticks,
-                "row_start": starts[i],
-                "write_time": i == 0,
-                "telemetry": telemetry,
-            }
-            messages[i] = ("advance", eid, spec)
-        return messages
-
-    def _merge_shm_harvests(self, replies: dict[int, tuple]) -> None:
-        """Fold worker telemetry home in shard order (as spawn does)."""
-        registry = get_registry()
-        tracer = get_tracer()
-        event_log = get_event_log()
-        profiler = get_profiler()
-        for index in sorted(replies):
-            status, _, harvest = replies[index]
-            if status == "ok" and harvest is not None:
-                merge_harvest(harvest, registry=registry, tracer=tracer,
-                              event_log=event_log, profiler=profiler)
-
-    @staticmethod
-    def _attach_pool_profiles(result: RunResult,
-                              profiles: dict[int, dict]) -> RunResult:
-        """Sum per-shard profile reports onto the merged result.
-
-        The spawn backend gets this for free from ``RunResult.concat``;
-        the zero-copy merge never sees the shard blocks, so the reports
-        ride the command replies instead and are folded here.
-        """
-        stages: dict[str, dict] = {}
-        for index in sorted(profiles):
-            for name, values in (profiles[index] or {}).items():
-                totals = stages.setdefault(
-                    name, {"calls": 0, "wall_s": 0.0, "cpu_s": 0.0})
-                totals["calls"] += int(values.get("calls", 0))
-                totals["wall_s"] += float(values.get("wall_s", 0.0))
-                totals["cpu_s"] += float(values.get("cpu_s", 0.0))
-        if stages:
-            result.attach_profile(stages)
-        return result
-
-    def _assemble(self, block: SharedBlock | None, n_ticks: int,
-                  alloc_s: float) -> RunResult:
-        """Zero-copy merge: views over the block, pinned to its life."""
-        registry = get_registry()
-        if block is None:
-            return empty_result(len(self._rigs))
-        t0 = time.perf_counter()
-        result = RunResult.from_shared(block.buf, len(self._rigs), n_ticks,
-                                       keepalive=block)
-        if registry.enabled:
-            registry.histogram(
-                "shm.attach_s",
-                "per-window shared-block allocate + view assembly "
-                "time").observe(alloc_s + (time.perf_counter() - t0))
-            registry.counter("shm.windows",
-                             "windows merged zero-copy").inc()
-            registry.counter("shm.bytes",
-                             "bytes of traces shared, not copied").inc(
-                RunResult.shared_layout(len(self._rigs), n_ticks)[1])
-        return result
-
-    def _advance_shm(self, profile: Profile, steps: int,
-                     record_every_n: int) -> RunResult:
-        """One window on the pool: advance commands, zero-copy merge.
-
-        No per-shard fallback here: between windows the live state is
-        pool-resident, so a dead worker means the shard's state is gone
-        — the window raises :class:`~repro.runtime.shm.PoolWorkerError`
-        and a durable caller resumes from its last checkpoint.
-        """
-        self._load_shm()
-        n_ticks = recorded_ticks(self._offset, steps, record_every_n)
-        telemetry = self._telemetry_request()
-        block = None
-        alloc_s = 0.0
-        if n_ticks:
-            t0 = time.perf_counter()
-            block = SharedBlock(
-                RunResult.shared_layout(len(self._rigs), n_ticks)[1])
-            alloc_s = time.perf_counter() - t0
-        pool = get_pool(len(self._eids))
-        try:
-            replies = pool.call_many(
-                self._advance_messages(profile, steps, record_every_n,
-                                       self._eids, block, n_ticks,
-                                       telemetry),
-                timeout=self._timeout_s)
-            payloads = self._check_replies(replies)
-        except BaseException:
-            if block is not None:
-                block.close()
-            raise
-        self._merge_shm_harvests(replies)
-        result = self._assemble(block, n_ticks, alloc_s)
-        return self._attach_pool_profiles(
-            result, {i: payloads[i]["profile"] for i in payloads})
-
-    def _run_shm(self, profile: Profile, record_every_n: int, steps: int,
-                 ) -> tuple[RunResult, list[tuple[int, int]]]:
-        """One-shot run on the pool, with serial fallback per shard.
-
-        Unlike :meth:`_advance_shm`, the parent rigs still hold the
-        whole fleet state here, so a shard whose load or advance fails
-        on infrastructure degrades to the serial in-process engine
-        (``shard.fallbacks`` counts it) and writes its rows into the
-        same shared block — the merged result is identical either way.
-        """
-        registry = get_registry()
-        observing = registry.enabled
-        telemetry = self._telemetry_request()
-        bounds = partition_monitors(len(self._rigs), self._workers)
-        self._bounds = bounds
-        self._sizes = [stop - start for start, stop in bounds]
-        if observing:
-            registry.gauge("shard.workers").set(self._workers)
-            registry.counter("shard.runs").inc()
-        n_ticks = recorded_ticks(0, steps, record_every_n)
-        alloc_s = 0.0
-        block = None
-        if n_ticks:
-            t0 = time.perf_counter()
-            block = SharedBlock(
-                RunResult.shared_layout(len(self._rigs), n_ticks)[1])
-            alloc_s = time.perf_counter() - t0
-        pool = get_pool(len(bounds))
-        eids = [next_engine_id() for _ in bounds]
-        blobs = {
-            i: pickle.dumps(
-                BatchEngine(self._rigs[start:stop], chunk_size=self._chunk,
-                            numerics=self._numerics),
-                protocol=pickle.HIGHEST_PROTOCOL)
-            for i, (start, stop) in enumerate(bounds)
-        }
-        fallback: list[int] = []
-        try:
-            loaded = pool.call_many(
-                {i: ("load", eids[i], blobs[i]) for i in blobs},
-                timeout=self._timeout_s)
-            for i in sorted(loaded):
-                if loaded[i][0] != "ok":
-                    if isinstance(loaded[i][1], ReproError):
-                        raise loaded[i][1]
-                    fallback.append(i)
-            live = [i for i in range(len(bounds)) if i not in fallback]
-            messages = self._advance_messages(
-                profile, steps, record_every_n, eids, block, n_ticks,
-                telemetry)
-            replies = pool.call_many(
-                {i: messages[i] for i in live}, timeout=self._timeout_s)
-            profiles: dict[int, dict] = {}
-            for i in sorted(replies):
-                if replies[i][0] != "ok":
-                    if isinstance(replies[i][1], ReproError):
-                        raise replies[i][1]
-                    fallback.append(i)
-                else:
-                    profiles[i] = replies[i][1]["profile"]
-            for i in sorted(fallback):
-                if observing:
-                    registry.counter(
-                        "shard.fallbacks",
-                        "shards degraded to the serial in-process "
-                        "engine").inc()
-                start, stop = bounds[i]
-                part = BatchEngine(
-                    self._rigs[start:stop], chunk_size=self._chunk,
-                    numerics=self._numerics).run(
-                    profile, record_every_n=record_every_n)
-                profiles[i] = part.profile()
-                if block is not None:
-                    write_block_rows(block.buf, part, len(self._rigs),
-                                     n_ticks, start, write_time=i == 0)
-            self._merge_shm_harvests(replies)
-            result = self._attach_pool_profiles(
-                self._assemble(block, n_ticks, alloc_s), profiles)
-        except BaseException:
-            if block is not None:
-                block.close()
-            raise
-        finally:
-            # The run consumed the fleet: evict the pool-resident
-            # engines (best-effort — dead workers have nothing loaded).
-            pool.call_many({i: ("unload", eids[i]) for i in range(len(eids))},
-                           timeout=self._timeout_s, spawn_missing=False)
-        return result, [bounds[i] for i in fallback]
 
     # -- fleet surgery and lifecycle -----------------------------------------
 
@@ -979,11 +606,10 @@ class ShardedEngine:
 
         The sharded counterpart of :meth:`BatchEngine.drop
         <repro.runtime.batch.BatchEngine.drop>`, routing each global
-        index to its shard: spawn blobs are unpickled, dropped and
-        re-pickled; shm shards receive a ``drop`` command (their
-        engines mutate in place inside the pool).  Shards emptied
-        entirely are retired.  Indices are engine-local fleet rows, as
-        everywhere else; later windows simply omit the dropped rows.
+        index to its shard, whose blob is unpickled, dropped and
+        re-pickled.  Shards emptied entirely are retired.  Indices are
+        engine-local fleet rows, as everywhere else; later windows
+        simply omit the dropped rows.
 
         Raises
         ------
@@ -1006,9 +632,9 @@ class ShardedEngine:
                     f"drop index {i} out of range [0, {len(self._rigs)})")
         if not drop:
             return
-        if self._sizes is not None:
+        if self._blobs is not None:
             # Live shards exist: route global rows to (shard, local).
-            starts = self._shard_starts()
+            starts = list(accumulate([0] + self._sizes[:-1]))
             per_shard: dict[int, list[int]] = {}
             for row in drop:
                 shard = 0
@@ -1016,84 +642,32 @@ class ShardedEngine:
                        and row >= starts[shard + 1]):
                     shard += 1
                 per_shard.setdefault(shard, []).append(row - starts[shard])
-            if self._eids is not None:
-                pool = get_pool(len(self._eids))
-                replies = pool.call_many(
-                    {shard: ("drop", self._eids[shard], local)
-                     for shard, local in per_shard.items()},
-                    timeout=self._timeout_s)
-                self._check_replies(replies)
-            elif self._blobs is not None:
-                for shard, local in per_shard.items():
-                    engine = pickle.loads(self._blobs[shard])
-                    engine.drop(local)
-                    self._blobs[shard] = pickle.dumps(
-                        engine, protocol=pickle.HIGHEST_PROTOCOL)
             for shard, local in per_shard.items():
+                engine = pickle.loads(self._blobs[shard])
+                engine.drop(local)
+                self._blobs[shard] = pickle.dumps(
+                    engine, protocol=pickle.HIGHEST_PROTOCOL)
                 self._sizes[shard] -= len(local)
-            empty = [s for s, size in enumerate(self._sizes) if size == 0]
-            if empty:
-                if self._eids is not None:
-                    pool.call_many(
-                        {s: ("unload", self._eids[s]) for s in empty},
-                        timeout=self._timeout_s, spawn_missing=False)
-                for s in reversed(empty):
+            for s in reversed(range(len(self._sizes))):
+                if self._sizes[s] == 0:
                     del self._sizes[s]
-                    if self._eids is not None:
-                        del self._eids[s]
-                    if self._blobs is not None:
-                        del self._blobs[s]
+                    del self._blobs[s]
         keep = [i for i in range(len(self._rigs)) if i not in set(drop)]
         self._rigs = [self._rigs[i] for i in keep]
         self._workers = min(self._workers, max(1, len(self._rigs)))
 
     def close(self) -> None:
-        """Release pool-resident state deterministically (idempotent).
+        """End the engine's life (idempotent); it refuses further use.
 
-        Evicts this engine's shard engines from the shm pool (the pool
-        itself is shared and stays up — ``Session.close`` or
-        :func:`repro.runtime.shm.shutdown_pool` owns its lifetime).  A
-        closed engine refuses further runs.  Safe to call on any
-        backend; spawn engines hold no external state.
+        No worker outlives a call, so there is nothing to release; this
+        exists so engine owners (:class:`~repro.runtime.mixed.MixedEngine`,
+        :class:`~repro.runtime.checkpoint.WindowedRun`) can end every
+        engine the same way.
         """
-        if self._closed:
-            return
         self._closed = True
-        eids, self._eids = self._eids, None
-        if eids:
-            pool = existing_pool()
-            if pool is not None:
-                pool.call_many(
-                    {i: ("unload", eid) for i, eid in enumerate(eids)},
-                    timeout=5.0, spawn_missing=False)
 
     def __enter__(self) -> "ShardedEngine":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def _dump_blobs(self) -> list[bytes]:
-        """Dump pool-resident shard engines back into pickled blobs."""
-        pool = get_pool(len(self._eids))
-        replies = pool.call_many(
-            {i: ("dump", eid) for i, eid in enumerate(self._eids)},
-            timeout=self._timeout_s)
-        payloads = self._check_replies(replies)
-        return [payloads[i] for i in range(len(self._eids))]
-
-    def __getstate__(self):
-        """Pickle an shm engine as owned bytes, never pool references.
-
-        A spawn engine pickles as-is (its window state already lives in
-        ``_blobs``).  An shm engine with pool-resident shards dumps
-        them into ``_pending_blobs`` first — this is what lets
-        :func:`repro.runtime.checkpoint.save_checkpoint` capture a
-        running shm engine; unpickling re-loads the blobs into the
-        pool on the next window.
-        """
-        state = dict(self.__dict__)
-        if self._eids is not None:
-            state["_pending_blobs"] = self._dump_blobs()
-            state["_eids"] = None
-        return state

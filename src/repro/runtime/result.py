@@ -308,80 +308,6 @@ class RunResult:
         return cls._merge_profiles(merged, parts)
 
     @classmethod
-    def shared_layout(cls, n_monitors: int,
-                      n_ticks: int) -> tuple[dict[str, int], int]:
-        """Byte layout of one result in a flat shared buffer.
-
-        Returns ``(offsets, total_bytes)``: ``time_s`` first, then each
-        stacked field as a contiguous row-major ``(N, M)`` block.  Every
-        trace element is 8 bytes (float64, ``direction`` int64), so the
-        layout is a pure function of the shape — the parent sizes a
-        :class:`~repro.runtime.shm.SharedBlock` from it before any
-        worker runs, and workers recompute identical offsets from the
-        same ``(N, M)``.
-        """
-        offsets = {"time_s": 0}
-        cursor = n_ticks * 8
-        for name in cls.STACKED_FIELDS:
-            offsets[name] = cursor
-            cursor += n_monitors * n_ticks * 8
-        return offsets, cursor
-
-    @classmethod
-    def from_shared(cls, buffer, n_monitors: int, n_ticks: int,
-                    keepalive=None) -> "RunResult":
-        """Assemble a result as zero-copy views over a shared buffer.
-
-        The merge step of the shm backend: after every worker has
-        written its shard's rows into the block laid out by
-        :meth:`shared_layout`, this builds the fleet result by pointer
-        assembly — ``np.frombuffer`` views, no array copies.  The views
-        are **read-only**: traces are immutable after merge, so a
-        caller can never corrupt one monitor's rows through another's
-        result.  ``keepalive`` (the owning
-        :class:`~repro.runtime.shm.SharedBlock`) is pinned on the
-        instance so the segment outlives its views; pickling the result
-        copies the arrays out and drops the pin, so serialized results
-        (checkpoints, worker replies) hold owned arrays, never segment
-        references.
-        """
-        offsets, total = cls.shared_layout(n_monitors, n_ticks)
-        if len(buffer) < total:
-            raise ConfigurationError(
-                f"shared buffer holds {len(buffer)} bytes; layout "
-                f"({n_monitors}, {n_ticks}) needs {total}")
-        fields = {}
-        for name in ("time_s",) + cls.STACKED_FIELDS:
-            dtype = np.int64 if name == "direction" else np.float64
-            if name == "time_s":
-                view = np.frombuffer(buffer, dtype=dtype, count=n_ticks,
-                                     offset=offsets[name])
-            else:
-                view = np.frombuffer(
-                    buffer, dtype=dtype, count=n_monitors * n_ticks,
-                    offset=offsets[name]).reshape(n_monitors, n_ticks)
-            view.flags.writeable = False
-            fields[name] = view
-        result = cls(**fields)
-        result._shm = keepalive
-        return result
-
-    def __getstate__(self):
-        """Pickle shm-backed results as owned arrays (detached).
-
-        ``np.frombuffer`` views pickle by value anyway; this just makes
-        the detach explicit and drops the segment keepalive so nothing
-        shared-memory-shaped ever rides a checkpoint or a pipe.
-        """
-        state = dict(self.__dict__)
-        if state.get("_shm") is not None:
-            state = {key: (np.array(value) if isinstance(value, np.ndarray)
-                           else value)
-                     for key, value in state.items()}
-        state.pop("_shm", None)
-        return state
-
-    @classmethod
     def from_records(cls, records: list[RigRecord]) -> "RunResult":
         """Stack N scalar RigRecords (identical time bases) into a result.
 

@@ -157,7 +157,6 @@ class Session:
         self._dt = self._fleet.dt_s
         self._timings: dict[str, float] = {}
         self._runs = 0
-        self._used_shm = False
         if checkpoint_dir is not None:
             from pathlib import Path
 
@@ -269,17 +268,15 @@ class Session:
             process left under the session's ``checkpoint_dir``.
             Requires a checkpointed session with a batch run; the
             resumed result is bit-identical to an uninterrupted one.
-            The checkpoint records the engine configuration, so
-            ``workers``/``backend`` overrides are refused on resume —
-            the restored engine keeps the shape it started with.
+            The checkpoint records the engine configuration, so a
+            ``workers`` override is refused on resume — the restored
+            engine keeps the shape it started with.
         backend:
-            Parallel backend for ``workers > 1``: ``"spawn"`` (the
-            default; per-run worker processes) or ``"shm"`` (the
-            persistent zero-copy pool of :mod:`repro.runtime.shm` —
-            see "Choosing a parallel backend" in
-            ``docs/performance.md``).  Bit-identical either way.
-            ``Session.close`` tears the shm pool down after a session
-            that used it.
+            Only ``"spawn"`` (per-call worker processes, the one
+            parallel backend) is accepted; anything else is refused
+            with ``reason="backend"``.  The parameter stays only
+            because the end-to-end benchmark reads its default, and it
+            goes when the benchmark stops reading it.
         """
         self._expect("calibrated")
         if engine not in ("batch", "scalar"):
@@ -298,8 +295,10 @@ class Session:
                 "numerics='fast' requires engine='batch' (the scalar "
                 "reference path is the exact contract itself)",
                 reason="numerics")
-        from repro.runtime.shm import resolve_backend
-        backend = resolve_backend(backend)
+        if backend != "spawn":
+            raise ConfigurationError(
+                f"unknown parallel backend {backend!r}; the only backend "
+                f"is 'spawn'", reason="backend")
         every = resolve_record_every_n(self._dt, snapshot_s, record_every_n)
         if every < 1:
             raise ConfigurationError("record_every_n must be >= 1")
@@ -308,13 +307,11 @@ class Session:
             raise ConfigurationError(
                 "resume=True needs a checkpointed batch run: a "
                 "Session(checkpoint_dir=...) with engine='batch'")
-        if resume and (workers not in (None, 1) or backend != "spawn"):
+        if resume and workers not in (None, 1):
             raise ConfigurationError(
                 "resume=True continues the engine configuration recorded "
-                "in the checkpoint; workers/backend overrides don't apply "
-                "to a resumed run — rerun without them")
-        if workers is not None and workers != 1 and backend == "shm":
-            self._used_shm = True
+                "in the checkpoint; a workers override doesn't apply "
+                "to a resumed run — rerun without it")
         t0 = time.perf_counter()
         with get_tracer().span("session.run", engine=engine,
                                numerics=mode,
@@ -335,17 +332,16 @@ class Session:
                     checkpoint_path=(self._checkpoint_dir /
                                      f"run-{self._runs}.ckpt"),
                     resume=resume, chunk_size=self._chunk, numerics=mode,
-                    workers=workers, backend=backend)
+                    workers=workers)
             elif mixed:
                 result = MixedEngine(
                     rigs, chunk_size=self._chunk, numerics=mode).run(
-                    profile, record_every_n=every, workers=workers,
-                    backend=backend)
+                    profile, record_every_n=every, workers=workers)
             elif engine == "batch" and workers is not None and workers != 1:
                 from repro.runtime.parallel import ShardedEngine
                 result = ShardedEngine(
                     rigs, workers=workers, chunk_size=self._chunk,
-                    numerics=mode, backend=backend).run(
+                    numerics=mode).run(
                     profile, record_every_n=every)
             elif engine == "batch":
                 result = BatchEngine(rigs, chunk_size=self._chunk,
@@ -394,19 +390,9 @@ class Session:
         }
 
     def close(self) -> None:
-        """End the session; any further stage call raises SessionError.
-
-        A session that ran on the shm backend also tears the
-        process-global worker pool down here — deterministic teardown
-        inside the session lifecycle, not at interpreter exit, so
-        ``-W error`` runs see no atexit-ordering warnings.
-        """
+        """End the session; any further stage call raises SessionError."""
         self._state = "closed"
         self._handles = []
-        if self._used_shm:
-            from repro.runtime.shm import shutdown_pool
-            shutdown_pool()
-            self._used_shm = False
         get_event_log().emit("session.state", state="closed",
                              n_monitors=self.n_monitors)
 

@@ -31,7 +31,7 @@ def run(profile: Profile, *, fleet=None,
         n_monitors: int | None = None, seed: int | None = None,
         snapshot_s: float | None = None, collect: str = "result",
         engine: str = "batch", workers: int | None = None,
-        numerics: str = "exact", backend: str = "spawn",
+        numerics: str = "exact",
         record_every_n: int | None = None) -> RunResult | dict:
     """One-shot fleet run: session lifecycle in a single call.
 
@@ -51,8 +51,7 @@ def run(profile: Profile, *, fleet=None,
     rig to running its group alone) or by ``n_monitors``/``seed`` for a
     homogeneous default-build fleet.  All other keywords mirror
     :meth:`repro.runtime.Session.run` (``snapshot_s``/``record_every_n``
-    cadence, ``collect``, ``engine``, ``workers``, ``backend``,
-    ``numerics``).
+    cadence, ``collect``, ``engine``, ``workers``, ``numerics``).
     Traces are bit-identical to what a
     :meth:`~repro.service.service.FleetService` client streaming the
     same config/seed/profile would stitch together.
@@ -69,7 +68,7 @@ def run(profile: Profile, *, fleet=None,
         session.calibrate()
         return session.run(profile, snapshot_s=snapshot_s, collect=collect,
                            engine=engine, workers=workers, numerics=numerics,
-                           backend=backend, record_every_n=record_every_n)
+                           record_every_n=record_every_n)
 
 
 class ServiceClient:
@@ -146,9 +145,8 @@ def connect(service: FleetService | None = None,
 
     With no arguments the client owns a private in-process
     :class:`~repro.service.service.FleetService` (service knobs —
-    ``tick_steps``, ``max_pending``, ``chunk_size``, ``workers``,
-    ``backend`` — may be passed
-    through); with ``service=`` it wraps a shared resident service
+    ``tick_steps``, ``max_pending``, ``chunk_size``, ``workers`` — may
+    be passed through); with ``service=`` it wraps a shared resident service
     without taking over its lifecycle.
 
     Raises

@@ -312,13 +312,11 @@ class FleetService:
         the artifact deleted once the cohort ends), so a process death
         strands no compute: :func:`recover_cohorts` salvages the
         orphans and finishes their runs bit-identically.
-    workers / backend:
+    workers:
         Shard every cohort's ticks across worker processes
-        (:class:`~repro.runtime.mixed.MixedEngine` with fixed workers).
-        ``backend="shm"`` rides the persistent zero-copy pool of
-        :mod:`repro.runtime.shm` — tick overhead is one command
-        round-trip per shard — and :meth:`stop` tears the pool down.
-        Streamed windows are bit-identical for any setting.
+        (:class:`~repro.runtime.mixed.MixedEngine` with fixed workers);
+        each tick spawns and reaps its shard workers.  Streamed windows
+        are bit-identical for any setting.
     sample_every_s / http_port / http_host:
         Wire up the live observability plane
         (:mod:`repro.observability.live`): ``sample_every_s`` starts a
@@ -343,7 +341,6 @@ class FleetService:
     def __init__(self, *, tick_steps: int = 1000, max_pending: int = 8,
                  chunk_size: int = 1024, checkpoint_dir=None,
                  workers: int | None = None,
-                 backend: str = "spawn",
                  sample_every_s: float | None = None,
                  http_port: int | None = None,
                  http_host: str = "127.0.0.1",
@@ -358,16 +355,12 @@ class FleetService:
             sample_every_s = 0.5  # an HTTP plane without samples is useless
         if sample_every_s is not None and sample_every_s <= 0.0:
             raise ConfigurationError("sample_every_s must be > 0")
-        from repro.runtime.shm import resolve_backend
         self._tick_steps = int(tick_steps)
         self._max_pending = int(max_pending)
         self._chunk = int(chunk_size)
         # Cohort parallelism: every sealed cohort's engine shards its
-        # ticks across this many workers on this backend ("shm" rides
-        # the persistent zero-copy pool, so per-tick overhead is one
-        # command round-trip per shard, not a process spawn).
+        # ticks across this many workers.
         self._workers = None if workers is None else int(workers)
-        self._backend = resolve_backend(backend)
         self._checkpoint_dir = (None if checkpoint_dir is None
                                 else Path(checkpoint_dir))
         self._groups: dict[int, _Group] = {}
@@ -447,9 +440,6 @@ class FleetService:
             group.run.close()
         self._groups.clear()
         self._open_by_key.clear()
-        if self._backend == "shm":
-            from repro.runtime.shm import shutdown_pool
-            shutdown_pool()
         if self._http is not None:
             self._http.stop()
             self._http = None
@@ -611,8 +601,7 @@ class FleetService:
         JSON-safe and thread-safe (copied views, like :meth:`stats`).
         ``status`` is ``"ok"`` while the tick loop is live and
         backpressure saturation — stalled loop passes over total passes
-        — stays under 90%; a configured-but-dead shm pool or a stopped
-        loop degrades it.
+        — stays under 90%; a stopped loop reports ``"stopped"``.
         """
         stalls = self._counters["backpressure_stalls"]
         ticks = self._counters["ticks"]
@@ -625,16 +614,6 @@ class FleetService:
             status = "degraded"
         else:
             status = "ok"
-        pool: dict = {"backend": self._backend}
-        if self._backend == "shm":
-            from repro.runtime.shm import existing_pool
-            live = existing_pool()
-            pool["workers_alive"] = 0 if live is None else live.size
-            # A sealed cohort with no live pool means ticks will stall.
-            if (status == "ok" and live is None
-                    and any(g.run.engine is not None
-                            for g in list(self._groups.values()))):
-                status = "degraded"
         worst = []
         if self._health_scores:
             for member in list(self._members):
@@ -655,7 +634,6 @@ class FleetService:
             "groups": len(self._groups),
             "backpressure": {"stalls": stalls, "ticks": ticks,
                              "saturation": saturation},
-            "pool": pool,
             "since_last_tick_s": since_tick,
             "worst_rigs": worst[:5],
         }
@@ -776,8 +754,7 @@ class FleetService:
         rigs = [rig for member in group.members for rig in member.rigs]
         group.run.engine = MixedEngine(rigs, chunk_size=group.chunk_size,
                                        numerics=group.numerics,
-                                       workers=self._workers,
-                                       backend=self._backend)
+                                       workers=self._workers)
 
     def _fail_group(self, group: _Group, exc: BaseException) -> None:
         """Propagate an engine fault to every member; drop the cohort."""

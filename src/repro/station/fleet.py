@@ -34,7 +34,6 @@ def characterize_meter_pool(fleet, *,
                             settle_s: float = 8.0,
                             workers: int | None = None,
                             numerics: str = "exact",
-                            backend: str = "spawn",
                             ) -> list["MeterCharacter"]:
     """Measure meter characters from full monitor simulations.
 
@@ -68,10 +67,6 @@ def characterize_meter_pool(fleet, *,
         to :meth:`repro.runtime.Session.run`: ``"exact"`` (default) or
         ``"fast"`` (≤1e-9 relative error on the traces, far below the
         bias/noise statistics condensed here).
-    backend:
-        Parallel backend for ``workers > 1`` (``"spawn"`` or
-        ``"shm"``), forwarded to :meth:`repro.runtime.Session.run`;
-        the characters are bit-identical either way.
 
     Returns
     -------
@@ -96,8 +91,7 @@ def characterize_meter_pool(fleet, *,
         with Session(fleet=spec) as session:
             session.calibrate()
             result = session.run(hold(speed_cmps, duration_s),
-                                 workers=workers, numerics=numerics,
-                                 backend=backend)
+                                 workers=workers, numerics=numerics)
     registry = get_registry()
     if registry.enabled:
         registry.counter("station.fleet.meters_characterized").inc(n_meters)

@@ -4,9 +4,14 @@ Worker failures are injected through the ``REPRO_FAULT`` env-var
 hook in the worker entrypoint (crash = hard ``os._exit``, hang = sleep,
 raise = in-worker exception, crash-once = die on the first attempt
 only).  Every scenario must still produce the bit-identical serial
-result; these tests additionally pin the degradation path taken via the
-``shard.retries`` / ``shard.fallbacks`` observability counters.
+result — for one-shot runs and for ``advance`` windows alike; these
+tests additionally pin the degradation path taken via the
+``shard.retries`` / ``shard.fallbacks`` observability counters, and
+that no worker process outlives the call that started it.
 """
+
+import asyncio
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -103,6 +108,77 @@ def test_deterministic_sensor_fault_is_not_retried(metrics, monkeypatch):
         engine.run(burst)
     assert _counter(metrics, "shard.retries") == 0
     assert _counter(metrics, "shard.fallbacks") == 0
+
+
+def _windows(engine, cuts=(400, 600)):
+    """Advance ``engine`` through ``PROFILE`` in windows; stitch them."""
+    return RunResult.concat([engine.advance(PROFILE, n) for n in cuts],
+                            axis="time")
+
+
+def test_window_crash_exhausts_retries_then_falls_back(
+        serial_reference, metrics, monkeypatch):
+    monkeypatch.setenv(FAULT_ENV, "crash:1")
+    engine = ShardedEngine(_fleet(), workers=3, max_retries=1)
+    _assert_bit_identical(_windows(engine), serial_reference)
+    # every window retries shard 1 once on a fresh worker, then degrades
+    assert _counter(metrics, "shard.retries") == 2
+    assert _counter(metrics, "shard.fallbacks") == 2
+
+
+def test_window_crash_once_recovers_via_retry(
+        serial_reference, metrics, monkeypatch, tmp_path):
+    monkeypatch.setenv(FAULT_ENV, f"crash-once:0:{tmp_path}")
+    engine = ShardedEngine(_fleet(), workers=3, max_retries=1)
+    _assert_bit_identical(_windows(engine), serial_reference)
+    assert _counter(metrics, "shard.retries") == 1
+    assert _counter(metrics, "shard.fallbacks") == 0
+    assert (tmp_path / "shard0.tripped").exists()
+
+
+def test_window_hung_worker_is_killed_and_falls_back(
+        serial_reference, metrics, monkeypatch):
+    monkeypatch.setenv(FAULT_ENV, "hang:0")
+    engine = ShardedEngine(_fleet(), workers=3, max_retries=0,
+                           timeout_s=2.0)
+    _assert_bit_identical(_windows(engine), serial_reference)
+    assert _counter(metrics, "shard.retries") == 0
+    # the hung shard falls back in both windows (a loaded host may
+    # push a healthy shard past the budget too)
+    assert _counter(metrics, "shard.fallbacks") >= 2
+
+
+def test_no_worker_outlives_a_call(monkeypatch, tmp_path):
+    """Sessions, crashed windows and services reap every worker."""
+    from repro.runtime import FleetSpec, Session
+    from repro.service import FleetService
+
+    def fleet():
+        return FleetSpec.homogeneous(2, seed=5, fast_calibration=True)
+
+    assert multiprocessing.active_children() == []
+    with Session(fleet=fleet()) as session:
+        session.calibrate()
+        session.run(PROFILE, workers=2)
+        assert multiprocessing.active_children() == []
+    with Session(fleet=fleet(), checkpoint_dir=tmp_path) as session:
+        session.calibrate()
+        session.run(PROFILE, workers=2)
+        assert multiprocessing.active_children() == []
+
+    monkeypatch.setenv(FAULT_ENV, "crash:0")
+    engine = ShardedEngine(_fleet(), workers=2, max_retries=0)
+    engine.advance(PROFILE, 300)
+    assert multiprocessing.active_children() == []
+    monkeypatch.delenv(FAULT_ENV)
+
+    async def serve():
+        async with FleetService(tick_steps=400, workers=2) as service:
+            client = await service.attach(PROFILE, fleet=fleet())
+            await client.result()
+
+    asyncio.run(serve())
+    assert multiprocessing.active_children() == []
 
 
 def test_knob_validation():

@@ -1,25 +1,23 @@
-"""Shared-memory backend parity: zero-copy must not change a single bit.
+"""Parity contracts first pinned for the retired shared-memory backend.
 
-The acceptance bar for ``backend="shm"`` is the same as for the spawn
-backend it sits beside: for any worker count, the merged traces must
-equal the serial batch engine bitwise.  These tests assert that for
-worker counts 1, 2, 3 and N, through every public surface
-(`ShardedEngine`, `Session.run`, `run_batch`,
-`characterize_meter_pool`), across `advance` windows, through a
-mid-sequence pickle/unpickle (the checkpoint path), and with a worker
-killed mid-run (per-shard serial fallback).
+``backend="shm"`` is gone; ``spawn`` is the one parallel backend.  What
+these tests asserted for the shared-memory pool still holds for it and
+is kept here under the original names: a context-managed
+``ShardedEngine`` reproduces the serial batch engine bitwise for worker
+counts 1, 2, 3 and N and ends closed; a worker killed mid-run degrades
+its shard to in-process serial under the default retry budget; the
+per-rig scheduler accounting matches serial; and ``Session.run`` with
+the backend named explicitly and ``run_batch`` on a ``FleetSpec`` stay
+bit-identical to their serial runs.
 """
-
-import pickle
 
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.runtime import (BatchEngine, FleetSpec, RunResult, Session,
-                           ShardedEngine, run_batch, shutdown_pool,
-                           spawn_monitor_seeds)
+                           ShardedEngine, run_batch, spawn_monitor_seeds)
 from repro.runtime.faults import FAULT_ENV
-from repro.station.fleet import characterize_meter_pool
 from repro.station.profiles import hold, staircase
 from repro.station.scenarios import build_calibrated_monitor
 
@@ -47,127 +45,49 @@ def _assert_bit_identical(a, b):
 
 @pytest.fixture(scope="module")
 def serial_reference():
-    """The serial batch-engine run every shm variant must reproduce."""
+    """The serial batch-engine run every parallel variant must reproduce."""
     return BatchEngine(_fleet()).run(PROFILE)
-
-
-@pytest.fixture()
-def fresh_pool():
-    """A pool forked under the *current* environment.
-
-    The pool is persistent and workers inherit the parent environment
-    at fork time, so tests that flip env hooks (the fault injector)
-    must tear the pool down before and after.
-    """
-    shutdown_pool()
-    yield
-    shutdown_pool()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, N_MONITORS])
 def test_shm_matches_serial(serial_reference, workers):
-    with ShardedEngine(_fleet(), workers=workers, backend="shm") as engine:
-        assert engine.backend == "shm"
-        _assert_bit_identical(engine.run(PROFILE), serial_reference)
+    with ShardedEngine(_fleet(), workers=workers) as engine:
+        result = engine.run(PROFILE)
+    _assert_bit_identical(result, serial_reference)
+    with pytest.raises(ConfigurationError):
+        engine.run(PROFILE)
 
 
-def test_shm_windowed_advance_matches_one_shot(serial_reference):
-    with ShardedEngine(_fleet(), workers=2, backend="shm") as engine:
-        first = engine.advance(PROFILE, 700)
-        second = engine.advance(PROFILE, 800)
-    stitched = RunResult.concat([first, second], axis="time")
-    _assert_bit_identical(stitched, serial_reference)
-
-
-def test_shm_pickle_roundtrip_resumes_bit_identical(serial_reference):
-    """The checkpoint path: dump pool-resident engines, reload, finish."""
-    engine = ShardedEngine(_fleet(), workers=2, backend="shm")
-    try:
-        first = engine.advance(PROFILE, 700)
-        blob = pickle.dumps(engine)
-    finally:
-        engine.close()
-    restored = pickle.loads(blob)
-    try:
-        second = restored.advance(PROFILE, 800)
-    finally:
-        restored.close()
-    stitched = RunResult.concat([first, second], axis="time")
-    _assert_bit_identical(stitched, serial_reference)
-
-
-def test_shm_survives_worker_crash(serial_reference, monkeypatch,
-                                   fresh_pool):
-    """A killed pool worker degrades that shard to in-process serial."""
+def test_shm_survives_worker_crash(serial_reference, monkeypatch):
+    """A killed worker degrades that shard to in-process serial."""
     monkeypatch.setenv(FAULT_ENV, "crash:0")
-    with ShardedEngine(_fleet(), workers=2, backend="shm") as engine:
+    with ShardedEngine(_fleet(), workers=2) as engine:
         _assert_bit_identical(engine.run(PROFILE), serial_reference)
 
 
 def test_shm_scheduler_accounting_matches_serial():
-    serial_rigs, shm_rigs = _fleet(2), _fleet(2)
+    serial_rigs, sharded_rigs = _fleet(2), _fleet(2)
     BatchEngine(serial_rigs).run(PROFILE)
-    with ShardedEngine(shm_rigs, workers=2, backend="shm") as engine:
+    with ShardedEngine(sharded_rigs, workers=2) as engine:
         engine.run(PROFILE)
-    for serial_rig, shm_rig in zip(serial_rigs, shm_rigs):
-        assert (shm_rig.monitor.platform.scheduler.ticks
+    for serial_rig, sharded_rig in zip(serial_rigs, sharded_rigs):
+        assert (sharded_rig.monitor.platform.scheduler.ticks
                 == serial_rig.monitor.platform.scheduler.ticks)
 
 
 def test_session_shm_backend_parity():
+    """The backend named explicitly runs the same bits as serial."""
     profile = staircase([0.0, 80.0], dwell_s=1.0)
     with Session(fleet=FleetSpec.homogeneous(
             3, seed=SEED, fast_calibration=True)) as session:
         session.calibrate()
         serial = session.run(profile)
-        shm = session.run(profile, workers=3, backend="shm")
-    _assert_bit_identical(shm, serial)
+        sharded = session.run(profile, workers=3, backend="spawn")
+    _assert_bit_identical(sharded, serial)
 
 
-def test_run_batch_shm_backend_parity(serial_reference):
-    _assert_bit_identical(
-        run_batch(_fleet(), PROFILE, workers=3, backend="shm"),
-        serial_reference)
-
-
-def test_characterize_meter_pool_shm_matches_spawn():
-    spec = FleetSpec.homogeneous(3, seed=SEED, use_pulsed_drive=False,
-                                 fast_calibration=True)
-    spawn = characterize_meter_pool(spec, workers=3, backend="spawn")
-    shm = characterize_meter_pool(spec, workers=3, backend="shm")
-    assert shm == spawn
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_shm_matches_golden_archive_bytes(workers):
-    """The golden archives gate the shm backend, byte for byte.
-
-    Same case as ``sharded_engine.npz`` (itself byte-identical to the
-    serial ``batch_engine.npz``), re-run on the shm pool — the archive
-    is the parity contract, so it is compared raw-buffer to raw-buffer
-    and never regenerated by this test.
-    """
-    from tests.golden.regen import (GOLDEN_DIR, _PROFILE, _RECORD_EVERY_N,
-                                    _fleet_rigs)
-
-    with ShardedEngine(_fleet_rigs(), workers=workers,
-                       backend="shm") as engine:
-        result = engine.run(_PROFILE, record_every_n=_RECORD_EVERY_N)
-    with np.load(GOLDEN_DIR / "sharded_engine.npz") as archive:
-        for name in ("time_s",) + RunResult.STACKED_FIELDS:
-            stored = archive[name]
-            fresh = np.ascontiguousarray(np.asarray(getattr(result, name)))
-            assert fresh.dtype == stored.dtype, name
-            assert fresh.shape == stored.shape, name
-            assert fresh.tobytes() == stored.tobytes(), \
-                f"{name}: shm traces drifted from the golden bytes"
-
-
-def test_shm_result_views_are_read_only():
-    with ShardedEngine(_fleet(2), workers=2, backend="shm") as engine:
-        result = engine.run(PROFILE)
-    assert not np.asarray(result.time_s).flags.writeable
-    for name in RunResult.STACKED_FIELDS:
-        assert not np.asarray(getattr(result, name)).flags.writeable, name
-    with pytest.raises(ValueError):
-        np.asarray(result.measured_mps)[0, 0] = 0.0
+def test_run_batch_shm_backend_parity():
+    """``run_batch`` on a FleetSpec: sharded equals serial bitwise."""
+    spec = FleetSpec.homogeneous(3, seed=SEED, fast_calibration=True)
+    _assert_bit_identical(run_batch(spec, PROFILE, workers=3),
+                          run_batch(spec, PROFILE))
