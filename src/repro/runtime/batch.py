@@ -1427,7 +1427,7 @@ def run_batch(rigs, profile: Profile,
 
     The rigs are consumed (see the module docstring); build fresh rigs
     for repeat runs or use :class:`repro.runtime.Session`, which
-    re-materializes monitors from cached calibrations.
+    re-assembles monitors from the calibrations it keeps.
 
     Raises
     ------

@@ -10,12 +10,15 @@ explicit::
         result = session.run(staircase([0, 50, 100], dwell_s=4.0))
     # leaving the block -> close()
 
-``run`` may be called any number of times: each call re-materializes
-the rigs from the per-monitor seeds (cheap after the first build thanks
-to the calibration cache in :mod:`repro.station.scenarios`), so every
-run starts from the same freshly-built state and a batch run is
-bit-identical to the scalar run with the same seeds.  Calling a stage
-out of order raises :class:`~repro.errors.SessionError`.
+``calibrate`` resolves each monitor's calibration once — from the
+process-wide LRU, the artifact store or a §4 campaign — and the session
+keeps the resulting (calibration, post-campaign sensor snapshot) pairs
+until ``close``.  ``run`` may be called any number of times: each call
+assembles fresh rigs from those pairs without consulting the LRU, the
+store or a campaign again, so every run starts from the same
+freshly-built post-calibration state and a batch run is bit-identical
+to the scalar run with the same seeds.  Calling a stage out of order
+raises :class:`~repro.errors.SessionError`.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from repro.runtime.result import RunResult
 from repro.runtime.spec import FleetSpec
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
-from repro.station.scenarios import build_calibrated_monitor, \
-    calibration_cache_stats
+from repro.station.scenarios import _assemble, _snapshot_sensor, \
+    build_calibrated_monitor, calibration_cache_stats
 
 __all__ = ["Session", "MonitorHandle", "resolve_record_every_n"]
 
@@ -79,8 +82,9 @@ class MonitorHandle:
         tolerances, calibration and every noise stream.
     monitor / rig / calibration:
         The most recently materialized monitor, its rig, and the fitted
-        calibration.  Re-materialized (same seed, same values) on every
-        :meth:`Session.run`.
+        calibration.  Re-assembled (same seed, same values) on every
+        :meth:`Session.run` from the calibration the session kept at
+        :meth:`Session.calibrate`.
     """
 
     index: int
@@ -154,6 +158,7 @@ class Session:
         self._state = "new"
         self._seeds: list[int] = []
         self._handles: list[MonitorHandle] = []
+        self._records: list[tuple[FlowCalibration, dict]] = []
         self._dt = self._fleet.dt_s
         self._timings: dict[str, float] = {}
         self._runs = 0
@@ -195,14 +200,30 @@ class Session:
     def calibrate(self) -> list[MonitorHandle]:
         """Build and calibrate every monitor; returns the fleet handles.
 
-        The first calibration per seed runs the full §4 campaign; repeat
-        materializations hit the calibration cache.
+        Each monitor's calibration comes from the process-wide LRU, the
+        session's artifact store or, failing both, a full §4 campaign.
+        The session keeps every (calibration, post-campaign sensor
+        snapshot) pair until :meth:`close`, so :meth:`run` never
+        calibrates again, however large the fleet.
         """
         self._expect("open")
         t0 = time.perf_counter()
         with get_tracer().span("session.calibrate",
                                n_monitors=self.n_monitors):
-            self._handles = self._materialize()
+            self._handles = []
+            self._records = []
+            for i, (s, entry) in enumerate(zip(self._seeds,
+                                               self._fleet.flat())):
+                setup = build_calibrated_monitor(seed=s, store=self._store,
+                                                 **entry.build_kwargs())
+                # The build left its fresh sensor in the post-campaign
+                # state and nothing has run on it, so its snapshot is
+                # the record the build resolved.
+                self._records.append((setup.calibration,
+                                      _snapshot_sensor(setup.monitor.sensor)))
+                self._handles.append(MonitorHandle(
+                    index=i, seed=s, monitor=setup.monitor, rig=setup.rig,
+                    calibration=setup.calibration))
             self._state = "calibrated"
         self._timings["calibrate_s"] = time.perf_counter() - t0
         get_event_log().emit("session.state", state="calibrated",
@@ -393,6 +414,7 @@ class Session:
         """End the session; any further stage call raises SessionError."""
         self._state = "closed"
         self._handles = []
+        self._records = []
         get_event_log().emit("session.state", state="closed",
                              n_monitors=self.n_monitors)
 
@@ -413,19 +435,13 @@ class Session:
         self.close()
 
     def _materialize(self) -> list[MonitorHandle]:
-        """Build fresh handles from the per-position seeds and specs.
-
-        A checkpointed session passes its artifact store down, so the
-        first materialization in a fresh process restores persisted
-        calibrations instead of re-running campaigns.
-        """
+        """Assemble fresh handles from the calibrations kept at calibrate."""
         return [
             MonitorHandle(index=i, seed=s,
                           monitor=setup.monitor, rig=setup.rig,
                           calibration=setup.calibration)
-            for i, (s, entry) in enumerate(zip(self._seeds,
-                                               self._fleet.flat()))
-            for setup in (build_calibrated_monitor(seed=s,
-                                                   store=self._store,
-                                                   **entry.build_kwargs()),)
+            for i, (s, entry, record) in enumerate(zip(
+                self._seeds, self._fleet.flat(), self._records))
+            for setup in (_assemble(record, seed=s,
+                                    **entry.build_kwargs()),)
         ]

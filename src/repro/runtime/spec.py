@@ -257,8 +257,7 @@ class FleetSpec:
     def materialize(self, seeds: list[int] | None = None) -> list:
         """Build the fleet's rigs (one calibrated rig per position).
 
-        ``seeds`` overrides the derived :meth:`monitor_seeds` (the
-        Session re-materialization path passes its own spawned list).
+        ``seeds`` overrides the derived :meth:`monitor_seeds`.
         Scenario tags are *not* consumed here — the rigs come back
         plain; event injection belongs to
         :func:`repro.station.run_campaign`.

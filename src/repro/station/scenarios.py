@@ -11,12 +11,16 @@ Seeds are plumbed through :class:`numpy.random.SeedSequence`: the single
 calibration bench, and the returned rig, so no two components share (or
 collide on) a raw integer seed.
 
-Repeat builds are cheap: the fitted calibration and the sensor's
-post-campaign state are memoized in a small LRU keyed by everything that
-determines them, so fleet-scale callers (``repro.runtime.Session``) pay
-for one campaign per distinct configuration.  Builds with a caller-owned
-``housing`` bypass the cache — the assembly carries mutable state the
-cache must not alias.
+A build is two steps: resolving the (fitted calibration, post-campaign
+sensor snapshot) *record*, and assembling a fresh rig from it — a fresh
+sensor from the same config and seed with the snapshot restored, which
+is bit-identical to the sensor the campaign left behind.  Records are
+memoized in a small process-wide LRU keyed by everything that
+determines them, so repeat builds skip the campaign; builds with a
+caller-owned ``housing`` bypass it — the housing carries mutable state
+the cache must not alias.  A calibrated :class:`repro.runtime.Session`
+keeps its own fleet's records and re-assembles from them on every run,
+so it never depends on the LRU after ``calibrate()``.
 
 Underneath the LRU sits the optional disk-backed
 :class:`repro.store.ArtifactStore` (``store=`` argument, or the
@@ -98,7 +102,12 @@ _CACHE_MISSES = 0
 
 
 def clear_calibration_cache() -> None:
-    """Drop all memoized calibrations (test isolation / memory)."""
+    """Drop all memoized calibrations (test isolation / memory).
+
+    A calibrated :class:`repro.runtime.Session` holds its own fleet's
+    records until :meth:`~repro.runtime.Session.close`, so clearing the
+    LRU never makes its later runs recalibrate.
+    """
     global _CACHE_HITS, _CACHE_MISSES
     _CALIBRATION_CACHE.clear()
     _CACHE_HITS = 0
@@ -178,6 +187,132 @@ def _restore_sensor(sensor: MAFSensor, snapshot: dict) -> None:
     sensor.bridge_b.leakage_conductance_s = snapshot["leak_b"]
 
 
+def _calibration_record(
+    seed: int,
+    loop_rate_hz: float,
+    overtemperature_k: float,
+    output_bandwidth_hz: float,
+    use_pulsed_drive: bool,
+    bit_true_adc: bool,
+    calibration_speeds_cmps: list[float] | None,
+    fast: bool,
+    sensor_config: MAFConfig | None,
+    housing: SensorHousing | None,
+    use_cache: bool,
+    store,
+) -> tuple[FlowCalibration, dict]:
+    """Resolve one build's (calibration, post-campaign snapshot) pair.
+
+    Looks in the LRU, then the artifact store, and only then runs the
+    §4 campaign (publishing the pair to both).
+    """
+    (die_ss, cal_platform_ss, cal_line_ss, cal_reference_ss, *_) = \
+        np.random.SeedSequence(seed).spawn(7)
+    sensor_cfg = sensor_config or MAFConfig(seed=_child_seed(die_ss))
+    speeds = list(calibration_speeds_cmps or DEFAULT_CALIBRATION_SPEEDS_CMPS)
+    cacheable = use_cache and housing is None
+    cache_key = (repr(sensor_cfg), seed, loop_rate_hz, overtemperature_k,
+                 output_bandwidth_hz, use_pulsed_drive, bit_true_adc,
+                 tuple(speeds), fast)
+    cached = _CALIBRATION_CACHE.get(cache_key) if cacheable else None
+    global _CACHE_HITS, _CACHE_MISSES
+    registry = get_registry()
+    if cached is not None:
+        _CACHE_HITS += 1
+        if registry.enabled:
+            registry.counter("station.calibration_cache.hits").inc()
+        _CALIBRATION_CACHE.move_to_end(cache_key)
+        return cached
+    _CACHE_MISSES += 1
+    if registry.enabled:
+        registry.counter("station.calibration_cache.misses").inc()
+    disk = (store or get_default_store()) if cacheable else None
+    disk_key = canonical_key({
+        "sensor": sensor_cfg.to_dict(),
+        "seed": seed,
+        "loop_rate_hz": loop_rate_hz,
+        "overtemperature_k": overtemperature_k,
+        "output_bandwidth_hz": output_bandwidth_hz,
+        "use_pulsed_drive": use_pulsed_drive,
+        "bit_true_adc": bit_true_adc,
+        "speeds": speeds,
+        "fast": fast,
+    }) if disk is not None else None
+    artifact = disk.get("calibration", disk_key) if disk is not None else None
+    if artifact is not None:
+        record = (artifact["calibration"], artifact["snapshot"])
+    else:
+        sensor = MAFSensor(sensor_cfg, housing=housing)
+        with get_tracer().span("scenarios.calibration_campaign", seed=seed):
+            cal_platform = ISIFPlatform.for_anemometer(
+                loop_rate_hz=loop_rate_hz, bit_true_adc=bit_true_adc,
+                seed=_child_seed(cal_platform_ss))
+            cal_controller = CTAController(
+                sensor, cal_platform,
+                CTAConfig(overtemperature_k=overtemperature_k))
+            line = WaterLine(LineConfig(seed=_child_seed(cal_line_ss)))
+            calibration = run_calibration(
+                cal_controller, speeds, line=line,
+                reference=Promag50(seed=_child_seed(cal_reference_ss)),
+                settle_s=0.3 if fast else 1.0,
+                average_s=0.2 if fast else 0.5)
+        record = (calibration, _snapshot_sensor(sensor))
+        if disk is not None:
+            disk.put("calibration", disk_key,
+                     {"calibration": calibration, "snapshot": record[1]})
+    if cacheable:
+        _CALIBRATION_CACHE[cache_key] = record
+        while len(_CALIBRATION_CACHE) > _CALIBRATION_CACHE_MAX:
+            _CALIBRATION_CACHE.popitem(last=False)
+    return record
+
+
+def _assemble(
+    record: tuple[FlowCalibration, dict],
+    seed: int = 42,
+    loop_rate_hz: float = 1000.0,
+    overtemperature_k: float = 5.0,
+    output_bandwidth_hz: float = 0.1,
+    use_pulsed_drive: bool = True,
+    bit_true_adc: bool = False,
+    sensor_config: MAFConfig | None = None,
+    housing: SensorHousing | None = None,
+    **_campaign,
+) -> CalibratedSetup:
+    """Build a fresh rig in the post-calibration state ``record`` holds.
+
+    A fresh sensor from the same config and seed has the same realized
+    tolerances; restoring the snapshot puts it bit for bit where the
+    campaign left it.  The campaign-only knobs
+    (``calibration_speeds_cmps``, ``fast``, ``use_cache``, ``store``)
+    shaped ``record`` and are accepted and ignored here, so a caller can
+    pass the same keyword arguments it built with.
+    """
+    (die_ss, *_, run_platform_ss, rig_line_ss, rig_reference_ss) = \
+        np.random.SeedSequence(seed).spawn(7)
+    calibration, snapshot = record
+    sensor = MAFSensor(sensor_config or MAFConfig(seed=_child_seed(die_ss)),
+                       housing=housing)
+    _restore_sensor(sensor, snapshot)
+    monitor_cfg = MonitorConfig(
+        loop_rate_hz=loop_rate_hz,
+        cta=CTAConfig(overtemperature_k=overtemperature_k),
+        output_bandwidth_hz=output_bandwidth_hz,
+        use_pulsed_drive=use_pulsed_drive,
+    )
+    run_platform = ISIFPlatform.for_anemometer(
+        loop_rate_hz=loop_rate_hz, bit_true_adc=bit_true_adc,
+        seed=_child_seed(run_platform_ss))
+    monitor = WaterFlowMonitor(sensor, calibration, monitor_cfg,
+                               platform=run_platform)
+    rig = TestRig(
+        monitor,
+        line=WaterLine(LineConfig(seed=_child_seed(rig_line_ss)),
+                       turbulence_multiplier=sensor.housing.turbulence_multiplier()),
+        reference=Promag50(seed=_child_seed(rig_reference_ss)))
+    return CalibratedSetup(monitor=monitor, rig=rig, calibration=calibration)
+
+
 def build_calibrated_monitor(
     seed: int = 42,
     loop_rate_hz: float = 1000.0,
@@ -221,86 +356,10 @@ def build_calibrated_monitor(
         misses consult it before recalibrating and publish the fitted
         artifact after a campaign.
     """
-    (die_ss, cal_platform_ss, cal_line_ss, cal_reference_ss,
-     run_platform_ss, rig_line_ss, rig_reference_ss) = \
-        np.random.SeedSequence(seed).spawn(7)
-    sensor_cfg = sensor_config or MAFConfig(seed=_child_seed(die_ss))
-    speeds = list(calibration_speeds_cmps or DEFAULT_CALIBRATION_SPEEDS_CMPS)
-    cta_cfg = CTAConfig(overtemperature_k=overtemperature_k)
-    settle_s = 0.3 if fast else 1.0
-    average_s = 0.2 if fast else 0.5
-
-    sensor = MAFSensor(sensor_cfg, housing=housing)
-    cacheable = use_cache and housing is None
-    cache_key = (repr(sensor_cfg), seed, loop_rate_hz, overtemperature_k,
-                 output_bandwidth_hz, use_pulsed_drive, bit_true_adc,
-                 tuple(speeds), fast)
-    cached = _CALIBRATION_CACHE.get(cache_key) if cacheable else None
-    global _CACHE_HITS, _CACHE_MISSES
-    registry = get_registry()
-    if cached is not None:
-        _CACHE_HITS += 1
-        if registry.enabled:
-            registry.counter("station.calibration_cache.hits").inc()
-        calibration, snapshot = cached
-        _CALIBRATION_CACHE.move_to_end(cache_key)
-        _restore_sensor(sensor, snapshot)
-    else:
-        _CACHE_MISSES += 1
-        if registry.enabled:
-            registry.counter("station.calibration_cache.misses").inc()
-        disk = (store or get_default_store()) if cacheable else None
-        disk_key = canonical_key({
-            "sensor": sensor_cfg.to_dict(),
-            "seed": seed,
-            "loop_rate_hz": loop_rate_hz,
-            "overtemperature_k": overtemperature_k,
-            "output_bandwidth_hz": output_bandwidth_hz,
-            "use_pulsed_drive": use_pulsed_drive,
-            "bit_true_adc": bit_true_adc,
-            "speeds": speeds,
-            "fast": fast,
-        }) if disk is not None else None
-        artifact = disk.get("calibration", disk_key) if disk is not None else None
-        if artifact is not None:
-            calibration = artifact["calibration"]
-            snapshot = artifact["snapshot"]
-            _restore_sensor(sensor, snapshot)
-        else:
-            with get_tracer().span("scenarios.calibration_campaign",
-                                   seed=seed):
-                cal_platform = ISIFPlatform.for_anemometer(
-                    loop_rate_hz=loop_rate_hz, bit_true_adc=bit_true_adc,
-                    seed=_child_seed(cal_platform_ss))
-                cal_controller = CTAController(sensor, cal_platform, cta_cfg)
-                line = WaterLine(LineConfig(seed=_child_seed(cal_line_ss)))
-                calibration = run_calibration(
-                    cal_controller, speeds, line=line,
-                    reference=Promag50(seed=_child_seed(cal_reference_ss)),
-                    settle_s=settle_s, average_s=average_s)
-            snapshot = _snapshot_sensor(sensor)
-            if disk is not None:
-                disk.put("calibration", disk_key,
-                         {"calibration": calibration, "snapshot": snapshot})
-        if cacheable:
-            _CALIBRATION_CACHE[cache_key] = (calibration, snapshot)
-            while len(_CALIBRATION_CACHE) > _CALIBRATION_CACHE_MAX:
-                _CALIBRATION_CACHE.popitem(last=False)
-
-    monitor_cfg = MonitorConfig(
-        loop_rate_hz=loop_rate_hz,
-        cta=cta_cfg,
-        output_bandwidth_hz=output_bandwidth_hz,
-        use_pulsed_drive=use_pulsed_drive,
-    )
-    run_platform = ISIFPlatform.for_anemometer(
-        loop_rate_hz=loop_rate_hz, bit_true_adc=bit_true_adc,
-        seed=_child_seed(run_platform_ss))
-    monitor = WaterFlowMonitor(sensor, calibration, monitor_cfg,
-                               platform=run_platform)
-    rig = TestRig(
-        monitor,
-        line=WaterLine(LineConfig(seed=_child_seed(rig_line_ss)),
-                       turbulence_multiplier=sensor.housing.turbulence_multiplier()),
-        reference=Promag50(seed=_child_seed(rig_reference_ss)))
-    return CalibratedSetup(monitor=monitor, rig=rig, calibration=calibration)
+    record = _calibration_record(
+        seed, loop_rate_hz, overtemperature_k, output_bandwidth_hz,
+        use_pulsed_drive, bit_true_adc, calibration_speeds_cmps, fast,
+        sensor_config, housing, use_cache, store)
+    return _assemble(record, seed, loop_rate_hz, overtemperature_k,
+                     output_bandwidth_hz, use_pulsed_drive, bit_true_adc,
+                     sensor_config, housing)

@@ -8,14 +8,21 @@ and the numeric tolerance would only come into play if a platform's
 libm ever disagreed with itself.
 """
 
+import functools
+import json
+
 import numpy as np
 import pytest
 
+import repro.station.scenarios as scenarios
+from repro.cli import main
 from repro.errors import ConfigurationError, SessionError
 from repro.runtime import (BatchEngine, FleetSpec, RunResult, Session,
                            run_batch)
 from repro.station.profiles import bidirectional_staircase, hold, staircase
-from repro.station.scenarios import build_calibrated_monitor
+from repro.station.scenarios import (build_calibrated_monitor,
+                                     clear_calibration_cache)
+from repro.store import ArtifactStore
 
 
 def _parity_case(profile, n_monitors=2, seed=2024):
@@ -105,6 +112,76 @@ def test_session_runs_are_repeatable():
         second = session.run(profile)
     for name in RunResult.STACKED_FIELDS:
         assert np.array_equal(getattr(first, name), getattr(second, name))
+
+
+_KEPT_BUILD = dict(fast_calibration=True, use_pulsed_drive=False,
+                   calibration_speeds_cmps=(0.0, 50.0, 120.0, 250.0))
+_KEPT_PROFILE = staircase([0.0, 60.0], dwell_s=0.1)
+
+
+@pytest.mark.parametrize("case", ["batch", "scalar", "workers2",
+                                  "checkpoint", "no_cache", "cli"])
+def test_calibrated_session_keeps_its_calibrations(case, tmp_path,
+                                                   monkeypatch):
+    """After calibrate(), runs never touch the LRU, the store or a campaign.
+
+    The LRU is emptied right after calibrate(); each run must still
+    come out bit-identical to a fresh session and to the scalar oracle
+    without a single campaign or store read.
+    """
+    calls = {"campaigns": 0, "store_gets": 0}
+
+    def counting(func, key):
+        @functools.wraps(func)
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    original_calibrate = Session.calibrate
+
+    def calibrate_then_forget(self):
+        handles = original_calibrate(self)
+        clear_calibration_cache()
+        calls.update(campaigns=0, store_gets=0)
+        return handles
+
+    monkeypatch.setattr(scenarios, "run_calibration",
+                        counting(scenarios.run_calibration, "campaigns"))
+    monkeypatch.setattr(ArtifactStore, "get",
+                        counting(ArtifactStore.get, "store_gets"))
+    monkeypatch.setattr(Session, "calibrate", calibrate_then_forget)
+    spec = FleetSpec.homogeneous(3, seed=77, use_cache=case != "no_cache",
+                                 **_KEPT_BUILD)
+    if case == "cli":
+        spec_path = tmp_path / "fleet.json"
+        spec_path.write_text(json.dumps(spec.to_dict()))
+        out = tmp_path / "fleet.npz"
+        assert main(["fleet", "--spec", str(spec_path), "--levels", "0,60",
+                     "--dwell", "0.1", "--out", str(out)]) == 0
+        results = [RunResult.load(out)]
+    else:
+        run_kwargs = {"batch": {"engine": "batch"},
+                      "scalar": {"engine": "scalar"},
+                      "workers2": {"workers": 2}}.get(case, {})
+        checkpoint_dir = tmp_path / "ck" if case == "checkpoint" else None
+        with Session(fleet=spec, checkpoint_dir=checkpoint_dir) as session:
+            session.calibrate()
+            results = [session.run(_KEPT_PROFILE, **run_kwargs)
+                       for _ in range(2)]
+    assert calls == {"campaigns": 0, "store_gets": 0}
+
+    monkeypatch.undo()
+    with Session(fleet=spec) as fresh:
+        fresh.calibrate()
+        reference = fresh.run(_KEPT_PROFILE)
+    oracle = RunResult.from_records([
+        build_calibrated_monitor(seed=s, **entry.build_kwargs()).rig.run(
+            _KEPT_PROFILE, record_every_n=20)
+        for s, entry in zip(spec.monitor_seeds(), spec.flat())])
+    for result in results:
+        _assert_parity(result, reference)
+        _assert_parity(result, oracle)
 
 
 def test_run_result_trace_roundtrip():
