@@ -82,7 +82,7 @@ from repro.service import (ClientSession, FleetService, RecoveredCohort,
 from repro.store import (ArtifactStore, canonical_key, get_default_store,
                          set_default_store)
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     *errors.__all__,

@@ -42,8 +42,8 @@ state, noise streams).  Heterogeneous fleets are refused with
 :class:`~repro.errors.ConfigurationError` (``reason="heterogeneous"``,
 naming the offending config-group keys) — route them through
 :class:`repro.runtime.mixed.MixedEngine`, which sub-batches per config
-group and merges bit-identically, or describe the fleet with a
-:class:`repro.runtime.FleetSpec` and let :func:`run_batch` dispatch.
+group and merges bit-identically (:func:`run_batch` and
+:class:`repro.runtime.Session` always do).
 """
 
 from __future__ import annotations
@@ -134,24 +134,34 @@ class BatchEngine:
     # -- fleet homogeneity ---------------------------------------------------
 
     def _validate(self) -> None:
-        """Refuse fleets the vectorized path cannot reproduce bit-exactly."""
+        """Refuse fleets the vectorized path cannot reproduce bit-exactly.
+
+        When a precise pairwise check fails on a multi-rig fleet, the
+        fleet is grouped by config so a mixed fleet gets a diagnosable
+        error naming its config groups, not whichever pairwise mismatch
+        happened to trip first.  A valid fleet never pays for grouping.
+        """
+        try:
+            self._check_fleet()
+        except ConfigurationError as exc:
+            if len(self._rigs) > 1:
+                from repro.runtime.mixed import fleet_groups  # lazy: mixed imports us
+                try:
+                    groups = fleet_groups(self._rigs)
+                except Exception:
+                    groups = {}  # keep the precise error
+                if len(groups) > 1:
+                    raise ConfigurationError(
+                        "fleet is heterogeneous: config groups "
+                        f"{sorted(groups)} cannot share one BatchEngine; "
+                        "use repro.runtime.MixedEngine (or a FleetSpec "
+                        "via run_batch/Session) to sub-batch per group",
+                        reason="heterogeneous") from exc
+            raise
+
+    def _check_fleet(self) -> None:
+        """The precise homogeneity and feature checks behind _validate."""
         rigs = self._rigs
-        if len(rigs) > 1:
-            # Lead with one structured check so a mixed fleet gets a
-            # diagnosable error naming its config groups, not whichever
-            # pairwise mismatch below happens to trip first.
-            from repro.runtime.mixed import fleet_groups  # lazy: mixed imports us
-            try:
-                groups = fleet_groups(rigs)
-            except Exception:
-                groups = {}  # fall through to the precise checks below
-            if len(groups) > 1:
-                raise ConfigurationError(
-                    "fleet is heterogeneous: config groups "
-                    f"{sorted(groups)} cannot share one BatchEngine; use "
-                    "repro.runtime.MixedEngine (or a FleetSpec via "
-                    "run_batch/Session) to sub-batch per group",
-                    reason="heterogeneous")
         mon0 = rigs[0].monitor
         sen0 = mon0.sensor
         cfg0 = replace(sen0.config, seed=0)
@@ -1410,20 +1420,20 @@ def run_batch(rigs, profile: Profile,
               record_every_n: int = 20, chunk_size: int = 1024,
               workers: int | None = None,
               numerics: str = "exact") -> RunResult:
-    """One-shot convenience: build the right engine and run it.
+    """One-shot convenience: build the fleet's engine and run it.
 
     ``rigs`` is either a rig list or a
     :class:`repro.runtime.FleetSpec` (materialized here, seeds and
-    all).  A structurally heterogeneous fleet is routed through
-    :class:`repro.runtime.mixed.MixedEngine` — per-config-group
-    sub-batching, results interleaved back into caller order
-    bit-identically; a homogeneous fleet takes the classic
-    :class:`BatchEngine` path.  With ``workers > 1`` the fleet (or each
-    config group) is partitioned across worker processes by
+    all).  The fleet runs on a :class:`repro.runtime.mixed.MixedEngine`:
+    a homogeneous fleet takes its single-group path, byte-identical to
+    a plain :class:`BatchEngine`; a structurally heterogeneous fleet is
+    sub-batched per config group and interleaved back into caller order
+    bit-identically.  With ``workers > 1`` each config group is
+    partitioned across worker processes by
     :class:`repro.runtime.parallel.ShardedEngine`, whose merged result
-    is bit-identical to the serial path.
-    ``numerics`` selects the kernel mode (``"exact"`` — the default,
-    bit-identical — or ``"fast"``) on whichever engine runs.
+    is bit-identical to the serial path.  ``numerics`` selects the
+    kernel mode (``"exact"`` — the default, bit-identical — or
+    ``"fast"``).
 
     The rigs are consumed (see the module docstring); build fresh rigs
     for repeat runs or use :class:`repro.runtime.Session`, which
@@ -1449,16 +1459,7 @@ def run_batch(rigs, profile: Profile,
             rigs = rigs.materialize()
         else:
             rigs = list(rigs)
-    from repro.runtime.mixed import MixedEngine, fleet_groups
-    if len(rigs) > 1 and len(fleet_groups(rigs)) > 1:
-        return MixedEngine(rigs, chunk_size=chunk_size,
-                           numerics=numerics).run(
-            profile, record_every_n=record_every_n, workers=workers)
-    if workers is not None and workers != 1:
-        # Imported lazily: parallel.py itself imports this module.
-        from repro.runtime.parallel import ShardedEngine
-        return ShardedEngine(rigs, workers=workers, chunk_size=chunk_size,
-                             numerics=numerics).run(
-            profile, record_every_n=record_every_n)
-    return BatchEngine(rigs, chunk_size=chunk_size, numerics=numerics).run(
+    from repro.runtime.mixed import MixedEngine  # lazy: mixed imports us
+    return MixedEngine(rigs, chunk_size=chunk_size, numerics=numerics,
+                       workers=workers).run(
         profile, record_every_n=record_every_n)

@@ -136,21 +136,18 @@ def fleet_groups(rigs: list[TestRig]) -> dict[str, list[int]]:
 
 
 class _MixGroup:
-    """One config-equivalence group inside a :class:`MixedEngine`."""
+    """One config-equivalence group inside a :class:`MixedEngine`.
 
-    __slots__ = ("key", "positions", "rigs", "engine", "dt", "line_time")
+    A plain attribute class (no ``__slots__``), so checkpoints pickled
+    by 3.x, whose groups also carried their rigs and clocks, still
+    unpickle and resume.
+    """
 
     def __init__(self, key: str, positions: list[int], rigs: list[TestRig],
                  chunk_size: int, numerics: str,
                  workers: int | None) -> None:
         self.key = key
         self.positions = positions
-        self.rigs = rigs
-        # The probe validates homogeneity and pins the group's time
-        # base either way; it becomes the engine on the serial path.
-        probe = BatchEngine(rigs, chunk_size=chunk_size, numerics=numerics)
-        self.dt = probe._dt
-        self.line_time = probe._line_time
         effective = 0 if workers is None else min(int(workers), len(rigs))
         if effective > 1:
             from repro.runtime.parallel import ShardedEngine
@@ -158,7 +155,8 @@ class _MixGroup:
                                         chunk_size=chunk_size,
                                         numerics=numerics)
         else:
-            self.engine = probe
+            self.engine = BatchEngine(rigs, chunk_size=chunk_size,
+                                      numerics=numerics)
 
 
 class MixedEngine:
@@ -174,9 +172,12 @@ class MixedEngine:
     :meth:`~repro.runtime.result.RunResult.provenance` of
     ``(group_key, row_in_group)`` pairs.
 
-    The incremental surface mirrors ``BatchEngine`` (:meth:`advance`,
-    :meth:`drop`, :attr:`offset`), so the streaming fleet service can
-    host mixed cohorts on exactly the contract it already leans on.
+    This is the one engine every fleet caller builds —
+    :class:`~repro.runtime.Session`, :func:`~repro.runtime.batch.run_batch`,
+    durable runs and the streaming fleet service — whether the fleet is
+    homogeneous, mixed or sharded.  The surface mirrors ``BatchEngine``
+    (:meth:`run`, :meth:`advance`, :meth:`drop`, :attr:`offset`), and
+    :meth:`run` is exactly one :meth:`advance` over the whole profile.
     Like the batch engine, a mixed engine *consumes* its rigs.
 
     Parameters
@@ -190,43 +191,45 @@ class MixedEngine:
     workers:
         With ``workers > 1`` each group large enough to shard runs on
         its own :class:`~repro.runtime.parallel.ShardedEngine`
-        (``min(workers, group size)`` shards), *including* the incremental
-        :meth:`advance`/:meth:`drop` surface — this is how the fleet
-        service and durable runs parallelize cohort ticks.  Groups of
-        one rig stay on a plain ``BatchEngine``.  Bit-identical either
-        way.
+        (``min(workers, group size)`` shards) for every :meth:`run`,
+        :meth:`advance` and :meth:`drop`.  Groups of one rig stay on a
+        plain ``BatchEngine``.  ``None`` (default) and 1 run serially
+        in-process.  Bit-identical for any worker count.
 
     Raises
     ------
     ConfigurationError
-        If the fleet is empty, a group trips the batch engine's own
-        validation, or the groups do not share a loop rate / line
-        start state (``reason="heterogeneous"``).
+        If the fleet is empty, ``workers`` is not positive, a group
+        trips the batch engine's own validation, or the groups do not
+        share a loop rate / line start state
+        (``reason="heterogeneous"``).
     """
 
     def __init__(self, rigs: list[TestRig], chunk_size: int = 1024,
                  numerics: str = "exact",
                  workers: int | None = None) -> None:
+        if workers is not None and int(workers) < 1:
+            raise ConfigurationError("workers must be a positive integer")
         grouped = fleet_groups(rigs)
-        self._workers = None if workers is None else int(workers)
         self._groups = [
             _MixGroup(key, positions, [rigs[i] for i in positions],
-                      chunk_size, numerics, self._workers)
+                      chunk_size, numerics, workers)
             for key, positions in grouped.items()
         ]
         self._n = len(rigs)
-        self._chunk = int(chunk_size)
         self._numerics = self._groups[0].engine.numerics
         self._offset = 0
-        self._spent = False
         g0 = self._groups[0]
+        # The shared loop period: run() needs it even once every rig
+        # has been dropped, so advance() can refuse with a typed error.
+        self._dt = g0.engine._dt
         for g in self._groups[1:]:
-            if g.dt != g0.dt:
+            if g.engine._dt != self._dt:
                 raise ConfigurationError(
                     f"config groups {g0.key} and {g.key} differ in loop "
                     f"rate; a mixed fleet needs one shared time base",
                     reason="heterogeneous")
-            if g.line_time != g0.line_time:
+            if g.engine._line_time != g0.engine._line_time:
                 raise ConfigurationError(
                     f"config groups {g0.key} and {g.key} differ in line "
                     f"start time; a mixed fleet needs one shared clock",
@@ -283,50 +286,27 @@ class MixedEngine:
             (self._groups[p].key, r) for p, r in merged.provenance()]
         return merged
 
-    def run(self, profile: Profile, record_every_n: int = 20,
-            workers: int | None = None) -> RunResult:
+    def run(self, profile: Profile, record_every_n: int = 20) -> RunResult:
         """Execute a profile over the whole mixed fleet.
 
-        With ``workers`` left at None (or 1) every group advances on
-        the engine it was built with — serial ``BatchEngine`` groups by
-        default, sharded groups if the constructor fixed ``workers``.
-        Passing ``workers > 1`` *here* is the legacy one-shot spelling:
-        each group is sharded within itself on a fresh
-        :class:`~repro.runtime.parallel.ShardedEngine` (capped at the
-        group size), and the engine is consumed —
-        further :meth:`run`/:meth:`advance` calls are refused.  Every
-        path is bit-identical for any worker count.
+        Exactly ``advance(profile, steps)`` for the profile's full step
+        count: every group advances on the engine it was built with
+        (serial ``BatchEngine`` groups by default, sharded groups if the
+        constructor fixed ``workers``), from the current :attr:`offset`.
+        Bit-identical for any worker count.
 
         Raises
         ------
         ConfigurationError
-            On an empty profile, non-positive decimation, a consumed
-            engine, or a one-shot ``workers`` on an engine whose
-            workers were already fixed at construction.
+            On an empty profile, non-positive decimation, or if every
+            rig has been :meth:`drop`-ped.
         SensorFault
             Propagated from any group (membrane burst, overpressure).
         """
-        if workers is None or workers == 1:
-            dt = self._groups[0].dt if self._groups else 1.0
-            steps = int(round(profile.duration_s / dt))
-            if steps < 1:
-                raise ConfigurationError("profile shorter than one loop tick")
-            return self.advance(profile, steps, record_every_n)
-        if self._workers is not None and self._workers != 1:
-            raise ConfigurationError(
-                "workers were fixed at construction; run() without a "
-                "workers override")
-        self._require_live()
-        from repro.runtime.parallel import ShardedEngine
-        self._spent = True
-        blocks = [
-            ShardedEngine(g.rigs, workers=min(int(workers), len(g.rigs)),
-                          chunk_size=self._chunk,
-                          numerics=self._numerics).run(
-                profile, record_every_n=record_every_n)
-            for g in self._groups
-        ]
-        return self._merge(blocks)
+        steps = int(round(profile.duration_s / self._dt))
+        if steps < 1:
+            raise ConfigurationError("profile shorter than one loop tick")
+        return self.advance(profile, steps, record_every_n)
 
     def advance(self, profile: Profile, steps: int,
                 record_every_n: int = 20) -> RunResult:
@@ -341,12 +321,11 @@ class MixedEngine:
         Raises
         ------
         ConfigurationError
-            On a non-positive step count or decimation, a consumed
-            engine, or if every rig has been :meth:`drop`-ped.
+            On a non-positive step count or decimation, or if every rig
+            has been :meth:`drop`-ped.
         SensorFault
             Propagated from any group.
         """
-        self._require_live()
         if not self._groups:
             raise ConfigurationError("every rig was dropped from the engine")
         blocks = [g.engine.advance(profile, steps, record_every_n)
@@ -366,10 +345,8 @@ class MixedEngine:
         Raises
         ------
         ConfigurationError
-            On an out-of-range or duplicated index, or a consumed
-            engine.
+            On an out-of-range or duplicated index.
         """
-        self._require_live()
         drop_set = set()
         for j in indices:
             j = int(j)
@@ -389,8 +366,6 @@ class MixedEngine:
                      if pos in drop_set]
             if local:
                 g.engine.drop(local)
-                g.rigs = [rig for r, rig in enumerate(g.rigs)
-                          if r not in set(local)]
             g.positions = [remap[pos] for pos in g.positions
                            if pos in remap]
             if g.positions:
@@ -416,11 +391,3 @@ class MixedEngine:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def _require_live(self) -> None:
-        """Refuse use after the one-shot workers path consumed the rigs."""
-        if self._spent:
-            raise ConfigurationError(
-                "this MixedEngine was consumed by a workers run; build a "
-                "fresh one (or use repro.runtime.Session, which "
-                "re-materializes rigs per run)")

@@ -14,10 +14,12 @@ keeping the result bit-identical to the serial path:
   RNG), and the batch engine validates that every rig starts from the
   same bulk state, so each shard re-derives the identical line
   trajectory independently.
-- Each shard runs in its own single-process
-  ``concurrent.futures.ProcessPoolExecutor`` worker, which builds a
-  :class:`~repro.runtime.batch.BatchEngine` over its pickled rigs and
-  sends back the shard's ``(N_shard, M)`` trace block.
+- Each shard's :class:`~repro.runtime.batch.BatchEngine` lives in the
+  parent as a pickled blob.  Every window ships each blob to its own
+  single-process ``concurrent.futures.ProcessPoolExecutor`` worker,
+  which advances it and sends back the shard's ``(N_shard, M)`` trace
+  block together with the re-pickled engine.  :meth:`ShardedEngine.run`
+  is one such window over the whole profile.
 - Blocks are merged in shard order with :meth:`RunResult.concat`;
   worker scheduling order cannot reorder rows.
 
@@ -26,12 +28,12 @@ worker interleaving, ``ShardedEngine.run`` returns the same bits as
 ``BatchEngine.run`` on the whole fleet (``tests/test_parallel_parity.py``
 asserts this for shard counts 1, 2, 3 and N).
 
-Failure semantics, the same for one-shot runs and windows: a worker
-crash, an unpicklable payload or a hung worker triggers a bounded
-re-submission of just that shard on a fresh worker (``max_retries``
-times), then a serial in-process fallback, so a sharded run degrades to
-the serial engine rather than failing.  Every worker process is reaped
-before the call returns; none outlives a run or a window.
+Failure semantics: a worker crash, an unpicklable payload or a hung
+worker triggers a bounded re-submission of just that shard on a fresh
+worker (``max_retries`` times), then an in-process advance of the same
+blob, so a sharded window degrades to the serial engine rather than
+failing.  Every worker process is reaped before the call returns; none
+outlives a window.
 Deterministic simulation errors (:class:`~repro.errors.ReproError`,
 e.g. a membrane burst) are re-raised immediately — retrying cannot
 change physics.  ``shard.retries`` / ``shard.fallbacks`` counters and
@@ -44,7 +46,7 @@ enabled in the parent, each worker runs under fresh sinks bracketed by
 ``harvest_worker_telemetry``, wraps its engine run in a
 ``shard.worker`` span nested (via the propagated
 :class:`~repro.observability.tracer.TraceContext`) under the parent's
-``shard.run`` span, and ships a
+``shard.run`` span (one per dispatch, run or window), and ships a
 :class:`~repro.observability.remote.TelemetryHarvest` back with its
 trace block.  The parent merges harvests in shard order, so worker
 ``runtime.*``/``kernel.*``/``profile.*`` metrics, spans and events land
@@ -57,14 +59,11 @@ Worker faults are injected through the one ``REPRO_FAULT`` hook
 ``raise:<shard>`` or ``crash-once:<shard>:<marker-dir>`` make that
 shard's worker die, hang, raise, or die exactly once.
 
-Windowed execution (:meth:`ShardedEngine.advance`) keeps the same
-parity contract across checkpoint cut points: each shard's
-:class:`BatchEngine` lives between windows as a pickled blob in the
-parent, rides to a worker for each window and comes home re-pickled
-with its advanced state, so any slicing of a run into windows is
-bit-identical to the uninterrupted run — and the whole engine (blobs
-included) is itself picklable, which is what
-:func:`repro.runtime.checkpoint.save_checkpoint` relies on.
+Because the complete run state lives in the parent between windows,
+any slicing of a run into windows is bit-identical to the
+uninterrupted run — and the whole engine (blobs included) is itself
+picklable, which is what :func:`repro.runtime.checkpoint.save_checkpoint`
+relies on.
 """
 
 from __future__ import annotations
@@ -156,41 +155,6 @@ def spawn_monitor_seeds(seed: int, n_monitors: int) -> list[int]:
     return [int(child.generate_state(1)[0]) for child in children]
 
 
-def _run_shard(shard_index: int, rigs: list[TestRig], profile: Profile,
-               record_every_n: int, chunk_size: int,
-               numerics: str = "exact",
-               telemetry: TelemetryRequest | None = None,
-               ) -> tuple[RunResult, TelemetryHarvest | None]:
-    """Worker entrypoint: advance one shard and return its trace block.
-
-    Runs in a worker process on *pickled copies* of the shard's rigs,
-    builds a fresh :class:`BatchEngine` over them (in the parent's
-    numerics mode), and returns the ``(N_shard, M)`` block.
-
-    With a ``telemetry`` request the run executes under fresh
-    observability sinks (the fork start method would otherwise leak the
-    parent's registry contents into the harvest), inside a
-    ``shard.worker`` span nested under the parent's propagated trace
-    context, and the collected :class:`TelemetryHarvest` rides home as
-    the second tuple element.  Telemetry only ships on success: a
-    crashed, hung or raising attempt returns nothing, so retried shards
-    cannot double-count.
-    """
-    shard_site(shard_index)
-    previous = (install_worker_telemetry(telemetry)
-                if telemetry is not None else None)
-    harvest = None
-    try:
-        engine = BatchEngine(rigs, chunk_size=chunk_size, numerics=numerics)
-        with get_tracer().span("shard.worker", shard=shard_index,
-                               n_monitors=len(rigs)):
-            block = engine.run(profile, record_every_n=record_every_n)
-    finally:
-        if previous is not None:
-            harvest = harvest_worker_telemetry(previous)
-    return block, harvest
-
-
 def _advance_shard(shard_index: int, blob: bytes, profile: Profile,
                    steps: int, record_every_n: int,
                    telemetry: TelemetryRequest | None = None,
@@ -205,9 +169,14 @@ def _advance_shard(shard_index: int, blob: bytes, profile: Profile,
     round-trips the engine state exactly, so windowing introduces no
     drift.
 
-    Telemetry handling mirrors :func:`_run_shard`: with a request the
-    window runs under fresh worker sinks inside a ``shard.worker``
-    span, and the harvest only ships on success.
+    With a ``telemetry`` request the window runs under fresh
+    observability sinks (the fork start method would otherwise leak the
+    parent's registry contents into the harvest), inside a
+    ``shard.worker`` span nested under the parent's propagated trace
+    context, and the collected :class:`TelemetryHarvest` rides home as
+    the second tuple element.  Telemetry only ships on success: a
+    crashed, hung or raising attempt returns nothing, so retried shards
+    cannot double-count.
     """
     shard_site(shard_index)
     previous = (install_worker_telemetry(telemetry)
@@ -262,19 +231,17 @@ class ShardedEngine:
     rigs:
         Structurally identical test rigs (the :class:`BatchEngine`
         homogeneity rules apply; they are validated up front in the
-        parent).  Treat them as spent after :meth:`run`, exactly like
-        rigs handed to a :class:`BatchEngine`.
+        parent).  Treat them as spent once the engine has run, exactly
+        like rigs handed to a :class:`BatchEngine`.
     workers:
         Worker process count; ``None`` uses ``os.cpu_count()``.  The
-        effective shard count is ``min(workers, len(rigs))``; a resolved
-        count of 1 runs serially in-process (no executor at all).
+        effective shard count is ``min(workers, len(rigs))``.
     chunk_size:
         Per-worker batch-engine noise pre-draw block length.
     max_retries:
         Re-submissions allowed per shard after an infrastructure
         failure (crash / hang / pickling error) before that shard falls
-        back to the serial in-process engine — per run, and per window
-        of :meth:`advance`.
+        back to the serial in-process engine — per window.
     timeout_s:
         Per-attempt wall-clock budget, measured from that attempt's
         submission; ``None`` disables the watchdog.  A timed-out worker
@@ -304,15 +271,17 @@ class ShardedEngine:
         self._numerics = resolve_numerics(numerics)
         # Validate homogeneity (and every BatchEngine precondition) in
         # the parent, before any process is spawned: construction only
-        # reads rig state, it does not consume the rigs.
-        BatchEngine(self._rigs, chunk_size=chunk_size,
-                    numerics=self._numerics)
+        # reads rig state, it does not consume the rigs.  The probe also
+        # pins the fleet's clocks, which outlive a drop of every rig.
+        probe = BatchEngine(self._rigs, chunk_size=chunk_size,
+                            numerics=self._numerics)
+        self._dt = probe._dt
+        self._line_time = probe._line_time
         self._chunk = int(chunk_size)
         self._workers = resolve_workers(workers, len(self._rigs))
         self._max_retries = int(max_retries)
         self._timeout_s = timeout_s
         self._offset = 0
-        self._ran = False
         self._closed = False
         # Windowed state: one pickled shard engine per live shard, and
         # each shard's live row count (drop-aware).
@@ -328,9 +297,9 @@ class ShardedEngine:
     def offset(self) -> int:
         """Samples already advanced (the absolute step of the next tick).
 
-        Zero on a fresh engine; grows with every :meth:`advance`
-        window.  The PR 6 contract: a run sliced into ``advance``
-        windows at any offsets is bit-identical to one uninterrupted
+        Zero on a fresh engine; grows with every :meth:`run` and
+        :meth:`advance` window.  A run sliced into ``advance`` windows
+        at any offsets is bit-identical to one uninterrupted
         :meth:`run` — this property marks the cut point a checkpoint
         captures.
         """
@@ -344,74 +313,31 @@ class ShardedEngine:
     def run(self, profile: Profile, record_every_n: int = 20) -> RunResult:
         """Execute a profile over the sharded fleet; merged traces out.
 
+        Exactly ``advance(profile, steps)`` for the profile's full step
+        count: one window from the current :attr:`offset`.
         Bit-identical to ``BatchEngine(rigs).run(profile, ...)`` for any
-        shard count and any worker completion order.  Worker failures
-        degrade through retry to a serial in-process fallback; the run
-        only raises for deterministic simulation errors (or if the
-        serial fallback itself fails).
+        shard count and any worker completion order.
 
         Raises
         ------
         ConfigurationError
-            On an empty profile or non-positive decimation.
+            On an empty profile, non-positive decimation, a closed
+            engine, or if every rig has been :meth:`drop`-ped.
         SensorFault
             On membrane burst or housing overpressure, exactly as the
             serial engine would.
         """
-        if record_every_n < 1:
-            raise ConfigurationError("record_every_n must be >= 1")
-        self._require_open()
-        if self._offset:
-            raise ConfigurationError(
-                "this engine was advanced in windows; continue with "
-                "advance() instead of run()")
-        steps = int(round(profile.duration_s /
-                          self._rigs[0].monitor.platform.dt_s))
+        steps = int(round(profile.duration_s / self._dt))
         if steps < 1:
             raise ConfigurationError("profile shorter than one loop tick")
-        self._ran = True
-        if self._workers == 1:
-            # One shard: the serial engine *is* the sharded run.
-            return BatchEngine(self._rigs, chunk_size=self._chunk,
-                               numerics=self._numerics).run(
-                profile, record_every_n=record_every_n)
-        bounds = partition_monitors(len(self._rigs), self._workers)
-        registry = get_registry()
-        if registry.enabled:
-            registry.gauge("shard.workers").set(self._workers)
-            registry.counter("shard.runs").inc()
-
-        def serial(i: int) -> RunResult:
-            return BatchEngine(self._rigs[slice(*bounds[i])],
-                               chunk_size=self._chunk,
-                               numerics=self._numerics).run(
-                profile, record_every_n=record_every_n)
-
-        with get_tracer().span("shard.run", n_monitors=len(self._rigs),
-                               workers=self._workers):
-            blocks, fell_back = self._dispatch(
-                _run_shard, len(bounds),
-                lambda i: (self._rigs[slice(*bounds[i])], profile,
-                           record_every_n, self._chunk, self._numerics),
-                serial)
-            result = RunResult.concat(blocks)
-        # Mirror the serial engine's scheduler accounting on the parent
-        # rigs (worker-side copies advanced their own, then died).
-        # Fallback shards already ran in-process on the parent rigs.
-        ticked_serially = {id(rig) for i in fell_back
-                           for rig in self._rigs[slice(*bounds[i])]}
-        for rig in self._rigs:
-            if id(rig) not in ticked_serially:
-                rig.monitor.platform.scheduler.bulk_tick(steps)
-        return result
+        return self.advance(profile, steps, record_every_n)
 
     def advance(self, profile: Profile, steps: int,
                 record_every_n: int = 20) -> RunResult:
         """Advance ``steps`` samples across the sharded fleet; one
         window's merged traces out.
 
-        The windowed counterpart of :meth:`run` and the sharded
-        implementation of the PR 6 ``advance/offset`` contract:
+        The sharded implementation of the ``advance/offset`` contract:
         consecutive windows concatenated time-wise are bit-identical to
         one uninterrupted run, for any window boundaries and any worker
         scheduling.  On the first call each shard's rigs are folded
@@ -421,20 +347,20 @@ class ShardedEngine:
         run state lives in the parent — ready to be checkpointed by
         pickling this engine.
 
-        Worker failures take the same path as in :meth:`run`: a worker
-        that dies, hangs or fails to pickle is retried on a fresh
-        worker (``shard.retries``), then that shard's window degrades to
-        an in-process advance of the same blob (``shard.fallbacks``).
-        A blob is only replaced once its window succeeded, so a retry
-        or fallback resumes from exactly the state the failed worker
-        started with.  Deterministic simulation errors re-raise
-        immediately, exactly as in :meth:`run`.
+        A worker that dies, hangs or fails to pickle is retried on a
+        fresh worker (``shard.retries``), then that shard's window
+        degrades to an in-process advance of the same blob
+        (``shard.fallbacks``).  A blob is only replaced once its window
+        succeeded, so a retry or fallback resumes from exactly the
+        state the failed worker started with.  Deterministic simulation
+        errors re-raise immediately.  Each call opens one ``shard.run``
+        span.
 
         Raises
         ------
         ConfigurationError
-            On non-positive ``steps``/``record_every_n``, or if
-            :meth:`run` already consumed the fleet.
+            On non-positive ``steps``/``record_every_n``, a closed
+            engine, or if every rig has been :meth:`drop`-ped.
         SensorFault
             On membrane burst or housing overpressure, exactly as the
             serial engine would.
@@ -444,10 +370,6 @@ class ShardedEngine:
         if record_every_n < 1:
             raise ConfigurationError("record_every_n must be >= 1")
         self._require_open()
-        if self._ran:
-            raise ConfigurationError(
-                "this engine's fleet was consumed by run(); build a "
-                "fresh ShardedEngine to advance in windows")
         if not self._rigs:
             raise ConfigurationError("every rig was dropped; nothing to "
                                      "advance")
@@ -462,13 +384,13 @@ class ShardedEngine:
                     protocol=pickle.HIGHEST_PROTOCOL)
                 for start, stop in bounds
             ]
-        with get_tracer().span("shard.advance", n_monitors=len(self._rigs),
+        registry = get_registry()
+        if registry.enabled:
+            registry.gauge("shard.workers").set(self._workers)
+            registry.counter("shard.runs").inc()
+        with get_tracer().span("shard.run", n_monitors=len(self._rigs),
                                workers=self._workers, steps=steps):
-            payloads, _ = self._dispatch(
-                _advance_shard, len(self._blobs),
-                lambda i: (self._blobs[i], profile, steps, record_every_n),
-                lambda i: _advance_blob(self._blobs[i], profile, steps,
-                                        record_every_n))
+            payloads = self._dispatch(profile, steps, record_every_n)
             self._blobs = [blob for _, blob in payloads]
             window = RunResult.concat([block for block, _ in payloads])
         # Mirror the serial engine's scheduler accounting on the parent
@@ -482,8 +404,8 @@ class ShardedEngine:
         """Worker telemetry request when any parent sink is on (or None).
 
         Each sink re-gates itself at merge time; the trace context
-        captured here is the live ``shard.run``/``shard.advance`` span,
-        so worker spans nest under it.
+        captured here is the live ``shard.run`` span, so worker spans
+        nest under it.
         """
         tracer = get_tracer()
         profiler = get_profiler()
@@ -494,25 +416,24 @@ class ShardedEngine:
         return TelemetryRequest(trace_context=tracer.current_context(),
                                 profile=profiler.enabled)
 
-    def _dispatch(self, entry, n_shards: int, shard_args, serial,
-                  ) -> tuple[list, list[int]]:
+    def _dispatch(self, *window) -> list[tuple[RunResult, bytes]]:
         """The one submit/collect/retry/fallback loop.
 
-        Shard ``i`` runs ``entry(i, *shard_args(i), telemetry=...)`` on
-        its own single-process executor, all shards submitted at once;
-        a crashed or hung worker cannot contaminate its siblings'
-        futures.  Each attempt's ``timeout_s`` budget runs from its own
+        Shard ``i`` runs ``_advance_shard(i, blob_i, *window,
+        telemetry=...)`` on its own single-process executor, all shards
+        submitted at once; a crashed or hung worker cannot contaminate
+        its siblings' futures.  Each attempt's ``timeout_s`` budget runs from its own
         submission, whatever order the results are collected in.  An
         infrastructure failure (timeout, dead worker, pickling error,
         injected fault) kills that worker and re-submits the shard up to
-        ``max_retries`` times, then ``serial(i)`` runs it in-process
-        under the parent sinks.  A deterministic
+        ``max_retries`` times, then :func:`_advance_blob` runs it
+        in-process under the parent sinks.  A deterministic
         :class:`~repro.errors.ReproError` re-raises at once — retrying
         cannot change physics.  Every worker is reaped before this
         returns or raises.
 
-        Returns the per-shard payloads in shard order and the indices of
-        the shards that fell back.
+        Returns the per-shard ``(block, new_blob)`` payloads in shard
+        order.
         """
         registry = get_registry()
         tracer = get_tracer()
@@ -520,6 +441,7 @@ class ShardedEngine:
         profiler = get_profiler()
         observing = registry.enabled
         telemetry = self._telemetry_request()
+        n_shards = len(self._blobs)
         if observing:
             worker_hist = registry.histogram(
                 "shard.worker_s", "per-shard worker wall time")
@@ -534,7 +456,8 @@ class ShardedEngine:
 
         def launch(i: int) -> None:
             executors[i] = ProcessPoolExecutor(max_workers=1)
-            futures[i] = executors[i].submit(entry, i, *shard_args(i),
+            futures[i] = executors[i].submit(_advance_shard, i,
+                                             self._blobs[i], *window,
                                              telemetry=telemetry)
             started[i] = time.perf_counter()
 
@@ -582,7 +505,7 @@ class ShardedEngine:
                     "shard.fallbacks",
                     "shards degraded to the serial in-process "
                     "engine").inc()
-            payloads[i] = serial(i)
+            payloads[i] = _advance_blob(self._blobs[i], *window)
         # Fold worker telemetry home in shard-index order — completion
         # order must not leak into the merged registry (determinism).
         # Fallback shards have no harvest: they already ran in-process
@@ -592,7 +515,7 @@ class ShardedEngine:
             if harvest is not None:
                 merge_harvest(harvest, registry=registry, tracer=tracer,
                               event_log=event_log, profiler=profiler)
-        return [payloads[i] for i in range(n_shards)], fallback
+        return [payloads[i] for i in range(n_shards)]
 
     def _require_open(self) -> None:
         if self._closed:
@@ -614,14 +537,9 @@ class ShardedEngine:
         Raises
         ------
         ConfigurationError
-            On out-of-range or duplicate indices, after :meth:`run`
-            consumed the fleet, or on a closed engine.
+            On out-of-range or duplicate indices, or on a closed engine.
         """
         self._require_open()
-        if self._ran:
-            raise ConfigurationError(
-                "this engine's fleet was consumed by run(); nothing "
-                "left to drop")
         wanted = [int(i) for i in indices]
         drop = sorted(set(wanted))
         if len(drop) != len(wanted):

@@ -31,8 +31,8 @@ from repro.observability import (get_event_log, get_profiler,
                                  get_registry, get_tracer)
 from repro.conditioning.calibration import FlowCalibration
 from repro.conditioning.monitor import WaterFlowMonitor
-from repro.runtime.batch import BatchEngine
 from repro.runtime.kernels import resolve_numerics
+from repro.runtime.mixed import MixedEngine
 from repro.runtime.result import RunResult
 from repro.runtime.spec import FleetSpec
 from repro.station.profiles import Profile
@@ -259,22 +259,26 @@ class Session:
             returns ``RunResult.summary()`` (pooled statistics keyed by
             registry metric names).
         engine:
-            ``"batch"`` uses the vectorized :class:`BatchEngine` — or,
-            when the session's :class:`~repro.runtime.FleetSpec` is
-            structurally mixed, the per-config-group
-            :class:`repro.runtime.mixed.MixedEngine` (bit-identical per
-            rig to running its group alone); ``"scalar"`` runs each rig
-            through the per-sample reference path and stacks the
-            records.  Both start from freshly materialized rigs, so
-            with the same seeds the engines return bit-identical
-            traces.
+            ``"batch"`` runs the fleet on one
+            :class:`repro.runtime.mixed.MixedEngine`: a homogeneous
+            fleet takes its single-group path (byte-identical to a plain
+            :class:`~repro.runtime.batch.BatchEngine`), a structurally
+            mixed :class:`~repro.runtime.FleetSpec` is sub-batched per
+            config group (bit-identical per rig to running its group
+            alone).  A checkpointed session advances that engine in
+            durable windows instead
+            (:func:`repro.runtime.checkpoint.run_durable`).
+            ``"scalar"`` runs each rig through the per-sample reference
+            path and stacks the records.  Both start from freshly
+            materialized rigs, so with the same seeds the engines
+            return bit-identical traces.
         workers:
-            With ``engine="batch"`` and ``workers > 1`` the fleet is
-            partitioned across that many worker processes by
-            :class:`repro.runtime.parallel.ShardedEngine`; the merged
-            result is bit-identical to the serial batch path for any
-            worker count.  ``None`` (default) and 1 stay serial and
-            in-process.  Refused for ``engine="scalar"``.
+            With ``engine="batch"`` and ``workers > 1`` each config
+            group is partitioned across up to that many worker
+            processes by :class:`repro.runtime.parallel.ShardedEngine`;
+            the merged result is bit-identical to the serial batch path
+            for any worker count.  ``None`` (default) and 1 stay serial
+            and in-process.  Refused for ``engine="scalar"``.
         numerics:
             Kernel numerics mode for the batch engines: ``"exact"``
             (default, bit-identical to the scalar reference path) or
@@ -339,13 +343,6 @@ class Session:
                                n_monitors=self.n_monitors):
             self._handles = self._materialize()
             rigs = [handle.rig for handle in self._handles]
-            mixed = False
-            if engine == "batch" and len(self._fleet.rigs) > 1:
-                # A multi-entry spec may be structurally mixed; group on
-                # the materialized rigs (entries that differ only in
-                # realized values still share one BatchEngine).
-                from repro.runtime.mixed import MixedEngine, fleet_groups
-                mixed = len(fleet_groups(rigs)) > 1
             if durable:
                 from repro.runtime.checkpoint import run_durable
                 result = run_durable(
@@ -354,20 +351,10 @@ class Session:
                                      f"run-{self._runs}.ckpt"),
                     resume=resume, chunk_size=self._chunk, numerics=mode,
                     workers=workers)
-            elif mixed:
-                result = MixedEngine(
-                    rigs, chunk_size=self._chunk, numerics=mode).run(
-                    profile, record_every_n=every, workers=workers)
-            elif engine == "batch" and workers is not None and workers != 1:
-                from repro.runtime.parallel import ShardedEngine
-                result = ShardedEngine(
-                    rigs, workers=workers, chunk_size=self._chunk,
-                    numerics=mode).run(
-                    profile, record_every_n=every)
             elif engine == "batch":
-                result = BatchEngine(rigs, chunk_size=self._chunk,
-                                     numerics=mode).run(
-                    profile, record_every_n=every)
+                result = MixedEngine(
+                    rigs, chunk_size=self._chunk, numerics=mode,
+                    workers=workers).run(profile, record_every_n=every)
             else:
                 result = RunResult.from_records(
                     [rig.run(profile, record_every_n=every) for rig in rigs])

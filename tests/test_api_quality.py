@@ -78,7 +78,7 @@ def test_all_exports_resolve(pkg_name):
 
 
 def test_version_string():
-    assert repro.__version__ == "3.0.0"
+    assert repro.__version__ == "4.0.0"
 
 
 def test_error_hierarchy_single_source():

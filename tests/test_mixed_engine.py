@@ -2,16 +2,17 @@
 
 The acceptance bar is bit-exactness: every rig of a mixed fleet must
 come back byte-identical to running its config group alone on a plain
-:class:`BatchEngine` — serial and sharded, one-shot and windowed, and
-across ``drop()``.  All assertions here compare ``tobytes()``.
+:class:`BatchEngine` — serial and sharded, whole-profile ``run`` and
+windowed, and across ``drop()``.  All assertions here compare ``tobytes()``.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime import (BatchEngine, MixedEngine, RunResult,
-                           config_group_key, fleet_groups)
+from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, RunResult,
+                           Session, ShardedEngine, config_group_key,
+                           fleet_groups)
 from repro.station.profiles import hold, staircase
 from repro.station.scenarios import build_calibrated_monitor
 
@@ -82,7 +83,7 @@ def test_mixed_run_matches_per_group_batch():
 def test_mixed_run_sharded_matches_serial():
     profile = hold(80.0, 1.5)
     serial = MixedEngine(_mixed_fleet()).run(profile)
-    sharded = MixedEngine(_mixed_fleet()).run(profile, workers=2)
+    sharded = MixedEngine(_mixed_fleet(), workers=2).run(profile)
     for pos in range(4):
         _assert_rows_equal(sharded, pos, serial, pos)
 
@@ -137,10 +138,65 @@ def test_mixed_drop_validates_indices():
 
 
 def test_mixed_sharded_run_is_one_shot():
+    """Workers are fixed at construction, and ``run`` is one window: a
+    sharded engine keeps advancing from its offset, like BatchEngine."""
     profile = hold(50.0, 0.5)
-    engine = MixedEngine(_mixed_fleet())
-    engine.run(profile, workers=2)
-    with pytest.raises(ConfigurationError):
-        engine.run(profile, workers=2)
-    with pytest.raises(ConfigurationError):
-        engine.advance(profile, 100)
+    with pytest.raises(TypeError):
+        MixedEngine(_mixed_fleet()).run(profile, workers=2)
+    engine = MixedEngine(_mixed_fleet(), workers=2)
+    first = engine.run(profile)
+    assert engine.offset == 500
+    second = engine.advance(profile, 100)
+    assert engine.offset == 600
+    reference = MixedEngine(_mixed_fleet())
+    ref_first = reference.run(profile)
+    ref_second = reference.advance(profile, 100)
+    for pos in range(4):
+        _assert_rows_equal(first, pos, ref_first, pos)
+        _assert_rows_equal(second, pos, ref_second, pos)
+
+
+@pytest.mark.parametrize("kind", ["batch", "sharded", "mixed"])
+def test_run_after_every_rig_dropped_is_refused(kind):
+    """Each engine keeps its loop period, so ``run`` on an emptied fleet
+    reaches ``advance`` and its typed refusal."""
+    rigs = [_rig(41), _rig(42)]
+    if kind == "batch":
+        engine = BatchEngine(rigs)
+    elif kind == "sharded":
+        engine = ShardedEngine(rigs, workers=2)
+    else:
+        engine = MixedEngine(rigs)
+    engine.drop([0, 1])
+    with pytest.raises(ConfigurationError, match="dropped"):
+        engine.run(hold(50.0, 0.5))
+
+
+def test_config_grouping_runs_once_per_rig(monkeypatch, tmp_path):
+    """Only MixedEngine groups a fleet; engine builds behind it do not
+    group it again."""
+    import repro.runtime.mixed as mixed
+
+    calls = []
+    real = mixed.config_group_key
+
+    def counting(rig):
+        calls.append(rig)
+        return real(rig)
+
+    monkeypatch.setattr(mixed, "config_group_key", counting)
+    BatchEngine([_rig(51), _rig(52), _rig(53), _rig(54)])
+    assert len(calls) == 0
+
+    profile = hold(50.0, 0.2)
+    spec = FleetSpec.homogeneous(4, seed=5, fast_calibration=True)
+    with Session(fleet=spec) as session:
+        session.calibrate()
+        calls.clear()
+        session.run(profile)
+    assert len(calls) == 4
+    with Session(fleet=spec, checkpoint_dir=tmp_path) as session:
+        session.calibrate()
+        calls.clear()
+        session.run(profile, workers=2)
+    assert len(calls) == 4
