@@ -71,8 +71,8 @@ from repro.station.profiles import hold, staircase, ramp, step, bidirectional_st
 from repro.station.rig import TestRig, run_calibration
 from repro.runtime import (BatchEngine, Checkpoint, FleetSpec, MixedEngine,
                            MonitorHandle, RigSpec, RunResult, Session,
-                           ShardedEngine, load_checkpoint, run_batch,
-                           run_durable, save_checkpoint)
+                           ShardedEngine, load_checkpoint, run_durable,
+                           save_checkpoint)
 from repro.station.campaign import (Event, ScenarioSpec, builtin_scenario,
                                     household_demand, run_campaign,
                                     station_demand)
@@ -82,7 +82,7 @@ from repro.service import (ClientSession, FleetService, RecoveredCohort,
 from repro.store import (ArtifactStore, canonical_key, get_default_store,
                          set_default_store)
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     *errors.__all__,
@@ -123,7 +123,6 @@ __all__ = [
     "FleetSpec",
     "RigSpec",
     "RunResult",
-    "run_batch",
     "Event",
     "ScenarioSpec",
     "builtin_scenario",

@@ -5,9 +5,9 @@
 - :class:`Session` / :class:`MonitorHandle` — the
   ``open() -> calibrate() -> run(profile) -> close()`` lifecycle that
   owns N calibrated monitoring points,
-- :class:`BatchEngine` / :func:`run_batch` — the chunk-vectorized
-  engine advancing N monitors x K samples per call, bit-identical to
-  the scalar loops it replaces,
+- :class:`BatchEngine` — the chunk-vectorized engine advancing N
+  monitors x K samples per call, bit-identical to the scalar loops it
+  replaces,
 - :class:`ShardedEngine` (:mod:`repro.runtime.parallel`) — the same
   fleet partitioned across worker processes, bit-identical to the
   serial engine for any shard count, with bounded retry and serial
@@ -22,7 +22,7 @@
   and the blocks interleave back into caller order bit-identically,
 - :class:`FleetSpec` / :class:`RigSpec` (:mod:`repro.runtime.spec`) —
   the one declarative fleet description (per-rig config + count + seed
-  + scenario) accepted by ``run_batch``, ``Session``,
+  + scenario) accepted by ``Session``,
   ``characterize_meter_pool``, the service facade and the CLI,
 - :class:`Numerics` (:mod:`repro.runtime.kernels`) — the numerics
   policy behind the unified ``numerics="exact" | "fast"`` knob every
@@ -39,7 +39,7 @@ reference implementation; the parity tests hold all three paths to
 bit-identical outputs on shared seeds.
 """
 
-from repro.runtime.batch import BatchEngine, run_batch
+from repro.runtime.batch import BatchEngine
 from repro.runtime.checkpoint import (CHECKPOINT_FORMAT_VERSION, Checkpoint,
                                       WindowedRun, engine_kind,
                                       load_checkpoint, run_durable,
@@ -47,14 +47,14 @@ from repro.runtime.checkpoint import (CHECKPOINT_FORMAT_VERSION, Checkpoint,
 from repro.runtime.kernels import NUMERICS_MODES, Numerics, resolve_numerics
 from repro.runtime.mixed import MixedEngine, config_group_key, fleet_groups
 from repro.runtime.parallel import (ShardedEngine, partition_monitors,
-                                    resolve_workers, spawn_monitor_seeds)
+                                    spawn_monitor_seeds)
 from repro.runtime.result import RunResult
 from repro.runtime.session import MonitorHandle, Session
 from repro.runtime.spec import FleetSpec, RigSpec
 
-__all__ = ["BatchEngine", "run_batch", "RunResult", "Session",
+__all__ = ["BatchEngine", "RunResult", "Session",
            "MonitorHandle", "ShardedEngine", "partition_monitors",
-           "resolve_workers", "spawn_monitor_seeds",
+           "spawn_monitor_seeds",
            "MixedEngine", "config_group_key", "fleet_groups",
            "FleetSpec", "RigSpec",
            "NUMERICS_MODES", "Numerics", "resolve_numerics",

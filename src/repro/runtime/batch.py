@@ -42,8 +42,8 @@ state, noise streams).  Heterogeneous fleets are refused with
 :class:`~repro.errors.ConfigurationError` (``reason="heterogeneous"``,
 naming the offending config-group keys) — route them through
 :class:`repro.runtime.mixed.MixedEngine`, which sub-batches per config
-group and merges bit-identically (:func:`run_batch` and
-:class:`repro.runtime.Session` always do).
+group and merges bit-identically (:class:`repro.runtime.Session` and
+every other fleet caller always do).
 """
 
 from __future__ import annotations
@@ -68,13 +68,35 @@ from repro.runtime.result import RunResult
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
 
-__all__ = ["BatchEngine", "run_batch"]
+__all__ = ["BatchEngine"]
 
 
 def _require(condition: bool, message: str) -> None:
     """Raise ConfigurationError with ``message`` unless ``condition``."""
     if not condition:
         raise ConfigurationError(message)
+
+
+def _drop_rows(indices, n: int) -> set[int]:
+    """The drop-index check every engine's ``drop`` shares.
+
+    Returns the rows of an ``n``-row fleet that ``indices`` name.
+
+    Raises
+    ------
+    ConfigurationError
+        On an index outside ``[0, n)`` or one given twice.
+    """
+    rows: set[int] = set()
+    for j in indices:
+        j = int(j)
+        if not 0 <= j < n:
+            raise ConfigurationError(
+                f"drop index {j} out of range for fleet of {n}")
+        if j in rows:
+            raise ConfigurationError(f"drop index {j} given twice")
+        rows.add(j)
+    return rows
 
 
 #: Back-compat alias: the exact-mode elementwise exponential now lives in
@@ -155,7 +177,7 @@ class BatchEngine:
                         "fleet is heterogeneous: config groups "
                         f"{sorted(groups)} cannot share one BatchEngine; "
                         "use repro.runtime.MixedEngine (or a FleetSpec "
-                        "via run_batch/Session) to sub-batch per group",
+                        "via Session) to sub-batch per group",
                         reason="heterogeneous") from exc
             raise
 
@@ -656,15 +678,7 @@ class BatchEngine:
         ConfigurationError
             On an out-of-range or duplicated index.
         """
-        drop_set = set()
-        for j in indices:
-            j = int(j)
-            if not 0 <= j < self._n:
-                raise ConfigurationError(
-                    f"drop index {j} out of range for fleet of {self._n}")
-            if j in drop_set:
-                raise ConfigurationError(f"drop index {j} given twice")
-            drop_set.add(j)
+        drop_set = _drop_rows(indices, self._n)
         if not drop_set:
             return
         keep = [j for j in range(self._n) if j not in drop_set]
@@ -1415,51 +1429,3 @@ class BatchEngine:
             result.attach_profile(run_stages)
         return result
 
-
-def run_batch(rigs, profile: Profile,
-              record_every_n: int = 20, chunk_size: int = 1024,
-              workers: int | None = None,
-              numerics: str = "exact") -> RunResult:
-    """One-shot convenience: build the fleet's engine and run it.
-
-    ``rigs`` is either a rig list or a
-    :class:`repro.runtime.FleetSpec` (materialized here, seeds and
-    all).  The fleet runs on a :class:`repro.runtime.mixed.MixedEngine`:
-    a homogeneous fleet takes its single-group path, byte-identical to
-    a plain :class:`BatchEngine`; a structurally heterogeneous fleet is
-    sub-batched per config group and interleaved back into caller order
-    bit-identically.  With ``workers > 1`` each config group is
-    partitioned across worker processes by
-    :class:`repro.runtime.parallel.ShardedEngine`, whose merged result
-    is bit-identical to the serial path.  ``numerics`` selects the
-    kernel mode (``"exact"`` — the default, bit-identical — or
-    ``"fast"``).
-
-    The rigs are consumed (see the module docstring); build fresh rigs
-    for repeat runs or use :class:`repro.runtime.Session`, which
-    re-assembles monitors from the calibrations it keeps.
-
-    Raises
-    ------
-    ConfigurationError
-        If a :class:`FleetSpec` carries scenarios (those belong to
-        :func:`repro.station.run_campaign`), plus everything the
-        engines refuse.
-    """
-    if not isinstance(rigs, list):
-        # Duck-typed FleetSpec path (lazy import: spec.py imports parallel,
-        # which imports this module).
-        from repro.runtime.spec import FleetSpec
-        if isinstance(rigs, FleetSpec):
-            if rigs.has_scenarios:
-                raise ConfigurationError(
-                    "this FleetSpec carries scenarios; run it with "
-                    "repro.station.run_campaign, which owns event "
-                    "injection")
-            rigs = rigs.materialize()
-        else:
-            rigs = list(rigs)
-    from repro.runtime.mixed import MixedEngine  # lazy: mixed imports us
-    return MixedEngine(rigs, chunk_size=chunk_size, numerics=numerics,
-                       workers=workers).run(
-        profile, record_every_n=record_every_n)

@@ -399,7 +399,7 @@ class WindowedRun:
 def run_durable(rigs: list[TestRig], profile: Profile, *,
                 checkpoint_path, record_every_n: int = 20,
                 window_steps: int = 1000, resume: bool = False,
-                chunk_size: int = 1024, numerics: str = "exact",
+                numerics: str = "exact",
                 workers: int | None = None) -> RunResult:
     """Run a fleet with per-window checkpoints; resume after a crash.
 
@@ -420,7 +420,7 @@ def run_durable(rigs: list[TestRig], profile: Profile, *,
         Setpoint schedule; its length fixes the total step count.
     checkpoint_path:
         Artifact location for the per-window snapshots.
-    record_every_n / chunk_size / numerics:
+    record_every_n / numerics:
         As for the engines.
     window_steps:
         Checkpoint cadence in loop ticks.
@@ -463,8 +463,7 @@ def run_durable(rigs: list[TestRig], profile: Profile, *,
         windows: list[RunResult] = list(state["windows"])
     else:
         run = WindowedRun(
-            MixedEngine(list(rigs), chunk_size=chunk_size,
-                        numerics=numerics, workers=workers),
+            MixedEngine(list(rigs), numerics=numerics, workers=workers),
             profile, total, record_every_n=record_every_n,
             checkpoint_path=checkpoint_path, fingerprint=fingerprint)
         windows = []

@@ -35,7 +35,7 @@ from dataclasses import replace
 
 from repro.errors import ConfigurationError
 from repro.conditioning.drive import PulsedDrive
-from repro.runtime.batch import BatchEngine
+from repro.runtime.batch import BatchEngine, _drop_rows
 from repro.runtime.result import RunResult
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
@@ -144,19 +144,16 @@ class _MixGroup:
     """
 
     def __init__(self, key: str, positions: list[int], rigs: list[TestRig],
-                 chunk_size: int, numerics: str,
-                 workers: int | None) -> None:
+                 numerics: str, workers: int | None) -> None:
         self.key = key
         self.positions = positions
         effective = 0 if workers is None else min(int(workers), len(rigs))
         if effective > 1:
             from repro.runtime.parallel import ShardedEngine
             self.engine = ShardedEngine(rigs, workers=effective,
-                                        chunk_size=chunk_size,
                                         numerics=numerics)
         else:
-            self.engine = BatchEngine(rigs, chunk_size=chunk_size,
-                                      numerics=numerics)
+            self.engine = BatchEngine(rigs, numerics=numerics)
 
 
 class MixedEngine:
@@ -173,11 +170,11 @@ class MixedEngine:
     ``(group_key, row_in_group)`` pairs.
 
     This is the one engine every fleet caller builds —
-    :class:`~repro.runtime.Session`, :func:`~repro.runtime.batch.run_batch`,
-    durable runs and the streaming fleet service — whether the fleet is
-    homogeneous, mixed or sharded.  The surface mirrors ``BatchEngine``
-    (:meth:`run`, :meth:`advance`, :meth:`drop`, :attr:`offset`), and
-    :meth:`run` is exactly one :meth:`advance` over the whole profile.
+    :class:`~repro.runtime.Session`, durable runs and the streaming
+    fleet service — whether the fleet is homogeneous, mixed or sharded.
+    The surface mirrors ``BatchEngine`` (:meth:`run`, :meth:`advance`,
+    :meth:`drop`, :attr:`offset`), and :meth:`run` is exactly one
+    :meth:`advance` over the whole profile.
     Like the batch engine, a mixed engine *consumes* its rigs.
 
     Parameters
@@ -186,7 +183,7 @@ class MixedEngine:
         Any rig list; structural diversity is handled by grouping.
         Groups must share one loop rate and line clock (the merged
         result needs a single time base).
-    chunk_size / numerics:
+    numerics:
         Forwarded to every group's ``BatchEngine``.
     workers:
         With ``workers > 1`` each group large enough to shard runs on
@@ -205,15 +202,14 @@ class MixedEngine:
         (``reason="heterogeneous"``).
     """
 
-    def __init__(self, rigs: list[TestRig], chunk_size: int = 1024,
-                 numerics: str = "exact",
+    def __init__(self, rigs: list[TestRig], numerics: str = "exact",
                  workers: int | None = None) -> None:
         if workers is not None and int(workers) < 1:
             raise ConfigurationError("workers must be a positive integer")
         grouped = fleet_groups(rigs)
         self._groups = [
             _MixGroup(key, positions, [rigs[i] for i in positions],
-                      chunk_size, numerics, workers)
+                      numerics, workers)
             for key, positions in grouped.items()
         ]
         self._n = len(rigs)
@@ -347,15 +343,7 @@ class MixedEngine:
         ConfigurationError
             On an out-of-range or duplicated index.
         """
-        drop_set = set()
-        for j in indices:
-            j = int(j)
-            if not 0 <= j < self._n:
-                raise ConfigurationError(
-                    f"drop index {j} out of range for fleet of {self._n}")
-            if j in drop_set:
-                raise ConfigurationError(f"drop index {j} given twice")
-            drop_set.add(j)
+        drop_set = _drop_rows(indices, self._n)
         if not drop_set:
             return
         keep = [j for j in range(self._n) if j not in drop_set]

@@ -68,7 +68,6 @@ relies on.
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -83,34 +82,14 @@ from repro.observability.remote import (TelemetryHarvest, TelemetryRequest,
                                         harvest_worker_telemetry,
                                         install_worker_telemetry,
                                         merge_harvest)
-from repro.runtime.batch import BatchEngine
+from repro.runtime.batch import BatchEngine, _drop_rows
 from repro.runtime.faults import shard_site
 from repro.runtime.kernels import resolve_numerics
 from repro.runtime.result import RunResult
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
 
-__all__ = ["ShardedEngine", "partition_monitors", "spawn_monitor_seeds",
-           "resolve_workers"]
-
-
-def resolve_workers(workers: int | None, n_monitors: int) -> int:
-    """Resolve a ``workers=`` knob to an effective worker count.
-
-    ``None`` means "use the machine": ``os.cpu_count()``.  The result is
-    always clamped to the fleet size — a shard needs at least one rig.
-
-    Raises
-    ------
-    ConfigurationError
-        If ``workers`` is given and not a positive integer.
-    """
-    if workers is None:
-        workers = os.cpu_count() or 1
-    workers = int(workers)
-    if workers < 1:
-        raise ConfigurationError("workers must be a positive integer")
-    return min(workers, int(n_monitors))
+__all__ = ["ShardedEngine", "partition_monitors", "spawn_monitor_seeds"]
 
 
 def partition_monitors(n_monitors: int, n_shards: int) -> list[tuple[int, int]]:
@@ -234,10 +213,8 @@ class ShardedEngine:
         parent).  Treat them as spent once the engine has run, exactly
         like rigs handed to a :class:`BatchEngine`.
     workers:
-        Worker process count; ``None`` uses ``os.cpu_count()``.  The
-        effective shard count is ``min(workers, len(rigs))``.
-    chunk_size:
-        Per-worker batch-engine noise pre-draw block length.
+        Worker process count, a positive integer.  The effective shard
+        count is ``min(workers, len(rigs))``.
     max_retries:
         Re-submissions allowed per shard after an infrastructure
         failure (crash / hang / pickling error) before that shard falls
@@ -259,10 +236,11 @@ class ShardedEngine:
         (``reason="numerics"`` for an unknown numerics mode).
     """
 
-    def __init__(self, rigs: list[TestRig], workers: int | None = None,
-                 chunk_size: int = 1024, max_retries: int = 1,
-                 timeout_s: float | None = None,
+    def __init__(self, rigs: list[TestRig], workers: int,
+                 max_retries: int = 1, timeout_s: float | None = None,
                  numerics: str = "exact") -> None:
+        if int(workers) < 1:
+            raise ConfigurationError("workers must be a positive integer")
         if max_retries < 0:
             raise ConfigurationError("max_retries must be non-negative")
         if timeout_s is not None and timeout_s <= 0.0:
@@ -273,12 +251,10 @@ class ShardedEngine:
         # the parent, before any process is spawned: construction only
         # reads rig state, it does not consume the rigs.  The probe also
         # pins the fleet's clocks, which outlive a drop of every rig.
-        probe = BatchEngine(self._rigs, chunk_size=chunk_size,
-                            numerics=self._numerics)
+        probe = BatchEngine(self._rigs, numerics=self._numerics)
         self._dt = probe._dt
         self._line_time = probe._line_time
-        self._chunk = int(chunk_size)
-        self._workers = resolve_workers(workers, len(self._rigs))
+        self._workers = min(int(workers), len(self._rigs))
         self._max_retries = int(max_retries)
         self._timeout_s = timeout_s
         self._offset = 0
@@ -379,7 +355,6 @@ class ShardedEngine:
             self._blobs = [
                 pickle.dumps(
                     BatchEngine(self._rigs[start:stop],
-                                chunk_size=self._chunk,
                                 numerics=self._numerics),
                     protocol=pickle.HIGHEST_PROTOCOL)
                 for start, stop in bounds
@@ -540,21 +515,14 @@ class ShardedEngine:
             On out-of-range or duplicate indices, or on a closed engine.
         """
         self._require_open()
-        wanted = [int(i) for i in indices]
-        drop = sorted(set(wanted))
-        if len(drop) != len(wanted):
-            raise ConfigurationError("duplicate drop indices")
-        for i in drop:
-            if not 0 <= i < len(self._rigs):
-                raise ConfigurationError(
-                    f"drop index {i} out of range [0, {len(self._rigs)})")
-        if not drop:
+        drop_set = _drop_rows(indices, len(self._rigs))
+        if not drop_set:
             return
         if self._blobs is not None:
             # Live shards exist: route global rows to (shard, local).
             starts = list(accumulate([0] + self._sizes[:-1]))
             per_shard: dict[int, list[int]] = {}
-            for row in drop:
+            for row in sorted(drop_set):
                 shard = 0
                 while (shard + 1 < len(starts)
                        and row >= starts[shard + 1]):
@@ -570,7 +538,7 @@ class ShardedEngine:
                 if self._sizes[s] == 0:
                     del self._sizes[s]
                     del self._blobs[s]
-        keep = [i for i in range(len(self._rigs)) if i not in set(drop)]
+        keep = [i for i in range(len(self._rigs)) if i not in drop_set]
         self._rigs = [self._rigs[i] for i in keep]
         self._workers = min(self._workers, max(1, len(self._rigs)))
 

@@ -1,9 +1,10 @@
 """Session lifecycle for fleet-scale monitor simulation.
 
 A :class:`Session` owns N calibrated monitoring points and runs line
-profiles over all of them at once, through either the vectorized batch
-engine (default) or the scalar reference path.  The lifecycle is
-explicit::
+profiles over all of them at once on the vectorized engine
+(:class:`~repro.runtime.mixed.MixedEngine`), bit-identical to running
+each rig through :meth:`TestRig.run <repro.station.rig.TestRig.run>`,
+the scalar reference loop.  The lifecycle is explicit::
 
     with Session(n_monitors=16, seed=2024) as session:   # -> open()
         session.calibrate()
@@ -16,8 +17,7 @@ keeps the resulting (calibration, post-campaign sensor snapshot) pairs
 until ``close``.  ``run`` may be called any number of times: each call
 assembles fresh rigs from those pairs without consulting the LRU, the
 store or a campaign again, so every run starts from the same
-freshly-built post-calibration state and a batch run is bit-identical
-to the scalar run with the same seeds.  Calling a stage out of order
+freshly-built post-calibration state.  Calling a stage out of order
 raises :class:`~repro.errors.SessionError`.
 """
 
@@ -115,15 +115,13 @@ class Session:
         Session seed; per-monitor seeds are spawned from it with
         :class:`numpy.random.SeedSequence`, so fleets with different
         sizes share the leading monitors' realizations (default 42).
-    chunk_size:
-        Batch-engine noise pre-draw block length.
     checkpoint_dir:
         Durability root for this session (default None: no disk
         artifacts).  Enables two things: calibrations persist in (and
         materialize from) a :class:`repro.store.ArtifactStore` under
         ``<checkpoint_dir>/store``, so a fresh process skips the §4
-        campaign with bit-identical outputs; and serial batch
-        :meth:`run` calls advance in checkpointed windows
+        campaign with bit-identical outputs; and :meth:`run` calls
+        advance in checkpointed windows
         (:func:`repro.runtime.checkpoint.run_durable`) that a crashed
         process can pick up with ``run(..., resume=True)`` —
         bit-identical to the uninterrupted run.
@@ -132,7 +130,6 @@ class Session:
     def __init__(self, n_monitors: int | None = None,
                  seed: int | None = None, *,
                  fleet: FleetSpec | None = None,
-                 chunk_size: int = 1024,
                  checkpoint_dir=None) -> None:
         if fleet is not None:
             if n_monitors is not None or seed is not None:
@@ -154,7 +151,6 @@ class Session:
                 n, seed=42 if seed is None else int(seed))
         self.n_monitors = self._fleet.n_monitors
         self.seed = int(self._fleet.seed)
-        self._chunk = int(chunk_size)
         self._state = "new"
         self._seeds: list[int] = []
         self._handles: list[MonitorHandle] = []
@@ -233,7 +229,6 @@ class Session:
     def run(self, profile: Profile, *,
             snapshot_s: float | None = None,
             collect: str = "result",
-            engine: str = "batch",
             workers: int | None = None,
             numerics: str = "exact",
             record_every_n: int | None = None,
@@ -245,6 +240,17 @@ class Session:
         :meth:`repro.station.rig.TestRig.run` and
         :meth:`repro.station.fleet.MonitoredNetwork.run`): everything
         after ``profile`` is keyword-only.
+
+        The fleet runs on one :class:`repro.runtime.mixed.MixedEngine`
+        built from freshly materialized rigs: a homogeneous fleet takes
+        its single-group path (byte-identical to a plain
+        :class:`~repro.runtime.batch.BatchEngine`), a structurally mixed
+        :class:`~repro.runtime.FleetSpec` is sub-batched per config
+        group (bit-identical per rig to running its group alone).  With
+        the same seeds every row is bit-identical to
+        :meth:`TestRig.run <repro.station.rig.TestRig.run>` on a fresh
+        rig.  A checkpointed session advances that engine in durable
+        windows instead (:func:`repro.runtime.checkpoint.run_durable`).
 
         Parameters
         ----------
@@ -258,44 +264,27 @@ class Session:
             ``"result"`` returns the :class:`RunResult`; ``"summary"``
             returns ``RunResult.summary()`` (pooled statistics keyed by
             registry metric names).
-        engine:
-            ``"batch"`` runs the fleet on one
-            :class:`repro.runtime.mixed.MixedEngine`: a homogeneous
-            fleet takes its single-group path (byte-identical to a plain
-            :class:`~repro.runtime.batch.BatchEngine`), a structurally
-            mixed :class:`~repro.runtime.FleetSpec` is sub-batched per
-            config group (bit-identical per rig to running its group
-            alone).  A checkpointed session advances that engine in
-            durable windows instead
-            (:func:`repro.runtime.checkpoint.run_durable`).
-            ``"scalar"`` runs each rig through the per-sample reference
-            path and stacks the records.  Both start from freshly
-            materialized rigs, so with the same seeds the engines
-            return bit-identical traces.
         workers:
-            With ``engine="batch"`` and ``workers > 1`` each config
-            group is partitioned across up to that many worker
-            processes by :class:`repro.runtime.parallel.ShardedEngine`;
-            the merged result is bit-identical to the serial batch path
-            for any worker count.  ``None`` (default) and 1 stay serial
-            and in-process.  Refused for ``engine="scalar"``.
+            With ``workers > 1`` each config group is partitioned
+            across up to that many worker processes by
+            :class:`repro.runtime.parallel.ShardedEngine`; the merged
+            result is bit-identical to the serial path for any worker
+            count.  ``None`` (default) and 1 stay serial and in-process.
         numerics:
-            Kernel numerics mode for the batch engines: ``"exact"``
-            (default, bit-identical to the scalar reference path) or
-            ``"fast"`` (vectorized transcendentals, ≤1e-9 relative
-            error; see :mod:`repro.runtime.kernels`).  A
+            Kernel numerics mode: ``"exact"`` (default, bit-identical
+            to the scalar reference path) or ``"fast"`` (vectorized
+            transcendentals, ≤1e-9 relative error; see
+            :mod:`repro.runtime.kernels`).  A
             :class:`~repro.runtime.kernels.Numerics` policy is accepted
-            too.  Refused (``reason="numerics"``) for
-            ``engine="scalar"`` with ``"fast"`` — the scalar reference
-            path *is* the exact contract and has no fast kernels.
+            too.
         resume:
             Continue this run from the checkpoint a previous (crashed)
             process left under the session's ``checkpoint_dir``.
-            Requires a checkpointed session with a batch run; the
-            resumed result is bit-identical to an uninterrupted one.
-            The checkpoint records the engine configuration, so a
-            ``workers`` override is refused on resume — the restored
-            engine keeps the shape it started with.
+            Requires a checkpointed session; the resumed result is
+            bit-identical to an uninterrupted one.  The checkpoint
+            records the engine configuration, so a ``workers`` override
+            is refused on resume — the restored engine keeps the shape
+            it started with.
         backend:
             Only ``"spawn"`` (per-call worker processes, the one
             parallel backend) is accepted; anything else is refused
@@ -304,22 +293,10 @@ class Session:
             goes when the benchmark stops reading it.
         """
         self._expect("calibrated")
-        if engine not in ("batch", "scalar"):
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; use 'batch' or 'scalar'")
         if collect not in ("result", "summary"):
             raise ConfigurationError(
                 f"unknown collect {collect!r}; use 'result' or 'summary'")
-        if workers is not None and workers != 1 and engine != "batch":
-            raise ConfigurationError(
-                "workers > 1 requires engine='batch' (the scalar "
-                "reference path is serial by construction)")
         mode = resolve_numerics(numerics)
-        if mode != "exact" and engine != "batch":
-            raise ConfigurationError(
-                "numerics='fast' requires engine='batch' (the scalar "
-                "reference path is the exact contract itself)",
-                reason="numerics")
         if backend != "spawn":
             raise ConfigurationError(
                 f"unknown parallel backend {backend!r}; the only backend "
@@ -327,19 +304,18 @@ class Session:
         every = resolve_record_every_n(self._dt, snapshot_s, record_every_n)
         if every < 1:
             raise ConfigurationError("record_every_n must be >= 1")
-        durable = (self._checkpoint_dir is not None and engine == "batch")
+        durable = self._checkpoint_dir is not None
         if resume and not durable:
             raise ConfigurationError(
-                "resume=True needs a checkpointed batch run: a "
-                "Session(checkpoint_dir=...) with engine='batch'")
+                "resume=True needs a checkpointed session: "
+                "Session(checkpoint_dir=...)")
         if resume and workers not in (None, 1):
             raise ConfigurationError(
                 "resume=True continues the engine configuration recorded "
                 "in the checkpoint; a workers override doesn't apply "
                 "to a resumed run — rerun without it")
         t0 = time.perf_counter()
-        with get_tracer().span("session.run", engine=engine,
-                               numerics=mode,
+        with get_tracer().span("session.run", numerics=mode,
                                n_monitors=self.n_monitors):
             self._handles = self._materialize()
             rigs = [handle.rig for handle in self._handles]
@@ -349,15 +325,11 @@ class Session:
                     rigs, profile, record_every_n=every,
                     checkpoint_path=(self._checkpoint_dir /
                                      f"run-{self._runs}.ckpt"),
-                    resume=resume, chunk_size=self._chunk, numerics=mode,
-                    workers=workers)
-            elif engine == "batch":
-                result = MixedEngine(
-                    rigs, chunk_size=self._chunk, numerics=mode,
-                    workers=workers).run(profile, record_every_n=every)
+                    resume=resume, numerics=mode, workers=workers)
             else:
-                result = RunResult.from_records(
-                    [rig.run(profile, record_every_n=every) for rig in rigs])
+                result = MixedEngine(
+                    rigs, numerics=mode, workers=workers).run(
+                        profile, record_every_n=every)
         elapsed = time.perf_counter() - t0
         self._timings["run_s"] = elapsed
         self._runs += 1
@@ -367,8 +339,7 @@ class Session:
             registry.histogram("runtime.session.run_s").observe(elapsed)
             for name, stats in result.summary().items():
                 registry.gauge(f"{name}.mean").set(stats["mean"])
-        get_event_log().emit("session.run", engine=engine,
-                             n_monitors=self.n_monitors,
+        get_event_log().emit("session.run", n_monitors=self.n_monitors,
                              duration_s=profile.duration_s)
         if collect == "summary":
             return result.summary()

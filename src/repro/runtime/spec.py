@@ -3,12 +3,11 @@
 Before this module, every fleet-facing surface grew its own spelling of
 "N monitors built like *this*": ``characterize_meter_pool(n_meters=...)``,
 ``Session(n_monitors=..., loop_rate_hz=..., ...)``, per-call build
-kwargs on ``run_batch`` and the service ``attach``.  A :class:`FleetSpec`
+kwargs on the service ``attach``.  A :class:`FleetSpec`
 replaces all of them: an ordered tuple of :class:`RigSpec` entries, each
 carrying a per-rig build configuration, a replication ``count``, an
 optional explicit ``seed`` and an optional scenario tag — accepted
-uniformly by :func:`repro.runtime.run_batch`,
-:class:`repro.runtime.Session`,
+uniformly by :class:`repro.runtime.Session`,
 :func:`repro.station.characterize_meter_pool`, the service facade
 (:func:`repro.run` / :func:`repro.connect`), the CLI, and
 :func:`repro.station.run_campaign`.

@@ -1,8 +1,7 @@
 """The single client-facing entry point: ``repro.connect`` / ``repro.run``.
 
-Notebook users, the CLI and the streaming service all historically chose
-among ``Session.run``, ``TestRig.run`` and ``run_batch``; this module is
-the one documented front door over all of them:
+This module is the one documented client front door over the fleet
+runtime (``TestRig.run`` stays the scalar reference loop for one rig):
 
 - :func:`run` — synchronous one-shot: build a session, calibrate, run,
   return the result.  Covers the common "give me the traces" case with
@@ -30,8 +29,7 @@ __all__ = ["ServiceClient", "connect", "run"]
 def run(profile: Profile, *, fleet=None,
         n_monitors: int | None = None, seed: int | None = None,
         snapshot_s: float | None = None, collect: str = "result",
-        engine: str = "batch", workers: int | None = None,
-        numerics: str = "exact",
+        workers: int | None = None, numerics: str = "exact",
         record_every_n: int | None = None) -> RunResult | dict:
     """One-shot fleet run: session lifecycle in a single call.
 
@@ -51,7 +49,7 @@ def run(profile: Profile, *, fleet=None,
     rig to running its group alone) or by ``n_monitors``/``seed`` for a
     homogeneous default-build fleet.  All other keywords mirror
     :meth:`repro.runtime.Session.run` (``snapshot_s``/``record_every_n``
-    cadence, ``collect``, ``engine``, ``workers``, ``numerics``).
+    cadence, ``collect``, ``workers``, ``numerics``).
     Traces are bit-identical to what a
     :meth:`~repro.service.service.FleetService` client streaming the
     same config/seed/profile would stitch together.
@@ -67,7 +65,7 @@ def run(profile: Profile, *, fleet=None,
     with Session(n_monitors, seed, fleet=fleet) as session:
         session.calibrate()
         return session.run(profile, snapshot_s=snapshot_s, collect=collect,
-                           engine=engine, workers=workers, numerics=numerics,
+                           workers=workers, numerics=numerics,
                            record_every_n=record_every_n)
 
 
@@ -145,7 +143,7 @@ def connect(service: FleetService | None = None,
 
     With no arguments the client owns a private in-process
     :class:`~repro.service.service.FleetService` (service knobs —
-    ``tick_steps``, ``max_pending``, ``chunk_size``, ``workers`` — may
+    ``tick_steps``, ``max_pending``, ``workers`` and the rest — may
     be passed through); with ``service=`` it wraps a shared resident service
     without taking over its lifecycle.
 

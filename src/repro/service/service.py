@@ -137,16 +137,14 @@ class _Group:
     horizon, cadence, offset and (once sealed) the engine.
     """
 
-    __slots__ = ("group_id", "key", "numerics", "chunk_size", "members",
-                 "run")
+    __slots__ = ("group_id", "key", "numerics", "members", "run")
 
     def __init__(self, group_id: int, key: tuple, run: WindowedRun,
-                 numerics: str, chunk_size: int) -> None:
+                 numerics: str) -> None:
         self.group_id = group_id
         self.key = key
         self.run = run
         self.numerics = numerics
-        self.chunk_size = chunk_size
         self.members: list[_Member] = []
 
     def ready(self) -> bool:
@@ -303,9 +301,6 @@ class FleetService:
         every member has queue space, so a slow consumer stalls its
         cohort at ``max_pending`` buffered windows (bounded memory)
         without affecting other cohorts.
-    chunk_size:
-        Noise pre-draw block length for cohort engines (bit-invariant;
-        a locality/memory trade-off only).
     checkpoint_dir:
         When given, every sealed cohort is snapshotted to
         ``cohort-<id>.ckpt`` under this directory after each tick (and
@@ -339,7 +334,7 @@ class FleetService:
     """
 
     def __init__(self, *, tick_steps: int = 1000, max_pending: int = 8,
-                 chunk_size: int = 1024, checkpoint_dir=None,
+                 checkpoint_dir=None,
                  workers: int | None = None,
                  sample_every_s: float | None = None,
                  http_port: int | None = None,
@@ -349,15 +344,12 @@ class FleetService:
             raise ConfigurationError("tick_steps must be >= 1")
         if max_pending < 1:
             raise ConfigurationError("max_pending must be >= 1")
-        if chunk_size < 1:
-            raise ConfigurationError("chunk_size must be >= 1")
         if http_port is not None and sample_every_s is None:
             sample_every_s = 0.5  # an HTTP plane without samples is useless
         if sample_every_s is not None and sample_every_s <= 0.0:
             raise ConfigurationError("sample_every_s must be > 0")
         self._tick_steps = int(tick_steps)
         self._max_pending = int(max_pending)
-        self._chunk = int(chunk_size)
         # Cohort parallelism: every sealed cohort's engine shards its
         # ticks across this many workers.
         self._workers = None if workers is None else int(workers)
@@ -495,8 +487,7 @@ class FleetService:
             raise ServiceError("service stopped", reason="stopped")
         mode = resolve_numerics(numerics)
         # Session refuses fleet= + n_monitors/seed with the precise error.
-        session = Session(n_monitors, seed, fleet=fleet,
-                          chunk_size=self._chunk)
+        session = Session(n_monitors, seed, fleet=fleet)
         n_monitors = session.n_monitors
         seed = session.seed
         session.open()
@@ -543,7 +534,7 @@ class FleetService:
                            WindowedRun(None, profile, total_steps,
                                        record_every_n=every,
                                        checkpoint_path=path),
-                           mode, self._chunk)
+                           mode)
             self._groups[group.group_id] = group
             self._open_by_key[key] = group
         group.members.append(member)
@@ -723,8 +714,8 @@ class FleetService:
             registry.gauge("service.clients").set(len(self._members))
 
     def _discard_group(self, group: _Group) -> None:
-        # Evict any pool-resident shard state the cohort engine holds
-        # (a no-op for serial groups).
+        # Close the cohort engine: a closed sharded engine refuses
+        # further windows (a no-op for serial groups).
         group.run.close()
         self._groups.pop(group.group_id, None)
         if self._open_by_key.get(group.key) is group:
@@ -752,8 +743,7 @@ class FleetService:
         if self._open_by_key.get(group.key) is group:
             del self._open_by_key[group.key]
         rigs = [rig for member in group.members for rig in member.rigs]
-        group.run.engine = MixedEngine(rigs, chunk_size=group.chunk_size,
-                                       numerics=group.numerics,
+        group.run.engine = MixedEngine(rigs, numerics=group.numerics,
                                        workers=self._workers)
 
     def _fail_group(self, group: _Group, exc: BaseException) -> None:

@@ -370,7 +370,6 @@ def run_campaign(fleet, *, duration_s: float | None = None,
                  snapshot_s: float | None = None,
                  record_every_n: int | None = None,
                  numerics: str = "exact",
-                 chunk_size: int = 1024,
                  checkpoint_dir=None,
                  resume: bool = False) -> CampaignReport:
     """Run a scenario campaign described by a scenario-tagged FleetSpec.
@@ -403,7 +402,7 @@ def run_campaign(fleet, *, duration_s: float | None = None,
     snapshot_s / record_every_n:
         The unified cadence knob (see
         :func:`repro.runtime.session.resolve_record_every_n`).
-    numerics / chunk_size:
+    numerics:
         Forwarded to every group engine.
     checkpoint_dir:
         Durability root (default None: no disk artifacts).  The
@@ -490,9 +489,11 @@ def run_campaign(fleet, *, duration_s: float | None = None,
     # only the in-flight engine rides the artifact.
     checkpoint_path = (Path(checkpoint_dir) / "campaign.ckpt"
                        if checkpoint_dir is not None else None)
+    # The fingerprint keeps the engine's noise block length (1024) from
+    # when it was a campaign knob, so 4.x checkpoints still resume.
     fingerprint = run_fingerprint(
         base_profile, total_steps, every, resolve_numerics(numerics),
-        fleet=fleet.to_dict(), chunk_size=int(chunk_size))
+        fleet=fleet.to_dict(), chunk_size=1024)
     if resume:
         run, state = WindowedRun.restore(checkpoint_path, fingerprint,
                                          expect_kind="batch")
@@ -534,9 +535,7 @@ def run_campaign(fleet, *, duration_s: float | None = None,
                 first_window = current["next_window"]
                 current = None
             else:
-                run.engine = BatchEngine(group["rigs"],
-                                         chunk_size=chunk_size,
-                                         numerics=numerics)
+                run.engine = BatchEngine(group["rigs"], numerics=numerics)
                 windows = []
                 window_rows = []
                 first_window = 0

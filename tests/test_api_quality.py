@@ -78,7 +78,42 @@ def test_all_exports_resolve(pkg_name):
 
 
 def test_version_string():
-    assert repro.__version__ == "4.0.0"
+    assert repro.__version__ == "5.0.0"
+
+
+def test_removed_in_5_0():
+    """5.0 keeps only the run knobs callers vary.
+
+    ``Session.run(engine=)``, ``run_batch``, ``resolve_workers`` and
+    ``chunk_size`` on every layer above ``BatchEngine`` are gone; the
+    engine itself keeps ``chunk_size``.
+    """
+    from repro.runtime import (BatchEngine, MixedEngine, Session,
+                               ShardedEngine, run_durable)
+    from repro.station import run_campaign
+
+    def params(func):
+        return inspect.signature(func).parameters
+
+    for func in (Session.run, repro.run):
+        assert "engine" not in params(func), func
+    for func in (Session, repro.FleetService, repro.connect, run_campaign,
+                 run_durable, MixedEngine, ShardedEngine):
+        assert "chunk_size" not in params(func), func
+    with pytest.raises(TypeError):
+        repro.connect(chunk_size=256)  # not forwarded to the service
+    runtime = importlib.import_module("repro.runtime")
+    for name in ("run_batch", "resolve_workers"):
+        for pkg in (repro, runtime):
+            assert not hasattr(pkg, name), f"{pkg.__name__}.{name}"
+            assert name not in pkg.__all__
+    assert not hasattr(importlib.import_module("repro.runtime.batch"),
+                       "run_batch")
+    assert not hasattr(importlib.import_module("repro.runtime.parallel"),
+                       "resolve_workers")
+    assert params(BatchEngine)["chunk_size"].default == 1024
+    assert params(ShardedEngine)["workers"].default is \
+        inspect.Parameter.empty
 
 
 def test_error_hierarchy_single_source():

@@ -2,7 +2,7 @@
 
 Covers seed-derivation bit-compatibility with the classic Session
 plumbing, dict round-trips (scenario tags included), the ``fleet=``
-redesign of Session / run_batch / characterize_meter_pool, the
+redesign of Session / MixedEngine / characterize_meter_pool, the
 conflict and scenario refusals, and the removal of the 1.x per-call
 build spellings.
 """
@@ -10,8 +10,9 @@ build spellings.
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
-from repro.runtime import FleetSpec, RigSpec, RunResult, Session, run_batch
+from repro.runtime import FleetSpec, MixedEngine, RigSpec, RunResult, Session
 from repro.station.campaign import Event, ScenarioSpec
 from repro.station.fleet import characterize_meter_pool
 from repro.station.profiles import hold
@@ -109,16 +110,18 @@ def test_scenario_specs_refused_outside_campaign():
     with pytest.raises(ConfigurationError):
         Session(fleet=tagged)
     with pytest.raises(ConfigurationError):
-        run_batch(tagged, hold(50.0, 1.0))
+        repro.run(hold(50.0, 1.0), fleet=tagged)
 
 
 def test_run_batch_accepts_fleet_spec():
+    """``run_batch`` is gone (5.0): a mixed FleetSpec runs through
+    ``MixedEngine`` over its materialized rigs, equal to a Session."""
     profile = hold(60.0, 1.0)
     spec = FleetSpec(
         rigs=(RigSpec(fast_calibration=True),
               RigSpec(overtemperature_k=7.0, fast_calibration=True)),
         seed=5)
-    batched = run_batch(spec, profile)
+    batched = MixedEngine(spec.materialize()).run(profile)
     with Session(fleet=spec) as session:
         session.calibrate()
         from_session = session.run(profile)

@@ -24,8 +24,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime import BatchEngine, FleetSpec, RunResult, Session
-from repro.runtime.batch import _vexp, run_batch
+from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, RunResult,
+                           Session)
+from repro.runtime.batch import _vexp
 from repro.runtime.kernels import (NUMERICS_MODES, Numerics, exp_exact,
                                    film_conductance, pow10_exact, pow_exact,
                                    resolve_numerics)
@@ -190,8 +191,7 @@ def test_engines_reject_unknown_numerics(shared_setup):
         ShardedEngine([shared_setup.rig], workers=1, numerics="bogus")
     assert excinfo.value.reason == "numerics"
     with pytest.raises(ConfigurationError) as excinfo:
-        run_batch([shared_setup.rig], staircase([0.0, 50.0], dwell_s=0.5),
-                  numerics="bogus")
+        MixedEngine([shared_setup.rig], numerics="bogus")
     assert excinfo.value.reason == "numerics"
 
 
@@ -203,12 +203,14 @@ def test_session_run_validates_numerics():
             session.run(staircase([0.0, 50.0], dwell_s=0.5),
                         numerics="bogus")
         assert excinfo.value.reason == "numerics"
-        # The scalar reference path *is* the exact contract; fast on it
-        # is refused rather than silently ignored.
-        with pytest.raises(ConfigurationError) as excinfo:
+        # Every Session run is on the vectorized kernels, so "fast"
+        # always applies; engine= no longer exists.
+        with pytest.raises(TypeError):
             session.run(staircase([0.0, 50.0], dwell_s=0.5),
                         engine="scalar", numerics="fast")
-        assert excinfo.value.reason == "numerics"
+        fast = session.run(staircase([0.0, 50.0], dwell_s=0.5),
+                           numerics="fast")
+        assert fast.n_monitors == 1
 
 
 # -- fast-mode engine parity --------------------------------------------------

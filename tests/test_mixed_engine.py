@@ -172,6 +172,26 @@ def test_run_after_every_rig_dropped_is_refused(kind):
         engine.run(hold(50.0, 0.5))
 
 
+@pytest.mark.parametrize("kind", ["batch", "sharded", "mixed"])
+def test_drop_index_refusals_share_one_message(kind):
+    """Every engine's ``drop`` runs one index check, with one wording."""
+    rigs = [_rig(41), _rig(42)]
+    if kind == "batch":
+        engine = BatchEngine(rigs)
+    elif kind == "sharded":
+        engine = ShardedEngine(rigs, workers=2)
+    else:
+        engine = MixedEngine(rigs)
+    for bad in ([2], [-1]):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^drop index {bad[0]} out of range "
+                                 rf"for fleet of 2$"):
+            engine.drop(bad)
+    with pytest.raises(ConfigurationError,
+                       match=r"^drop index 1 given twice$"):
+        engine.drop([1, 1])
+
+
 def test_config_grouping_runs_once_per_rig(monkeypatch, tmp_path):
     """Only MixedEngine groups a fleet; engine builds behind it do not
     group it again."""

@@ -186,18 +186,28 @@ def test_knob_validation():
     with pytest.raises(ConfigurationError):
         ShardedEngine(rigs, workers=0)
     with pytest.raises(ConfigurationError):
-        ShardedEngine(rigs, max_retries=-1)
+        ShardedEngine(rigs, workers=2, max_retries=-1)
     with pytest.raises(ConfigurationError):
-        ShardedEngine(rigs, timeout_s=0.0)
+        ShardedEngine(rigs, workers=2, timeout_s=0.0)
+    # The worker count has one meaning: a required positive int.
+    with pytest.raises(TypeError):
+        ShardedEngine(rigs)
+    with pytest.raises(TypeError):
+        ShardedEngine(rigs, workers=None)
 
 
 def test_session_refuses_workers_on_scalar_engine():
+    """The scalar engine is gone from ``Session.run`` (5.0), so
+    ``engine=`` is refused outright; a non-positive worker count still
+    is a ``ConfigurationError``."""
     from repro.runtime import FleetSpec, Session
     with Session(fleet=FleetSpec.homogeneous(
             1, seed=5, fast_calibration=True)) as session:
         session.calibrate()
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             session.run(PROFILE, engine="scalar", workers=2)
+        with pytest.raises(ConfigurationError):
+            session.run(PROFILE, workers=0)
 
 
 def test_monitored_network_validates_workers():

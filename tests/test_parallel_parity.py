@@ -5,7 +5,7 @@ with the serial batch engine: for any shard count and any worker
 scheduling, the merged traces must equal the serial run bitwise.  These
 tests assert that for shard counts 1, 2, 3 and N (one rig per worker),
 through every public surface (`ShardedEngine`, `Session.run(workers=)`,
-`run_batch(workers=)`, `characterize_meter_pool(workers=)`,
+`MixedEngine(workers=)`, `characterize_meter_pool(workers=)`,
 `FleetService(workers=)`, `run_durable`), across
 `advance` windows, a mid-sequence pickle (the checkpoint path) and
 `drop`, and with a worker crash injected mid-run.
@@ -19,7 +19,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, RunResult,
-                           Session, ShardedEngine, run_batch, run_durable,
+                           Session, ShardedEngine, run_durable,
                            spawn_monitor_seeds)
 from repro.runtime.faults import FAULT_ENV
 from repro.service import FleetService
@@ -88,7 +88,9 @@ def test_session_workers_parity():
 
 
 def test_run_batch_workers_parity(serial_reference):
-    _assert_bit_identical(run_batch(_fleet(), PROFILE, workers=3),
+    """``run_batch`` is gone (5.0); its one-call form is
+    ``MixedEngine(rigs, workers=)``."""
+    _assert_bit_identical(MixedEngine(_fleet(), workers=3).run(PROFILE),
                           serial_reference)
 
 

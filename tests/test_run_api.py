@@ -45,9 +45,11 @@ def test_session_run_snapshot_s_equals_record_every_n(session):
 
 def test_session_run_is_keyword_only(session):
     with pytest.raises(TypeError):
-        session.run(hold(60.0, 0.5), "scalar", 25)
-    result = session.run(hold(60.0, 0.5), engine="scalar", record_every_n=25)
+        session.run(hold(60.0, 0.5), 0.025, "result")
+    result = session.run(hold(60.0, 0.5), snapshot_s=0.025,
+                         collect="result")
     assert result.n_monitors == 1
+    assert len(result.time_s) == 20
 
 
 def test_session_run_collect_summary(session):

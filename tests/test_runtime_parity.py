@@ -17,21 +17,29 @@ import pytest
 import repro.station.scenarios as scenarios
 from repro.cli import main
 from repro.errors import ConfigurationError, SessionError
-from repro.runtime import (BatchEngine, FleetSpec, RunResult, Session,
-                           run_batch)
+from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, RunResult,
+                           Session)
 from repro.station.profiles import bidirectional_staircase, hold, staircase
 from repro.station.scenarios import (build_calibrated_monitor,
                                      clear_calibration_cache)
 from repro.store import ArtifactStore
 
 
+def _scalar_oracle(spec, profile):
+    """Each rig of ``spec`` through ``TestRig.run`` on a fresh build."""
+    return RunResult.from_records([
+        build_calibrated_monitor(seed=s, **entry.build_kwargs()).rig.run(
+            profile, record_every_n=20)
+        for s, entry in zip(spec.monitor_seeds(), spec.flat())])
+
+
 def _parity_case(profile, n_monitors=2, seed=2024):
-    with Session(fleet=FleetSpec.homogeneous(
-            n_monitors, seed=seed, fast_calibration=True)) as session:
+    spec = FleetSpec.homogeneous(n_monitors, seed=seed,
+                                 fast_calibration=True)
+    with Session(fleet=spec) as session:
         session.calibrate()
-        batched = session.run(profile, engine="batch")
-        scalar = session.run(profile, engine="scalar")
-    return batched, scalar
+        batched = session.run(profile)
+    return batched, _scalar_oracle(spec, profile)
 
 
 def _assert_parity(batched, scalar):
@@ -55,9 +63,11 @@ def test_batch_matches_scalar(profile):
 
 
 def test_run_batch_convenience_matches_rig_run():
+    """``run_batch`` is gone (5.0); its one-call form is
+    ``MixedEngine(rigs).run``, held to the scalar loop on fresh rigs."""
     profile = hold(60.0, 2.0)
     rigs = [build_calibrated_monitor(seed=s, fast=True).rig for s in (11, 12)]
-    batched = run_batch(rigs, profile)
+    batched = MixedEngine(rigs).run(profile)
     fresh = [build_calibrated_monitor(seed=s, fast=True).rig for s in (11, 12)]
     scalar = RunResult.from_records(
         [rig.run(profile, record_every_n=20) for rig in fresh])
@@ -78,11 +88,13 @@ def test_batch_engine_refuses_heterogeneous_fleet():
 
 
 def test_session_unknown_engine_rejected():
+    """``Session.run(engine=)`` is gone (5.0): any engine is refused."""
     with Session(fleet=FleetSpec.homogeneous(
             1, seed=5, fast_calibration=True)) as session:
         session.calibrate()
-        with pytest.raises(ConfigurationError):
-            session.run(hold(50.0, 1.0), engine="quantum")
+        for engine in ("quantum", "scalar", "batch"):
+            with pytest.raises(TypeError):
+                session.run(hold(50.0, 1.0), engine=engine)
 
 
 def test_session_lifecycle_enforced():
@@ -127,7 +139,9 @@ def test_calibrated_session_keeps_its_calibrations(case, tmp_path,
 
     The LRU is emptied right after calibrate(); each run must still
     come out bit-identical to a fresh session and to the scalar oracle
-    without a single campaign or store read.
+    without a single campaign or store read.  The ``scalar`` case runs
+    the handles calibrate() returned through ``TestRig.run``, then the
+    session itself.
     """
     calls = {"campaigns": 0, "store_gets": 0}
 
@@ -161,24 +175,24 @@ def test_calibrated_session_keeps_its_calibrations(case, tmp_path,
                      "--dwell", "0.1", "--out", str(out)]) == 0
         results = [RunResult.load(out)]
     else:
-        run_kwargs = {"batch": {"engine": "batch"},
-                      "scalar": {"engine": "scalar"},
-                      "workers2": {"workers": 2}}.get(case, {})
+        run_kwargs = {"workers2": {"workers": 2}}.get(case, {})
         checkpoint_dir = tmp_path / "ck" if case == "checkpoint" else None
         with Session(fleet=spec, checkpoint_dir=checkpoint_dir) as session:
-            session.calibrate()
-            results = [session.run(_KEPT_PROFILE, **run_kwargs)
-                       for _ in range(2)]
+            handles = session.calibrate()
+            if case == "scalar":
+                results = [RunResult.from_records([
+                    handle.rig.run(_KEPT_PROFILE, record_every_n=20)
+                    for handle in handles])]
+            else:
+                results = [session.run(_KEPT_PROFILE, **run_kwargs)]
+            results.append(session.run(_KEPT_PROFILE, **run_kwargs))
     assert calls == {"campaigns": 0, "store_gets": 0}
 
     monkeypatch.undo()
     with Session(fleet=spec) as fresh:
         fresh.calibrate()
         reference = fresh.run(_KEPT_PROFILE)
-    oracle = RunResult.from_records([
-        build_calibrated_monitor(seed=s, **entry.build_kwargs()).rig.run(
-            _KEPT_PROFILE, record_every_n=20)
-        for s, entry in zip(spec.monitor_seeds(), spec.flat())])
+    oracle = _scalar_oracle(spec, _KEPT_PROFILE)
     for result in results:
         _assert_parity(result, reference)
         _assert_parity(result, oracle)

@@ -7,16 +7,17 @@ is kept here under the original names: a context-managed
 counts 1, 2, 3 and N and ends closed; a worker killed mid-run degrades
 its shard to in-process serial under the default retry budget; the
 per-rig scheduler accounting matches serial; and ``Session.run`` with
-the backend named explicitly and ``run_batch`` on a ``FleetSpec`` stay
+the backend named explicitly and ``repro.run`` on a ``FleetSpec`` stay
 bit-identical to their serial runs.
 """
 
 import numpy as np
 import pytest
 
+import repro
 from repro.errors import ConfigurationError
 from repro.runtime import (BatchEngine, FleetSpec, RunResult, Session,
-                           ShardedEngine, run_batch, spawn_monitor_seeds)
+                           ShardedEngine, spawn_monitor_seeds)
 from repro.runtime.faults import FAULT_ENV
 from repro.station.profiles import hold, staircase
 from repro.station.scenarios import build_calibrated_monitor
@@ -87,7 +88,8 @@ def test_session_shm_backend_parity():
 
 
 def test_run_batch_shm_backend_parity():
-    """``run_batch`` on a FleetSpec: sharded equals serial bitwise."""
+    """``repro.run`` on a FleetSpec (``run_batch`` is gone in 5.0):
+    sharded equals serial bitwise."""
     spec = FleetSpec.homogeneous(3, seed=SEED, fast_calibration=True)
-    _assert_bit_identical(run_batch(spec, PROFILE, workers=3),
-                          run_batch(spec, PROFILE))
+    _assert_bit_identical(repro.run(PROFILE, fleet=spec, workers=3),
+                          repro.run(PROFILE, fleet=spec))
