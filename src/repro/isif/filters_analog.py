@@ -1,13 +1,17 @@
 """Anti-aliasing low-pass ahead of the ΣΔ ADC.
 
-A second-order Butterworth, discretised once (bilinear transform at the
-simulation rate) and run sample-by-sample.  In the real channel this is
-a continuous gm-C stage; modelling it discretely at the loop rate is
-adequate because everything above the loop Nyquist is already folded by
-the simulation itself.
+A second-order Butterworth, discretised (bilinear transform at the
+simulation rate) once per (corner, rate) per process and shared by
+every channel with that design; each filter keeps its own state and
+runs sample-by-sample.  In the real channel this is a continuous gm-C
+stage; modelling it discretely at the loop rate is adequate because
+everything above the loop Nyquist is already folded by the simulation
+itself.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal
@@ -15,6 +19,13 @@ from scipy import signal
 from repro.errors import ConfigurationError
 
 __all__ = ["AntiAliasFilter"]
+
+
+@lru_cache(maxsize=64)
+def _butter_sos(cutoff_hz: float, sample_rate_hz: float) -> tuple[tuple[float, ...], ...]:
+    """Second-order sections of the Butterworth, as immutable floats."""
+    sos = signal.butter(2, cutoff_hz, fs=sample_rate_hz, output="sos")
+    return tuple(tuple(float(c) for c in row) for row in sos)
 
 
 class AntiAliasFilter:
@@ -36,10 +47,9 @@ class AntiAliasFilter:
                 f"cutoff {cutoff_hz} Hz at or above Nyquist of {sample_rate_hz} Hz")
         self.cutoff_hz = cutoff_hz
         self.sample_rate_hz = sample_rate_hz
-        self._sos = signal.butter(2, cutoff_hz, fs=sample_rate_hz, output="sos")
         # Per-sample stepping uses a hand-rolled DF2T cascade: calling
         # scipy's sosfilt on length-1 arrays dominates the loop profile.
-        self._coeffs = [tuple(float(c) for c in row) for row in self._sos]
+        self._coeffs = list(_butter_sos(cutoff_hz, sample_rate_hz))
         self._state = [[0.0, 0.0] for _ in self._coeffs]
 
     def step(self, x: float) -> float:

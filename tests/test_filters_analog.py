@@ -68,3 +68,35 @@ def test_state_carries_across_blocks():
     whole = f1.process(x)
     split = np.concatenate([f2.process(x[:100]), f2.process(x[100:])])
     assert np.allclose(whole, split)
+
+
+def test_one_design_per_corner_and_rate(monkeypatch):
+    """Every channel with the same corner and rate shares one design."""
+    from repro.isif import filters_analog
+    from repro.isif.platform import ISIFPlatform
+
+    calls = []
+    butter = signal.butter
+
+    def counting_butter(*args, **kwargs):
+        calls.append((args, kwargs))
+        return butter(*args, **kwargs)
+
+    filters_analog._butter_sos.cache_clear()
+    monkeypatch.setattr(filters_analog.signal, "butter", counting_butter)
+    platforms = [ISIFPlatform.for_anemometer(seed=seed) for seed in (3, 11)]
+    filters = [ch.anti_alias for p in platforms for ch in p.channels]
+    designs = {(f.cutoff_hz, f.sample_rate_hz) for f in filters}
+    assert len(calls) == len(designs)
+    monkeypatch.undo()
+
+    for f in filters:
+        sos = signal.butter(2, f.cutoff_hz, fs=f.sample_rate_hz, output="sos")
+        assert f._coeffs == [tuple(float(c) for c in row) for row in sos]
+
+    key = (filters[0].cutoff_hz, filters[0].sample_rate_hz)
+    first, second = [f for f in filters
+                     if (f.cutoff_hz, f.sample_rate_hz) == key][:2]
+    for _ in range(50):
+        first.step(1.0)
+    assert second.step(1.0) == second._coeffs[0][0]
