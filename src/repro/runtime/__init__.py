@@ -17,9 +17,11 @@
   ``RigRecord`` rehydration and shard-block concatenation,
 - :class:`MixedEngine` (:mod:`repro.runtime.mixed`) — group-by-config
   sub-batching for *structurally heterogeneous* fleets: rigs are
-  partitioned into config-equivalence groups (:func:`config_group_key`
-  / :func:`fleet_groups`), each group runs on its own ``BatchEngine``,
-  and the blocks interleave back into caller order bit-identically,
+  partitioned into config-equivalence groups by the one rig signature
+  that also decides which rigs a ``BatchEngine`` accepts
+  (:func:`fleet_groups`; :func:`config_group_key` is a hash of the one
+  rig signature), each group runs on its own ``BatchEngine``, and the
+  blocks interleave back into caller order bit-identically,
 - :class:`FleetSpec` / :class:`RigSpec` (:mod:`repro.runtime.spec`) —
   the one declarative fleet description (per-rig config + count + seed
   + scenario) accepted by ``Session``,

@@ -58,7 +58,7 @@ from repro.errors import ConfigurationError, SensorFault
 from repro.observability import get_profiler, get_registry, get_tracer
 from repro.baselines.promag import Promag50
 from repro.conditioning.drive import ContinuousDrive, PulsedDrive
-from repro.isif.sigma_delta import BehavioralAdc, SigmaDeltaAdc
+from repro.isif.sigma_delta import BehavioralAdc
 from repro.physics.convection import NATURAL_CONVECTION_FLOOR
 from repro.physics.water import boiling_temperature
 from repro.runtime.kernels import (ar1_block, exp_exact, film_conductance,
@@ -99,6 +99,124 @@ def _drop_rows(indices, n: int) -> set[int]:
     return rows
 
 
+def _signature(rig: TestRig) -> tuple:
+    """Everything two rigs must share to run on one :class:`BatchEngine`.
+
+    Rigs share an engine exactly when their signatures compare equal;
+    :func:`repro.runtime.mixed.config_group_key` is a hash of this
+    tuple.  Realized per-rig values (trims, calibration constants,
+    housing state, turbulence intensity, noise streams) are left out:
+    they are the in-group diversity the engine carries per monitor.
+    """
+    mon = rig.monitor
+    sen = mon.sensor
+    ctrl = mon.controller
+    est = mon.estimator
+    plat = mon.platform
+    line = rig.line
+    ref = rig.reference
+    drive = ctrl.drive
+    drive_sig: tuple = (type(drive).__name__,)
+    if isinstance(drive, PulsedDrive):
+        drive_sig += (drive.period_s, drive.duty, drive.blanking_s, drive._t)
+    noise = line._noise.config
+    return (
+        replace(sen.config, seed=0),
+        mon.config,
+        ctrl.config,
+        plat.loop_rate_hz,
+        (bool(est.config.use_direction),
+         bool(est.config.temperature_compensation), bool(est._primed)),
+        drive_sig,
+        tuple((ch.config.afe, bool(ch.config.bit_true_adc),
+               type(ch.adc).__name__, ch.anti_alias._coeffs,
+               ch.digital_lpf.alpha, ch.digital_lpf.qformat,
+               ch.adc._thermal_rms_v, ch.adc._lsb_v,
+               ch.adc._min_code, ch.adc._max_code)
+              for ch in plat.channels[:2]),
+        tuple((dac.settling_time_s, dac.lsb_v, dac.max_code)
+              for dac in (plat.supply_dac_a, plat.supply_dac_b)),
+        (ctrl.pi_a.config, ctrl.pi_b.config),
+        (replace(line.config, seed=0),
+         noise.floor_mps, noise.integral_length_m, noise.min_speed_mps,
+         line._speed, line._pressure, line._temperature, line._time_s),
+        (type(ref).__name__,
+         getattr(ref, "full_scale_mps", None),
+         getattr(ref, "accuracy_of_reading", None),
+         getattr(ref, "resolution_fraction_fs", None),
+         getattr(ref, "response_time_s", None)),
+        tuple((h.material.tcr_per_k, h.reference_temperature_k)
+              for h in (sen.heater_a, sen.heater_b)),
+        (sen.reference.material.tcr_per_k,
+         sen.reference.reference_temperature_k, sen.reference.nominal_ohm),
+        (sen.bridge_a.r_series_ohm, sen.bridge_b.r_series_ohm),
+    )
+
+
+def _validate_fleet(rigs: list[TestRig]) -> None:
+    """Refuse fleets the vectorized path cannot reproduce bit-exactly.
+
+    Every rig's :func:`_signature` must equal rig 0's; a fleet that
+    splits is refused naming its config groups.  Rig 0 then speaks for
+    the fleet: it must use only features the engine reproduces, and its
+    bridge B must be built like bridge A, because the engine keeps one
+    value for both bridges.
+
+    Raises
+    ------
+    ConfigurationError
+        On an empty or heterogeneous fleet (``reason="heterogeneous"``),
+        an unsupported feature or a bridge-B/A asymmetry.
+    SensorFault
+        If any sensor is already failed.
+    """
+    _require(len(rigs) > 0, "batch engine needs at least one rig")
+    for rig in rigs:
+        if rig.monitor.sensor.failed is not None:
+            raise SensorFault(rig.monitor.sensor.failed)
+    sig0 = _signature(rigs[0])
+    if any(_signature(rig) != sig0 for rig in rigs[1:]):
+        from repro.runtime.mixed import fleet_groups  # lazy: mixed imports us
+        raise ConfigurationError(
+            "fleet is heterogeneous: config groups "
+            f"{sorted(fleet_groups(rigs))} cannot share one BatchEngine; "
+            "use repro.runtime.MixedEngine (or a FleetSpec via Session) "
+            "to sub-batch per group", reason="heterogeneous")
+    mon = rigs[0].monitor
+    ch = mon.platform.channels[0]
+    _require(mon.sensor.config.medium == "water",
+             "batch engine supports medium='water' only")
+    _require(not mon.config.temperature_compensation,
+             "temperature compensation is not vectorized; use the scalar path")
+    _require(not mon.estimator.config.temperature_compensation,
+             "temperature compensation is not vectorized")
+    _require(ch.config.afe.mode.name == "INSTRUMENT",
+             "batch engine supports INSTRUMENT readout only")
+    _require(not ch.config.afe.strict, "strict AFE mode is not vectorized")
+    _require(not ch.config.bit_true_adc and isinstance(ch.adc, BehavioralAdc),
+             "bit-true sigma-delta ADC is not vectorized")
+    _require(ch.digital_lpf.qformat is None,
+             "fixed-point digital LPF is not vectorized")
+    _require(not mon.platform.supply_dac_a.settling_time_s,
+             "DAC settling dynamics are not vectorized")
+    _require(rigs[0].line._noise.config.floor_mps > 0.0,
+             "turbulence floor must be positive (the OU stream must "
+             "draw every step for lock-step batching)")
+    _require(type(rigs[0].reference) is Promag50,
+             "batch engine supports the Promag50 reference only")
+    # The engine keeps one value for both bridges: B must be built like A.
+    channels, dacs, pis, _, _, heaters, _, series = sig0[6:]
+    for what, (a, b) in (("channel", channels), ("supply DAC", dacs),
+                         ("PI config", pis), ("heater", heaters),
+                         ("series resistance", series)):
+        _require(a == b, f"bridge B's {what} must match bridge A's")
+    # A fleet shares one drive phase, realized by ticking rig 0's.
+    if len(rigs) > 1:
+        _require(isinstance(mon.controller.drive,
+                            (ContinuousDrive, PulsedDrive)),
+                 "unknown drive scheme")
+
+
 #: Back-compat alias: the exact-mode elementwise exponential now lives in
 #: :mod:`repro.runtime.kernels`.
 _vexp = exp_exact
@@ -130,193 +248,28 @@ class BatchEngine:
         vectorized path does not reproduce bit-exactly (bit-true ΣΔ ADC,
         strict AFE, non-zero DAC settling, temperature compensation,
         fixed-point output IIR, non-water medium, zero turbulence floor,
-        or a non-Promag50 reference meter); with ``reason="numerics"``
-        for an unknown numerics mode.
+        a non-Promag50 reference meter, or a bridge B not built like
+        bridge A); with ``reason="numerics"`` for an unknown numerics
+        mode.
     SensorFault
         If any sensor is already failed.
     """
 
     def __init__(self, rigs: list[TestRig], chunk_size: int = 1024,
                  numerics: str = "exact") -> None:
-        _require(len(rigs) > 0, "batch engine needs at least one rig")
         _require(chunk_size >= 1, "chunk_size must be >= 1")
         self._rigs = list(rigs)
         self._chunk = int(chunk_size)
         self._n = len(self._rigs)
         self._numerics = resolve_numerics(numerics)
         self._fast = self._numerics == "fast"
-        self._validate()
+        _validate_fleet(self._rigs)
         self._extract()
 
     @property
     def numerics(self) -> str:
         """The resolved numerics mode (``"exact"`` or ``"fast"``)."""
         return self._numerics
-
-    # -- fleet homogeneity ---------------------------------------------------
-
-    def _validate(self) -> None:
-        """Refuse fleets the vectorized path cannot reproduce bit-exactly.
-
-        When a precise pairwise check fails on a multi-rig fleet, the
-        fleet is grouped by config so a mixed fleet gets a diagnosable
-        error naming its config groups, not whichever pairwise mismatch
-        happened to trip first.  A valid fleet never pays for grouping.
-        """
-        try:
-            self._check_fleet()
-        except ConfigurationError as exc:
-            if len(self._rigs) > 1:
-                from repro.runtime.mixed import fleet_groups  # lazy: mixed imports us
-                try:
-                    groups = fleet_groups(self._rigs)
-                except Exception:
-                    groups = {}  # keep the precise error
-                if len(groups) > 1:
-                    raise ConfigurationError(
-                        "fleet is heterogeneous: config groups "
-                        f"{sorted(groups)} cannot share one BatchEngine; "
-                        "use repro.runtime.MixedEngine (or a FleetSpec "
-                        "via Session) to sub-batch per group",
-                        reason="heterogeneous") from exc
-            raise
-
-    def _check_fleet(self) -> None:
-        """The precise homogeneity and feature checks behind _validate."""
-        rigs = self._rigs
-        mon0 = rigs[0].monitor
-        sen0 = mon0.sensor
-        cfg0 = replace(sen0.config, seed=0)
-        _require(sen0.config.medium == "water",
-                 "batch engine supports medium='water' only")
-        _require(not mon0.config.temperature_compensation,
-                 "temperature compensation is not vectorized; use the scalar path")
-        for rig in rigs:
-            mon = rig.monitor
-            sen = mon.sensor
-            if sen.failed is not None:
-                raise SensorFault(sen.failed)
-            _require(replace(sen.config, seed=0) == cfg0,
-                     "fleet sensors must share one MAFConfig (modulo seed)")
-            _require(mon.config == mon0.config,
-                     "fleet monitors must share one MonitorConfig")
-            _require(mon.controller.config == mon0.controller.config,
-                     "fleet controllers must share one CTAConfig")
-            _require(mon.platform.loop_rate_hz == mon0.platform.loop_rate_hz,
-                     "fleet platforms must share one loop rate")
-            est = mon.estimator
-            _require(not est.config.temperature_compensation,
-                     "temperature compensation is not vectorized")
-            _require(est.config.use_direction == mon0.estimator.config.use_direction,
-                     "fleet estimators must agree on use_direction")
-            _require(est._primed == mon0.estimator._primed,
-                     "fleet estimators must share priming state")
-        # Drive schemes: one shared phase, realized by ticking rig 0's.
-        drive0 = mon0.controller.drive
-        for rig in rigs[1:]:
-            drive = rig.monitor.controller.drive
-            _require(type(drive) is type(drive0),
-                     "fleet drives must share one scheme")
-            if isinstance(drive0, PulsedDrive):
-                _require((drive.period_s, drive.duty, drive.blanking_s, drive._t)
-                         == (drive0.period_s, drive0.duty, drive0.blanking_s,
-                             drive0._t),
-                         "fleet pulsed drives must share timing and phase")
-            else:
-                _require(isinstance(drive0, ContinuousDrive),
-                         "unknown drive scheme")
-        # Platform channels and DACs.
-        ch0 = mon0.platform.channels[0]
-        afe_cfg0 = ch0.config.afe
-        _require(afe_cfg0.mode.name == "INSTRUMENT",
-                 "batch engine supports INSTRUMENT readout only")
-        _require(not afe_cfg0.strict, "strict AFE mode is not vectorized")
-        coeffs0 = ch0.anti_alias._coeffs
-        for rig in rigs:
-            plat = rig.monitor.platform
-            for ch in plat.channels[:2]:
-                _require(ch.config.afe == afe_cfg0,
-                         "fleet channels must share one AFEConfig")
-                _require(not ch.config.bit_true_adc
-                         and isinstance(ch.adc, BehavioralAdc)
-                         and not isinstance(ch.adc, SigmaDeltaAdc),
-                         "bit-true sigma-delta ADC is not vectorized")
-                _require(ch.anti_alias._coeffs == coeffs0,
-                         "fleet anti-alias filters must share coefficients")
-                _require(ch.digital_lpf.qformat is None,
-                         "fixed-point digital LPF is not vectorized")
-                _require(ch.digital_lpf.alpha
-                         == mon0.platform.channels[0].digital_lpf.alpha,
-                         "fleet digital LPFs must share alpha")
-                adc0 = mon0.platform.channels[0].adc
-                _require((ch.adc._thermal_rms_v, ch.adc._lsb_v,
-                          ch.adc._min_code, ch.adc._max_code)
-                         == (adc0._thermal_rms_v, adc0._lsb_v,
-                             adc0._min_code, adc0._max_code),
-                         "fleet ADCs must share noise and scale")
-            for dac in (plat.supply_dac_a, plat.supply_dac_b):
-                _require(not dac.settling_time_s,
-                         "DAC settling dynamics are not vectorized")
-                _require(dac.lsb_v == mon0.platform.supply_dac_a.lsb_v
-                         and dac.max_code == mon0.platform.supply_dac_a.max_code,
-                         "fleet supply DACs must share scale")
-        # PI controllers.
-        pi0 = mon0.controller.pi_a
-        for rig in rigs:
-            for pi in (rig.monitor.controller.pi_a, rig.monitor.controller.pi_b):
-                _require(pi.config == pi0.config,
-                         "fleet PI controllers must share one PIConfig")
-        # Water line: shared bulk plant, per-monitor turbulence stream.
-        line0 = rigs[0].line
-        lcfg0 = replace(line0.config, seed=0)
-        ncfg0 = line0._noise.config
-        for rig in rigs:
-            line = rig.line
-            _require(replace(line.config, seed=0) == lcfg0,
-                     "fleet lines must share one LineConfig (modulo seed)")
-            ncfg = line._noise.config
-            _require((ncfg.floor_mps, ncfg.integral_length_m, ncfg.min_speed_mps)
-                     == (ncfg0.floor_mps, ncfg0.integral_length_m,
-                         ncfg0.min_speed_mps),
-                     "fleet turbulence must share floor/length/min-speed")
-            _require(ncfg.floor_mps > 0.0,
-                     "turbulence floor must be positive (the OU stream must "
-                     "draw every step for lock-step batching)")
-            _require((line._speed, line._pressure, line._temperature,
-                      line._time_s)
-                     == (line0._speed, line0._pressure, line0._temperature,
-                         line0._time_s),
-                     "fleet lines must start from one shared bulk state")
-        # Reference meters.
-        ref0 = rigs[0].reference
-        for rig in rigs:
-            ref = rig.reference
-            _require(type(ref) is Promag50,
-                     "batch engine supports the Promag50 reference only")
-            _require((ref.full_scale_mps, ref.accuracy_of_reading,
-                      ref.resolution_fraction_fs, ref.response_time_s)
-                     == (ref0.full_scale_mps, ref0.accuracy_of_reading,
-                         ref0.resolution_fraction_fs, ref0.response_time_s),
-                     "fleet reference meters must share parameters")
-        # Resistor materials / bridge series resistance.
-        h0 = sen0.heater_a
-        r0 = sen0.reference
-        for rig in rigs:
-            sen = rig.monitor.sensor
-            for heater in (sen.heater_a, sen.heater_b):
-                _require((heater.material.tcr_per_k,
-                          heater.reference_temperature_k)
-                         == (h0.material.tcr_per_k, h0.reference_temperature_k),
-                         "fleet heaters must share material and T_ref")
-            _require((sen.reference.material.tcr_per_k,
-                      sen.reference.reference_temperature_k,
-                      sen.reference.nominal_ohm)
-                     == (r0.material.tcr_per_k, r0.reference_temperature_k,
-                         r0.nominal_ohm),
-                     "fleet references must share material, T_ref and nominal")
-            _require(sen.bridge_a.r_series_ohm == sen0.bridge_a.r_series_ohm
-                     and sen.bridge_b.r_series_ohm == sen0.bridge_a.r_series_ohm,
-                     "fleet bridges must share the series resistance")
 
     # -- state extraction ----------------------------------------------------
 
@@ -499,14 +452,6 @@ class BatchEngine:
             self._ki_dt_code = pi0._ki_dt_code
             self._pi_min_code = pi0._min_code
             self._pi_max_code = pi0._max_code
-            for rig in rigs:
-                for pi in (rig.monitor.controller.pi_a,
-                           rig.monitor.controller.pi_b):
-                    _require((pi._kp_code, pi._ki_dt_code, pi._min_code,
-                              pi._max_code)
-                             == (self._kp_code, self._ki_dt_code,
-                                 self._pi_min_code, self._pi_max_code),
-                             "fleet PI code tables must agree")
             self._pi_int = per_bridge(
                 lambda r: r.monitor.controller.pi_a._int_code,
                 lambda r: r.monitor.controller.pi_b._int_code).astype(np.int64)

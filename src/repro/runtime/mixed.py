@@ -6,13 +6,13 @@ seeds.  City-scale deployments are not homogeneous: meters differ in
 loop rate knobs, overtemperature, drive scheme, housing class.  This
 module lifts the restriction without touching the hot path:
 
-- :func:`config_group_key` condenses everything the batch engine's
-  homogeneity validation compares into one canonical hash (built from
-  the configs' ``to_dict`` forms with seeds zeroed, plus the handful of
-  instance-level clocks the engine also checks);
 - :func:`fleet_groups` partitions an arbitrary rig list into
-  config-equivalence groups by that key, preserving caller order
-  inside each group;
+  config-equivalence groups by the one rig signature
+  (:func:`repro.runtime.batch._signature`) — the same rule the batch
+  engine validates — preserving caller order inside each group;
+- :func:`config_group_key` names a group: a hash of the one rig
+  signature (configs with seeds zeroed, plus the handful of
+  instance-level clocks), stable across releases;
 - :class:`MixedEngine` runs each group on its own ``BatchEngine`` and
   interleaves the blocks back into caller order with the
   permutation-aware :meth:`RunResult.concat
@@ -31,11 +31,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import replace
 
 from repro.errors import ConfigurationError
-from repro.conditioning.drive import PulsedDrive
-from repro.runtime.batch import BatchEngine, _drop_rows
+from repro.runtime.batch import BatchEngine, _drop_rows, _signature
 from repro.runtime.result import RunResult
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
@@ -46,69 +44,23 @@ __all__ = ["MixedEngine", "config_group_key", "fleet_groups"]
 def config_group_key(rig: TestRig) -> str:
     """Canonical config-equivalence key of one rig (a short hex hash).
 
-    Two rigs with equal keys can share one
-    :class:`~repro.runtime.batch.BatchEngine`: the key covers every
-    quantity the engine's homogeneity validation compares — the sensor
-    / monitor / controller configs (``to_dict`` with seeds zeroed), the
-    platform loop rate and channel configuration, drive scheme and
-    phase, PI configs, the shared line plant (config modulo seed, the
-    turbulence floor/length/min-speed, bulk start state), the reference
-    meter parameters, and the resistor materials.  Realized per-rig
-    values (trims, calibration constants, housing state, turbulence
-    intensity, noise streams) are deliberately *excluded*: they are the
-    in-group diversity the engine already carries per monitor.
+    The key is a hash of the one rig signature
+    (:func:`repro.runtime.batch._signature`) that decides which rigs can
+    share a :class:`~repro.runtime.batch.BatchEngine`: the configs
+    serialize through ``to_dict`` (sensor, monitor, controller) or
+    ``repr`` (AFE, anti-alias coefficients, LPF format, PI, line), so
+    the bytes of a key stay stable across releases.
     """
-    mon = rig.monitor
-    sen = mon.sensor
-    ctrl = mon.controller
-    est = mon.estimator
-    plat = mon.platform
-    line = rig.line
-    ref = rig.reference
-    drive = ctrl.drive
-    drive_sig: list = [type(drive).__name__]
-    if isinstance(drive, PulsedDrive):
-        drive_sig += [drive.period_s, drive.duty, drive.blanking_s,
-                      drive._t]
-    channels = []
-    for ch in plat.channels[:2]:
-        channels.append([
-            repr(ch.config.afe),
-            bool(ch.config.bit_true_adc),
-            type(ch.adc).__name__,
-            repr(ch.anti_alias._coeffs),
-            ch.digital_lpf.alpha,
-            repr(ch.digital_lpf.qformat),
-            ch.adc._thermal_rms_v, ch.adc._lsb_v,
-            ch.adc._min_code, ch.adc._max_code,
-        ])
-    dacs = [[dac.settling_time_s, dac.lsb_v, dac.max_code]
-            for dac in (plat.supply_dac_a, plat.supply_dac_b)]
-    noise = line._noise.config
+    (sensor, monitor, controller, rate, estimator, drive, channels, dacs,
+     pis, line, *rest) = _signature(rig)
     payload = [
-        replace(sen.config, seed=0).to_dict(),
-        mon.config.to_dict(),
-        ctrl.config.to_dict(),
-        plat.loop_rate_hz,
-        [bool(est.config.use_direction),
-         bool(est.config.temperature_compensation), bool(est._primed)],
-        drive_sig,
-        channels,
-        dacs,
-        [repr(ctrl.pi_a.config), repr(ctrl.pi_b.config)],
-        [repr(replace(line.config, seed=0)),
-         noise.floor_mps, noise.integral_length_m, noise.min_speed_mps,
-         line._speed, line._pressure, line._temperature, line._time_s],
-        [type(ref).__name__,
-         getattr(ref, "full_scale_mps", None),
-         getattr(ref, "accuracy_of_reading", None),
-         getattr(ref, "resolution_fraction_fs", None),
-         getattr(ref, "response_time_s", None)],
-        [[h.material.tcr_per_k, h.reference_temperature_k]
-         for h in (sen.heater_a, sen.heater_b)],
-        [sen.reference.material.tcr_per_k,
-         sen.reference.reference_temperature_k, sen.reference.nominal_ohm],
-        [sen.bridge_a.r_series_ohm, sen.bridge_b.r_series_ohm],
+        sensor.to_dict(), monitor.to_dict(), controller.to_dict(), rate,
+        estimator, drive,
+        [[repr(afe), bit_true, adc, repr(coeffs), alpha, repr(qformat),
+          *adc_scale]
+         for afe, bit_true, adc, coeffs, alpha, qformat, *adc_scale
+         in channels],
+        dacs, [repr(pi) for pi in pis], [repr(line[0]), *line[1:]], *rest,
     ]
     blob = json.dumps(payload, default=repr).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
@@ -117,10 +69,12 @@ def config_group_key(rig: TestRig) -> str:
 def fleet_groups(rigs: list[TestRig]) -> dict[str, list[int]]:
     """Partition a rig list into config-equivalence groups.
 
-    Returns an ordered mapping of :func:`config_group_key` to the
-    caller indices carrying that key, in first-occurrence order; the
-    indices inside each group keep caller order.  A homogeneous fleet
-    yields exactly one group.
+    Rigs group by equal signatures (the same rule
+    :class:`~repro.runtime.batch.BatchEngine` validates), and each group
+    is keyed by its first rig's :func:`config_group_key`, hashed once.
+    Returns an ordered mapping of key to caller indices, in
+    first-occurrence order; the indices inside each group keep caller
+    order.  A homogeneous fleet yields exactly one group.
 
     Raises
     ------
@@ -129,9 +83,24 @@ def fleet_groups(rigs: list[TestRig]) -> dict[str, list[int]]:
     """
     if not rigs:
         raise ConfigurationError("need at least one rig to group")
-    groups: dict[str, list[int]] = {}
+    # A scan, not a dict: MAFConfig holds an unhashable Membrane.
+    signatures: list[tuple] = []
+    members: list[list[int]] = []
     for i, rig in enumerate(rigs):
-        groups.setdefault(config_group_key(rig), []).append(i)
+        sig = _signature(rig)
+        for known, positions in zip(signatures, members):
+            if known == sig:
+                positions.append(i)
+                break
+        else:
+            signatures.append(sig)
+            members.append([i])
+    groups: dict[str, list[int]] = {}
+    for positions in members:
+        key = config_group_key(rigs[positions[0]])
+        # Two signatures that hash alike pool their rigs rather than
+        # overwrite each other; the pooled group's engine refuses it.
+        groups[key] = sorted(groups.get(key, []) + positions)
     return groups
 
 

@@ -82,7 +82,7 @@ from repro.observability.remote import (TelemetryHarvest, TelemetryRequest,
                                         harvest_worker_telemetry,
                                         install_worker_telemetry,
                                         merge_harvest)
-from repro.runtime.batch import BatchEngine, _drop_rows
+from repro.runtime.batch import BatchEngine, _drop_rows, _validate_fleet
 from repro.runtime.faults import shard_site
 from repro.runtime.kernels import resolve_numerics
 from repro.runtime.result import RunResult
@@ -247,13 +247,11 @@ class ShardedEngine:
             raise ConfigurationError("timeout_s must be positive")
         self._rigs = list(rigs)
         self._numerics = resolve_numerics(numerics)
-        # Validate homogeneity (and every BatchEngine precondition) in
-        # the parent, before any process is spawned: construction only
-        # reads rig state, it does not consume the rigs.  The probe also
-        # pins the fleet's clocks, which outlive a drop of every rig.
-        probe = BatchEngine(self._rigs, numerics=self._numerics)
-        self._dt = probe._dt
-        self._line_time = probe._line_time
+        # Validate the fleet in the parent, before any process is
+        # spawned, and pin its clocks, which outlive a drop of every rig.
+        _validate_fleet(self._rigs)
+        self._dt = self._rigs[0].monitor.platform.dt_s
+        self._line_time = float(self._rigs[0].line._time_s)
         self._workers = min(int(workers), len(self._rigs))
         self._max_retries = int(max_retries)
         self._timeout_s = timeout_s

@@ -54,6 +54,20 @@ def test_config_group_key_ignores_per_rig_seed():
     assert config_group_key(_rig(21)) == config_group_key(_rig(22))
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    (dict(seed=21), "24e953ab5e89"),
+    (dict(seed=22, overtemperature_k=8.0), "a0467e1b139c"),
+    (dict(seed=23, use_pulsed_drive=False), "14a4efd86872"),
+    (dict(seed=24, loop_rate_hz=500.0), "922c9cfdfddf"),
+    (dict(seed=25, output_bandwidth_hz=0.5), "02b81a7d1cbe"),
+], ids=["default", "overtemperature", "continuous", "loop-rate",
+        "bandwidth"])
+def test_config_group_key_is_stable(kwargs, key):
+    """Group keys appear in provenance, campaign reports and the CLI, so
+    their bytes are pinned across releases."""
+    assert config_group_key(_rig(**kwargs)) == key
+
+
 def test_fleet_groups_refuses_empty():
     with pytest.raises(ConfigurationError):
         fleet_groups([])
@@ -193,8 +207,8 @@ def test_drop_index_refusals_share_one_message(kind):
 
 
 def test_config_grouping_runs_once_per_rig(monkeypatch, tmp_path):
-    """Only MixedEngine groups a fleet; engine builds behind it do not
-    group it again."""
+    """Only MixedEngine groups a fleet, and it hashes one key per config
+    group; engine builds behind it never hash a key."""
     import repro.runtime.mixed as mixed
 
     calls = []
@@ -214,9 +228,12 @@ def test_config_grouping_runs_once_per_rig(monkeypatch, tmp_path):
         session.calibrate()
         calls.clear()
         session.run(profile)
-    assert len(calls) == 4
+    assert len(calls) == 1
     with Session(fleet=spec, checkpoint_dir=tmp_path) as session:
         session.calibrate()
         calls.clear()
         session.run(profile, workers=2)
-    assert len(calls) == 4
+    assert len(calls) == 1
+    calls.clear()
+    MixedEngine(_mixed_fleet())
+    assert len(calls) == 2

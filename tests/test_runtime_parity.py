@@ -10,13 +10,18 @@ libm ever disagreed with itself.
 
 import functools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import repro.station.scenarios as scenarios
+from repro.baselines.promag import Promag50
 from repro.cli import main
-from repro.errors import ConfigurationError, SessionError
+from repro.conditioning.drive import DriveDecision, DriveScheme
+from repro.errors import ConfigurationError, SensorFault, SessionError
+from repro.isif.afe import ReadoutMode
+from repro.isif.fixed_point import QFormat
 from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, RunResult,
                            Session)
 from repro.station.profiles import bidirectional_staircase, hold, staircase
@@ -85,6 +90,151 @@ def test_batch_engine_refuses_heterogeneous_fleet():
                                      overtemperature_k=8.0).rig
     with pytest.raises(ConfigurationError):
         BatchEngine([rig_a, rig_b])
+
+
+def _both_channels(rig, **changes):
+    for ch in rig.monitor.platform.channels[:2]:
+        ch.config = replace(ch.config, **changes)
+
+
+def _both_afes(rig, **changes):
+    for ch in rig.monitor.platform.channels[:2]:
+        ch.config = replace(ch.config, afe=replace(ch.config.afe, **changes))
+
+
+def _scale_attr(obj, name, factor):
+    setattr(obj, name, factor * getattr(obj, name))
+
+
+def _fail_sensor(rig):
+    rig.monitor.sensor._failed = "membrane burst"
+
+
+def _set_config(obj, **changes):
+    obj.config = replace(obj.config, **changes)
+
+
+def _fixed_point_lpfs(rig):
+    for ch in rig.monitor.platform.channels[:2]:
+        ch.digital_lpf.qformat = QFormat(3, 20)
+
+
+def _settling_dacs(rig):
+    plat = rig.monitor.platform
+    for dac in (plat.supply_dac_a, plat.supply_dac_b):
+        dac.settling_time_s = 1.0e-4
+
+
+class _RecalibratedPromag(Promag50):
+    """A reference meter the engine does not model (not Promag50 itself)."""
+
+
+def _skew_coeffs(rig):
+    aa = rig.monitor.platform.channels[1].anti_alias
+    aa._coeffs = [tuple(0.5 * c for c in sos) for sos in aa._coeffs]
+
+
+def _skew_heater_material(rig):
+    heater = rig.monitor.sensor.heater_b
+    heater.material = replace(heater.material,
+                              tcr_per_k=1.1 * heater.material.tcr_per_k)
+
+
+class _BurstDrive(DriveScheme):
+    """A drive scheme the engine does not know how to batch."""
+
+    def tick(self, dt):
+        return DriveDecision(energise=True, control_active=True,
+                             sample_valid=True)
+
+    def reset(self):
+        pass
+
+    @property
+    def duty_cycle(self):
+        return 1.0
+
+
+#: (mutation of one fast-built rig, expected error, message pattern or
+#: None where only the type is pinned).
+_REFUSALS = {
+    "failed-sensor": (_fail_sensor, SensorFault, "membrane burst"),
+    "medium": (lambda r: _set_config(r.monitor.sensor, medium="air"),
+               ConfigurationError, "medium='water' only"),
+    "monitor-temperature-compensation": (
+        lambda r: _set_config(r.monitor, temperature_compensation=True),
+        ConfigurationError, "temperature compensation is not vectorized"),
+    "estimator-temperature-compensation": (
+        lambda r: _set_config(r.monitor.estimator,
+                              temperature_compensation=True),
+        ConfigurationError, "temperature compensation is not vectorized"),
+    "afe-mode": (lambda r: _both_afes(r, mode=ReadoutMode.CHARGE),
+                 ConfigurationError, "INSTRUMENT readout only"),
+    "strict-afe": (lambda r: _both_afes(r, strict=True),
+                   ConfigurationError, "strict AFE mode is not vectorized"),
+    "bit-true-adc": (lambda r: _both_channels(r, bit_true_adc=True),
+                     ConfigurationError, "bit-true sigma-delta ADC"),
+    "fixed-point-lpf": (_fixed_point_lpfs, ConfigurationError,
+                        "fixed-point digital LPF is not vectorized"),
+    "dac-settling": (_settling_dacs, ConfigurationError,
+                     "DAC settling dynamics are not vectorized"),
+    "turbulence-floor": (lambda r: _set_config(r.line._noise, floor_mps=0.0),
+                         ConfigurationError,
+                         "turbulence floor must be positive"),
+    "reference-meter": (
+        lambda r: setattr(r, "reference", _RecalibratedPromag()),
+        ConfigurationError, "Promag50 reference only"),
+    "bridge-b-afe": (
+        lambda r: _set_config(r.monitor.platform.channels[1], afe=replace(
+            r.monitor.platform.channels[1].config.afe, bandwidth_hz=123.0)),
+        ConfigurationError, None),
+    "bridge-b-anti-alias": (_skew_coeffs, ConfigurationError, None),
+    "bridge-b-lpf-alpha": (
+        lambda r: _scale_attr(r.monitor.platform.channels[1].digital_lpf,
+                              "alpha", 0.5),
+        ConfigurationError, None),
+    "bridge-b-adc": (
+        lambda r: _scale_attr(r.monitor.platform.channels[1].adc,
+                              "_thermal_rms_v", 2.0),
+        ConfigurationError, None),
+    "bridge-b-dac": (
+        lambda r: setattr(r.monitor.platform.supply_dac_b, "vref_v", 2.5),
+        ConfigurationError, None),
+    "bridge-b-pi": (
+        lambda r: _set_config(r.monitor.controller.pi_b,
+                              kp=2.0 * r.monitor.controller.pi_b.config.kp),
+        ConfigurationError, None),
+    "bridge-b-heater-material": (_skew_heater_material, ConfigurationError,
+                                 None),
+    "bridge-b-heater-tref": (
+        lambda r: _scale_attr(r.monitor.sensor.heater_b,
+                              "reference_temperature_k", 1.01),
+        ConfigurationError, None),
+    "bridge-b-series": (
+        lambda r: setattr(r.monitor.sensor.bridge_b, "r_series_ohm", 60.0),
+        ConfigurationError, None),
+    "unknown-drive-scheme": (
+        lambda r: setattr(r.monitor.controller, "drive", _BurstDrive()),
+        ConfigurationError, "unknown drive scheme"),
+}
+
+
+#: Cases that need a fleet: the engine refuses an unknown drive scheme
+#: only once there is a shared phase to tick.
+_FLEET_SIZE = {"unknown-drive-scheme": 2}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSALS))
+def test_batch_engine_refusals(case):
+    """Every feature the vectorized path does not reproduce, and every
+    bridge-B/A asymmetry inside one rig, is refused with a typed error."""
+    mutate, error, pattern = _REFUSALS[case]
+    rigs = [build_calibrated_monitor(seed=31 + i, fast=True).rig
+            for i in range(_FLEET_SIZE.get(case, 1))]
+    for rig in rigs:
+        mutate(rig)
+    with pytest.raises(error, match=pattern):
+        BatchEngine(rigs)
 
 
 def test_session_unknown_engine_rejected():
