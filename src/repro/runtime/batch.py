@@ -99,6 +99,28 @@ def _drop_rows(indices, n: int) -> set[int]:
     return rows
 
 
+def _bridges(mon) -> tuple[tuple, tuple]:
+    """Bridge A's and bridge B's parts the engine keeps one value for.
+
+    The ADC scale reads through ``getattr``: a bit-true ``SigmaDeltaAdc``
+    lacks it, and its rig must still be keyed before it is refused.
+    """
+    plat, ctrl, sen = mon.platform, mon.controller, mon.sensor
+    return tuple(
+        ((ch.config.afe, bool(ch.config.bit_true_adc), type(ch.adc).__name__,
+          ch.anti_alias._coeffs, ch.digital_lpf.alpha, ch.digital_lpf.qformat,
+          *(getattr(ch.adc, name, None) for name in
+            ("_thermal_rms_v", "_lsb_v", "_min_code", "_max_code"))),
+         (dac.settling_time_s, dac.lsb_v, dac.max_code),
+         pi.config,
+         (heater.material.tcr_per_k, heater.reference_temperature_k),
+         bridge.r_series_ohm)
+        for ch, dac, pi, heater, bridge in zip(
+            plat.channels[:2], (plat.supply_dac_a, plat.supply_dac_b),
+            (ctrl.pi_a, ctrl.pi_b), (sen.heater_a, sen.heater_b),
+            (sen.bridge_a, sen.bridge_b)))
+
+
 def _signature(rig: TestRig) -> tuple:
     """Everything two rigs must share to run on one :class:`BatchEngine`.
 
@@ -120,6 +142,7 @@ def _signature(rig: TestRig) -> tuple:
     if isinstance(drive, PulsedDrive):
         drive_sig += (drive.period_s, drive.duty, drive.blanking_s, drive._t)
     noise = line._noise.config
+    channels, dacs, pis, heaters, series = zip(*_bridges(mon))
     return (
         replace(sen.config, seed=0),
         mon.config,
@@ -128,15 +151,7 @@ def _signature(rig: TestRig) -> tuple:
         (bool(est.config.use_direction),
          bool(est.config.temperature_compensation), bool(est._primed)),
         drive_sig,
-        tuple((ch.config.afe, bool(ch.config.bit_true_adc),
-               type(ch.adc).__name__, ch.anti_alias._coeffs,
-               ch.digital_lpf.alpha, ch.digital_lpf.qformat,
-               ch.adc._thermal_rms_v, ch.adc._lsb_v,
-               ch.adc._min_code, ch.adc._max_code)
-              for ch in plat.channels[:2]),
-        tuple((dac.settling_time_s, dac.lsb_v, dac.max_code)
-              for dac in (plat.supply_dac_a, plat.supply_dac_b)),
-        (ctrl.pi_a.config, ctrl.pi_b.config),
+        channels, dacs, pis,
         (replace(line.config, seed=0),
          noise.floor_mps, noise.integral_length_m, noise.min_speed_mps,
          line._speed, line._pressure, line._temperature, line._time_s),
@@ -145,11 +160,10 @@ def _signature(rig: TestRig) -> tuple:
          getattr(ref, "accuracy_of_reading", None),
          getattr(ref, "resolution_fraction_fs", None),
          getattr(ref, "response_time_s", None)),
-        tuple((h.material.tcr_per_k, h.reference_temperature_k)
-              for h in (sen.heater_a, sen.heater_b)),
+        heaters,
         (sen.reference.material.tcr_per_k,
          sen.reference.reference_temperature_k, sen.reference.nominal_ohm),
-        (sen.bridge_a.r_series_ohm, sen.bridge_b.r_series_ohm),
+        series,
     )
 
 
@@ -205,11 +219,10 @@ def _validate_fleet(rigs: list[TestRig]) -> None:
     _require(type(rigs[0].reference) is Promag50,
              "batch engine supports the Promag50 reference only")
     # The engine keeps one value for both bridges: B must be built like A.
-    channels, dacs, pis, _, _, heaters, _, series = sig0[6:]
-    for what, (a, b) in (("channel", channels), ("supply DAC", dacs),
-                         ("PI config", pis), ("heater", heaters),
-                         ("series resistance", series)):
-        _require(a == b, f"bridge B's {what} must match bridge A's")
+    bridge_a, bridge_b = _bridges(mon)
+    _require(bridge_b == bridge_a,
+             "bridge B must be built like bridge A (channel, supply DAC, "
+             "PI config, heater and series resistance)")
     # A fleet shares one drive phase, realized by ticking rig 0's.
     if len(rigs) > 1:
         _require(isinstance(mon.controller.drive,

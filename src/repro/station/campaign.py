@@ -430,7 +430,7 @@ def run_campaign(fleet, *, duration_s: float | None = None,
     from repro.runtime import BatchEngine, FleetSpec, RunResult
     from repro.runtime.checkpoint import WindowedRun, run_fingerprint
     from repro.runtime.kernels import resolve_numerics
-    from repro.runtime.mixed import config_group_key
+    from repro.runtime.mixed import fleet_groups
     from repro.runtime.session import resolve_record_every_n
 
     if not isinstance(fleet, FleetSpec):
@@ -471,11 +471,13 @@ def run_campaign(fleet, *, duration_s: float | None = None,
     scenarios = [resolve_scenario(tag, horizon_s)
                  for tag in fleet.scenarios()]
 
-    # Execution groups: same config group AND same scenario schedule.
+    # Execution groups: same config group (fleet_groups, the one rule
+    # for which rigs share an engine) AND same scenario schedule.
+    config_key = {pos: key for key, positions in fleet_groups(rigs).items()
+                  for pos in positions}
     exec_groups: dict[tuple, dict] = {}
     for pos, (rig, scenario) in enumerate(zip(rigs, scenarios)):
-        key = (config_group_key(rig), scenario.name,
-               tuple(scenario.events))
+        key = (config_key[pos], scenario.name, tuple(scenario.events))
         group = exec_groups.setdefault(
             key, {"config_key": key[0], "scenario": scenario,
                   "positions": [], "rigs": []})

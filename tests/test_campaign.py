@@ -146,6 +146,33 @@ def test_campaign_windows_are_bit_exact_vs_uninterrupted_run():
             np.asarray(getattr(whole, name)).tobytes(), name
 
 
+def test_campaign_groups_by_the_rig_signature(monkeypatch):
+    """Execution groups are fleet_groups crossed with the scenario: one
+    key is hashed per config group, not one per rig."""
+    import repro.runtime.mixed as mixed
+
+    calls = []
+    real = mixed.config_group_key
+
+    def counting(rig):
+        calls.append(rig)
+        return real(rig)
+
+    monkeypatch.setattr(mixed, "config_group_key", counting)
+    hot = dict(overtemperature_k=8.0, **_FAST)
+    spec = FleetSpec(
+        rigs=(RigSpec(count=2, **_FAST),
+              RigSpec(scenario="tank_leak", **_FAST),
+              RigSpec(**hot), RigSpec(scenario="tank_leak", **hot)),
+        seed=77)
+    report = run_campaign(spec, duration_s=2.0)
+    assert len(calls) == 2
+    assert [(g["config_key"] == report.groups[0]["config_key"],
+             g["scenario"], g["positions"]) for g in report.groups] == [
+        (True, "baseline", [0, 1]), (True, "tank_leak", [2]),
+        (False, "baseline", [3]), (False, "tank_leak", [4])]
+
+
 def test_campaign_refusals():
     plain = FleetSpec(rigs=(RigSpec(**_FAST),), seed=1)
     with pytest.raises(ConfigurationError):

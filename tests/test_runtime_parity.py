@@ -22,8 +22,9 @@ from repro.conditioning.drive import DriveDecision, DriveScheme
 from repro.errors import ConfigurationError, SensorFault, SessionError
 from repro.isif.afe import ReadoutMode
 from repro.isif.fixed_point import QFormat
+from repro.isif.sigma_delta import SigmaDeltaAdc
 from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, RunResult,
-                           Session)
+                           Session, ShardedEngine)
 from repro.station.profiles import bidirectional_staircase, hold, staircase
 from repro.station.scenarios import (build_calibrated_monitor,
                                      clear_calibration_cache)
@@ -90,11 +91,6 @@ def test_batch_engine_refuses_heterogeneous_fleet():
                                      overtemperature_k=8.0).rig
     with pytest.raises(ConfigurationError):
         BatchEngine([rig_a, rig_b])
-
-
-def _both_channels(rig, **changes):
-    for ch in rig.monitor.platform.channels[:2]:
-        ch.config = replace(ch.config, **changes)
 
 
 def _both_afes(rig, **changes):
@@ -172,8 +168,8 @@ _REFUSALS = {
                  ConfigurationError, "INSTRUMENT readout only"),
     "strict-afe": (lambda r: _both_afes(r, strict=True),
                    ConfigurationError, "strict AFE mode is not vectorized"),
-    "bit-true-adc": (lambda r: _both_channels(r, bit_true_adc=True),
-                     ConfigurationError, "bit-true sigma-delta ADC"),
+    "bit-true-adc": (lambda r: None, ConfigurationError,
+                     "bit-true sigma-delta ADC is not vectorized"),
     "fixed-point-lpf": (_fixed_point_lpfs, ConfigurationError,
                         "fixed-point digital LPF is not vectorized"),
     "dac-settling": (_settling_dacs, ConfigurationError,
@@ -223,18 +219,39 @@ _REFUSALS = {
 #: only once there is a shared phase to tick.
 _FLEET_SIZE = {"unknown-drive-scheme": 2}
 
+#: Cases built rather than mutated: a bit-true rig holds a real
+#: SigmaDeltaAdc, which a config flag flipped after the build does not
+#: swap in.
+_BUILD = {"bit-true-adc": {"bit_true_adc": True, "use_pulsed_drive": False}}
+
 
 @pytest.mark.parametrize("case", sorted(_REFUSALS))
 def test_batch_engine_refusals(case):
     """Every feature the vectorized path does not reproduce, and every
     bridge-B/A asymmetry inside one rig, is refused with a typed error."""
     mutate, error, pattern = _REFUSALS[case]
-    rigs = [build_calibrated_monitor(seed=31 + i, fast=True).rig
+    rigs = [build_calibrated_monitor(seed=31 + i, fast=True,
+                                     **_BUILD.get(case, {})).rig
             for i in range(_FLEET_SIZE.get(case, 1))]
     for rig in rigs:
         mutate(rig)
     with pytest.raises(error, match=pattern):
         BatchEngine(rigs)
+
+
+def test_bit_true_rig_is_refused_by_every_engine():
+    """A rig with a real bit-true ADC is keyed and then refused with the
+    typed error by every engine, never with an AttributeError."""
+    rigs = [build_calibrated_monitor(seed=s, fast=True, bit_true_adc=True,
+                                     use_pulsed_drive=False).rig
+            for s in (31, 32)]
+    assert isinstance(rigs[0].monitor.platform.channels[0].adc,
+                      SigmaDeltaAdc)
+    for make in (BatchEngine, MixedEngine,
+                 lambda r: ShardedEngine(r, workers=2)):
+        with pytest.raises(ConfigurationError,
+                           match="bit-true sigma-delta ADC is not vectorized"):
+            make(rigs)
 
 
 def test_session_unknown_engine_rejected():
