@@ -40,6 +40,8 @@ class Promag50(FlowMeter):
         Draw for this unit's realised gain error.
     """
 
+    STATE = ("_gain", "_state", "_rng")
+
     def __init__(self, full_scale_mps: float = 2.5,
                  accuracy_of_reading: float = 0.005,
                  resolution_fraction_fs: float = 0.0005,

@@ -30,6 +30,7 @@ from repro.isif.pi_controller import PIConfig, PIController
 from repro.isif.platform import ISIFPlatform
 from repro.isif.scheduler import DEFAULT_CYCLE_COSTS, IPTask
 from repro.sensor.maf import FlowConditions, MAFSensor, SensorReadout
+from repro.state import state_of
 
 __all__ = ["CTAConfig", "LoopTelemetry", "CTAController"]
 
@@ -144,6 +145,8 @@ class LoopTelemetry:
 class CTAController:
     """Binds a MAF die to an ISIF platform in constant-temperature mode."""
 
+    STATE = ("_time_s", "_u_a", "_u_b", "pi_a", "pi_b")
+
     def __init__(self, sensor: MAFSensor, platform: ISIFPlatform,
                  config: CTAConfig | None = None,
                  drive: DriveScheme | None = None) -> None:
@@ -204,8 +207,8 @@ class CTAController:
         registry = get_registry()
         if registry.enabled:
             registry.counter("conditioning.cta.ticks").inc()
-            if (self.pi_a._saturated_sign != 0
-                    or self.pi_b._saturated_sign != 0):
+            if (state_of(self.pi_a)["saturated_sign"] != 0
+                    or state_of(self.pi_b)["saturated_sign"] != 0):
                 registry.counter("conditioning.cta.pi_saturated_ticks").inc()
         self.platform.scheduler.tick()
 

@@ -59,6 +59,8 @@ class DirectionConfig:
 class DirectionDetector:
     """Stateful direction discriminator; feed it every valid loop sample."""
 
+    STATE = ("_direction", "_filter")
+
     def __init__(self, config: DirectionConfig | None = None) -> None:
         self.config = config or DirectionConfig()
         self._filter = OnePoleLowpass(self.config.filter_cutoff_hz,

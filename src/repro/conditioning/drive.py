@@ -114,6 +114,8 @@ class PulsedDrive(DriveScheme):
         the wire re-heats and the loop re-converges.
     """
 
+    STATE = ("_t",)
+
     def __init__(self, period_s: float = 1.0, duty: float = 0.30,
                  blanking_s: float = 0.050) -> None:
         if period_s <= 0.0:

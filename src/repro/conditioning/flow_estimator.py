@@ -65,6 +65,9 @@ class EstimatorConfig:
 class FlowEstimator:
     """Consumes loop telemetry, produces signed flow speed [m/s]."""
 
+    STATE = ("_primed", "_last_output", "_valid_count", "_fluid_temperature_k",
+             "_iir", "direction")
+
     def __init__(self, controller: CTAController, calibration: FlowCalibration,
                  config: EstimatorConfig | None = None) -> None:
         self.controller = controller

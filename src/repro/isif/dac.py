@@ -38,6 +38,8 @@ class ThermometerDAC:
         First-order output settling; 0 disables dynamics.
     """
 
+    STATE = ("_levels_v", "_output_v")
+
     def __init__(self, bits: int = 12, vref_v: float = 5.0,
                  mismatch_sigma: float = 1.0e-3, seed: int = 99,
                  settling_time_s: float = 0.0) -> None:

@@ -39,6 +39,8 @@ class AntiAliasFilter:
         Fixed calling rate; must exceed 2x the corner.
     """
 
+    STATE = ("_coeffs", "_state")
+
     def __init__(self, cutoff_hz: float, sample_rate_hz: float) -> None:
         if cutoff_hz <= 0.0 or sample_rate_hz <= 0.0:
             raise ConfigurationError("cutoff and sample rate must be positive")

@@ -31,6 +31,8 @@ class OnePoleLowpass:
         nearest 2^-k the way the hardware IP does.
     """
 
+    STATE = ("alpha", "_y_f", "_y_code")
+
     def __init__(self, cutoff_hz: float, sample_rate_hz: float,
                  qformat: QFormat | None = None,
                  shift_alpha: bool = False) -> None:

@@ -63,15 +63,20 @@ class PIConfig:
 class PIController:
     """Discrete PI with conditional-integration anti-windup."""
 
+    STATE = ("_kp_code", "_ki_dt_code", "_min_code", "_max_code", "_int_code",
+             "_integral", "_saturated_sign")
+
     def __init__(self, config: PIConfig) -> None:
         self.config = config
         self._integral = 0.0
         self._saturated_sign = 0
+        self._int_code = 0
+        # Q-format codes; None on the float datapath.
+        self._kp_code = self._ki_dt_code = self._min_code = self._max_code = None
         q = config.qformat
         if q is not None:
             self._kp_code = q.to_int(config.kp)
             self._ki_dt_code = q.to_int(config.ki * config.dt_s)
-            self._int_code = 0
             self._min_code = q.to_int(config.out_min)
             self._max_code = q.to_int(config.out_max)
 

@@ -39,6 +39,8 @@ class BehavioralAdc:
         Noise generator (deterministic when seeded).
     """
 
+    STATE = ("_thermal_rms_v", "_lsb_v", "_min_code", "_max_code", "_rng")
+
     def __init__(self, vref_v: float = 2.5, bits: int = 16, enob: float = 15.0,
                  rng: np.random.Generator | None = None) -> None:
         if vref_v <= 0.0:

@@ -32,6 +32,8 @@ class OrnsteinUhlenbeck:
     time step, including steps long compared to tau.
     """
 
+    STATE = ("tau_s", "sigma", "_x", "_rng")
+
     def __init__(self, tau_s: float, sigma: float, rng: np.random.Generator) -> None:
         if tau_s <= 0.0:
             raise ConfigurationError("OU correlation time must be positive")
@@ -101,6 +103,8 @@ class FlowNoise:
     Call :meth:`perturb` once per simulation step with the commanded mean
     speed; it returns the instantaneous local speed at the sensor head.
     """
+
+    STATE = ("config", "_ou")
 
     def __init__(
         self,

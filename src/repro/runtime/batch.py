@@ -65,6 +65,7 @@ from repro.runtime.kernels import (ar1_block, exp_exact, film_conductance,
                                    plan_chunk, pow_exact, relax_block,
                                    resolve_numerics)
 from repro.runtime.result import RunResult
+from repro.state import state_of
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
 
@@ -102,23 +103,27 @@ def _drop_rows(indices, n: int) -> set[int]:
 def _bridges(mon) -> tuple[tuple, tuple]:
     """Bridge A's and bridge B's parts the engine keeps one value for.
 
-    The ADC scale reads through ``getattr``: a bit-true ``SigmaDeltaAdc``
-    lacks it, and its rig must still be keyed before it is refused.
+    A bit-true ``SigmaDeltaAdc`` declares no scale, so its rig is keyed
+    with ``None`` in its place before it is refused.
     """
     plat, ctrl, sen = mon.platform, mon.controller, mon.sensor
-    return tuple(
-        ((ch.config.afe, bool(ch.config.bit_true_adc), type(ch.adc).__name__,
-          ch.anti_alias._coeffs, ch.digital_lpf.alpha, ch.digital_lpf.qformat,
-          *(getattr(ch.adc, name, None) for name in
-            ("_thermal_rms_v", "_lsb_v", "_min_code", "_max_code"))),
-         (dac.settling_time_s, dac.lsb_v, dac.max_code),
-         pi.config,
-         (heater.material.tcr_per_k, heater.reference_temperature_k),
-         bridge.r_series_ohm)
-        for ch, dac, pi, heater, bridge in zip(
+    parts = []
+    for ch, dac, pi, heater, bridge in zip(
             plat.channels[:2], (plat.supply_dac_a, plat.supply_dac_b),
             (ctrl.pi_a, ctrl.pi_b), (sen.heater_a, sen.heater_b),
-            (sen.bridge_a, sen.bridge_b)))
+            (sen.bridge_a, sen.bridge_b)):
+        adc = state_of(ch.adc) if isinstance(ch.adc, BehavioralAdc) else {}
+        parts.append((
+            (ch.config.afe, bool(ch.config.bit_true_adc),
+             type(ch.adc).__name__, state_of(ch.anti_alias)["coeffs"],
+             ch.digital_lpf.alpha, ch.digital_lpf.qformat,
+             *(adc.get(key) for key in
+               ("thermal_rms_v", "lsb_v", "min_code", "max_code"))),
+            (dac.settling_time_s, dac.lsb_v, dac.max_code),
+            pi.config,
+            (heater.material.tcr_per_k, heater.reference_temperature_k),
+            bridge.r_series_ohm))
+    return tuple(parts)
 
 
 def _signature(rig: TestRig) -> tuple:
@@ -140,8 +145,10 @@ def _signature(rig: TestRig) -> tuple:
     drive = ctrl.drive
     drive_sig: tuple = (type(drive).__name__,)
     if isinstance(drive, PulsedDrive):
-        drive_sig += (drive.period_s, drive.duty, drive.blanking_s, drive._t)
-    noise = line._noise.config
+        drive_sig += (drive.period_s, drive.duty, drive.blanking_s,
+                      state_of(drive)["t"])
+    line_state = state_of(line)
+    noise = line_state["noise"]["config"]
     channels, dacs, pis, heaters, series = zip(*_bridges(mon))
     return (
         replace(sen.config, seed=0),
@@ -149,12 +156,14 @@ def _signature(rig: TestRig) -> tuple:
         ctrl.config,
         plat.loop_rate_hz,
         (bool(est.config.use_direction),
-         bool(est.config.temperature_compensation), bool(est._primed)),
+         bool(est.config.temperature_compensation),
+         bool(state_of(est)["primed"])),
         drive_sig,
         channels, dacs, pis,
         (replace(line.config, seed=0),
          noise.floor_mps, noise.integral_length_m, noise.min_speed_mps,
-         line._speed, line._pressure, line._temperature, line._time_s),
+         *(line_state[key] for key in
+           ("speed", "pressure", "temperature", "time_s"))),
         (type(ref).__name__,
          getattr(ref, "full_scale_mps", None),
          getattr(ref, "accuracy_of_reading", None),
@@ -213,7 +222,7 @@ def _validate_fleet(rigs: list[TestRig]) -> None:
              "fixed-point digital LPF is not vectorized")
     _require(not mon.platform.supply_dac_a.settling_time_s,
              "DAC settling dynamics are not vectorized")
-    _require(rigs[0].line._noise.config.floor_mps > 0.0,
+    _require(state_of(rigs[0].line)["noise"]["config"].floor_mps > 0.0,
              "turbulence floor must be positive (the OU stream must "
              "draw every step for lock-step batching)")
     _require(type(rigs[0].reference) is Promag50,
@@ -287,7 +296,11 @@ class BatchEngine:
     # -- state extraction ----------------------------------------------------
 
     def _extract(self) -> None:
-        """Copy fleet state into (2, N)/(N,) arrays and hoist constants."""
+        """Copy fleet state into (2, N)/(N,) arrays and hoist constants.
+
+        Every stage field is read through :func:`repro.state.state_of`;
+        ``rows`` walks one key path through every rig's stage state.
+        """
         rigs = self._rigs
         n = self._n
         self._offset = 0
@@ -298,37 +311,52 @@ class BatchEngine:
         self._dt = dt
         self._drive = mon0.controller.drive
 
-        def per_rig(fn):
-            return np.array([fn(r) for r in rigs])
+        def states(stages):
+            return [state_of(stage) for stage in stages]
 
-        def per_bridge(fn_a, fn_b):
-            return np.array([[fn_a(r) for r in rigs], [fn_b(r) for r in rigs]])
+        def rows(states, *path):
+            for key in path:
+                states = [s[key] for s in states]
+            return states
+
+        mons = [r.monitor for r in rigs]
+        line = states(r.line for r in rigs)
+        sensor = states(m.sensor for m in mons)
+        ctrl = states(m.controller for m in mons)
+        est = states(m.estimator for m in mons)
+        ref = states(r.reference for r in rigs)
+        chans = [[m.platform.channels[c] for m in mons] for c in (0, 1)]
+        afe, aa, adc, lpf = (
+            [states(getattr(ch, part) for ch in row) for row in chans]
+            for part in ("afe", "anti_alias", "adc", "digital_lpf"))
 
         # Water line (shared bulk plant, per-monitor OU fluctuation).
-        line0 = rigs[0].line
-        lcfg = line0.config
-        self._bulk_speed = np.float64(line0._speed)
-        self._bulk_pressure = np.float64(line0._pressure)
-        self._bulk_temp = np.float64(line0._temperature)
-        self._line_time = float(line0._time_s)
+        line0 = line[0]
+        lcfg = rigs[0].line.config
+        noise0 = line0["noise"]["config"]
+        self._bulk_speed = np.float64(line0["speed"])
+        self._bulk_pressure = np.float64(line0["pressure"])
+        self._bulk_temp = np.float64(line0["temperature"])
+        self._line_time = float(line0["time_s"])
         self._a_speed = 1.0 - np.exp(-dt / lcfg.speed_tau_s)
         self._a_press = 1.0 - np.exp(-dt / lcfg.pressure_tau_s)
         self._a_temp = 1.0 - np.exp(-dt / lcfg.temperature_tau_s)
-        self._turb_intensity = per_rig(lambda r: r.line._noise.config.intensity)
-        self._turb_floor = line0._noise.config.floor_mps
-        self._turb_length = line0._noise.config.integral_length_m
-        self._turb_min_speed = line0._noise.config.min_speed_mps
-        self._x_ou = per_rig(lambda r: float(r.line._noise._ou._x))
-        self._line_rngs = [r.line._noise._ou._rng for r in rigs]
+        self._turb_intensity = np.array(
+            [c.intensity for c in rows(line, "noise", "config")])
+        self._turb_floor = noise0.floor_mps
+        self._turb_length = noise0.integral_length_m
+        self._turb_min_speed = noise0.min_speed_mps
+        self._x_ou = np.array(rows(line, "noise", "ou", "x"), dtype=float)
+        self._line_rngs = rows(line, "noise", "ou", "rng")
 
         # Supply DACs: code quantization + per-instance mismatch tables.
         dac0 = mon0.platform.supply_dac_a
         self._dac_lsb = dac0.lsb_v
         self._dac_max_code = dac0.max_code
-        self._lev_a = np.stack(
-            [r.monitor.platform.supply_dac_a._levels_v for r in rigs])
-        self._lev_b = np.stack(
-            [r.monitor.platform.supply_dac_b._levels_v for r in rigs])
+        self._lev_a = np.stack(rows(
+            states(m.platform.supply_dac_a for m in mons), "levels_v"))
+        self._lev_b = np.stack(rows(
+            states(m.platform.supply_dac_b for m in mons), "levels_v"))
         self._iota = np.arange(n)
         # On a non-energised drive tick every command is 0 V, which
         # quantizes to code 0 on every DAC — the supply pair is this
@@ -336,26 +364,24 @@ class BatchEngine:
         self._ua_off = np.stack([self._lev_a[:, 0], self._lev_b[:, 0]])
 
         # Sensor: thermal state, realized resistances, degradation.
-        self._t_h = per_bridge(lambda r: float(r.monitor.sensor._t_a),
-                               lambda r: float(r.monitor.sensor._t_b))
-        self._t_mem = per_rig(lambda r: float(r.monitor.sensor._t_membrane))
-        self._t_ref = per_rig(lambda r: float(r.monitor.sensor._t_reference))
-        self._h_r0 = per_bridge(lambda r: r.monitor.sensor.heater_a.r0_ohm,
-                                lambda r: r.monitor.sensor.heater_b.r0_ohm)
-        self._ref_r0 = per_rig(lambda r: r.monitor.sensor.reference.r0_ohm)
+        self._t_h = np.array([rows(sensor, "t_a"), rows(sensor, "t_b")])
+        self._t_mem = np.array(rows(sensor, "t_membrane"))
+        self._t_ref = np.array(rows(sensor, "t_reference"))
+        self._h_r0 = np.array([[m.sensor.heater_a.r0_ohm for m in mons],
+                               [m.sensor.heater_b.r0_ohm for m in mons]])
+        self._ref_r0 = np.array([m.sensor.reference.r0_ohm for m in mons])
         self._tcr_h = sen0.heater_a.material.tcr_per_k
         self._tref_h = sen0.heater_a.reference_temperature_k
         self._tcr_ref = sen0.reference.material.tcr_per_k
         self._tref_ref = sen0.reference.reference_temperature_k
-        self._r_trim = per_bridge(lambda r: r.monitor.sensor.bridge_a.r_trim_ohm,
-                                  lambda r: r.monitor.sensor.bridge_b.r_trim_ohm)
+        self._r_trim = np.array([rows(sensor, "bridge_a", "r_trim_ohm"),
+                                 rows(sensor, "bridge_b", "r_trim_ohm")])
         self._r_series = sen0.bridge_a.r_series_ohm
-        self._leak = per_rig(
-            lambda r: r.monitor.sensor.housing.leakage_conductance_s())
+        self._leak = np.array(
+            [m.sensor.housing.leakage_conductance_s() for m in mons])
         self._leak_mask = self._leak == 0.0
         self._leak_zero = bool(self._leak_mask.all())
-        self._min_rating = min(
-            r.monitor.sensor.housing.pressure_rating_pa for r in rigs)
+        self._min_rating = min(m.sensor.housing.pressure_rating_pa for m in mons)
         self._burst_pressure = cfg.membrane.burst_pressure_pa
         self._alpha_ref = 1.0 - math.exp(-dt / cfg.reference_lag_s)
         self._geom_d = cfg.geometry.diameter_m
@@ -363,10 +389,10 @@ class BatchEngine:
         self._wake2 = cfg.wake_peak_coupling * 2.0
         self._wake_peak_speed = cfg.wake_peak_speed_mps
         # Membrane-derived thermal constants (per monitor, config-equal).
-        self._g_lat = per_rig(lambda r: r.monitor.sensor._g_lateral)
-        self._g_back_half = per_rig(lambda r: r.monitor.sensor._g_backside)
-        self._heater_cap = per_rig(lambda r: r.monitor.sensor._heater_capacity)
-        mem_cap = per_rig(lambda r: r.monitor.sensor._membrane_capacity)
+        self._g_lat = np.array(rows(sensor, "g_lateral"))
+        self._g_back_half = np.array(rows(sensor, "g_backside"))
+        self._heater_cap = np.array(rows(sensor, "heater_capacity"))
+        mem_cap = np.array(rows(sensor, "membrane_capacity"))
         self._lat_total = cfg.membrane.lateral_conductance_w_per_k
         self._g_rim_total = 2.0 * self._g_lat + self._lat_total
         self._rho_m = np.array([
@@ -375,11 +401,12 @@ class BatchEngine:
         # Degradation models.
         self._enable_fouling = cfg.enable_fouling
         self._enable_bubbles = cfg.enable_bubbles
-        self._r_foul = per_bridge(
-            lambda r: r.monitor.sensor.fouling_a.thermal_resistance_k_per_w(
-                r.monitor.sensor.wetted_area_m2()),
-            lambda r: r.monitor.sensor.fouling_b.thermal_resistance_k_per_w(
-                r.monitor.sensor.wetted_area_m2()))
+        area = [m.sensor.wetted_area_m2() for m in mons]
+        self._r_foul = np.array(
+            [[m.sensor.fouling_a.thermal_resistance_k_per_w(a)
+              for m, a in zip(mons, area)],
+             [m.sensor.fouling_b.thermal_resistance_k_per_w(a)
+              for m, a in zip(mons, area)]])
         bub = cfg.bubble_config
         self._bub_nucleation = bub.nucleation_superheat_k
         self._bub_growth = bub.growth_rate_per_k_s
@@ -394,17 +421,18 @@ class BatchEngine:
         # effect at all (given zero coverage).
         self._bub_thresh = max(1.0, self._bub_nucleation)
         self._sqrt_dtc = math.sqrt(min(1.0, 0.01 / dt))
-        self._cov = per_bridge(lambda r: r.monitor.sensor.bubbles_a._coverage,
-                               lambda r: r.monitor.sensor.bubbles_b._coverage)
-        self._bubble_rngs = [[r.monitor.sensor.bubbles_a._rng for r in rigs],
-                             [r.monitor.sensor.bubbles_b._rng for r in rigs]]
+        self._cov = np.array([rows(sensor, "bubbles_a", "coverage"),
+                              rows(sensor, "bubbles_b", "coverage")])
+        self._bubble_rngs = [rows(sensor, "bubbles_a", "rng"),
+                             rows(sensor, "bubbles_b", "rng")]
         # Backside OU (flooded cavity only; organic fill never draws).
-        bs0 = sen0._backside_noise
-        self._bs_sigma = bs0.sigma
-        self._bs_rho = math.exp(-dt / bs0.tau_s)
-        self._bs_scale = bs0.sigma * math.sqrt(1.0 - self._bs_rho * self._bs_rho)
-        self._x_bs = per_rig(lambda r: float(r.monitor.sensor._backside_noise._x))
-        self._bs_rngs = [r.monitor.sensor._backside_noise._rng for r in rigs]
+        bs0 = sensor[0]["backside_noise"]
+        self._bs_sigma = bs0["sigma"]
+        self._bs_rho = math.exp(-dt / bs0["tau_s"])
+        self._bs_scale = bs0["sigma"] * math.sqrt(
+            1.0 - self._bs_rho * self._bs_rho)
+        self._x_bs = np.array(rows(sensor, "backside_noise", "x"), dtype=float)
+        self._bs_rngs = rows(sensor, "backside_noise", "rng")
 
         # Acquisition chain (channels 0/1 = bridges A/B).
         ch0 = mon0.platform.channels[0]
@@ -421,38 +449,27 @@ class BatchEngine:
             max(math.log(max(afe_cfg.flicker_corner_hz, 1e-3) / 1e-3), 0.0))
         self._flicker_scale = flicker_rms * math.sqrt(
             max(1.0 - self._afe_leak * self._afe_leak, 0.0))
-        self._afe_state = per_bridge(
-            lambda r: r.monitor.platform.channels[0].afe._state_v,
-            lambda r: r.monitor.platform.channels[1].afe._state_v)
-        self._flick = per_bridge(
-            lambda r: r.monitor.platform.channels[0].afe._flicker_v,
-            lambda r: r.monitor.platform.channels[1].afe._flicker_v)
-        self._afe_rngs = [[r.monitor.platform.channels[0].afe._rng for r in rigs],
-                          [r.monitor.platform.channels[1].afe._rng for r in rigs]]
-        self._aa_coeffs = list(ch0.anti_alias._coeffs)
+        self._afe_state = np.array([rows(row, "state_v") for row in afe])
+        self._flick = np.array([rows(row, "flicker_v") for row in afe])
+        self._afe_rngs = [rows(row, "rng") for row in afe]
+        self._aa_coeffs = list(aa[0][0]["coeffs"])
         self._aa_state = [
-            [per_bridge(
-                lambda r, s=si, j=sj: r.monitor.platform.channels[0]
-                .anti_alias._state[s][j],
-                lambda r, s=si, j=sj: r.monitor.platform.channels[1]
-                .anti_alias._state[s][j])
+            [np.array([[st[si][sj] for st in rows(row, "state")]
+                       for row in aa])
              for sj in (0, 1)]
             for si in range(len(self._aa_coeffs))]
-        adc0 = ch0.adc
-        self._adc_thermal = adc0._thermal_rms_v
-        self._adc_lsb = adc0._lsb_v
-        self._adc_min = adc0._min_code
-        self._adc_max = adc0._max_code
-        self._adc_rngs = [[r.monitor.platform.channels[0].adc._rng for r in rigs],
-                          [r.monitor.platform.channels[1].adc._rng for r in rigs]]
+        adc0 = adc[0][0]
+        self._adc_thermal = adc0["thermal_rms_v"]
+        self._adc_lsb = adc0["lsb_v"]
+        self._adc_min = adc0["min_code"]
+        self._adc_max = adc0["max_code"]
+        self._adc_rngs = [rows(row, "rng") for row in adc]
         self._alpha_lpf = ch0.digital_lpf.alpha
-        self._y_lpf = per_bridge(
-            lambda r: r.monitor.platform.channels[0].digital_lpf._y_f,
-            lambda r: r.monitor.platform.channels[1].digital_lpf._y_f)
+        self._y_lpf = np.array([rows(row, "y_f") for row in lpf])
 
         # PI controllers (fixed-point codes or float, per shared PIConfig).
-        pi0 = mon0.controller.pi_a
-        pic = pi0.config
+        pi0 = ctrl[0]["pi_a"]
+        pic = mon0.controller.pi_a.config
         self._qformat = pic.qformat
         if self._qformat is not None:
             q = self._qformat
@@ -461,27 +478,25 @@ class BatchEngine:
             self._q_max_int = q.max_int
             self._q_half = 1 << (q.frac_bits - 1)
             self._q_shift = q.frac_bits
-            self._kp_code = pi0._kp_code
-            self._ki_dt_code = pi0._ki_dt_code
-            self._pi_min_code = pi0._min_code
-            self._pi_max_code = pi0._max_code
-            self._pi_int = per_bridge(
-                lambda r: r.monitor.controller.pi_a._int_code,
-                lambda r: r.monitor.controller.pi_b._int_code).astype(np.int64)
+            self._kp_code = pi0["kp_code"]
+            self._ki_dt_code = pi0["ki_dt_code"]
+            self._pi_min_code = pi0["min_code"]
+            self._pi_max_code = pi0["max_code"]
+            self._pi_int = np.array([rows(ctrl, "pi_a", "int_code"),
+                                     rows(ctrl, "pi_b", "int_code")],
+                                    dtype=np.int64)
         else:
             self._pi_kp = pic.kp
             self._pi_ki = pic.ki
             self._pi_dt = pic.dt_s
             self._pi_out_min = pic.out_min
             self._pi_out_max = pic.out_max
-            self._pi_int_f = per_bridge(
-                lambda r: r.monitor.controller.pi_a._integral,
-                lambda r: r.monitor.controller.pi_b._integral)
-        self._pi_sat = per_bridge(
-            lambda r: r.monitor.controller.pi_a._saturated_sign,
-            lambda r: r.monitor.controller.pi_b._saturated_sign).astype(np.int64)
-        self._u = per_bridge(lambda r: r.monitor.controller._u_a,
-                             lambda r: r.monitor.controller._u_b)
+            self._pi_int_f = np.array([rows(ctrl, "pi_a", "integral"),
+                                       rows(ctrl, "pi_b", "integral")])
+        self._pi_sat = np.array([rows(ctrl, "pi_a", "saturated_sign"),
+                                 rows(ctrl, "pi_b", "saturated_sign")],
+                                dtype=np.int64)
+        self._u = np.array([rows(ctrl, "u_a"), rows(ctrl, "u_b")])
 
         # Estimator: King's-law inversion + output IIR + direction logic.
         est0 = mon0.estimator
@@ -492,44 +507,33 @@ class BatchEngine:
             (self._r_series * nominal) / rt for rt in self._r_trim[0].tolist()])
         self._bp_denom = (self._r_series + self._rh_star) ** 2
         self._overtemp = mon0.controller.config.overtemperature_k
-        self._coeff_a = per_rig(lambda r: r.monitor.estimator.calibration.law.coeff_a)
-        self._coeff_b = per_rig(lambda r: r.monitor.estimator.calibration.law.coeff_b)
-        self._inv_exp = per_rig(
-            lambda r: 1.0 / r.monitor.estimator.calibration.law.exponent)
-        self._alpha_iir = est0._iir.alpha
-        self._y_iir = per_rig(lambda r: r.monitor.estimator._iir._y_f)
-        self._primed = est0._primed
-        self._last_output = per_rig(lambda r: float(r.monitor.estimator._last_output))
+        laws = [m.estimator.calibration.law for m in mons]
+        self._coeff_a = np.array([law.coeff_a for law in laws])
+        self._coeff_b = np.array([law.coeff_b for law in laws])
+        self._inv_exp = np.array([1.0 / law.exponent for law in laws])
+        self._alpha_iir = est[0]["iir"]["alpha"]
+        self._y_iir = np.array(rows(est, "iir", "y_f"))
+        self._primed = est[0]["primed"]
+        self._last_output = np.array(rows(est, "last_output"), dtype=float)
         self._use_direction = est0.config.use_direction
-        self._dir_offset = per_rig(
-            lambda r: r.monitor.estimator.direction.config.offset)
+        self._dir_offset = np.array(
+            [m.estimator.direction.config.offset for m in mons])
         self._dir_threshold = est0.direction.config.threshold
         self._dir_hysteresis = est0.direction.config.hysteresis
-        self._alpha_dir = est0.direction._filter.alpha
-        self._y_dir = per_rig(lambda r: r.monitor.estimator.direction._filter._y_f)
-        self._dir = per_rig(
-            lambda r: r.monitor.estimator.direction._direction).astype(np.int64)
+        self._alpha_dir = est[0]["direction"]["filter"]["alpha"]
+        self._y_dir = np.array(rows(est, "direction", "filter", "y_f"))
+        self._dir = np.array(rows(est, "direction", "direction"),
+                             dtype=np.int64)
 
         # Promag 50 reference meters.
         ref0 = rigs[0].reference
         self._pm_alpha = 1.0 - np.exp(-dt / ref0.response_time_s)
         self._pm_noise = ref0.resolution_fraction_fs * ref0.full_scale_mps
-        self._pm_gain = per_rig(lambda r: r.reference._gain)
-        self._pm_state = per_rig(lambda r: r.reference._state)
-        self._pm_rngs = [r.reference._rng for r in rigs]
+        self._pm_gain = np.array(rows(ref, "gain"))
+        self._pm_state = np.array(rows(ref, "state"))
+        self._pm_rngs = rows(ref, "rng")
 
     # -- per-step kernels ----------------------------------------------------
-
-    def _film_conductance(self, v_eff: np.ndarray, film_t: np.ndarray) -> np.ndarray:
-        """Clean-film conductance (2, N) via the film kernel.
-
-        Delegates to :func:`repro.runtime.kernels.film_conductance`,
-        which vectorizes the polynomial correlations and keeps the
-        transcendentals on libm in exact mode (bit-identical to the old
-        per-element loop over ``film_properties_scalar``).
-        """
-        return film_conductance(v_eff, film_t, self._geom_d, self._geom_L,
-                                fast=self._fast)
 
     def _qmul(self, code: int, arr: np.ndarray) -> np.ndarray:
         """Vector Q-format saturating multiply (round-half-up shift)."""

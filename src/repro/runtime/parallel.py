@@ -86,6 +86,7 @@ from repro.runtime.batch import BatchEngine, _drop_rows, _validate_fleet
 from repro.runtime.faults import shard_site
 from repro.runtime.kernels import resolve_numerics
 from repro.runtime.result import RunResult
+from repro.state import state_of
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
 
@@ -251,7 +252,7 @@ class ShardedEngine:
         # spawned, and pin its clocks, which outlive a drop of every rig.
         _validate_fleet(self._rigs)
         self._dt = self._rigs[0].monitor.platform.dt_s
-        self._line_time = float(self._rigs[0].line._time_s)
+        self._line_time = float(state_of(self._rigs[0].line)["time_s"])
         self._workers = min(int(workers), len(self._rigs))
         self._max_retries = int(max_retries)
         self._timeout_s = timeout_s

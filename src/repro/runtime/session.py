@@ -23,6 +23,7 @@ raises :class:`~repro.errors.SessionError`.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 
@@ -37,8 +38,9 @@ from repro.runtime.result import RunResult
 from repro.runtime.spec import FleetSpec
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
-from repro.station.scenarios import _assemble, _snapshot_sensor, \
-    build_calibrated_monitor, calibration_cache_stats
+from repro.state import state_of
+from repro.station.scenarios import (_assemble, build_calibrated_monitor,
+                                     calibration_cache_stats)
 
 __all__ = ["Session", "MonitorHandle", "resolve_record_every_n"]
 
@@ -213,10 +215,10 @@ class Session:
                 setup = build_calibrated_monitor(seed=s, store=self._store,
                                                  **entry.build_kwargs())
                 # The build left its fresh sensor in the post-campaign
-                # state and nothing has run on it, so its snapshot is
-                # the record the build resolved.
-                self._records.append((setup.calibration,
-                                      _snapshot_sensor(setup.monitor.sensor)))
+                # state and nothing has run on it, so a copy of its state
+                # is the record the build resolved.
+                self._records.append((setup.calibration, copy.deepcopy(
+                    state_of(setup.monitor.sensor))))
                 self._handles.append(MonitorHandle(
                     index=i, seed=s, monitor=setup.monitor, rig=setup.rig,
                     calibration=setup.calibration))

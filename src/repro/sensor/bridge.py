@@ -48,6 +48,8 @@ class WheatstoneBridge:
         packaging faults; 0 for a healthy assembly.
     """
 
+    STATE = ("r_trim_ohm", "leakage_conductance_s")
+
     heater: SensingResistor
     reference: SensingResistor
     r_series_ohm: float = 50.0

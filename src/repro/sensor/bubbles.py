@@ -86,6 +86,8 @@ class BubbleConfig:
 class BubbleModel:
     """Surface bubble-coverage dynamics for one heater element."""
 
+    STATE = ("_coverage", "_rng")
+
     def __init__(self, config: BubbleConfig | None = None,
                  rng: np.random.Generator | None = None) -> None:
         self.config = config or BubbleConfig()

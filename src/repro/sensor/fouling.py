@@ -72,6 +72,8 @@ class FoulingConfig:
 class FoulingModel:
     """Scale-thickness state for one heater element."""
 
+    STATE = ("_thickness_m",)
+
     def __init__(self, config: FoulingConfig | None = None) -> None:
         self.config = config or FoulingConfig()
         self._thickness_m = 0.0

@@ -230,6 +230,11 @@ class MAFSensor:
     the two bridge supply voltages and the current flow conditions.
     """
 
+    STATE = ("_t_a", "_t_b", "_t_membrane", "_t_reference", "_failed",
+             "_heater_capacity", "_membrane_capacity", "_g_lateral",
+             "_g_backside", "_backside_noise", "bubbles_a", "bubbles_b",
+             "fouling_a", "fouling_b", "bridge_a", "bridge_b")
+
     def __init__(self, config: MAFConfig | None = None,
                  housing: SensorHousing | None = None) -> None:
         self.config = config or MAFConfig()

@@ -77,6 +77,8 @@ class LineState:
 class WaterLine:
     """Stateful line plant: set targets, call :meth:`step` each tick."""
 
+    STATE = ("_time_s", "_speed", "_pressure", "_temperature", "_noise")
+
     def __init__(self, config: LineConfig | None = None,
                  turbulence_multiplier: float = 1.0) -> None:
         self.config = config or LineConfig()

@@ -36,13 +36,13 @@ through pickle exactly.
 
 from __future__ import annotations
 
-import copy
 from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.baselines.promag import Promag50
+from repro.errors import ConfigurationError
 from repro.observability import get_registry, get_tracer
 from repro.conditioning.calibration import FlowCalibration
 from repro.conditioning.cta import CTAConfig, CTAController
@@ -51,6 +51,7 @@ from repro.isif.platform import ISIFPlatform
 from repro.sensor.maf import MAFConfig, MAFSensor
 from repro.sensor.packaging import SensorHousing
 from repro.station.line import LineConfig, WaterLine
+from repro.state import load_state, state_of
 from repro.station.rig import TestRig, run_calibration
 from repro.store import canonical_key, get_default_store
 
@@ -134,59 +135,6 @@ def calibration_cache_stats() -> dict:
     }
 
 
-def _snapshot_sensor(sensor: MAFSensor) -> dict:
-    """Capture every sensor field the calibration campaign mutates."""
-    return {
-        "t_a": copy.deepcopy(sensor._t_a),
-        "t_b": copy.deepcopy(sensor._t_b),
-        "t_membrane": copy.deepcopy(sensor._t_membrane),
-        "t_reference": copy.deepcopy(sensor._t_reference),
-        "failed": sensor._failed,
-        "cov_a": sensor.bubbles_a._coverage,
-        "cov_b": sensor.bubbles_b._coverage,
-        "bub_rng_a": copy.deepcopy(sensor.bubbles_a._rng.bit_generator.state),
-        "bub_rng_b": copy.deepcopy(sensor.bubbles_b._rng.bit_generator.state),
-        "backside_x": sensor._backside_noise._x,
-        "backside_rng": copy.deepcopy(
-            sensor._backside_noise._rng.bit_generator.state),
-        "foul_a": sensor.fouling_a._thickness_m,
-        "foul_b": sensor.fouling_b._thickness_m,
-        "r_trim_a": sensor.bridge_a.r_trim_ohm,
-        "r_trim_b": sensor.bridge_b.r_trim_ohm,
-        "leak_a": sensor.bridge_a.leakage_conductance_s,
-        "leak_b": sensor.bridge_b.leakage_conductance_s,
-    }
-
-
-def _restore_sensor(sensor: MAFSensor, snapshot: dict) -> None:
-    """Put a freshly built sensor into the snapshotted post-campaign state.
-
-    The fresh sensor was constructed from the same config and seed, so
-    its realized tolerances already match; only the mutable state the
-    campaign advanced needs to be written back.
-    """
-    sensor._t_a = copy.deepcopy(snapshot["t_a"])
-    sensor._t_b = copy.deepcopy(snapshot["t_b"])
-    sensor._t_membrane = copy.deepcopy(snapshot["t_membrane"])
-    sensor._t_reference = copy.deepcopy(snapshot["t_reference"])
-    sensor._failed = snapshot["failed"]
-    sensor.bubbles_a._coverage = snapshot["cov_a"]
-    sensor.bubbles_b._coverage = snapshot["cov_b"]
-    sensor.bubbles_a._rng.bit_generator.state = copy.deepcopy(
-        snapshot["bub_rng_a"])
-    sensor.bubbles_b._rng.bit_generator.state = copy.deepcopy(
-        snapshot["bub_rng_b"])
-    sensor._backside_noise._x = snapshot["backside_x"]
-    sensor._backside_noise._rng.bit_generator.state = copy.deepcopy(
-        snapshot["backside_rng"])
-    sensor.fouling_a._thickness_m = snapshot["foul_a"]
-    sensor.fouling_b._thickness_m = snapshot["foul_b"]
-    sensor.bridge_a.r_trim_ohm = snapshot["r_trim_a"]
-    sensor.bridge_b.r_trim_ohm = snapshot["r_trim_b"]
-    sensor.bridge_a.leakage_conductance_s = snapshot["leak_a"]
-    sensor.bridge_b.leakage_conductance_s = snapshot["leak_b"]
-
-
 def _calibration_record(
     seed: int,
     loop_rate_hz: float,
@@ -239,10 +187,16 @@ def _calibration_record(
         "fast": fast,
     }) if disk is not None else None
     artifact = disk.get("calibration", disk_key) if disk is not None else None
+    sensor = MAFSensor(sensor_cfg, housing=housing)
+    if artifact is not None:
+        try:
+            load_state(sensor, artifact["snapshot"])
+        except ConfigurationError:
+            # A snapshot in an older layout: a miss, re-run the campaign.
+            artifact = None
     if artifact is not None:
         record = (artifact["calibration"], artifact["snapshot"])
     else:
-        sensor = MAFSensor(sensor_cfg, housing=housing)
         with get_tracer().span("scenarios.calibration_campaign", seed=seed):
             cal_platform = ISIFPlatform.for_anemometer(
                 loop_rate_hz=loop_rate_hz, bit_true_adc=bit_true_adc,
@@ -256,7 +210,7 @@ def _calibration_record(
                 reference=Promag50(seed=_child_seed(cal_reference_ss)),
                 settle_s=0.3 if fast else 1.0,
                 average_s=0.2 if fast else 0.5)
-        record = (calibration, _snapshot_sensor(sensor))
+        record = (calibration, state_of(sensor))
         if disk is not None:
             disk.put("calibration", disk_key,
                      {"calibration": calibration, "snapshot": record[1]})
@@ -293,7 +247,7 @@ def _assemble(
     calibration, snapshot = record
     sensor = MAFSensor(sensor_config or MAFConfig(seed=_child_seed(die_ss)),
                        housing=housing)
-    _restore_sensor(sensor, snapshot)
+    load_state(sensor, snapshot)
     monitor_cfg = MonitorConfig(
         loop_rate_hz=loop_rate_hz,
         cta=CTAConfig(overtemperature_k=overtemperature_k),
