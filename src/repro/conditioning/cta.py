@@ -271,7 +271,17 @@ class CTAController:
         This is the input to the fluid-temperature tracking used by the
         estimator's King's-law temperature compensation.
         """
-        if not telemetry.energised or telemetry.supply_a_v < 0.2:
+        if not telemetry.energised:
+            return None
+        return self.read_reference_resistance_at(
+            telemetry.supply_a_v, telemetry.readout.reference_midpoint_a_v)
+
+    def read_reference_resistance_at(self, supply_a_v: float,
+                                     midpoint_v: float) -> float | None:
+        """:meth:`read_reference_resistance` of an energised tick, from
+        the bridge-A supply and reference midpoint its telemetry holds.
+        """
+        if supply_a_v < 0.2:
             return None
         channel = self.platform.channels[3]
         if channel.config.afe.gain_index != 0:
@@ -282,8 +292,7 @@ class CTAController:
         # conversions, not a single isolated sample.
         v_mid = 0.0
         for _ in range(40):
-            v_mid = channel.acquire(telemetry.readout.reference_midpoint_a_v)
-        u = telemetry.supply_a_v
-        if v_mid <= 0.0 or v_mid >= u:
+            v_mid = channel.acquire(midpoint_v)
+        if v_mid <= 0.0 or v_mid >= supply_a_v:
             return None
-        return self.sensor.bridge_a.r_trim_ohm * v_mid / (u - v_mid)
+        return self.sensor.bridge_a.r_trim_ohm * v_mid / (supply_a_v - v_mid)

@@ -107,7 +107,7 @@ class AnalogFrontEnd:
     1/f contribution approximated by a slow random-walk component.
     """
 
-    STATE = ("_state_v", "_flicker_v", "_clipped", "_rng")
+    STATE = ("config", "_state_v", "_flicker_v", "_clipped", "_rng")
 
     def __init__(self, config: AFEConfig | None = None,
                  rng: np.random.Generator | None = None) -> None:

@@ -65,13 +65,30 @@ class ChannelConfig:
 
 
 class InputChannel:
-    """Stateful signal chain for one analog input."""
+    """Stateful signal chain for one analog input.
+
+    Its state is the register image, the configuration last applied
+    from it, and the chain stages that configuration built.
+    """
+
+    STATE = ("config", "register_values", "afe", "anti_alias", "adc",
+             "digital_lpf")
 
     def __init__(self, config: ChannelConfig | None = None, name: str = "ch0") -> None:
         self.name = name
         self.config = config or ChannelConfig()
         self.registers = self._build_registers()
         self._rebuild()
+
+    @property
+    def register_values(self) -> dict[str, int]:
+        """Every register's word, keyed by register name."""
+        return self.registers.dump()
+
+    @register_values.setter
+    def register_values(self, values: dict[str, int]) -> None:
+        for name, value in values.items():
+            self.registers.reg(name).write(value)
 
     # -- register interface ------------------------------------------------------
 
@@ -138,7 +155,7 @@ class InputChannel:
             self.adc = BehavioralAdc(vref_v=cfg.vref_v,
                                      rng=np.random.default_rng(cfg.seed + 2))
         self.digital_lpf = OnePoleLowpass(cfg.digital_lpf_cutoff_hz, cfg.sample_rate_hz)
-        self._dt = 1.0 / cfg.sample_rate_hz
+        self._period_s = 1.0 / cfg.sample_rate_hz
 
     def acquire(self, analog_input: float) -> float:
         """One conversion tick: raw analog input → input-referred volts.
@@ -146,7 +163,7 @@ class InputChannel:
         The returned value is divided by the AFE gain so the firmware
         reasons in bridge-voltage units regardless of the PGA setting.
         """
-        conditioned = self.afe.process(analog_input, self._dt)
+        conditioned = self.afe.process(analog_input, self._period_s)
         band_limited = self.anti_alias.step(conditioned)
         code = self.adc.convert(band_limited)
         filtered = self.digital_lpf.step(self.adc.to_volts(code))

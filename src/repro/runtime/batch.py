@@ -32,8 +32,9 @@ array math, replacing the per-sample Python loops of
 
 The engine *consumes* the rigs passed to it: their RNG streams advance,
 the first rig's drive scheme is ticked, and every platform scheduler is
-bulk-advanced.  Treat the rigs as spent after :meth:`BatchEngine.run`;
-for repeatable runs build fresh rigs (see :class:`repro.runtime.Session`).
+bulk-advanced.  Treat the rigs as spent after :meth:`BatchEngine.run`
+unless :meth:`BatchEngine.write_back` hands them their state back; for
+repeatable runs build fresh rigs (see :class:`repro.runtime.Session`).
 
 Fleets must be *structurally homogeneous* (same configs modulo seeds);
 per-monitor diversity enters only through realized component values
@@ -50,12 +51,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.errors import ConfigurationError, SensorFault
-from repro.observability import get_profiler, get_registry, get_tracer
+from repro.observability import (Tracer, get_profiler, get_registry,
+                                 get_tracer)
 from repro.baselines.promag import Promag50
 from repro.conditioning.drive import ContinuousDrive, PulsedDrive
 from repro.isif.sigma_delta import BehavioralAdc
@@ -65,11 +67,11 @@ from repro.runtime.kernels import (ar1_block, exp_exact, film_conductance,
                                    plan_chunk, pow_exact, relax_block,
                                    resolve_numerics)
 from repro.runtime.result import RunResult
-from repro.state import state_of
+from repro.state import load_state, state_of
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
 
-__all__ = ["BatchEngine"]
+__all__ = ["BatchEngine", "WindowSums"]
 
 
 def _require(condition: bool, message: str) -> None:
@@ -239,9 +241,40 @@ def _validate_fleet(rigs: list[TestRig]) -> None:
                  "unknown drive scheme")
 
 
+#: The tracer calibration windows use: their campaign's span covers them.
+_QUIET = Tracer(enabled=False)
+
 #: Back-compat alias: the exact-mode elementwise exponential now lives in
 #: :mod:`repro.runtime.kernels`.
 _vexp = exp_exact
+
+
+@dataclass
+class WindowSums:
+    """Per-row sums over one :meth:`BatchEngine.accumulate` window.
+
+    Attributes
+    ----------
+    supply_sum:
+        (2, N) bridge supplies (PI outputs) summed over the window's
+        valid samples, in step order.
+    valid:
+        How many of the window's samples were valid (the drive is
+        shared, so one count serves every row).
+    reference_sum:
+        (N,) reference-meter readings summed over every sample.
+    supply:
+        (2, N) bridge supplies after the window's last step.
+    midpoint_a:
+        (N,) bridge A's reference-arm midpoint at the last step [V],
+        the ``reference_midpoint_a_v`` the scalar loop's readout holds.
+    """
+
+    supply_sum: np.ndarray
+    valid: int
+    reference_sum: np.ndarray
+    supply: np.ndarray | None = None
+    midpoint_a: np.ndarray | None = None
 
 
 class BatchEngine:
@@ -276,6 +309,13 @@ class BatchEngine:
     SensorFault
         If any sensor is already failed.
     """
+
+    #: The offset the rigs' objects were last written at (0: they hold
+    #: the state the engine was built from), and the (2, N) supplies the
+    #: DACs applied at the last step (None before the first).  Class
+    #: defaults, so engines pickled before these existed restore whole.
+    _synced = 0
+    _ua = None
 
     def __init__(self, rigs: list[TestRig], chunk_size: int = 1024,
                  numerics: str = "exact") -> None:
@@ -620,6 +660,55 @@ class BatchEngine:
         with get_tracer().span("batch.run", n_monitors=self._n, steps=steps):
             return self._run(profile, steps, record_every_n)
 
+    def jump_to(self, speed_mps: float) -> None:
+        """Teleport the shared line plant between advance windows.
+
+        The engine form of :meth:`WaterLine.jump_to(speed_mps)
+        <repro.station.line.WaterLine.jump_to>` on every rig's line:
+        the bulk speed moves to ``speed_mps`` and the bulk pressure and
+        temperature to the line's defaults (2 bar, 15 °C).  The line
+        clock and each row's turbulence stream carry on.
+        """
+        self._bulk_speed = speed_mps
+        self._bulk_pressure = 2.0e5
+        self._bulk_temp = 288.15
+
+    def accumulate(self, profile: Profile, steps: int,
+                   sums: WindowSums | None = None) -> WindowSums:
+        """Advance ``steps`` samples, summing a §4 averaging window.
+
+        The engine form of the averaging loop of
+        :func:`repro.station.rig.run_calibration`: the reference meter
+        is read every sample and the supplies on valid samples, and
+        each row's readings are added in step order, as the scalar
+        loop adds them.  Passing the previous window's ``sums``
+        continues them (the same running sums, so a window cut in two
+        adds up bit-identically); without it the sums start at zero.
+        Nothing is recorded, and the flow estimator is not advanced:
+        it never feeds the loop, and a rig being calibrated has no
+        calibration to invert yet.
+
+        Raises
+        ------
+        ConfigurationError
+            On a non-positive step count, or if every rig was dropped.
+        SensorFault
+            On membrane burst or housing overpressure.
+        """
+        if steps < 1:
+            raise ConfigurationError("accumulate needs at least one step")
+        if self._n < 1:
+            raise ConfigurationError("every rig was dropped from the engine")
+        if sums is None:
+            sums = WindowSums(supply_sum=np.zeros((2, self._n)), valid=0,
+                              reference_sum=np.zeros(self._n))
+        self._run(profile, steps, 1, sums)
+        rt = self._ref_r0 * (1.0 + self._tcr_ref * (self._t_ref
+                                                    - self._tref_ref))
+        sums.supply = self._u.copy()
+        sums.midpoint_a = self._ua[0] * rt / (self._r_trim[0] + rt)
+        return sums
+
     def drop(self, indices: list[int]) -> None:
         """Remove monitors from the fleet between advances.
 
@@ -659,6 +748,8 @@ class BatchEngine:
             self._pi_int = self._pi_int[..., keep]
         else:
             self._pi_int_f = self._pi_int_f[..., keep]
+        if self._ua is not None:
+            self._ua = self._ua[..., keep]
         self._aa_state = [[st[..., keep] for st in stage]
                           for stage in self._aa_state]
         self._lev_a = self._lev_a[keep]
@@ -679,8 +770,115 @@ class BatchEngine:
             (r.monitor.sensor.housing.pressure_rating_pa
              for r in self._rigs), default=math.inf)
 
+    def write_back(self) -> None:
+        """Write the engine's state into the objects of its rigs.
+
+        Afterwards every rig holds, stage by stage and in each stage's
+        declared layout (:func:`repro.state.state_of`), the state the
+        scalar loop would have left after the same steps, and its
+        :attr:`TestRig.offset <repro.station.rig.TestRig.offset>` is
+        the engine's.  A rig can then continue on its own with
+        :meth:`TestRig.advance <repro.station.rig.TestRig.advance>`,
+        bit-identical to a scalar run that never left it.  The
+        generators are shared already: the engine draws from the rigs'
+        own.  The engine stays usable.  Two things are not carried:
+        the estimator skips :meth:`accumulate` windows, so it is
+        written as it stood before them, and a rig whose AFE clipped
+        inside the engine keeps its old sticky rail flag, because the
+        engine clamps without recording the clip.
+        """
+        steps = self._offset - self._synced
+        dt = self._dt
+        clocks: dict[float, float] = {}
+        drive = (state_of(self._drive)
+                 if isinstance(self._drive, PulsedDrive) else None)
+        quant = self._qformat is not None
+        v_mag = abs(float(self._bulk_speed))
+        for j, rig in enumerate(self._rigs):
+            mon = rig.monitor
+            sensor = state_of(mon.sensor)
+            sensor.update(t_a=self._t_h[0, j], t_b=self._t_h[1, j],
+                          t_membrane=self._t_mem[j],
+                          t_reference=self._t_ref[j])
+            if self._enable_bubbles:
+                sensor["bubbles_a"]["coverage"] = self._cov[0, j]
+                sensor["bubbles_b"]["coverage"] = self._cov[1, j]
+            sensor["backside_noise"]["x"] = (
+                float(self._x_bs[j]) if self._bs_sigma > 0.0 else 0.0)
+            leak = mon.sensor.housing.leakage_conductance_s()
+            sensor["bridge_a"]["leakage_conductance_s"] = leak
+            sensor["bridge_b"]["leakage_conductance_s"] = leak
+            load_state(mon.sensor, sensor)
+
+            ctrl = state_of(mon.controller)
+            start = ctrl["time_s"]
+            if start not in clocks:
+                # The scalar loop adds dt once per step; so must we.
+                t = start
+                for _ in range(steps):
+                    t += dt
+                clocks[start] = t
+            ctrl["time_s"] = clocks[start]
+            ctrl["u_a"] = float(self._u[0, j])
+            ctrl["u_b"] = float(self._u[1, j])
+            for h, key in enumerate(("pi_a", "pi_b")):
+                ctrl[key]["saturated_sign"] = int(self._pi_sat[h, j])
+                if quant:
+                    ctrl[key]["int_code"] = int(self._pi_int[h, j])
+                else:
+                    ctrl[key]["integral"] = float(self._pi_int_f[h, j])
+            load_state(mon.controller, ctrl)
+            if drive is not None and mon.controller.drive is not self._drive:
+                load_state(mon.controller.drive, drive)
+
+            plat = mon.platform
+            for h, (dac, ch) in enumerate(zip(
+                    (plat.supply_dac_a, plat.supply_dac_b),
+                    plat.channels[:2])):
+                if self._ua is not None:
+                    load_state(dac, {**state_of(dac),
+                                     "output_v": float(self._ua[h, j])})
+                load_state(ch.afe, {**state_of(ch.afe),
+                                    "state_v": float(self._afe_state[h, j]),
+                                    "flicker_v": float(self._flick[h, j])})
+                load_state(ch.anti_alias, {
+                    **state_of(ch.anti_alias),
+                    "state": [[float(st[h, j]) for st in stage]
+                              for stage in self._aa_state]})
+                load_state(ch.digital_lpf, {**state_of(ch.digital_lpf),
+                                            "y_f": float(self._y_lpf[h, j])})
+
+            est = state_of(mon.estimator)
+            est["primed"] = self._primed
+            est["last_output"] = float(self._last_output[j])
+            est["iir"]["y_f"] = float(self._y_iir[j])
+            if self._use_direction:
+                est["direction"]["direction"] = int(self._dir[j])
+                est["direction"]["filter"]["y_f"] = float(self._y_dir[j])
+            load_state(mon.estimator, est)
+
+            line = state_of(rig.line)
+            line.update(time_s=self._line_time, speed=self._bulk_speed,
+                        pressure=self._bulk_pressure,
+                        temperature=self._bulk_temp)
+            ou = line["noise"]["ou"]
+            ou["x"] = float(self._x_ou[j])
+            if steps:
+                # The turbulence stream's last retune, as perturb() did.
+                noise = line["noise"]["config"]
+                ou["sigma"] = noise.intensity * v_mag + noise.floor_mps
+                ou["tau_s"] = noise.integral_length_m / max(
+                    v_mag, noise.min_speed_mps)
+            load_state(rig.line, line)
+
+            load_state(rig.reference, {**state_of(rig.reference),
+                                       "state": float(self._pm_state[j])})
+            rig.offset = self._offset
+        self._synced = self._offset
+
     def _run(self, profile: Profile, steps: int,
-             record_every_n: int) -> RunResult:
+             record_every_n: int, sums: WindowSums | None = None
+             ) -> RunResult | None:
         """The instrumented main loop behind :meth:`run`.
 
         Each chunk is advanced in three phases: :func:`plan_chunk`
@@ -691,16 +889,22 @@ class BatchEngine:
         only the genuinely recurrent chain (reference/heater/membrane
         thermals, AFE state, filters, PI, estimator) stays in the
         per-sample loop.
+
+        With ``sums`` the window is a calibration window
+        (:meth:`accumulate`): it records nothing, skips the estimator,
+        and stays out of the run metrics, spans and profiler stages,
+        since its campaign's own span accounts for it.
         """
         dt = self._dt
         n = self._n
         fast = self._fast
+        accumulating = sums is not None
         # Per-chunk instrumentation: one branch when disabled, one
         # perf_counter pair + histogram/counter update per chunk (never
         # per sample) when enabled.
         registry = get_registry()
-        tracer = get_tracer()
-        observing = registry.enabled
+        tracer = _QUIET if accumulating else get_tracer()
+        observing = registry.enabled and not accumulating
         if observing:
             registry.gauge("runtime.batch.fleet_size").set(n)
             registry.gauge("runtime.kernel.fast").set(1.0 if fast else 0.0)
@@ -725,7 +929,7 @@ class BatchEngine:
         # the per-sample loop and a live profiler costs two clock reads
         # per sample.
         profiler = get_profiler()
-        profiling = profiler.enabled
+        profiling = profiler.enabled and not accumulating
         if profiling:
             perf_counter, process_time = time.perf_counter, time.process_time
             run_stages: dict[str, dict] = {}
@@ -859,6 +1063,9 @@ class BatchEngine:
         y_iir, primed = self._y_iir, self._primed
         y_dir, dir_state = self._y_dir, self._dir
         last_output = self._last_output
+        if accumulating:
+            supply_sum, ref_sum = sums.supply_sum, sums.reference_sum
+            n_valid = sums.valid
 
         # Scratch buffers reused every step: each is fully overwritten
         # before use and never stored across steps.  ``t_f0`` is the
@@ -1261,7 +1468,7 @@ class BatchEngine:
                             pi_out_max + pi_kp * np_abs(err))
 
                 # Flow estimator (valid samples only; otherwise hold).
-                if sample_valid[k]:
+                if not accumulating and sample_valid[k]:
                     bp_a = u[0] ** 2 * rh_star / bp_denom
                     bp_b = u[1] ** 2 * rh_star / bp_denom
                     g_cond = f_half * (bp_a + bp_b) / overtemp
@@ -1301,7 +1508,14 @@ class BatchEngine:
                         sign = 1.0
                     last_output = sign * y_iir
 
-                if i % record_every_n == 0:
+                if accumulating:
+                    # A §4 averaging window: the meter is read every
+                    # sample and the supplies on valid ones.
+                    ref_sum = ref_sum + (pm_traj[k] + pm_noise * xi_pm[:, k])
+                    if sample_valid[k]:
+                        supply_sum = supply_sum + u
+                        n_valid += 1
+                elif i % record_every_n == 0:
                     # The Promag 50 trajectory was precomputed by the
                     # relaxation kernel; the reading (state + resolution
                     # noise) only exists at recorded ticks.
@@ -1349,6 +1563,10 @@ class BatchEngine:
         self._y_iir, self._primed = y_iir, primed
         self._y_dir, self._dir = y_dir, dir_state
         self._last_output = last_output
+        self._ua = ua.copy()
+        if accumulating:
+            sums.supply_sum, sums.reference_sum = supply_sum, ref_sum
+            sums.valid = n_valid
 
         if observing:
             elapsed = time.perf_counter() - run_start
@@ -1360,6 +1578,8 @@ class BatchEngine:
             rig.monitor.platform.scheduler.bulk_tick(steps)
 
         self._offset = end
+        if accumulating:
+            return None
 
         if t_buf:
             result = RunResult(

@@ -38,8 +38,12 @@ from repro.runtime.result import RunResult
 from repro.runtime.spec import FleetSpec
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
-from repro.state import state_of
-from repro.station.scenarios import (_assemble, build_calibrated_monitor,
+# ``build_calibrated_monitor`` stays importable from here only so that
+# the benchmark's wrapper of that name still resolves; set-up no longer
+# calls it (``calibrate`` resolves records with ``_calibration_records``),
+# so the wrapper sees no set-up builds.
+from repro.station.scenarios import (_assemble, _calibration_records,
+                                     build_calibrated_monitor,
                                      calibration_cache_stats)
 
 __all__ = ["Session", "MonitorHandle", "resolve_record_every_n"]
@@ -200,28 +204,23 @@ class Session:
 
         Each monitor's calibration comes from the process-wide LRU, the
         session's artifact store or, failing both, a full §4 campaign.
-        The session keeps every (calibration, post-campaign sensor
-        snapshot) pair until :meth:`close`, so :meth:`run` never
-        calibrates again, however large the fleet.
+        The fleet's misses calibrate together: campaigns of monitors
+        built alike run as one batch engine, bit-identical to running
+        them one by one.  The session keeps every (calibration,
+        post-campaign sensor snapshot) pair until :meth:`close`, so
+        :meth:`run` never calibrates again, however large the fleet.
         """
         self._expect("open")
         t0 = time.perf_counter()
         with get_tracer().span("session.calibrate",
                                n_monitors=self.n_monitors):
-            self._handles = []
-            self._records = []
-            for i, (s, entry) in enumerate(zip(self._seeds,
-                                               self._fleet.flat())):
-                setup = build_calibrated_monitor(seed=s, store=self._store,
-                                                 **entry.build_kwargs())
-                # The build left its fresh sensor in the post-campaign
-                # state and nothing has run on it, so a copy of its state
-                # is the record the build resolved.
-                self._records.append((setup.calibration, copy.deepcopy(
-                    state_of(setup.monitor.sensor))))
-                self._handles.append(MonitorHandle(
-                    index=i, seed=s, monitor=setup.monitor, rig=setup.rig,
-                    calibration=setup.calibration))
+            builds = [dict(seed=s, **entry.build_kwargs())
+                      for s, entry in zip(self._seeds, self._fleet.flat())]
+            records = _calibration_records(builds, store=self._store)
+            # Own copies: the LRU shares its records with later builds.
+            self._records = [(calibration, copy.deepcopy(snapshot))
+                             for calibration, snapshot in records]
+            self._handles = self._materialize()
             self._state = "calibrated"
         self._timings["calibrate_s"] = time.perf_counter() - t0
         get_event_log().emit("session.state", state="calibrated",

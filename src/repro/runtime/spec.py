@@ -256,6 +256,9 @@ class FleetSpec:
     def materialize(self, seeds: list[int] | None = None) -> list:
         """Build the fleet's rigs (one calibrated rig per position).
 
+        The positions' calibrations are resolved together, as
+        :meth:`repro.runtime.Session.calibrate` resolves them, so the
+        campaigns of monitors built alike run on one batch engine.
         ``seeds`` overrides the derived :meth:`monitor_seeds`.
         Scenario tags are *not* consumed here — the rigs come back
         plain; event injection belongs to
@@ -263,17 +266,17 @@ class FleetSpec:
         """
         # Lazy: station.scenarios pulls in the calibration stack; spec
         # stays importable without it at module-import time.
-        from repro.station.scenarios import build_calibrated_monitor
+        from repro.station.scenarios import _assemble, _calibration_records
         if seeds is None:
             seeds = self.monitor_seeds()
         if len(seeds) != self.n_monitors:
             raise ConfigurationError(
                 f"seed list has {len(seeds)} entries for a fleet of "
                 f"{self.n_monitors}")
-        return [
-            build_calibrated_monitor(seed=s, **entry.build_kwargs()).rig
-            for entry, s in zip(self.flat(), seeds)
-        ]
+        builds = [dict(seed=s, **entry.build_kwargs())
+                  for entry, s in zip(self.flat(), seeds)]
+        return [_assemble(record, **kwargs).rig for record, kwargs in
+                zip(_calibration_records(builds), builds)]
 
     # -- serialization -------------------------------------------------------
 

@@ -19,12 +19,13 @@ from repro.baselines.base import FlowMeter
 from repro.baselines.promag import Promag50
 from repro.conditioning.calibration import CalibrationProcedure, FlowCalibration
 from repro.conditioning.cta import CTAController
+from repro.conditioning.drive import ContinuousDrive
 from repro.conditioning.direction import DirectionDetector
 from repro.conditioning.monitor import WaterFlowMonitor
 from repro.station.line import WaterLine
-from repro.station.profiles import Profile
+from repro.station.profiles import Profile, Segment
 
-__all__ = ["RigRecord", "TestRig", "run_calibration"]
+__all__ = ["RigRecord", "TestRig", "run_calibration", "run_calibration_batch"]
 
 
 @dataclass
@@ -201,6 +202,12 @@ class TestRig:
         """
         return getattr(self, "_advance_offset", 0)
 
+    @offset.setter
+    def offset(self, step: int) -> None:
+        # Set by BatchEngine.write_back, which leaves the rig where the
+        # engine stopped.
+        self._advance_offset = int(step)
+
     def advance(self, profile: Profile, steps: int,
                 record_every_n: int = 20) -> RigRecord:
         """Advance ``steps`` loop ticks through ``profile`` and return
@@ -260,6 +267,10 @@ class TestRig:
         )
 
 
+#: Averaging samples between the campaign's Rt reads.
+_RT_READ_EVERY = 50
+
+
 def run_calibration(controller: CTAController,
                     speeds_cmps: list[float],
                     line: WaterLine | None = None,
@@ -278,23 +289,21 @@ def run_calibration(controller: CTAController,
     CalibrationError
         From the underlying fit when the campaign is too sparse.
     """
-    if len(speeds_cmps) < 4:
-        raise CalibrationError("calibration campaign needs at least 4 speeds")
+    _check_speeds(speeds_cmps)
     line = line or WaterLine()
     reference = reference or Promag50()
     dt = controller.platform.dt_s
     procedure = CalibrationProcedure(
         overtemperature_k=controller.config.overtemperature_k)
     rt_readings: list[float] = []
+    settle_steps, avg_steps = _campaign_steps(dt, settle_s, average_s)
     for v_cmps in speeds_cmps:
         v_target = abs(v_cmps) * 1e-2
         line.jump_to(v_target)
-        settle_steps = int(round(settle_s / dt))
         for _ in range(settle_steps):
             state = line.step(dt, v_target)
             controller.step(line.conditions(state))
             reference.read(state.bulk_speed_mps, dt)
-        avg_steps = max(1, int(round(average_s / dt)))
         u_a_acc = u_b_acc = ref_acc = 0.0
         valid = 0
         for i in range(avg_steps):
@@ -305,22 +314,114 @@ def run_calibration(controller: CTAController,
                 u_a_acc += tel.supply_a_v
                 u_b_acc += tel.supply_b_v
                 valid += 1
-                if i % 50 == 0:  # temperature anchor for compensation
+                if i % _RT_READ_EVERY == 0:  # temperature anchor
                     rt = controller.read_reference_resistance(tel)
                     if rt is not None:
                         rt_readings.append(rt)
-        if valid == 0:
-            raise CalibrationError(
-                "no valid samples during averaging (pulsed drive duty too low "
-                "for the chosen average_s)")
-        u_a = u_a_acc / valid
-        u_b = u_b_acc / valid
-        g = controller.conductance_from_supplies(u_a, u_b)
-        procedure.add_point(
-            reference_speed_mps=ref_acc / avg_steps,
-            conductance_w_per_k=g,
-            heater_asymmetry=DirectionDetector.asymmetry(u_a, u_b),
-        )
+        _add_point(procedure, controller, u_a_acc, u_b_acc, valid,
+                   ref_acc / avg_steps)
+    return _fit(procedure, rt_readings)
+
+
+def run_calibration_batch(rigs: list[TestRig], speeds_cmps: list[float],
+                          settle_s: float = 1.0,
+                          average_s: float = 0.5) -> list[FlowCalibration]:
+    """:func:`run_calibration` for a list of rigs on one batch engine.
+
+    Each rig's ``monitor.controller`` is calibrated against the rig's
+    own line and reference meter, and every returned calibration (and
+    every rig's post-campaign state, written back into the rig) is
+    bit-identical to ``run_calibration(rig.monitor.controller,
+    speeds_cmps, line=rig.line, reference=rig.reference, ...)`` on that
+    rig alone.  The campaign's windows map onto the engine: a
+    :meth:`~repro.runtime.BatchEngine.jump_to` per setpoint, one
+    :meth:`~repro.runtime.BatchEngine.accumulate` to settle, then
+    averaging windows cut after every Rt-read sample, where each row's
+    supply and reference midpoint go to its own scalar spare channel.
+    The rigs' estimators are not advanced.
+
+    Raises
+    ------
+    CalibrationError
+        With fewer than 4 speeds, or from a fit.
+    ConfigurationError
+        If the rigs do not run continuous drive, or the batch engine
+        refuses them; both are raised before any rig is advanced.
+    """
+    from repro.runtime.batch import BatchEngine  # lazy: it imports us
+    _check_speeds(speeds_cmps)
+    controllers = [rig.monitor.controller for rig in rigs]
+    if not all(isinstance(c.drive, ContinuousDrive) for c in controllers):
+        raise ConfigurationError(
+            "batched calibration needs continuous drive: every averaging "
+            "sample must be valid")
+    engine = BatchEngine(rigs)
+    procedures = [CalibrationProcedure(
+        overtemperature_k=c.config.overtemperature_k) for c in controllers]
+    rt_readings: list[list[float]] = [[] for _ in rigs]
+    settle_steps, avg_steps = _campaign_steps(
+        controllers[0].platform.dt_s, settle_s, average_s)
+    # Averaging windows end right after each Rt-read sample (i = 0, 50,
+    # 100, ...), so the reads see the state the scalar loop reads.
+    ends = list(range(1, avg_steps + 1, _RT_READ_EVERY))
+    if ends[-1] != avg_steps:
+        ends.append(avg_steps)
+    for v_cmps in speeds_cmps:
+        v_target = abs(v_cmps) * 1e-2
+        hold = Profile([Segment(duration_s=1.0, speed_mps=v_target)])
+        engine.jump_to(v_target)
+        if settle_steps:
+            engine.accumulate(hold, settle_steps)
+        sums, done = None, 0
+        for end in ends:
+            sums = engine.accumulate(hold, end - done, sums)
+            if (end - 1) % _RT_READ_EVERY == 0:
+                for j, controller in enumerate(controllers):
+                    rt = controller.read_reference_resistance_at(
+                        float(sums.supply[0, j]), float(sums.midpoint_a[j]))
+                    if rt is not None:
+                        rt_readings[j].append(rt)
+            done = end
+        for j, (procedure, controller) in enumerate(zip(procedures,
+                                                        controllers)):
+            _add_point(procedure, controller, float(sums.supply_sum[0, j]),
+                       float(sums.supply_sum[1, j]), sums.valid,
+                       float(sums.reference_sum[j]) / avg_steps)
+    engine.write_back()
+    return [_fit(procedure, reads)
+            for procedure, reads in zip(procedures, rt_readings)]
+
+
+def _check_speeds(speeds_cmps: list[float]) -> None:
+    if len(speeds_cmps) < 4:
+        raise CalibrationError("calibration campaign needs at least 4 speeds")
+
+
+def _campaign_steps(dt: float, settle_s: float,
+                    average_s: float) -> tuple[int, int]:
+    """Settling and averaging steps per campaign setpoint."""
+    return int(round(settle_s / dt)), max(1, int(round(average_s / dt)))
+
+
+def _add_point(procedure: CalibrationProcedure, controller: CTAController,
+               u_a_acc: float, u_b_acc: float, valid: int,
+               reference_mps: float) -> None:
+    """Record one setpoint from its averaging sums."""
+    if valid == 0:
+        raise CalibrationError(
+            "no valid samples during averaging (pulsed drive duty too low "
+            "for the chosen average_s)")
+    u_a = u_a_acc / valid
+    u_b = u_b_acc / valid
+    procedure.add_point(
+        reference_speed_mps=reference_mps,
+        conductance_w_per_k=controller.conductance_from_supplies(u_a, u_b),
+        heater_asymmetry=DirectionDetector.asymmetry(u_a, u_b),
+    )
+
+
+def _fit(procedure: CalibrationProcedure,
+         rt_readings: list[float]) -> FlowCalibration:
     if rt_readings:
         procedure.reference_resistance_ohm = float(np.mean(rt_readings))
     return procedure.fit()

@@ -32,10 +32,20 @@ the artifact for other workers and future processes.  Restoring from
 the store is bit-identical to a fresh campaign: the same
 (calibration, sensor-state snapshot) pair the LRU holds round-trips
 through pickle exactly.
+
+A fleet resolves its records together (``Session.calibrate``,
+``FleetSpec.materialize``): every build looks in the LRU and the store
+in fleet order, and the misses whose calibration rigs share a
+signature and a setpoint schedule run their campaigns as one
+:class:`~repro.runtime.BatchEngine`, bit-identical to running them one
+by one (:func:`repro.station.rig.run_calibration_batch`).  A single
+build, a caller-owned housing, ``use_cache=False`` and bit-true ADCs
+keep the scalar campaign.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -48,11 +58,12 @@ from repro.conditioning.calibration import FlowCalibration
 from repro.conditioning.cta import CTAConfig, CTAController
 from repro.conditioning.monitor import MonitorConfig, WaterFlowMonitor
 from repro.isif.platform import ISIFPlatform
+from repro.physics.kings_law import KingsLaw
 from repro.sensor.maf import MAFConfig, MAFSensor
 from repro.sensor.packaging import SensorHousing
 from repro.station.line import LineConfig, WaterLine
 from repro.state import load_state, state_of
-from repro.station.rig import TestRig, run_calibration
+from repro.station.rig import TestRig, run_calibration, run_calibration_batch
 from repro.store import canonical_key, get_default_store
 
 __all__ = ["CalibratedSetup", "vinci_station", "build_calibrated_monitor",
@@ -135,90 +146,269 @@ def calibration_cache_stats() -> dict:
     }
 
 
-def _calibration_record(
-    seed: int,
-    loop_rate_hz: float,
-    overtemperature_k: float,
-    output_bandwidth_hz: float,
-    use_pulsed_drive: bool,
-    bit_true_adc: bool,
-    calibration_speeds_cmps: list[float] | None,
-    fast: bool,
-    sensor_config: MAFConfig | None,
-    housing: SensorHousing | None,
-    use_cache: bool,
-    store,
-) -> tuple[FlowCalibration, dict]:
-    """Resolve one build's (calibration, post-campaign snapshot) pair.
+#: Smallest group of campaigns that runs as one batch engine.  Misses
+#: whose calibration rigs share a signature and a campaign calibrate
+#: together once there are this many of them; smaller groups run the
+#: scalar loop rig by rig.  Set where the engine stops losing to the
+#: scalar loop on a campaign (docs/performance.md, "Batched
+#: calibration").
+BATCH_CALIBRATION_MIN_RIGS = 2
 
-    Looks in the LRU, then the artifact store, and only then runs the
-    §4 campaign (publishing the pair to both).
+#: LRU placeholder for a record being resolved in the current batch.
+_PENDING = ("pending",)
+
+
+@dataclass
+class _Build:
+    """One build's campaign inputs and the keys its record lives under."""
+
+    seed: int
+    loop_rate_hz: float
+    overtemperature_k: float
+    output_bandwidth_hz: float
+    use_pulsed_drive: bool
+    bit_true_adc: bool
+    speeds: list[float]
+    fast: bool
+    sensor_cfg: MAFConfig
+    housing: SensorHousing | None
+    cacheable: bool
+    bench_seeds: tuple[int, int, int]
+
+    @classmethod
+    def of(cls, seed: int = 42, loop_rate_hz: float = 1000.0,
+           overtemperature_k: float = 5.0, output_bandwidth_hz: float = 0.1,
+           use_pulsed_drive: bool = True, bit_true_adc: bool = False,
+           calibration_speeds_cmps: list[float] | None = None,
+           fast: bool = False, sensor_config: MAFConfig | None = None,
+           housing: SensorHousing | None = None,
+           use_cache: bool = True) -> "_Build":
+        """From :func:`build_calibrated_monitor`'s arguments."""
+        (die_ss, *bench, _, _, _) = np.random.SeedSequence(seed).spawn(7)
+        return cls(
+            seed, loop_rate_hz, overtemperature_k, output_bandwidth_hz,
+            use_pulsed_drive, bit_true_adc,
+            list(calibration_speeds_cmps or DEFAULT_CALIBRATION_SPEEDS_CMPS),
+            fast, sensor_config or MAFConfig(seed=_child_seed(die_ss)),
+            housing, use_cache and housing is None,
+            tuple(_child_seed(ss) for ss in bench))
+
+    @functools.cached_property
+    def cache_key(self) -> tuple:
+        return (repr(self.sensor_cfg), self.seed, self.loop_rate_hz,
+                self.overtemperature_k, self.output_bandwidth_hz,
+                self.use_pulsed_drive, self.bit_true_adc,
+                tuple(self.speeds), self.fast)
+
+    @functools.cached_property
+    def disk_key(self) -> str:
+        return canonical_key({
+            "sensor": self.sensor_cfg.to_dict(),
+            "seed": self.seed,
+            "loop_rate_hz": self.loop_rate_hz,
+            "overtemperature_k": self.overtemperature_k,
+            "output_bandwidth_hz": self.output_bandwidth_hz,
+            "use_pulsed_drive": self.use_pulsed_drive,
+            "bit_true_adc": self.bit_true_adc,
+            "speeds": self.speeds,
+            "fast": self.fast,
+        })
+
+    @property
+    def windows(self) -> dict:
+        """The campaign's settle and average windows."""
+        return {"settle_s": 0.3 if self.fast else 1.0,
+                "average_s": 0.2 if self.fast else 0.5}
+
+    def calibration_rig(self) -> TestRig:
+        """A fresh die on the calibration bench, on continuous drive.
+
+        Its estimator holds a placeholder law: the campaign never reads
+        the estimator, which only exists because a rig has one.
+        """
+        platform_seed, line_seed, reference_seed = self.bench_seeds
+        monitor = WaterFlowMonitor(
+            MAFSensor(self.sensor_cfg, housing=self.housing),
+            FlowCalibration(law=KingsLaw(coeff_a=1.0, coeff_b=1.0),
+                            overtemperature_k=self.overtemperature_k),
+            MonitorConfig(loop_rate_hz=self.loop_rate_hz,
+                          cta=CTAConfig(
+                              overtemperature_k=self.overtemperature_k),
+                          use_pulsed_drive=False),
+            platform=ISIFPlatform.for_anemometer(
+                loop_rate_hz=self.loop_rate_hz,
+                bit_true_adc=self.bit_true_adc, seed=platform_seed))
+        return TestRig(monitor, line=WaterLine(LineConfig(seed=line_seed)),
+                       reference=Promag50(seed=reference_seed))
+
+
+def _calibration_records(build_kwargs: list[dict], store=None
+                         ) -> list[tuple[FlowCalibration, dict]]:
+    """Resolve each build's (calibration, post-campaign snapshot) pair.
+
+    ``build_kwargs`` holds one dict of :func:`build_calibrated_monitor`
+    arguments (seed included, ``store`` left out) per build.  Builds
+    look in the LRU in the order given, with the moves,
+    evictions and hit/miss tallies of resolving them one at a time; a
+    key missed twice is resolved once.  Misses then look in the
+    artifact store, and only the rest run the §4 campaign, publishing
+    the pair to both.  Campaigns that share a calibration-rig signature
+    and a setpoint schedule run as one batch engine when there are at
+    least :data:`BATCH_CALIBRATION_MIN_RIGS` of them
+    (:func:`repro.station.rig.run_calibration_batch`); the others, and
+    every build with a caller-owned housing, ``use_cache=False`` or a
+    bit-true ADC, run the scalar loop.  Either way a record is
+    bit-identical to the scalar campaign's.
+
+    If a campaign raises, the records resolved before it are cached
+    and the error propagates.  The LRU then matches one-at-a-time
+    resolution only up to evictions: held places of builds that never
+    resolved are given up, but the entries they evicted are not
+    restored.
     """
-    (die_ss, cal_platform_ss, cal_line_ss, cal_reference_ss, *_) = \
-        np.random.SeedSequence(seed).spawn(7)
-    sensor_cfg = sensor_config or MAFConfig(seed=_child_seed(die_ss))
-    speeds = list(calibration_speeds_cmps or DEFAULT_CALIBRATION_SPEEDS_CMPS)
-    cacheable = use_cache and housing is None
-    cache_key = (repr(sensor_cfg), seed, loop_rate_hz, overtemperature_k,
-                 output_bandwidth_hz, use_pulsed_drive, bit_true_adc,
-                 tuple(speeds), fast)
-    cached = _CALIBRATION_CACHE.get(cache_key) if cacheable else None
     global _CACHE_HITS, _CACHE_MISSES
+    builds = [_Build.of(**kwargs) for kwargs in build_kwargs]
     registry = get_registry()
-    if cached is not None:
-        _CACHE_HITS += 1
+    records: list = [None] * len(builds)
+    waiting: dict[tuple, list[int]] = {}
+    todo: list[int] = []
+    for i, build in enumerate(builds):
+        key = build.cache_key if build.cacheable else None
+        cached = _CALIBRATION_CACHE.get(key) if key is not None else None
+        if cached is not None:
+            _CACHE_HITS += 1
+            if registry.enabled:
+                registry.counter("station.calibration_cache.hits").inc()
+            _CALIBRATION_CACHE.move_to_end(key)
+            if cached is _PENDING:
+                waiting[key].append(i)
+            else:
+                records[i] = cached
+            continue
+        _CACHE_MISSES += 1
         if registry.enabled:
-            registry.counter("station.calibration_cache.hits").inc()
-        _CALIBRATION_CACHE.move_to_end(cache_key)
-        return cached
-    _CACHE_MISSES += 1
-    if registry.enabled:
-        registry.counter("station.calibration_cache.misses").inc()
-    disk = (store or get_default_store()) if cacheable else None
-    disk_key = canonical_key({
-        "sensor": sensor_cfg.to_dict(),
-        "seed": seed,
-        "loop_rate_hz": loop_rate_hz,
-        "overtemperature_k": overtemperature_k,
-        "output_bandwidth_hz": output_bandwidth_hz,
-        "use_pulsed_drive": use_pulsed_drive,
-        "bit_true_adc": bit_true_adc,
-        "speeds": speeds,
-        "fast": fast,
-    }) if disk is not None else None
-    artifact = disk.get("calibration", disk_key) if disk is not None else None
-    sensor = MAFSensor(sensor_cfg, housing=housing)
-    if artifact is not None:
-        try:
-            load_state(sensor, artifact["snapshot"])
-        except ConfigurationError:
-            # A snapshot in an older layout: a miss, re-run the campaign.
-            artifact = None
-    if artifact is not None:
-        record = (artifact["calibration"], artifact["snapshot"])
-    else:
-        with get_tracer().span("scenarios.calibration_campaign", seed=seed):
-            cal_platform = ISIFPlatform.for_anemometer(
-                loop_rate_hz=loop_rate_hz, bit_true_adc=bit_true_adc,
-                seed=_child_seed(cal_platform_ss))
-            cal_controller = CTAController(
-                sensor, cal_platform,
-                CTAConfig(overtemperature_k=overtemperature_k))
-            line = WaterLine(LineConfig(seed=_child_seed(cal_line_ss)))
-            calibration = run_calibration(
-                cal_controller, speeds, line=line,
-                reference=Promag50(seed=_child_seed(cal_reference_ss)),
-                settle_s=0.3 if fast else 1.0,
-                average_s=0.2 if fast else 0.5)
-        record = (calibration, state_of(sensor))
-        if disk is not None:
-            disk.put("calibration", disk_key,
-                     {"calibration": calibration, "snapshot": record[1]})
-    if cacheable:
-        _CALIBRATION_CACHE[cache_key] = record
+            registry.counter("station.calibration_cache.misses").inc()
+        if not build.cacheable:
+            todo.append(i)
+            continue
+        if key not in waiting:
+            waiting[key] = []
+            todo.append(i)
+        waiting[key].append(i)
+        # Hold the key's LRU place now, so later builds see the LRU
+        # one-at-a-time resolution would have shown them.
+        _CALIBRATION_CACHE[key] = _PENDING
         while len(_CALIBRATION_CACHE) > _CALIBRATION_CACHE_MAX:
             _CALIBRATION_CACHE.popitem(last=False)
-    return record
+    resolved: dict[int, tuple[FlowCalibration, dict]] = {}
+    try:
+        _resolve_misses(builds, todo, store, resolved)
+    finally:
+        # On failure too: what resolved stays cached, the rest unhold
+        # their places (entries they evicted stay evicted).
+        for i, record in resolved.items():
+            build = builds[i]
+            if not build.cacheable:
+                records[i] = record
+                continue
+            for j in waiting[build.cache_key]:
+                records[j] = record
+            if build.cache_key in _CALIBRATION_CACHE:
+                _CALIBRATION_CACHE[build.cache_key] = record
+        for key in waiting:
+            if _CALIBRATION_CACHE.get(key) is _PENDING:
+                del _CALIBRATION_CACHE[key]
+    return records
+
+
+def _resolve_misses(builds: list[_Build], todo: list[int], store,
+                    resolved: dict[int, tuple[FlowCalibration, dict]]
+                    ) -> None:
+    """Store lookups, then campaigns, for the LRU misses at ``todo``.
+
+    Fills ``resolved`` (position -> record) as records come in, so a
+    campaign that raises leaves the records resolved before it.
+    """
+    disks, campaigns = {}, []
+    for i in todo:
+        build = builds[i]
+        disk = (store or get_default_store()) if build.cacheable else None
+        artifact = (disk.get("calibration", build.disk_key)
+                    if disk is not None else None)
+        if artifact is not None:
+            try:
+                load_state(MAFSensor(build.sensor_cfg), artifact["snapshot"])
+            except ConfigurationError:
+                # A snapshot in an older layout: a miss, re-run the campaign.
+                artifact = None
+        if artifact is not None:
+            resolved[i] = (artifact["calibration"], artifact["snapshot"])
+        else:
+            disks[i] = disk
+            campaigns.append(i)
+    for group, rigs in _campaign_groups(builds, campaigns):
+        calibrations = _campaign([builds[i] for i in group], rigs)
+        for i, calibration, rig in zip(group, calibrations, rigs):
+            resolved[i] = (calibration, state_of(rig.monitor.sensor))
+            if disks[i] is not None:
+                disks[i].put("calibration", builds[i].disk_key,
+                             {"calibration": calibration,
+                              "snapshot": resolved[i][1]})
+
+
+def _campaign_groups(builds: list[_Build], campaigns: list[int]):
+    """``(positions, calibration rigs)`` per campaign group.
+
+    Cached builds group by (rig signature, setpoints, windows), the
+    rule that decides which rigs share a
+    :class:`~repro.runtime.BatchEngine`.  A build that is uncached, or
+    whose rig the engine refuses (a bit-true ADC, say), is a group of
+    its own, so it calibrates on the scalar loop.
+    """
+    # Lazy: runtime imports us.
+    from repro.runtime.batch import _signature, _validate_fleet
+    keys: list = []
+    groups: list[tuple[list[int], list[TestRig]]] = []
+    for i in campaigns:
+        build = builds[i]
+        rig = build.calibration_rig()
+        key = None
+        if build.cacheable:
+            try:
+                _validate_fleet([rig])
+                key = (_signature(rig), build.speeds, build.fast)
+            except ConfigurationError:
+                pass
+        # A scan, not a dict: a signature holds unhashable configs.
+        for known, (positions, rigs) in zip(keys, groups):
+            if key is not None and known == key:
+                positions.append(i)
+                rigs.append(rig)
+                break
+        else:
+            keys.append(key)
+            groups.append(([i], [rig]))
+    return groups
+
+
+def _campaign(builds: list[_Build],
+              rigs: list[TestRig]) -> list[FlowCalibration]:
+    """Calibrate one group: on one batch engine when the group is big
+    enough, else rig by rig on the scalar loop."""
+    build = builds[0]
+    if len(rigs) >= BATCH_CALIBRATION_MIN_RIGS:
+        with get_tracer().span("scenarios.calibration_batch",
+                               rigs=len(rigs), speeds=len(build.speeds)):
+            return run_calibration_batch(rigs, build.speeds,
+                                         **build.windows)
+    calibrations = []
+    for each, rig in zip(builds, rigs):
+        with get_tracer().span("scenarios.calibration_campaign",
+                               seed=each.seed):
+            calibrations.append(run_calibration(
+                rig.monitor.controller, each.speeds, line=rig.line,
+                reference=rig.reference, **each.windows))
+    return calibrations
 
 
 def _assemble(
@@ -310,10 +500,14 @@ def build_calibrated_monitor(
         misses consult it before recalibrating and publish the fitted
         artifact after a campaign.
     """
-    record = _calibration_record(
-        seed, loop_rate_hz, overtemperature_k, output_bandwidth_hz,
-        use_pulsed_drive, bit_true_adc, calibration_speeds_cmps, fast,
-        sensor_config, housing, use_cache, store)
+    (record,) = _calibration_records([dict(
+        seed=seed, loop_rate_hz=loop_rate_hz,
+        overtemperature_k=overtemperature_k,
+        output_bandwidth_hz=output_bandwidth_hz,
+        use_pulsed_drive=use_pulsed_drive, bit_true_adc=bit_true_adc,
+        calibration_speeds_cmps=calibration_speeds_cmps, fast=fast,
+        sensor_config=sensor_config, housing=housing,
+        use_cache=use_cache)], store)
     return _assemble(record, seed, loop_rate_hz, overtemperature_k,
                      output_bandwidth_hz, use_pulsed_drive, bit_true_adc,
                      sensor_config, housing)

@@ -30,6 +30,7 @@ from repro.conditioning.drive import PulsedDrive
 from repro.conditioning.flow_estimator import EstimatorConfig, FlowEstimator
 from repro.errors import ConfigurationError
 from repro.isif.afe import AFEConfig, AnalogFrontEnd
+from repro.isif.channel import ChannelConfig, InputChannel
 from repro.isif.dac import ThermometerDAC
 from repro.isif.filters_analog import AntiAliasFilter
 from repro.isif.fixed_point import QFormat
@@ -76,15 +77,21 @@ def _afe_step(afe: AnalogFrontEnd, i: int):
 
 def _estimator_tc(seed: int) -> FlowEstimator:
     # Temperature compensation counts valid samples between Rt reads.
-    # The first read switches spare channel 3 to unity gain (register
-    # configuration, not stage state), so both copies start switched.
+    # The first read switches spare channel 3 to unity gain; the round
+    # trip carries that register state with channel 3's declaration.
     monitor = _monitor(seed)
-    channel = monitor.controller.platform.channels[3]
-    channel.registers.reg("CTRL").write_field("GAIN", 0)
-    channel.apply_registers()
     return FlowEstimator(monitor.controller, monitor.estimator.calibration,
                          EstimatorConfig(temperature_compensation=True,
                                          temperature_update_every=50))
+
+
+def _channel_step(channel: InputChannel, i: int) -> float:
+    # Firmware reprograms the gain mid-run, as the first Rt read does on
+    # spare channel 3, so the round trip carries the register change.
+    if i == 10:
+        channel.registers.reg("CTRL").write_field("GAIN", 0)
+        channel.apply_registers()
+    return channel.acquire(1e-3 * math.sin(0.1 * i))
 
 
 def _pi_step(pi: PIController, i: int) -> float:
@@ -133,6 +140,10 @@ CASES = {
     "AntiAliasFilter": (
         lambda seed: AntiAliasFilter(100.0, 1000.0),
         lambda f, i: f.step(math.sin(0.1 * i)),
+        25, 25),
+    "InputChannel": (
+        lambda seed: InputChannel(ChannelConfig(seed=seed)),
+        _channel_step,
         25, 25),
     "BehavioralAdc": (
         lambda seed: BehavioralAdc(rng=np.random.default_rng(seed)),
@@ -263,6 +274,11 @@ def test_state_round_trip(name):
     if name == "PulsedDrive":
         # Past the blanking window, inside the 0.3 s on-phase.
         assert 0.05 < state_of(stepped)["t"] < 0.3
+    if name in ("InputChannel", "FlowEstimator-tc"):
+        # The gain switch happened in the stepped copy only.
+        channel = (stepped if name == "InputChannel"
+                   else stepped.controller.platform.channels[3])
+        assert channel.config.afe.gain_index == 0
     sources, targets = _stages(stepped), _stages(fresh)
     assert [type(s) for s in sources] == [type(t) for t in targets]
     for source, target in zip(sources, targets):
