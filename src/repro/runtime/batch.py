@@ -33,8 +33,11 @@ array math, replacing the per-sample Python loops of
 The engine *consumes* the rigs passed to it: their RNG streams advance,
 the first rig's drive scheme is ticked, and every platform scheduler is
 bulk-advanced.  Treat the rigs as spent after :meth:`BatchEngine.run`
-unless :meth:`BatchEngine.write_back` hands them their state back; for
-repeatable runs build fresh rigs (see :class:`repro.runtime.Session`).
+unless :meth:`BatchEngine.write_back` hands them their state back.  For
+repeatable runs, :meth:`BatchEngine.rewind` takes the engine (and the
+generators it shares with its rigs) back to the state it was built
+with, byte-identical to a new engine over freshly built rigs;
+:class:`repro.runtime.Session` reruns a fleet that way.
 
 Fleets must be *structurally homogeneous* (same configs modulo seeds);
 per-monitor diversity enters only through realized component values
@@ -49,6 +52,7 @@ every other fleet caller always do).
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, replace
@@ -316,6 +320,19 @@ class BatchEngine:
     #: defaults, so engines pickled before these existed restore whole.
     _synced = 0
     _ua = None
+    #: What :meth:`rewind` restores (set at the end of :meth:`_extract`;
+    #: None on an engine restored from a pickle, which leaves it out).
+    _step0 = None
+
+    #: The fields the main loop (and :meth:`jump_to`) rebinds or
+    #: mutates.  :meth:`rewind` restores fresh copies of their step-0
+    #: values; every other field the build set is constant between
+    #: drops and is shared, not copied.
+    _LIVE = ("_offset", "_bulk_speed", "_bulk_pressure", "_bulk_temp",
+             "_line_time", "_x_ou", "_flick", "_x_bs", "_pm_state", "_u",
+             "_t_ref", "_t_h", "_t_mem", "_cov", "_afe_state", "_aa_state",
+             "_y_lpf", "_pi_sat", "_pi_int", "_pi_int_f", "_y_iir",
+             "_primed", "_y_dir", "_dir", "_last_output")
 
     def __init__(self, rigs: list[TestRig], chunk_size: int = 1024,
                  numerics: str = "exact") -> None:
@@ -573,6 +590,19 @@ class BatchEngine:
         self._pm_state = np.array(rows(ref, "state"))
         self._pm_rngs = rows(ref, "rng")
 
+        fields = vars(self)
+        rngs = [rng for row in (self._line_rngs, self._bs_rngs,
+                                self._pm_rngs, *self._bubble_rngs,
+                                *self._afe_rngs, *self._adc_rngs)
+                for rng in row]
+        self._step0 = (
+            {k: v for k, v in fields.items() if k not in self._LIVE},
+            copy.deepcopy({k: v for k, v in fields.items()
+                           if k in self._LIVE}),
+            [(rng, rng.bit_generator.state) for rng in rngs],
+            (state_of(self._drive)
+             if isinstance(self._drive, PulsedDrive) else None))
+
     # -- per-step kernels ----------------------------------------------------
 
     def _qmul(self, code: int, arr: np.ndarray) -> np.ndarray:
@@ -769,6 +799,46 @@ class BatchEngine:
         self._min_rating = min(
             (r.monitor.sensor.housing.pressure_rating_pa
              for r in self._rigs), default=math.inf)
+
+    def rewind(self) -> None:
+        """Return the engine to the state it was built with.
+
+        Afterwards :attr:`offset` is 0, every row the engine was built
+        with is back (even after :meth:`drop`), each generator's
+        ``bit_generator`` state is restored in place and the lead
+        drive's phase is reset, so the next :meth:`run` is
+        byte-identical to one on a new engine over freshly built rigs.
+        A run that raised partway through rewinds like any other.  The
+        rigs' scheduler accounting is not rewound.
+
+        Raises
+        ------
+        ConfigurationError
+            (``reason="rewind"``) on an engine restored from a pickle,
+            which carries no step-0 state, or one whose rigs hold a
+            later state after :meth:`write_back`.
+        """
+        if self._step0 is None:
+            raise ConfigurationError(
+                "this engine was restored from a pickle and has no "
+                "step-0 state to rewind to", reason="rewind")
+        if self._synced:
+            raise ConfigurationError(
+                "write_back() handed the rigs a later state; rewind() "
+                "cannot take them back", reason="rewind")
+        shared, live, rngs, drive = self._step0
+        vars(self).update(shared)
+        vars(self).update(copy.deepcopy(live))
+        self._ua = None
+        for rng, state in rngs:
+            rng.bit_generator.state = state
+        if drive is not None:
+            load_state(self._drive, drive)
+
+    def __getstate__(self) -> dict:
+        # Pickles (checkpoints, shard blobs) leave the step-0 state
+        # out: it serves in-process rewinds only.
+        return {k: v for k, v in vars(self).items() if k != "_step0"}
 
     def write_back(self) -> None:
         """Write the engine's state into the objects of its rigs.
@@ -1050,7 +1120,8 @@ class BatchEngine:
         # Recurrent state mirrored into locals for the loop and written
         # back after the chunk loop.  The fault paths (guard raises)
         # leave the attribute mirrors stale, which is safe: a raised run
-        # spends the engine, so they are never re-read.
+        # spends the engine, so they are never re-read before rewind()
+        # replaces them.
         u = self._u
         t_ref, t_h, t_mem = self._t_ref, self._t_h, self._t_mem
         cov = self._cov

@@ -142,8 +142,8 @@ class MixedEngine:
     :class:`~repro.runtime.Session`, durable runs and the streaming
     fleet service — whether the fleet is homogeneous, mixed or sharded.
     The surface mirrors ``BatchEngine`` (:meth:`run`, :meth:`advance`,
-    :meth:`drop`, :attr:`offset`), and :meth:`run` is exactly one
-    :meth:`advance` over the whole profile.
+    :meth:`drop`, :meth:`rewind`, :attr:`offset`), and :meth:`run` is
+    exactly one :meth:`advance` over the whole profile.
     Like the batch engine, a mixed engine *consumes* its rigs.
 
     Parameters
@@ -171,6 +171,10 @@ class MixedEngine:
         (``reason="heterogeneous"``).
     """
 
+    #: What :meth:`rewind` restores; None on an engine restored from a
+    #: pickle, which leaves it out.
+    _step0 = None
+
     def __init__(self, rigs: list[TestRig], numerics: str = "exact",
                  workers: int | None = None) -> None:
         if workers is not None and int(workers) < 1:
@@ -184,6 +188,8 @@ class MixedEngine:
         self._n = len(rigs)
         self._numerics = self._groups[0].engine.numerics
         self._offset = 0
+        # The groups and caller rows rewind() restores after drops.
+        self._step0 = ([(g, g.positions) for g in self._groups], self._n)
         g0 = self._groups[0]
         # The shared loop period: run() needs it even once every rig
         # has been dropped, so advance() can refuse with a typed error.
@@ -329,6 +335,45 @@ class MixedEngine:
                 survivors.append(g)
         self._groups = survivors
         self._n = len(keep)
+
+    def rewind(self) -> None:
+        """Return every group to the state it was built with.
+
+        Each group's :meth:`BatchEngine.rewind
+        <repro.runtime.batch.BatchEngine.rewind>` runs, groups and
+        caller rows removed by :meth:`drop` come back, and
+        :attr:`offset` is 0 again: the next :meth:`run` is
+        byte-identical to one on a new engine over freshly built rigs.
+
+        Raises
+        ------
+        ConfigurationError
+            (``reason="rewind"``) on an engine restored from a pickle,
+            or if a group runs on a
+            :class:`~repro.runtime.parallel.ShardedEngine`, whose shards
+            live in pickled blobs with no step-0 state.  Nothing is
+            rewound then.
+        """
+        if self._step0 is None:
+            raise ConfigurationError(
+                "this engine was restored from a pickle and has no "
+                "step-0 state to rewind to", reason="rewind")
+        groups, n = self._step0
+        if any(not isinstance(g.engine, BatchEngine) for g, _ in groups):
+            raise ConfigurationError(
+                "a sharded group cannot rewind; build a new engine",
+                reason="rewind")
+        for g, positions in groups:
+            g.engine.rewind()
+            g.positions = positions
+        self._groups = [g for g, _ in groups]
+        self._n = n
+        self._offset = 0
+
+    def __getstate__(self) -> dict:
+        # Pickles (checkpoints, shard blobs) leave the step-0 state
+        # out: it serves in-process rewinds only.
+        return {k: v for k, v in vars(self).items() if k != "_step0"}
 
     def close(self) -> None:
         """Close every group engine that has a lifecycle (idempotent).

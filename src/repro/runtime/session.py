@@ -14,11 +14,13 @@ the scalar reference loop.  The lifecycle is explicit::
 ``calibrate`` resolves each monitor's calibration once — from the
 process-wide LRU, the artifact store or a §4 campaign — and the session
 keeps the resulting (calibration, post-campaign sensor snapshot) pairs
-until ``close``.  ``run`` may be called any number of times: each call
-assembles fresh rigs from those pairs without consulting the LRU, the
-store or a campaign again, so every run starts from the same
-freshly-built post-calibration state.  Calling a stage out of order
-raises :class:`~repro.errors.SessionError`.
+until ``close``.  ``run`` may be called any number of times, and never
+consults the LRU, the store or a campaign again.  Every run starts from
+the same freshly-built post-calibration state: a serial in-memory run
+rewinds a step-0 engine the session built from those pairs on its first
+such run (one per numerics mode); a durable or sharded run assembles
+fresh rigs, because it ships them.  Calling a stage out of order raises
+:class:`~repro.errors.SessionError`.
 """
 
 from __future__ import annotations
@@ -87,10 +89,9 @@ class MonitorHandle:
         Instance seed spawned from the session seed; determines die
         tolerances, calibration and every noise stream.
     monitor / rig / calibration:
-        The most recently materialized monitor, its rig, and the fitted
-        calibration.  Re-assembled (same seed, same values) on every
-        :meth:`Session.run` from the calibration the session kept at
-        :meth:`Session.calibrate`.
+        The monitor :meth:`Session.calibrate` assembled, its rig, and
+        the fitted calibration.  They are the caller's: runs never read
+        or advance them.
     """
 
     index: int
@@ -164,6 +165,8 @@ class Session:
         self._dt = self._fleet.dt_s
         self._timings: dict[str, float] = {}
         self._runs = 0
+        # Step-0 engines of serial in-memory runs, by numerics mode.
+        self._templates: dict[str, MixedEngine] = {}
         if checkpoint_dir is not None:
             from pathlib import Path
 
@@ -242,15 +245,20 @@ class Session:
         :meth:`repro.station.fleet.MonitoredNetwork.run`): everything
         after ``profile`` is keyword-only.
 
-        The fleet runs on one :class:`repro.runtime.mixed.MixedEngine`
-        built from freshly materialized rigs: a homogeneous fleet takes
-        its single-group path (byte-identical to a plain
-        :class:`~repro.runtime.batch.BatchEngine`), a structurally mixed
-        :class:`~repro.runtime.FleetSpec` is sub-batched per config
-        group (bit-identical per rig to running its group alone).  With
-        the same seeds every row is bit-identical to
-        :meth:`TestRig.run <repro.station.rig.TestRig.run>` on a fresh
-        rig.  A checkpointed session advances that engine in durable
+        The fleet runs on one :class:`repro.runtime.mixed.MixedEngine`:
+        a homogeneous fleet takes its single-group path (byte-identical
+        to a plain :class:`~repro.runtime.batch.BatchEngine`), a
+        structurally mixed :class:`~repro.runtime.FleetSpec` is
+        sub-batched per config group (bit-identical per rig to running
+        its group alone).  A serial run reuses the session's engine for
+        its numerics mode, rewound to step 0
+        (:meth:`MixedEngine.rewind
+        <repro.runtime.mixed.MixedEngine.rewind>`); the first builds it
+        from freshly assembled rigs.  A sharded run builds its engine
+        from fresh rigs every time.  With the same seeds every row is
+        bit-identical to :meth:`TestRig.run
+        <repro.station.rig.TestRig.run>` on a fresh rig, whatever ran
+        before.  A checkpointed session advances fresh rigs in durable
         windows instead (:func:`repro.runtime.checkpoint.run_durable`).
 
         Parameters
@@ -318,19 +326,16 @@ class Session:
         t0 = time.perf_counter()
         with get_tracer().span("session.run", numerics=mode,
                                n_monitors=self.n_monitors):
-            self._handles = self._materialize()
-            rigs = [handle.rig for handle in self._handles]
             if durable:
                 from repro.runtime.checkpoint import run_durable
                 result = run_durable(
-                    rigs, profile, record_every_n=every,
+                    self._fresh_rigs(), profile, record_every_n=every,
                     checkpoint_path=(self._checkpoint_dir /
                                      f"run-{self._runs}.ckpt"),
                     resume=resume, numerics=mode, workers=workers)
             else:
-                result = MixedEngine(
-                    rigs, numerics=mode, workers=workers).run(
-                        profile, record_every_n=every)
+                result = self._engine(mode, workers).run(
+                    profile, record_every_n=every)
         elapsed = time.perf_counter() - t0
         self._timings["run_s"] = elapsed
         self._runs += 1
@@ -374,6 +379,7 @@ class Session:
         self._state = "closed"
         self._handles = []
         self._records = []
+        self._templates = {}
         get_event_log().emit("session.state", state="closed",
                              n_monitors=self.n_monitors)
 
@@ -381,7 +387,7 @@ class Session:
 
     @property
     def monitors(self) -> list[MonitorHandle]:
-        """The fleet handles (valid after :meth:`calibrate`)."""
+        """The handles :meth:`calibrate` returned; runs never touch them."""
         self._expect("calibrated")
         return list(self._handles)
 
@@ -392,6 +398,27 @@ class Session:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+    def _engine(self, mode: str, workers: int | None) -> MixedEngine:
+        """The step-0 engine a non-durable run advances.
+
+        A serial run gets this session's template for ``mode``, rewound
+        (built on first use); a sharded one ships rigs to its workers,
+        so it gets a new engine over fresh rigs.
+        """
+        if workers not in (None, 1):
+            return MixedEngine(self._fresh_rigs(), numerics=mode,
+                               workers=workers)
+        engine = self._templates.get(mode)
+        if engine is None:
+            engine = self._templates[mode] = MixedEngine(
+                self._fresh_rigs(), numerics=mode)
+        else:
+            engine.rewind()
+        return engine
+
+    def _fresh_rigs(self) -> list[TestRig]:
+        return [handle.rig for handle in self._materialize()]
 
     def _materialize(self) -> list[MonitorHandle]:
         """Assemble fresh handles from the calibrations kept at calibrate."""

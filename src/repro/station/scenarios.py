@@ -19,7 +19,7 @@ memoized in a small process-wide LRU keyed by everything that
 determines them, so repeat builds skip the campaign; builds with a
 caller-owned ``housing`` bypass it — the housing carries mutable state
 the cache must not alias.  A calibrated :class:`repro.runtime.Session`
-keeps its own fleet's records and re-assembles from them on every run,
+keeps its own fleet's records and assembles its runs' rigs from them,
 so it never depends on the LRU after ``calibrate()``.
 
 Underneath the LRU sits the optional disk-backed
