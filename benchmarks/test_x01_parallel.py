@@ -19,8 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.runtime import (BatchEngine, RunResult, ShardedEngine,
-                           spawn_monitor_seeds)
+from repro.runtime import BatchEngine, FleetSpec, RunResult, ShardedEngine
 from repro.station.profiles import hold
 from repro.station.scenarios import build_calibrated_monitor
 
@@ -33,8 +32,8 @@ SEED = 4242
 
 
 def _fleet():
-    return [build_calibrated_monitor(seed=s, fast=True).rig
-            for s in spawn_monitor_seeds(SEED, N_MONITORS)]
+    seeds = FleetSpec.homogeneous(N_MONITORS, seed=SEED).monitor_seeds()
+    return [build_calibrated_monitor(seed=s, fast=True).rig for s in seeds]
 
 
 def _machine():

@@ -19,8 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.runtime import (BatchEngine, MixedEngine, RunResult,
-                           spawn_monitor_seeds)
+from repro.runtime import BatchEngine, FleetSpec, MixedEngine, RunResult
 from repro.runtime.mixed import fleet_groups
 from repro.station.profiles import hold
 from repro.station.scenarios import build_calibrated_monitor
@@ -34,7 +33,7 @@ SEED = 31000
 
 
 def _fleet():
-    seeds = spawn_monitor_seeds(SEED, N_MONITORS)
+    seeds = FleetSpec.homogeneous(N_MONITORS, seed=SEED).monitor_seeds()
     return [build_calibrated_monitor(
                 seed=s, fast=True,
                 overtemperature_k=OVERTEMPERATURES_K[

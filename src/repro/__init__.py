@@ -39,13 +39,14 @@ Quick start (a fleet, one call)::
     import repro
 
     result = repro.run(repro.staircase([0.0, 50.0, 120.0], dwell_s=10.0),
-                       n_monitors=16, seed=1)
+                       fleet=repro.FleetSpec.homogeneous(16, seed=1))
     print(result.summary(monitor=0))
 
 Quick start (streaming)::
 
     async with repro.connect() as client:
-        session = await client.attach(profile, n_monitors=4, seed=7)
+        session = await client.attach(
+            profile, fleet=repro.FleetSpec.homogeneous(4, seed=7))
         async for snap in session.snapshots():
             ...
         result = await session.result()  # bit-identical to repro.run
@@ -82,7 +83,7 @@ from repro.service import (ClientSession, FleetService, RecoveredCohort,
 from repro.store import (ArtifactStore, canonical_key, get_default_store,
                          set_default_store)
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     *errors.__all__,

@@ -26,9 +26,9 @@
   the one declarative fleet description (per-rig config + count + seed
   + scenario) accepted by ``Session``,
   ``characterize_meter_pool``, the service facade and the CLI,
-- :class:`Numerics` (:mod:`repro.runtime.kernels`) — the numerics
-  policy behind the unified ``numerics="exact" | "fast"`` knob every
-  run surface accepts (see ``docs/performance.md``),
+- :func:`resolve_numerics` (:mod:`repro.runtime.kernels`) — the check
+  behind the ``numerics="exact" | "fast"`` knob every run surface
+  accepts (see ``docs/performance.md``),
 - :func:`save_checkpoint` / :func:`load_checkpoint` /
   :class:`WindowedRun` / :func:`run_durable`
   (:mod:`repro.runtime.checkpoint`) — bit-exact engine checkpoints,
@@ -46,20 +46,18 @@ from repro.runtime.checkpoint import (CHECKPOINT_FORMAT_VERSION, Checkpoint,
                                       WindowedRun, engine_kind,
                                       load_checkpoint, run_durable,
                                       save_checkpoint)
-from repro.runtime.kernels import NUMERICS_MODES, Numerics, resolve_numerics
+from repro.runtime.kernels import NUMERICS_MODES, resolve_numerics
 from repro.runtime.mixed import MixedEngine, config_group_key, fleet_groups
-from repro.runtime.parallel import (ShardedEngine, partition_monitors,
-                                    spawn_monitor_seeds)
+from repro.runtime.parallel import ShardedEngine, partition_monitors
 from repro.runtime.result import RunResult
 from repro.runtime.session import MonitorHandle, Session
 from repro.runtime.spec import FleetSpec, RigSpec
 
 __all__ = ["BatchEngine", "RunResult", "Session",
            "MonitorHandle", "ShardedEngine", "partition_monitors",
-           "spawn_monitor_seeds",
            "MixedEngine", "config_group_key", "fleet_groups",
            "FleetSpec", "RigSpec",
-           "NUMERICS_MODES", "Numerics", "resolve_numerics",
+           "NUMERICS_MODES", "resolve_numerics",
            "Checkpoint", "save_checkpoint", "load_checkpoint",
            "WindowedRun", "run_durable", "engine_kind",
            "CHECKPOINT_FORMAT_VERSION"]

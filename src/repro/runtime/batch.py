@@ -248,11 +248,6 @@ def _validate_fleet(rigs: list[TestRig]) -> None:
 #: The tracer calibration windows use: their campaign's span covers them.
 _QUIET = Tracer(enabled=False)
 
-#: Back-compat alias: the exact-mode elementwise exponential now lives in
-#: :mod:`repro.runtime.kernels`.
-_vexp = exp_exact
-
-
 @dataclass
 class WindowSums:
     """Per-row sums over one :meth:`BatchEngine.accumulate` window.
@@ -297,8 +292,7 @@ class BatchEngine:
         scalar path and stays bit-identical to the scalar rigs;
         ``"fast"`` switches the chunk kernels to numpy's vectorized
         ``exp``/``power`` (within 1e-9 relative error of exact, same
-        RNG streams).  A :class:`repro.runtime.kernels.Numerics`
-        policy is also accepted.
+        RNG streams).
 
     Raises
     ------

@@ -21,9 +21,8 @@ of that per-sample loop:
   transcendentals of the bit-exact path; fast mode swaps them for
   ``np.exp`` / ``np.power``.
 
-Two numerics modes, selected by the :class:`Numerics` policy (or the
-equivalent ``numerics="exact" | "fast"`` string accepted by every run
-surface):
+Two numerics modes, selected by the ``numerics="exact" | "fast"``
+string every run surface accepts (:func:`resolve_numerics` checks it):
 
 ``exact`` (default)
     Only transformations that are provably bit-identical to the scalar
@@ -60,7 +59,6 @@ from repro.units import CELSIUS_OFFSET
 __all__ = [
     "NUMERICS_MODES",
     "PROFILE_STAGES",
-    "Numerics",
     "resolve_numerics",
     "exp_exact",
     "pow_exact",
@@ -86,62 +84,19 @@ PROFILE_STAGES = ("kernel.plan", "kernel.ar1_block", "kernel.film",
 
 
 def resolve_numerics(value) -> str:
-    """Normalize a ``numerics=`` knob to one of :data:`NUMERICS_MODES`.
-
-    Accepts the mode string or a :class:`Numerics` policy.
+    """Check a ``numerics=`` knob is one of :data:`NUMERICS_MODES`; return it.
 
     Raises
     ------
     ConfigurationError
         With ``reason == "numerics"`` for anything else.
     """
-    if isinstance(value, Numerics):
-        return value.mode
     if value not in NUMERICS_MODES:
         raise ConfigurationError(
             f"unknown numerics {value!r}; use "
             + " or ".join(repr(m) for m in NUMERICS_MODES),
             reason="numerics")
     return value
-
-
-@dataclass(frozen=True)
-class Numerics:
-    """Numerics policy for the vectorized runtime.
-
-    Attributes
-    ----------
-    mode:
-        ``"exact"`` (bit-identical to the scalar reference loop, the
-        default) or ``"fast"`` (vectorized transcendentals, within
-        1e-9 relative error of exact).
-    """
-
-    mode: str = "exact"
-
-    def __post_init__(self) -> None:
-        if self.mode not in NUMERICS_MODES:
-            raise ConfigurationError(
-                f"unknown numerics {self.mode!r}; use "
-                + " or ".join(repr(m) for m in NUMERICS_MODES),
-                reason="numerics")
-
-    @property
-    def fast(self) -> bool:
-        """True when the fast-numerics kernels are selected."""
-        return self.mode == "fast"
-
-    def to_dict(self) -> dict:
-        """JSON-safe image; inverse of :meth:`from_dict`."""
-        return {"mode": self.mode}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Numerics":
-        """Restore from :meth:`to_dict` output (validators re-run)."""
-        if "mode" not in data:
-            raise ConfigurationError(
-                "numerics image missing 'mode'", reason="numerics")
-        return cls(mode=data["mode"])
 
 
 # -- elementwise transcendentals ---------------------------------------------

@@ -8,7 +8,7 @@ keeping the result bit-identical to the serial path:
   (:func:`partition_monitors`).  Per-monitor randomness lives entirely
   inside each rig (its seeds were spawned with
   ``numpy.random.SeedSequence.spawn`` at build time — see
-  :func:`spawn_monitor_seeds` and ``Session.open``), so moving a rig to
+  :meth:`repro.runtime.FleetSpec.monitor_seeds`), so moving a rig to
   another process moves its noise streams with it, untouched.
 - The shared line plant is deterministic given the profile (no fleet
   RNG), and the batch engine validates that every rig starts from the
@@ -73,8 +73,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import accumulate
 
-import numpy as np
-
 from repro.errors import ConfigurationError, ReproError
 from repro.observability import (get_event_log, get_profiler, get_registry,
                                  get_tracer)
@@ -90,7 +88,7 @@ from repro.state import state_of
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
 
-__all__ = ["ShardedEngine", "partition_monitors", "spawn_monitor_seeds"]
+__all__ = ["ShardedEngine", "partition_monitors"]
 
 
 def partition_monitors(n_monitors: int, n_shards: int) -> list[tuple[int, int]]:
@@ -121,18 +119,6 @@ def partition_monitors(n_monitors: int, n_shards: int) -> list[tuple[int, int]]:
         bounds.append((start, stop))
         start = stop
     return bounds
-
-
-def spawn_monitor_seeds(seed: int, n_monitors: int) -> list[int]:
-    """Per-monitor seeds spawned from one session seed.
-
-    The same ``SeedSequence.spawn`` derivation ``Session.open`` uses:
-    child streams are statistically independent, and the list depends
-    only on ``(seed, n_monitors)`` — *not* on how the fleet is later
-    sharded — which is what makes shard-count-invariant runs possible.
-    """
-    children = np.random.SeedSequence(int(seed)).spawn(int(n_monitors))
-    return [int(child.generate_state(1)[0]) for child in children]
 
 
 def _advance_shard(shard_index: int, blob: bytes, profile: Profile,
@@ -226,8 +212,7 @@ class ShardedEngine:
         is killed, not abandoned.
     numerics:
         Kernel numerics mode for every shard engine (``"exact"``, the
-        default, or ``"fast"``); a :class:`~repro.runtime.kernels.Numerics`
-        policy is accepted too.  Shard-count invariance holds per mode:
+        default, or ``"fast"``).  Shard-count invariance holds per mode:
         every worker runs the same kernels the serial engine would.
 
     Raises

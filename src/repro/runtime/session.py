@@ -6,7 +6,7 @@ profiles over all of them at once on the vectorized engine
 each rig through :meth:`TestRig.run <repro.station.rig.TestRig.run>`,
 the scalar reference loop.  The lifecycle is explicit::
 
-    with Session(n_monitors=16, seed=2024) as session:   # -> open()
+    with Session(fleet=FleetSpec.homogeneous(16, seed=2024)) as session:
         session.calibrate()
         result = session.run(staircase([0, 50, 100], dwell_s=4.0))
     # leaving the block -> close()
@@ -48,33 +48,7 @@ from repro.station.scenarios import (_assemble, _calibration_records,
                                      build_calibrated_monitor,
                                      calibration_cache_stats)
 
-__all__ = ["Session", "MonitorHandle", "resolve_record_every_n"]
-
-
-def resolve_record_every_n(dt_s: float, snapshot_s: float | None,
-                           record_every_n: int | None,
-                           default: int = 20) -> int:
-    """Resolve the unified ``snapshot_s`` cadence to a decimation count.
-
-    ``snapshot_s`` (seconds between recorded points) and the legacy
-    ``record_every_n`` (loop ticks between recorded points) are two
-    spellings of one knob; passing both is ambiguous and refused.
-
-    Raises
-    ------
-    ConfigurationError
-        If both are given, or ``snapshot_s`` is not positive.
-    """
-    if snapshot_s is not None and record_every_n is not None:
-        raise ConfigurationError(
-            "pass snapshot_s or record_every_n, not both")
-    if snapshot_s is not None:
-        if snapshot_s <= 0.0:
-            raise ConfigurationError("snapshot_s must be positive")
-        return max(1, int(round(snapshot_s / dt_s)))
-    if record_every_n is not None:
-        return int(record_every_n)
-    return default
+__all__ = ["Session", "MonitorHandle"]
 
 
 @dataclass
@@ -113,15 +87,11 @@ class Session:
         :class:`repro.runtime.mixed.MixedEngine`, bit-identical per rig
         to running its group alone.  The spec carries every build
         setting (``FleetSpec.homogeneous(n, seed=s, fast_calibration=
-        True)`` and so on).  Mutually exclusive with ``n_monitors`` /
-        ``seed``; scenario-bearing specs are refused (events belong to
+        True)`` and so on); per-monitor seeds are spawned from the spec
+        seed (:meth:`~repro.runtime.FleetSpec.monitor_seeds`).  Default:
+        ``FleetSpec.homogeneous()``, one default-build monitor with seed
+        42.  Scenario-bearing specs are refused (events belong to
         :func:`repro.station.run_campaign`).
-    n_monitors:
-        Fleet size of a homogeneous default-build fleet (default 1).
-    seed:
-        Session seed; per-monitor seeds are spawned from it with
-        :class:`numpy.random.SeedSequence`, so fleets with different
-        sizes share the leading monitors' realizations (default 42).
     checkpoint_dir:
         Durability root for this session (default None: no disk
         artifacts).  Enables two things: calibrations persist in (and
@@ -134,28 +104,15 @@ class Session:
         bit-identical to the uninterrupted run.
     """
 
-    def __init__(self, n_monitors: int | None = None,
-                 seed: int | None = None, *,
-                 fleet: FleetSpec | None = None,
+    def __init__(self, *, fleet: FleetSpec | None = None,
                  checkpoint_dir=None) -> None:
-        if fleet is not None:
-            if n_monitors is not None or seed is not None:
-                raise ConfigurationError(
-                    "fleet= fully describes the fleet; do not combine it "
-                    "with n_monitors/seed")
-            if fleet.has_scenarios:
-                raise ConfigurationError(
-                    "this FleetSpec carries scenarios; run it with "
-                    "repro.station.run_campaign, which owns event "
-                    "injection")
-            self._fleet = fleet
-        else:
-            n = 1 if n_monitors is None else int(n_monitors)
-            if n < 1:
-                raise ConfigurationError(
-                    "session needs at least one monitor")
-            self._fleet = FleetSpec.homogeneous(
-                n, seed=42 if seed is None else int(seed))
+        if fleet is None:
+            fleet = FleetSpec.homogeneous()
+        if fleet.has_scenarios:
+            raise ConfigurationError(
+                "this FleetSpec carries scenarios; run it with "
+                "repro.station.run_campaign, which owns event injection")
+        self._fleet = fleet
         self.n_monitors = self._fleet.n_monitors
         self.seed = int(self._fleet.seed)
         self._state = "new"
@@ -231,13 +188,11 @@ class Session:
         return self._handles
 
     def run(self, profile: Profile, *,
-            snapshot_s: float | None = None,
-            collect: str = "result",
             workers: int | None = None,
             numerics: str = "exact",
-            record_every_n: int | None = None,
+            record_every_n: int = 20,
             resume: bool = False,
-            backend: str = "spawn") -> RunResult | dict:
+            backend: str = "spawn") -> RunResult:
         """Run a line profile over the fleet; decimated traces out.
 
         This is the unified run surface (shared with
@@ -265,14 +220,6 @@ class Session:
         ----------
         profile:
             Line profile to execute.
-        snapshot_s:
-            Seconds between recorded points (the unified cadence knob).
-            Mutually exclusive with the legacy ``record_every_n``
-            (loop ticks between points, default 20).
-        collect:
-            ``"result"`` returns the :class:`RunResult`; ``"summary"``
-            returns ``RunResult.summary()`` (pooled statistics keyed by
-            registry metric names).
         workers:
             With ``workers > 1`` each config group is partitioned
             across up to that many worker processes by
@@ -283,9 +230,10 @@ class Session:
             Kernel numerics mode: ``"exact"`` (default, bit-identical
             to the scalar reference path) or ``"fast"`` (vectorized
             transcendentals, ≤1e-9 relative error; see
-            :mod:`repro.runtime.kernels`).  A
-            :class:`~repro.runtime.kernels.Numerics` policy is accepted
-            too.
+            :mod:`repro.runtime.kernels`).
+        record_every_n:
+            Loop ticks between recorded points (default 20: 50 Hz at
+            the 1 kHz loop).
         resume:
             Continue this run from the checkpoint a previous (crashed)
             process left under the session's ``checkpoint_dir``.
@@ -302,16 +250,12 @@ class Session:
             goes when the benchmark stops reading it.
         """
         self._expect("calibrated")
-        if collect not in ("result", "summary"):
-            raise ConfigurationError(
-                f"unknown collect {collect!r}; use 'result' or 'summary'")
         mode = resolve_numerics(numerics)
         if backend != "spawn":
             raise ConfigurationError(
                 f"unknown parallel backend {backend!r}; the only backend "
                 f"is 'spawn'", reason="backend")
-        every = resolve_record_every_n(self._dt, snapshot_s, record_every_n)
-        if every < 1:
+        if record_every_n < 1:
             raise ConfigurationError("record_every_n must be >= 1")
         durable = self._checkpoint_dir is not None
         if resume and not durable:
@@ -329,13 +273,14 @@ class Session:
             if durable:
                 from repro.runtime.checkpoint import run_durable
                 result = run_durable(
-                    self._fresh_rigs(), profile, record_every_n=every,
+                    self._fresh_rigs(), profile,
+                    record_every_n=record_every_n,
                     checkpoint_path=(self._checkpoint_dir /
                                      f"run-{self._runs}.ckpt"),
                     resume=resume, numerics=mode, workers=workers)
             else:
                 result = self._engine(mode, workers).run(
-                    profile, record_every_n=every)
+                    profile, record_every_n=record_every_n)
         elapsed = time.perf_counter() - t0
         self._timings["run_s"] = elapsed
         self._runs += 1
@@ -347,8 +292,6 @@ class Session:
                 registry.gauge(f"{name}.mean").set(stats["mean"])
         get_event_log().emit("session.run", n_monitors=self.n_monitors,
                              duration_s=profile.duration_s)
-        if collect == "summary":
-            return result.summary()
         return result
 
     def stats(self) -> dict:

@@ -12,12 +12,12 @@ uniformly by :class:`repro.runtime.Session`,
 (:func:`repro.run` / :func:`repro.connect`), the CLI, and
 :func:`repro.station.run_campaign`.
 
-Seed derivation is bit-compatible with the classic ``Session`` plumbing:
-the fleet seed spawns one :class:`numpy.random.SeedSequence` child per
-position in caller order, and a rig entry with an explicit ``seed``
-re-derives its own positions from that seed instead.  A homogeneous
-one-entry spec therefore reproduces ``Session(n_monitors=n, seed=s)``
-exactly, monitor for monitor.
+Seed derivation (:meth:`FleetSpec.monitor_seeds`, the one place seeds
+are spawned): the fleet seed spawns one
+:class:`numpy.random.SeedSequence` child per position in caller order,
+and a rig entry with an explicit ``seed`` re-derives its own positions
+from that seed instead.  Fleets of different sizes with one seed
+therefore share their leading monitors' realizations.
 
 Scenario tags (a builtin scenario name or a
 :class:`repro.station.campaign.ScenarioSpec`) are carried verbatim;
@@ -149,10 +149,8 @@ class FleetSpec:
         The fleet entries in caller order; positions expand entry by
         entry (entry 0's monitors first).
     seed:
-        Fleet seed; per-position seeds are spawned from it exactly as
-        ``Session(n_monitors=..., seed=...)`` spawns them, so a
-        one-entry default spec is bit-compatible with the classic
-        session fleet.
+        Fleet seed; per-position seeds are spawned from it by
+        :meth:`monitor_seeds`.
     """
 
     rigs: tuple[RigSpec, ...] = field(default_factory=tuple)
@@ -177,8 +175,7 @@ class FleetSpec:
 
         ``rig_kwargs`` are :class:`RigSpec` build fields
         (``loop_rate_hz``, ``overtemperature_k``, ``use_pulsed_drive``,
-        ``fast_calibration``, ...).  The classic
-        ``Session(n_monitors=n, seed=s, **build)`` spelled as a spec.
+        ``fast_calibration``, ...).
         """
         if n_monitors < 1:
             raise ConfigurationError("fleet needs at least one monitor")
@@ -231,7 +228,7 @@ class FleetSpec:
         return [entry.scenario for entry in self.flat()]
 
     def monitor_seeds(self) -> list[int]:
-        """Per-position monitor seeds, bit-compatible with ``Session``.
+        """Per-position monitor seeds (the one seed derivation).
 
         The fleet seed spawns one SeedSequence child per position in
         caller order; entries with an explicit ``seed`` then re-derive

@@ -27,10 +27,8 @@ __all__ = ["ServiceClient", "connect", "run"]
 
 
 def run(profile: Profile, *, fleet=None,
-        n_monitors: int | None = None, seed: int | None = None,
-        snapshot_s: float | None = None, collect: str = "result",
         workers: int | None = None, numerics: str = "exact",
-        record_every_n: int | None = None) -> RunResult | dict:
+        record_every_n: int = 20) -> RunResult:
     """One-shot fleet run: session lifecycle in a single call.
 
     Equivalent to building a :class:`~repro.runtime.Session`,
@@ -41,15 +39,14 @@ def run(profile: Profile, *, fleet=None,
 
         result = repro.run(repro.staircase([0.0, 50.0, 120.0],
                                            dwell_s=4.0),
-                           n_monitors=8, seed=7)
+                           fleet=repro.FleetSpec.homogeneous(8, seed=7))
 
-    The fleet is described either by ``fleet=`` (a
+    The fleet is described by ``fleet=`` (a
     :class:`~repro.runtime.FleetSpec`, possibly mixed — a structurally
     heterogeneous fleet sub-batches per config group, bit-identical per
-    rig to running its group alone) or by ``n_monitors``/``seed`` for a
-    homogeneous default-build fleet.  All other keywords mirror
-    :meth:`repro.runtime.Session.run` (``snapshot_s``/``record_every_n``
-    cadence, ``collect``, ``workers``, ``numerics``).
+    rig to running its group alone).  All other keywords mirror
+    :meth:`repro.runtime.Session.run` (``record_every_n``,
+    ``workers``, ``numerics``).
     Traces are bit-identical to what a
     :meth:`~repro.service.service.FleetService` client streaming the
     same config/seed/profile would stitch together.
@@ -58,14 +55,12 @@ def run(profile: Profile, *, fleet=None,
     ------
     ConfigurationError
         For invalid knobs (propagated from the session layer), and for
-        ``fleet=`` combined with ``n_monitors``/``seed`` or a
-        scenario-bearing spec (campaigns belong to
+        a scenario-bearing spec (campaigns belong to
         :func:`repro.station.run_campaign`).
     """
-    with Session(n_monitors, seed, fleet=fleet) as session:
+    with Session(fleet=fleet) as session:
         session.calibrate()
-        return session.run(profile, snapshot_s=snapshot_s, collect=collect,
-                           workers=workers, numerics=numerics,
+        return session.run(profile, workers=workers, numerics=numerics,
                            record_every_n=record_every_n)
 
 
@@ -75,7 +70,8 @@ class ServiceClient:
     Usage::
 
         async with repro.connect() as client:
-            session = await client.attach(profile, n_monitors=4, seed=7)
+            session = await client.attach(
+                profile, fleet=repro.FleetSpec.homogeneous(4, seed=7))
             async for snap in session.snapshots():
                 ...
             result = await session.result()

@@ -60,7 +60,7 @@ from repro.observability import get_event_log, get_registry, get_tracer
 from repro.runtime.checkpoint import WindowedRun
 from repro.runtime.mixed import MixedEngine
 from repro.runtime.result import RunResult
-from repro.runtime.session import Session, resolve_record_every_n
+from repro.runtime.session import Session
 from repro.runtime.spec import FleetSpec
 from repro.runtime.kernels import resolve_numerics
 from repro.service.streams import Snapshot, SnapshotStream
@@ -449,17 +449,13 @@ class FleetService:
 
     async def attach(self, profile: Profile, *,
                      fleet: FleetSpec | None = None,
-                     n_monitors: int | None = None,
-                     seed: int | None = None,
-                     snapshot_s: float | None = None,
-                     record_every_n: int | None = None,
+                     record_every_n: int = 20,
                      numerics: str = "exact") -> ClientSession:
         """Join the service with a profile; returns the client handle.
 
         Builds (and calibrates) a :class:`~repro.runtime.Session` for
         the client's fleet — a :class:`~repro.runtime.FleetSpec` via
-        ``fleet=`` (possibly mixed), or ``n_monitors``/``seed`` for a
-        homogeneous default-build fleet — the same deterministic
+        ``fleet=``, possibly mixed — the same deterministic
         materialization a standalone run uses, which is what makes the
         streamed rows bit-identical to ``Session.run`` — then queues
         the rigs into an *open* cohort of clients sharing this profile,
@@ -471,30 +467,24 @@ class FleetService:
         attach storm racing the loop) lands in one shared engine.
 
         Parameters mirror :meth:`repro.runtime.Session.run` where they
-        overlap (``snapshot_s`` / ``record_every_n`` cadence,
-        ``numerics``); the fleet arguments mirror the
-        :class:`~repro.runtime.Session` constructor.
+        overlap (``record_every_n``, ``numerics``); ``fleet`` mirrors
+        the :class:`~repro.runtime.Session` constructor.
 
         Raises
         ------
         ServiceError
             If the service was stopped (``reason="stopped"``).
         ConfigurationError
-            For an empty profile, conflicting cadence spellings, or
-            ``fleet=`` combined with ``n_monitors``/``seed``.
+            For an empty profile, a non-positive ``record_every_n`` or
+            a scenario-bearing ``fleet``.
         """
         if self._stopped:
             raise ServiceError("service stopped", reason="stopped")
         mode = resolve_numerics(numerics)
-        # Session refuses fleet= + n_monitors/seed with the precise error.
-        session = Session(n_monitors, seed, fleet=fleet)
-        n_monitors = session.n_monitors
-        seed = session.seed
+        session = Session(fleet=fleet)
         session.open()
         try:
-            every = resolve_record_every_n(session._dt, snapshot_s,
-                                           record_every_n)
-            if every < 1:
+            if record_every_n < 1:
                 raise ConfigurationError("record_every_n must be >= 1")
             total_steps = int(round(profile.duration_s / session._dt))
             if total_steps < 1:
@@ -504,7 +494,8 @@ class FleetService:
             client_id = f"c{self._client_seq}"
             tracer = get_tracer()
             with tracer.span("service.attach", client=client_id,
-                             n_monitors=n_monitors, seed=seed):
+                             n_monitors=session.n_monitors,
+                             seed=session.seed):
                 context = tracer.current_context()
                 trace_id = (context.trace_id if context is not None
                             else f"trace-{client_id}")
@@ -516,15 +507,15 @@ class FleetService:
             session.close()
             raise
 
-        client = ClientSession(self, client_id, trace_id, seed=int(seed),
-                               n_monitors=int(n_monitors),
+        client = ClientSession(self, client_id, trace_id, seed=session.seed,
+                               n_monitors=session.n_monitors,
                                total_steps=total_steps,
-                               record_every_n=every)
+                               record_every_n=record_every_n)
         stream = SnapshotStream(self._max_pending, on_space=self._wake.set)
         member = _Member(client, session, rigs, stream)
         client._member = member
 
-        key = self._group_key(session, profile, every, mode)
+        key = self._group_key(session, profile, record_every_n, mode)
         group = self._open_by_key.get(key)
         if group is None:
             self._group_seq += 1
@@ -532,7 +523,7 @@ class FleetService:
                     self._checkpoint_dir / f"cohort-{self._group_seq}.ckpt")
             group = _Group(self._group_seq, key,
                            WindowedRun(None, profile, total_steps,
-                                       record_every_n=every,
+                                       record_every_n=record_every_n,
                                        checkpoint_path=path),
                            mode)
             self._groups[group.group_id] = group
@@ -548,8 +539,8 @@ class FleetService:
             registry.gauge("service.clients").set(len(self._members))
             registry.gauge("service.groups").set(len(self._groups))
         get_event_log().emit("service.attach", client=client_id,
-                             trace=trace_id, n_monitors=n_monitors,
-                             seed=int(seed), group=group.group_id)
+                             trace=trace_id, n_monitors=session.n_monitors,
+                             seed=session.seed, group=group.group_id)
         self._wake.set()
         return client
 

@@ -367,8 +367,7 @@ def _window_means(rows) -> dict:
 def run_campaign(fleet, *, duration_s: float | None = None,
                  base_profile: Profile | None = None,
                  demand: str = "household",
-                 snapshot_s: float | None = None,
-                 record_every_n: int | None = None,
+                 record_every_n: int = 20,
                  numerics: str = "exact",
                  checkpoint_dir=None,
                  resume: bool = False) -> CampaignReport:
@@ -399,9 +398,8 @@ def run_campaign(fleet, *, duration_s: float | None = None,
     demand:
         ``"household"`` or ``"station"`` — the generator used when no
         ``base_profile`` is given.
-    snapshot_s / record_every_n:
-        The unified cadence knob (see
-        :func:`repro.runtime.session.resolve_record_every_n`).
+    record_every_n:
+        Loop ticks between recorded points (default 20).
     numerics:
         Forwarded to every group engine.
     checkpoint_dir:
@@ -431,7 +429,6 @@ def run_campaign(fleet, *, duration_s: float | None = None,
     from repro.runtime.checkpoint import WindowedRun, run_fingerprint
     from repro.runtime.kernels import resolve_numerics
     from repro.runtime.mixed import fleet_groups
-    from repro.runtime.session import resolve_record_every_n
 
     if not isinstance(fleet, FleetSpec):
         raise ConfigurationError(
@@ -455,8 +452,7 @@ def run_campaign(fleet, *, duration_s: float | None = None,
         days = 1
     horizon_s = float(base_profile.duration_s)
     dt = fleet.dt_s
-    every = resolve_record_every_n(dt, snapshot_s, record_every_n)
-    if every < 1:
+    if record_every_n < 1:
         raise ConfigurationError("record_every_n must be >= 1")
     total_steps = int(round(horizon_s / dt))
     if total_steps < 1:
@@ -494,7 +490,7 @@ def run_campaign(fleet, *, duration_s: float | None = None,
     # The fingerprint keeps the engine's noise block length (1024) from
     # when it was a campaign knob, so 4.x checkpoints still resume.
     fingerprint = run_fingerprint(
-        base_profile, total_steps, every, resolve_numerics(numerics),
+        base_profile, total_steps, record_every_n, resolve_numerics(numerics),
         fleet=fleet.to_dict(), chunk_size=1024)
     if resume:
         run, state = WindowedRun.restore(checkpoint_path, fingerprint,
@@ -503,7 +499,7 @@ def run_campaign(fleet, *, duration_s: float | None = None,
     else:
         run = WindowedRun(None, base_profile,
                           len(exec_groups) * total_steps,
-                          record_every_n=every,
+                          record_every_n=record_every_n,
                           checkpoint_path=checkpoint_path,
                           fingerprint=fingerprint)
         completed, current = [], None
@@ -587,7 +583,7 @@ def run_campaign(fleet, *, duration_s: float | None = None,
     day_reports = _day_rollups(result, horizon_s, days)
     return CampaignReport(result=result, groups=group_reports,
                           days=day_reports, duration_s=horizon_s,
-                          record_every_n=every)
+                          record_every_n=record_every_n)
 
 
 def _finish_group(group: dict, windows: list[dict],

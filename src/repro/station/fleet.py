@@ -248,9 +248,8 @@ class MonitoredNetwork:
 
     def run(self, profile: Profile | float, *,
             snapshot_s: float = 60.0,
-            collect: str = "result",
             leak: tuple[str, str, float] | None = None,
-            leak_at_h: float | None = None) -> FleetReport | dict:
+            leak_at_h: float | None = None) -> FleetReport:
         """Simulate the fleet for a duration.
 
         This is the unified run surface (shared with
@@ -275,20 +274,10 @@ class MonitoredNetwork:
             of hours.
         snapshot_s:
             Meter reporting cadence (default 60 s).
-        collect:
-            ``"result"`` returns the :class:`FleetReport`;
-            ``"summary"`` returns a JSON-safe dict of the report.
         leak / leak_at_h:
             Optional (upstream, downstream, m3/s) leak opened at the
             given hour.
-
-        Returns
-        -------
-        FleetReport | dict
         """
-        if collect not in ("result", "summary"):
-            raise ConfigurationError(
-                f"unknown collect {collect!r}; use 'result' or 'summary'")
         span_h = (profile.duration_s / 3600.0
                   if isinstance(profile, Profile) else float(profile))
         if span_h <= 0.0 or snapshot_s <= 0.0:
@@ -304,16 +293,6 @@ class MonitoredNetwork:
         get_event_log().emit("fleet.run", hours=span_h,
                              snapshots=report.snapshots,
                              leak_events=len(report.events))
-        if collect == "summary":
-            return {
-                "snapshots": report.snapshots,
-                "night_fraction": report.night_fraction,
-                "leak_events": [
-                    {"segment": e.segment, "time_s": e.time_s,
-                     "estimated_loss_mps": e.estimated_loss_mps}
-                    for e in report.events
-                ],
-            }
         return report
 
     def _run(self, hours: float, snapshot_s: float,

@@ -140,9 +140,7 @@ class TestRig:
         self.reference = reference or Promag50()
 
     def run(self, profile: Profile, *,
-            snapshot_s: float | None = None,
-            collect: str = "result",
-            record_every_n: int | None = None) -> RigRecord | dict:
+            record_every_n: int = 20) -> RigRecord:
         """Execute a profile; returns decimated synchronous traces.
 
         This is the unified run surface (shared with
@@ -154,34 +152,19 @@ class TestRig:
         ----------
         profile:
             Line profile to execute.
-        snapshot_s:
-            Seconds between recorded points.  Mutually exclusive with
-            the legacy ``record_every_n`` (loop ticks between points,
-            default 20).
-        collect:
-            ``"result"`` returns the :class:`RigRecord`; ``"summary"``
-            returns :meth:`RigRecord.summary`.
+        record_every_n:
+            Loop ticks between recorded points (default 20).
 
         Raises
         ------
         ConfigurationError
             On an empty profile or non-positive decimation.
         """
-        # Local import: repro.runtime.session imports this module.
-        from repro.runtime.session import resolve_record_every_n
-
-        if collect not in ("result", "summary"):
-            raise ConfigurationError(
-                f"unknown collect {collect!r}; use 'result' or 'summary'")
         dt = self.monitor.platform.dt_s
-        record_every_n = resolve_record_every_n(dt, snapshot_s, record_every_n)
         if record_every_n < 1:
             raise ConfigurationError("record_every_n must be >= 1")
         with get_tracer().span("rig.run", duration_s=profile.duration_s):
-            record = self._run(profile, record_every_n, dt)
-        if collect == "summary":
-            return record.summary()
-        return record
+            return self._run(profile, record_every_n, dt)
 
     def _run(self, profile: Profile, record_every_n: int,
              dt: float) -> RigRecord:

@@ -45,8 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.runtime import BatchEngine, MixedEngine, RunResult, \
-    ShardedEngine, load_checkpoint, save_checkpoint, spawn_monitor_seeds
+from repro.runtime import BatchEngine, FleetSpec, MixedEngine, RunResult, \
+    ShardedEngine, load_checkpoint, save_checkpoint
 from repro.station.profiles import staircase
 from repro.station.rig import RigRecord
 from repro.station.scenarios import build_calibrated_monitor
@@ -72,8 +72,8 @@ _RESUME_AT = 737
 
 
 def _fleet_rigs():
-    return [build_calibrated_monitor(seed=s, fast=True).rig
-            for s in spawn_monitor_seeds(_FLEET_SEED, _FLEET_N)]
+    seeds = FleetSpec.homogeneous(_FLEET_N, seed=_FLEET_SEED).monitor_seeds()
+    return [build_calibrated_monitor(seed=s, fast=True).rig for s in seeds]
 
 
 def scalar_cta_case() -> dict[str, np.ndarray]:
@@ -116,7 +116,7 @@ def mixed_fleet_case() -> dict[str, np.ndarray]:
     into caller order — this archive pins that merge (and the group
     engines under it) byte for byte.
     """
-    seeds = spawn_monitor_seeds(_FLEET_SEED, 4)
+    seeds = FleetSpec.homogeneous(4, seed=_FLEET_SEED).monitor_seeds()
     rigs = [build_calibrated_monitor(
                 seed=s, fast=True,
                 overtemperature_k=7.0 if i % 2 else 5.0).rig
@@ -172,7 +172,7 @@ def sharded_resume_case() -> dict[str, np.ndarray]:
 
 def mixed_resume_case() -> dict[str, np.ndarray]:
     """The mixed case cut at step 737, checkpointed, resumed, stitched."""
-    seeds = spawn_monitor_seeds(_FLEET_SEED, 4)
+    seeds = FleetSpec.homogeneous(4, seed=_FLEET_SEED).monitor_seeds()
     rigs = [build_calibrated_monitor(
                 seed=s, fast=True,
                 overtemperature_k=7.0 if i % 2 else 5.0).rig

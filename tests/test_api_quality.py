@@ -12,6 +12,7 @@ import pkgutil
 import pytest
 
 import repro
+from repro.errors import ConfigurationError
 
 PACKAGES = [
     "repro",
@@ -78,7 +79,7 @@ def test_all_exports_resolve(pkg_name):
 
 
 def test_version_string():
-    assert repro.__version__ == "5.0.0"
+    assert repro.__version__ == "6.0.0"
 
 
 def test_removed_in_5_0():
@@ -114,6 +115,85 @@ def test_removed_in_5_0():
     assert params(BatchEngine)["chunk_size"].default == 1024
     assert params(ShardedEngine)["workers"].default is \
         inspect.Parameter.empty
+
+
+def test_removed_in_6_0():
+    """6.0 keeps one spelling per run knob.
+
+    ``collect=`` (callers use ``.summary()``), the ``snapshot_s``
+    loop-cadence alias (``record_every_n`` is the one cadence knob, in
+    loop ticks), the ``n_monitors``/``seed`` fleet alias (a fleet is
+    ``fleet=FleetSpec.homogeneous(n, seed=s)``), the ``Numerics``
+    policy class (``numerics`` is a mode string) and the duplicate seed
+    and ``exp`` helpers are gone.  ``MonitoredNetwork.run`` keeps its
+    own ``snapshot_s``: the day-scale meter reporting cadence.
+    """
+    from repro.runtime import FleetSpec, Session, resolve_numerics
+    from repro.station import MonitoredNetwork, TestRig, run_campaign
+    from repro.station.profiles import hold
+
+    def params(func):
+        return inspect.signature(func).parameters
+
+    profile = hold(50.0, 0.1)
+    # Arguments bind before any body runs, so the stand-in ``self``
+    # values below are never touched.
+    with pytest.raises(TypeError):
+        Session.run(None, profile, collect="summary")
+    with pytest.raises(TypeError):
+        Session.run(None, profile, snapshot_s=0.05)
+    with pytest.raises(TypeError):
+        TestRig.run(None, profile, collect="summary")
+    with pytest.raises(TypeError):
+        TestRig.run(None, profile, snapshot_s=0.05)
+    with pytest.raises(TypeError):
+        MonitoredNetwork.run(None, 1.0, collect="summary")
+    with pytest.raises(TypeError):
+        repro.run(profile, collect="summary")
+    with pytest.raises(TypeError):
+        repro.run(profile, snapshot_s=0.05)
+    with pytest.raises(TypeError):
+        repro.run(profile, n_monitors=2)
+    with pytest.raises(TypeError):
+        repro.run(profile, seed=7)
+    with pytest.raises(TypeError):
+        Session(2, 7)
+    with pytest.raises(TypeError):
+        Session(n_monitors=2)
+    with pytest.raises(TypeError):
+        Session(seed=7)
+    with pytest.raises(TypeError):
+        repro.FleetService.attach(None, profile, snapshot_s=0.05)
+    with pytest.raises(TypeError):
+        repro.FleetService.attach(None, profile, n_monitors=2)
+    with pytest.raises(TypeError):
+        repro.FleetService.attach(None, profile, seed=7)
+    with pytest.raises(TypeError):
+        run_campaign(FleetSpec.homogeneous(1), duration_s=1.0,
+                     snapshot_s=0.05)
+    assert "snapshot_s" in params(MonitoredNetwork.run)
+    for func in (Session.run, TestRig.run, repro.run,
+                 repro.FleetService.attach, run_campaign):
+        assert params(func)["record_every_n"].default == 20, func
+    assert list(params(Session)) == ["fleet", "checkpoint_dir"]
+
+    runtime = importlib.import_module("repro.runtime")
+    for pkg in (repro, runtime):
+        assert not hasattr(pkg, "Numerics"), pkg.__name__
+        assert "Numerics" not in pkg.__all__
+    for module, name in (("repro.runtime.kernels", "Numerics"),
+                         ("repro.runtime.session", "resolve_record_every_n"),
+                         ("repro.runtime.parallel", "spawn_monitor_seeds"),
+                         ("repro.runtime", "spawn_monitor_seeds"),
+                         ("repro.runtime.batch", "_vexp")):
+        assert not hasattr(importlib.import_module(module), name), name
+
+    class Policy:
+        mode = "fast"
+
+    with pytest.raises(ConfigurationError) as excinfo:
+        resolve_numerics(Policy())
+    assert excinfo.value.reason == "numerics"
 
 
 def test_error_hierarchy_single_source():

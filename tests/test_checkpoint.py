@@ -22,8 +22,7 @@ import pytest
 from repro.errors import CheckpointError, ConfigurationError
 from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, RunResult,
                            Session, ShardedEngine, WindowedRun,
-                           load_checkpoint, run_durable, save_checkpoint,
-                           spawn_monitor_seeds)
+                           load_checkpoint, run_durable, save_checkpoint)
 from repro.runtime.checkpoint import CHECKPOINT_FORMAT_VERSION, engine_kind
 from repro.station.campaign import run_campaign
 from repro.station.profiles import staircase
@@ -38,8 +37,8 @@ _EVERY = 10
 
 
 def _rigs(n=2, base_seed=31337):
-    return [build_calibrated_monitor(seed=s, fast=True).rig
-            for s in spawn_monitor_seeds(base_seed, n)]
+    seeds = FleetSpec.homogeneous(n, seed=base_seed).monitor_seeds()
+    return [build_calibrated_monitor(seed=s, fast=True).rig for s in seeds]
 
 
 def _fields(result):

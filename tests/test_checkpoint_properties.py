@@ -25,9 +25,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.runtime import (BatchEngine, MixedEngine, RunResult,
-                           load_checkpoint, save_checkpoint,
-                           spawn_monitor_seeds)
+from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, RunResult,
+                           load_checkpoint, save_checkpoint)
 from repro.station.profiles import staircase
 from repro.station.rig import RigRecord
 from repro.station.scenarios import build_calibrated_monitor
@@ -44,8 +43,8 @@ _SETTINGS = dict(max_examples=12, deadline=None,
 
 
 def _rigs(n=2, base_seed=2468):
-    return [build_calibrated_monitor(seed=s, fast=True).rig
-            for s in spawn_monitor_seeds(base_seed, n)]
+    seeds = FleetSpec.homogeneous(n, seed=base_seed).monitor_seeds()
+    return [build_calibrated_monitor(seed=s, fast=True).rig for s in seeds]
 
 
 def _bytes_of(result) -> dict[str, bytes]:

@@ -86,20 +86,31 @@ def test_empty_and_invalid_specs_refused():
 
 
 def test_session_fleet_matches_legacy_session():
-    """``Session(n_monitors=n, seed=s)`` is the default-build spec."""
-    legacy = Session(n_monitors=2, seed=31)
+    """What ``Session(n_monitors=n, seed=s)`` spelled until 6.0 is
+    ``Session(fleet=FleetSpec.homogeneous(n, seed=s))``; a bare
+    ``Session()`` is the one-monitor, seed-42 default-build spec."""
+    with pytest.raises(TypeError):
+        Session(n_monitors=2, seed=31)
     spec = FleetSpec.homogeneous(2, seed=31)
-    assert legacy._fleet == spec
-    with legacy, Session(fleet=spec) as from_spec:
-        assert legacy._seeds == from_spec._seeds == spec.monitor_seeds()
+    with Session(fleet=spec) as from_spec:
+        assert from_spec._seeds == spec.monitor_seeds()
+        assert (from_spec.n_monitors, from_spec.seed) == (2, 31)
+    default = Session()
+    assert default._fleet == FleetSpec.homogeneous(1, seed=42)
+    with default:
+        assert default._seeds == FleetSpec.homogeneous(
+            1, seed=42).monitor_seeds()
 
 
 def test_session_fleet_conflicts_refused():
     spec = FleetSpec.homogeneous(2, seed=1)
-    with pytest.raises(ConfigurationError):
+    # The fleet alias is gone (6.0), so there is nothing left to mix.
+    with pytest.raises(TypeError):
         Session(n_monitors=2, fleet=spec)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(TypeError):
         Session(seed=7, fleet=spec)
+    with pytest.raises(TypeError):
+        Session(2, fleet=spec)
     with pytest.raises(TypeError):
         Session(fleet=spec, fast_calibration=True)  # removed in 2.0
 
@@ -136,7 +147,9 @@ def test_session_build_kwargs_removed():
                   {"output_bandwidth_hz": 0.1}, {"use_cache": False},
                   {"calibration_speeds_cmps": [0.0, 50.0]}):
         with pytest.raises(TypeError):
-            Session(n_monitors=1, seed=1, **build)
+            Session(**build)
+        with pytest.raises(TypeError):
+            Session(fleet=FleetSpec.homogeneous(1, seed=1), **build)
 
 
 def test_characterize_meter_pool_requires_fleet_spec():

@@ -3,20 +3,20 @@
 The golden traces pin the engine end to end; these tests pin the
 kernels *on their own*:
 
-- the exact-mode transcendentals (``exp_exact`` and its back-compat
-  alias ``batch._vexp``, ``pow_exact``, ``pow10_exact``) are bitwise
+- the exact-mode transcendentals (``exp_exact``, ``pow_exact``,
+  ``pow10_exact``) are bitwise
   ``math.exp`` / ``**`` over a magnitude sweep that includes
   denormal-adjacent and large-negative arguments;
 - ``film_conductance`` is bitwise the per-element scalar composition
   over :func:`repro.physics.water.film_properties_scalar`, for both
   the flat and the ``(2, N)`` joint-Horner shapes;
-- the unified ``numerics=`` knob validates with a machine-readable
-  ``reason`` on every surface and round-trips through ``to_dict`` /
-  ``from_dict`` and pickling;
+- the unified ``numerics=`` knob is a mode string, validated with a
+  machine-readable ``reason`` on every surface;
 - fast mode stays within 1e-9 relative error of exact on every
   recorded field of a real engine run.
 """
 
+import json
 import math
 import pickle
 
@@ -26,8 +26,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, RunResult,
                            Session)
-from repro.runtime.batch import _vexp
-from repro.runtime.kernels import (NUMERICS_MODES, Numerics, exp_exact,
+from repro.runtime.kernels import (NUMERICS_MODES, exp_exact,
                                    film_conductance, pow10_exact, pow_exact,
                                    resolve_numerics)
 from repro.runtime.parallel import ShardedEngine
@@ -60,11 +59,6 @@ def test_exp_exact_preserves_shape_2d():
     assert got.shape == (2, 6)
     flat = np.array([math.exp(x) for x in arg.ravel().tolist()])
     assert got.ravel().tobytes() == flat.tobytes()
-
-
-def test_vexp_is_the_exact_kernel():
-    # The engine's historical name must keep pointing at the exact path.
-    assert _vexp is exp_exact
 
 
 def test_pow_exact_bit_parity():
@@ -154,10 +148,6 @@ def test_resolve_numerics_accepts_modes_and_policy():
     assert NUMERICS_MODES == ("exact", "fast")
     assert resolve_numerics("exact") == "exact"
     assert resolve_numerics("fast") == "fast"
-    assert resolve_numerics(Numerics(mode="fast")) == "fast"
-    assert Numerics().mode == "exact"
-    assert not Numerics().fast
-    assert Numerics(mode="fast").fast
 
 
 @pytest.mark.parametrize("bad", ["turbo", "", "EXACT", None, 3])
@@ -168,17 +158,20 @@ def test_resolve_numerics_rejects_with_reason(bad):
 
 
 def test_numerics_policy_validates_and_serializes():
-    with pytest.raises(ConfigurationError) as excinfo:
-        Numerics(mode="bogus")
-    assert excinfo.value.reason == "numerics"
-    policy = Numerics(mode="fast")
-    assert policy.to_dict() == {"mode": "fast"}
-    assert Numerics.from_dict(policy.to_dict()) == policy
-    with pytest.raises(ConfigurationError) as excinfo:
-        Numerics.from_dict({})
-    assert excinfo.value.reason == "numerics"
-    copy = pickle.loads(pickle.dumps(policy))
-    assert copy == policy and copy.fast
+    """The policy is the mode string itself (the 6.0 ``Numerics`` class
+    and its ``to_dict`` image are gone): it serializes as itself, and
+    policy-shaped objects are refused with the same reason."""
+    for mode in NUMERICS_MODES:
+        assert resolve_numerics(json.loads(json.dumps(mode))) == mode
+        assert resolve_numerics(pickle.loads(pickle.dumps(mode))) == mode
+
+    class Policy:
+        mode = "fast"
+
+    for bad in (Policy(), {"mode": "fast"}):
+        with pytest.raises(ConfigurationError) as excinfo:
+            resolve_numerics(bad)
+        assert excinfo.value.reason == "numerics"
 
 
 def test_engines_reject_unknown_numerics(shared_setup):

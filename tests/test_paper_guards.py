@@ -12,15 +12,65 @@ import math
 
 import numpy as np
 
-from repro.analysis.metrics import repeatability_pct_fs
+from repro.analysis.metrics import repeatability_pct_fs, resolution_3sigma
 from repro.conditioning.cta import CTAConfig, CTAController
 from repro.conditioning.drive import ContinuousDrive, PulsedDrive
+from repro.conditioning.flow_estimator import EstimatorConfig, FlowEstimator
 from repro.isif.platform import ISIFPlatform
 from repro.runtime import FleetSpec, Session
 from repro.sensor.maf import FlowConditions, MAFConfig, MAFSensor
 from repro.station.line import LineConfig
 from repro.station.profiles import Profile, Segment
-from repro.station.scenarios import clear_calibration_cache
+from repro.station.scenarios import (build_calibrated_monitor,
+                                     clear_calibration_cache)
+
+#: E2: steady setpoints [cm/s], the measuring output bandwidth and the
+#: paper's 0.1 Hz one, and the seconds settled / measured per setpoint.
+RESOLUTION_SETPOINTS_CMPS = (5.0, 125.0, 250.0)
+MEASURE_BW_HZ, PAPER_BW_HZ = 0.5, 0.1
+RESOLUTION_SETTLE_S, RESOLUTION_WINDOW_S = 2.0, 10.0
+
+
+def _noise_band(setup, speed_cmps: float) -> float:
+    """Bench E2's band: ±3σ of the estimator output at a steady
+    setpoint at ``MEASURE_BW_HZ``, scaled to the paper's 0.1 Hz by
+    √(0.1/0.5) (white noise through one pole) [cm/s]."""
+    controller = setup.monitor.controller
+    estimator = FlowEstimator(
+        controller, setup.calibration,
+        EstimatorConfig(output_bandwidth_hz=MEASURE_BW_HZ,
+                        sample_rate_hz=setup.monitor.config.loop_rate_hz))
+    line = setup.rig.line
+    v = speed_cmps * 1e-2
+    line.jump_to(v)
+    dt = setup.monitor.platform.dt_s
+    readings = []
+    for k in range(int((RESOLUTION_SETTLE_S + RESOLUTION_WINDOW_S) / dt)):
+        state = line.step(dt, v)
+        reading = estimator.update(controller.step(line.conditions(state)))
+        if k >= int(RESOLUTION_SETTLE_S / dt):
+            readings.append(reading)
+    band = resolution_3sigma(np.array(readings)) * 100.0
+    return band * math.sqrt(PAPER_BW_HZ / MEASURE_BW_HZ)
+
+
+def test_e2_resolution_within_four_cm_per_s():
+    """§5: the resolution (±3σ at the 0.1 Hz output) stays within the
+    paper's ±4 cm/s upper edge across the range, worst at the top speed
+    (King's-law compression), and well under 1 cm/s at 5 cm/s.
+
+    Reduced from bench E2: three setpoints, a fast calibration, 2 s
+    settled and 10 s measured per setpoint.  The paper's ±0.75 cm/s
+    lower edge is not asserted: the model measures ±0.38 cm/s there
+    (``EXPERIMENTS.md``), better than the paper.
+    """
+    setup = build_calibrated_monitor(seed=123, use_pulsed_drive=False,
+                                     fast=True)
+    bands = [_noise_band(setup, speed)
+             for speed in RESOLUTION_SETPOINTS_CMPS]
+    assert max(bands) <= 4.0, bands
+    assert bands[-1] == max(bands), bands
+    assert bands[0] < 1.0, bands
 
 #: E3: the test point and the speeds it is approached from [m/s].
 TARGET_MPS = 1.0

@@ -16,8 +16,7 @@ from repro import observability as obs
 from repro.observability import (EventLog, MetricsRegistry, Profiler, Tracer,
                                  export_jsonl, export_spans_jsonl,
                                  parse_jsonl, parse_spans_jsonl, span_tree)
-from repro.runtime import (FleetSpec, RunResult, Session, ShardedEngine,
-                           spawn_monitor_seeds)
+from repro.runtime import FleetSpec, RunResult, Session, ShardedEngine
 from repro.runtime.faults import FAULT_ENV
 from repro.runtime.kernels import PROFILE_STAGES
 from repro.station.profiles import hold
@@ -32,7 +31,7 @@ SEED = 77
 
 def _fleet(n=3):
     return [build_calibrated_monitor(seed=s, fast=True).rig
-            for s in spawn_monitor_seeds(SEED, n)]
+            for s in FleetSpec.homogeneous(n, seed=SEED).monitor_seeds()]
 
 
 @pytest.fixture

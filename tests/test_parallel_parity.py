@@ -19,8 +19,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, RunResult,
-                           Session, ShardedEngine, run_durable,
-                           spawn_monitor_seeds)
+                           Session, ShardedEngine, run_durable)
 from repro.runtime.faults import FAULT_ENV
 from repro.service import FleetService
 from repro.station.fleet import characterize_meter_pool
@@ -37,7 +36,7 @@ PROFILE = hold(60.0, 1.5)
 def _fleet(n=N_MONITORS, seed=SEED):
     """Fresh rigs with the same seed derivation a Session would use."""
     return [build_calibrated_monitor(seed=s, fast=True).rig
-            for s in spawn_monitor_seeds(seed, n)]
+            for s in FleetSpec.homogeneous(n, seed=seed).monitor_seeds()]
 
 
 def _assert_bit_identical(a, b):

@@ -21,7 +21,7 @@ from repro.conditioning.cta import CTAConfig
 from repro.conditioning.monitor import MonitorConfig
 from repro.isif.afe import AFEConfig
 from repro.isif.pi_controller import PIConfig
-from repro.runtime import Numerics, RunResult
+from repro.runtime import RunResult
 from repro.sensor.maf import FlowConditions, MAFConfig
 from repro.station.fleet import MeterCharacter
 from repro.station.line import LineConfig
@@ -42,8 +42,6 @@ def _roundtrip(obj):
     AFEConfig(),
     LineConfig(),
     MeterCharacter(),
-    Numerics(),
-    Numerics(mode="fast"),
     hold(60.0, 2.0),
     staircase([0.0, 50.0, 120.0], dwell_s=3.0),
     Segment(duration_s=1.0, speed_mps=0.5),

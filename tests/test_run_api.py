@@ -1,7 +1,10 @@
 """Tests for the unified run API across Session, TestRig and fleet.
 
-One surface: ``run(profile, *, snapshot_s=..., collect=...)`` everywhere;
-the 1.x positional/keyword spellings are gone in 2.0.
+One surface: ``run(profile, *, record_every_n=...)`` everywhere, returning
+the result (callers take ``.summary()`` themselves); the 1.x
+positional/keyword spellings are gone in 2.0, ``snapshot_s``/``collect``
+in 6.0 (``MonitoredNetwork.run`` keeps ``snapshot_s`` as its own meter
+reporting cadence).
 """
 
 import numpy as np
@@ -9,7 +12,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime import FleetSpec, RunResult, Session
-from repro.runtime.session import resolve_record_every_n
 from repro.station.demand import DiurnalDemand
 from repro.station.fleet import MonitoredNetwork
 from repro.station.network import PipeNetwork
@@ -18,14 +20,20 @@ from repro.station.scenarios import build_calibrated_monitor
 
 
 def test_resolve_record_every_n():
-    assert resolve_record_every_n(1e-3, None, None) == 20
-    assert resolve_record_every_n(1e-3, 0.05, None) == 50
-    assert resolve_record_every_n(1e-3, None, 7) == 7
-    assert resolve_record_every_n(1e-3, 1e-4, None) == 1  # floor at 1
-    with pytest.raises(ConfigurationError):
-        resolve_record_every_n(1e-3, 0.05, 7)  # both given: ambiguous
-    with pytest.raises(ConfigurationError):
-        resolve_record_every_n(1e-3, -1.0, None)
+    """The cadence is ``record_every_n`` loop ticks, resolved as given.
+
+    There is no seconds-based alias to resolve any more: the default is
+    20 ticks and anything below 1 is refused before a rig is touched.
+    """
+    import repro.runtime.session as session_module
+    assert not hasattr(session_module, "resolve_record_every_n")
+    rig = build_calibrated_monitor(seed=25, fast=True).rig
+    assert len(rig.run(hold(50.0, 0.2))) == 10
+    assert len(rig.run(hold(50.0, 0.2), record_every_n=7)) == 29
+    assert len(rig.run(hold(50.0, 0.2), record_every_n=1)) == 200
+    for bad in (0, -1):
+        with pytest.raises(ConfigurationError):
+            rig.run(hold(50.0, 0.2), record_every_n=bad)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +45,12 @@ def session():
 
 
 def test_session_run_snapshot_s_equals_record_every_n(session):
-    a = session.run(hold(60.0, 1.0), snapshot_s=0.05)
+    """What ``snapshot_s=0.05`` spelled is ``record_every_n=50`` at 1 kHz."""
+    with pytest.raises(TypeError):
+        session.run(hold(60.0, 1.0), snapshot_s=0.05)
+    a = session.run(hold(60.0, 1.0), record_every_n=50)
+    assert len(a.time_s) == 20
+    assert np.allclose(np.diff(a.time_s), 0.05)
     b = session.run(hold(60.0, 1.0), record_every_n=50)
     assert np.array_equal(a.time_s, b.time_s)
     assert np.array_equal(a.measured_mps, b.measured_mps)
@@ -46,41 +59,48 @@ def test_session_run_snapshot_s_equals_record_every_n(session):
 def test_session_run_is_keyword_only(session):
     with pytest.raises(TypeError):
         session.run(hold(60.0, 0.5), 0.025, "result")
-    result = session.run(hold(60.0, 0.5), snapshot_s=0.025,
-                         collect="result")
+    result = session.run(hold(60.0, 0.5), record_every_n=25)
     assert result.n_monitors == 1
     assert len(result.time_s) == 20
 
 
 def test_session_run_collect_summary(session):
-    summary = session.run(hold(60.0, 0.5), collect="summary")
-    result = session.run(hold(60.0, 0.5), collect="result")
+    """A run returns its RunResult; the summary is ``.summary()`` on it."""
+    result = session.run(hold(60.0, 0.5))
     assert isinstance(result, RunResult)
+    summary = result.summary()
+    assert summary == session.run(hold(60.0, 0.5)).summary()
     assert summary["run.true_speed_mps"]["mean"] == pytest.approx(
-        result.summary()["run.true_speed_mps"]["mean"], rel=1e-6)
+        float(np.mean(result.true_speed_mps)), rel=1e-6)
     assert np.isfinite(summary["run.measured_mps"]["mean"])
-    with pytest.raises(ConfigurationError):
-        session.run(hold(60.0, 0.5), collect="everything")
+    for collect in ("summary", "result", "everything"):
+        with pytest.raises(TypeError):
+            session.run(hold(60.0, 0.5), collect=collect)
 
 
 def test_session_run_refuses_both_cadence_spellings(session):
-    with pytest.raises(ConfigurationError):
+    """Only ``record_every_n`` is accepted; the seconds alias is gone."""
+    with pytest.raises(TypeError):
         session.run(hold(60.0, 0.5), snapshot_s=0.05, record_every_n=50)
+    with pytest.raises(TypeError):
+        session.run(hold(60.0, 0.5), snapshot_s=0.05)
+    with pytest.raises(ConfigurationError):
+        session.run(hold(60.0, 0.5), record_every_n=0)
 
 
 def test_rig_run_unified_signature():
     setup = build_calibrated_monitor(seed=22, fast=True)
     rig = setup.rig
-    rec = rig.run(hold(50.0, 0.5), snapshot_s=0.02)
+    rec = rig.run(hold(50.0, 0.5), record_every_n=20)
     assert len(rec) == 25
-    summary = rig.run(hold(50.0, 0.5), collect="summary")
+    summary = rec.summary()
     assert "measured_mps" in summary
     with pytest.raises(TypeError):
         rig.run(hold(50.0, 0.2), 10)  # keyword-only since 2.0
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(TypeError):
         rig.run(hold(50.0, 0.2), snapshot_s=0.02, record_every_n=10)
-    with pytest.raises(ConfigurationError):
-        rig.run(hold(50.0, 0.2), collect="nope")
+    with pytest.raises(TypeError):
+        rig.run(hold(50.0, 0.2), collect="summary")
 
 
 def build_fleet(seed=0):
@@ -100,9 +120,9 @@ def test_fleet_run_unified_signature():
     # a Profile's duration also sets the span
     report_p = fleet.run(hold(50.0, 3600.0))
     assert report_p.snapshots == 60
-    summary = fleet.run(1.0, collect="summary")
-    assert summary["snapshots"] == 60
-    assert summary["leak_events"] == []
+    report_1h = fleet.run(1.0)
+    assert report_1h.snapshots == 60
+    assert report_1h.events == []
 
 
 def test_fleet_run_deprecation_shims():
@@ -114,8 +134,10 @@ def test_fleet_run_deprecation_shims():
         fleet.run(1.0, 60.0)  # snapshot_s is keyword-only
     with pytest.raises(TypeError):
         fleet.run()  # no duration at all
+    with pytest.raises(TypeError):
+        fleet.run(1.0, collect="summary")  # gone in 6.0
     with pytest.raises(ConfigurationError):
-        fleet.run(1.0, collect="nope")
+        fleet.run(1.0, snapshot_s=0.0)
     assert fleet.run(1.0, snapshot_s=60.0).snapshots == 60
 
 

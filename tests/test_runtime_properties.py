@@ -6,9 +6,9 @@ the algebra the parity tests rely on:
 
 - :func:`partition_monitors` is a contiguous balanced partition, a
   pure function of ``(n, k)``;
-- :func:`spawn_monitor_seeds` is shard-count invariant (the seed list
-  depends only on the session seed and fleet size, and any prefix is
-  stable) with pairwise-distinct streams;
+- ``FleetSpec.monitor_seeds`` is shard-count invariant (the seed list
+  depends only on the fleet seed and size, and any prefix is stable)
+  with pairwise-distinct streams;
 - ``RunResult.concat`` is the exact inverse of row-slicing, and
   ``from_records`` / ``trace`` round-trip losslessly.
 """
@@ -19,8 +19,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.runtime import RunResult, partition_monitors, \
-    spawn_monitor_seeds  # noqa: E402
+from repro.runtime import (FleetSpec, RunResult,  # noqa: E402
+                           partition_monitors)
 
 SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -56,14 +56,14 @@ def test_partition_covers_disjoint_contiguous_balanced(case):
        _fleet_and_shards())
 def test_seed_spawning_is_shard_count_invariant(seed, case):
     n, m = case
-    seeds = spawn_monitor_seeds(seed, n)
+    seeds = FleetSpec.homogeneous(n, seed=seed).monitor_seeds()
     assert len(seeds) == n
     assert len(set(seeds)) == n  # distinct per-monitor streams
     # Any prefix is stable: seeds depend on (seed, index) only, never
     # on the fleet size they were spawned for — a fleet of m shares its
     # leading monitors with a fleet of n.
-    assert spawn_monitor_seeds(seed, m) == seeds[:m]
-    assert spawn_monitor_seeds(seed, n) == seeds
+    assert FleetSpec.homogeneous(m, seed=seed).monitor_seeds() == seeds[:m]
+    assert FleetSpec.homogeneous(n, seed=seed).monitor_seeds() == seeds
 
 
 def _random_result(rng, n, m):

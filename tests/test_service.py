@@ -555,11 +555,18 @@ def test_attach_fleet_conflicts_are_refused():
 
     async def main():
         async with FleetService() as service:
-            with pytest.raises(ConfigurationError):
+            # The n_monitors/seed alias is gone (6.0): nothing to mix.
+            with pytest.raises(TypeError):
                 await service.attach(hold(50.0, 0.5), fleet=spec,
                                      n_monitors=2)
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(TypeError):
                 await service.attach(hold(50.0, 0.5), fleet=spec, seed=9)
+            with pytest.raises(TypeError):
+                await service.attach(hold(50.0, 0.5), fleet=spec,
+                                     snapshot_s=0.05)
+            with pytest.raises(ConfigurationError):
+                await service.attach(hold(50.0, 0.5), fleet=spec,
+                                     record_every_n=0)
             return service.stats()
 
     stats = asyncio.run(main())

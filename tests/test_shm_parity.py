@@ -17,7 +17,7 @@ import pytest
 import repro
 from repro.errors import ConfigurationError
 from repro.runtime import (BatchEngine, FleetSpec, RunResult, Session,
-                           ShardedEngine, spawn_monitor_seeds)
+                           ShardedEngine)
 from repro.runtime.faults import FAULT_ENV
 from repro.station.profiles import hold, staircase
 from repro.station.scenarios import build_calibrated_monitor
@@ -32,7 +32,7 @@ PROFILE = hold(60.0, 1.5)
 def _fleet(n=N_MONITORS, seed=SEED):
     """Fresh rigs with the same seed derivation a Session would use."""
     return [build_calibrated_monitor(seed=s, fast=True).rig
-            for s in spawn_monitor_seeds(seed, n)]
+            for s in FleetSpec.homogeneous(n, seed=seed).monitor_seeds()]
 
 
 def _assert_bit_identical(a, b):

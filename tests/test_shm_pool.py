@@ -10,8 +10,7 @@ backend and is kept here under its original name.
 import numpy as np
 import pytest
 
-from repro.runtime import (BatchEngine, RunResult, ShardedEngine,
-                           spawn_monitor_seeds)
+from repro.runtime import BatchEngine, FleetSpec, RunResult, ShardedEngine
 from repro.runtime.faults import FAULT_ENV
 from repro.station.profiles import hold
 from repro.station.scenarios import build_calibrated_monitor
@@ -24,7 +23,7 @@ PROFILE = hold(60.0, 1.5)
 
 def _fleet(n, seed=SEED):
     return [build_calibrated_monitor(seed=s, fast=True).rig
-            for s in spawn_monitor_seeds(seed, n)]
+            for s in FleetSpec.homogeneous(n, seed=seed).monitor_seeds()]
 
 
 def _assert_bit_identical(a, b):
