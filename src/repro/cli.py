@@ -23,8 +23,9 @@ The CLI mirrors how a bench operator would use the real instrument:
 power-on self-test, a calibration campaign against the reference meter
 (saved as a JSON EEPROM image), then measurements against the stored
 calibration.  ``fleet`` runs a whole fleet of monitors at once through
-the batched runtime, optionally sharded across worker processes
-(``--workers``); the traces are bit-identical for any worker count.
+the batched runtime, optionally running its config groups as jobs in
+worker processes (``--workers``); the traces are bit-identical for any
+worker count.
 With ``--spec`` the fleet comes from a JSON :class:`FleetSpec` image
 instead of ``--n-monitors``/``--seed``, and a structurally mixed spec
 sub-batches per config group (bit-identical per rig to running its
@@ -84,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the per-stage kernel profiler and write its JSON "
              "report here after the command (stages: kernel.plan, "
              "kernel.ar1_block, kernel.film, kernel.chunk_loop; merged "
-             "across workers for sharded fleet runs)")
+             "across workers for parallel fleet runs)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("selftest", help="ISIF platform power-on self-test")
@@ -126,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     flt = sub.add_parser(
         "fleet",
-        help="run a fleet through the batched runtime, optionally sharded")
+        help="run a fleet through the batched runtime, optionally in "
+             "parallel")
     flt.add_argument("--spec", type=Path, default=None, metavar="PATH",
                      help="JSON FleetSpec image (FleetSpec.to_dict); a "
                           "mixed spec sub-batches per config group. "
@@ -134,9 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
     flt.add_argument("--n-monitors", type=int, default=None,
                      help="fleet size (default 4; ignored with --spec)")
     flt.add_argument("--workers", type=int, default=1,
-                     help="worker processes; >1 shards the fleet across a "
-                          "process pool with bit-identical results "
-                          "(default 1 = serial)")
+                     help="worker processes; >1 runs each config group "
+                          "of a mixed fleet as one job, at most this many "
+                          "at once, with bit-identical results; a "
+                          "one-group fleet stays in-process (default 1 = "
+                          "serial)")
     flt.add_argument("--levels", type=str, default="0,50,120",
                      help="comma-separated staircase speeds [cm/s]")
     flt.add_argument("--dwell", type=float, default=4.0,

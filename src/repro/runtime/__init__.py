@@ -9,12 +9,12 @@
   monitors x K samples per call, bit-identical to the scalar loops it
   replaces,
 - :class:`ShardedEngine` (:mod:`repro.runtime.parallel`) — the same
-  fleet partitioned across worker processes, bit-identical to the
-  serial engine for any shard count, with bounded retry and serial
-  fallback on worker failure; its workers live only for the call that
-  started them,
+  fleet's config groups run as jobs in worker processes, bit-identical
+  to the serial engine for any worker count, with bounded retry and
+  serial fallback on worker failure; its workers live only for the
+  call that started them,
 - :class:`RunResult` — stacked ``(N, M)`` traces with scalar
-  ``RigRecord`` rehydration and shard-block concatenation,
+  ``RigRecord`` rehydration and block concatenation,
 - :class:`MixedEngine` (:mod:`repro.runtime.mixed`) — group-by-config
   sub-batching for *structurally heterogeneous* fleets: rigs are
   partitioned into config-equivalence groups by the one rig signature
@@ -48,13 +48,13 @@ from repro.runtime.checkpoint import (CHECKPOINT_FORMAT_VERSION, Checkpoint,
                                       save_checkpoint)
 from repro.runtime.kernels import NUMERICS_MODES, resolve_numerics
 from repro.runtime.mixed import MixedEngine, config_group_key, fleet_groups
-from repro.runtime.parallel import ShardedEngine, partition_monitors
+from repro.runtime.parallel import ShardedEngine
 from repro.runtime.result import RunResult
 from repro.runtime.session import MonitorHandle, Session
 from repro.runtime.spec import FleetSpec, RigSpec
 
 __all__ = ["BatchEngine", "RunResult", "Session",
-           "MonitorHandle", "ShardedEngine", "partition_monitors",
+           "MonitorHandle", "ShardedEngine",
            "MixedEngine", "config_group_key", "fleet_groups",
            "FleetSpec", "RigSpec",
            "NUMERICS_MODES", "resolve_numerics",

@@ -830,7 +830,7 @@ class BatchEngine:
             load_state(self._drive, drive)
 
     def __getstate__(self) -> dict:
-        # Pickles (checkpoints, shard blobs) leave the step-0 state
+        # Pickles (checkpoints, job blobs) leave the step-0 state
         # out: it serves in-process rewinds only.
         return {k: v for k, v in vars(self).items() if k != "_step0"}
 

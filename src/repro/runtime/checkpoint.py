@@ -19,10 +19,11 @@ Engine kinds and what gets snapshotted:
 - ``"batch"`` — a :class:`~repro.runtime.batch.BatchEngine` (vectorized
   fleet state plus the rigs its RNG streams alias).
 - ``"sharded"`` — a :class:`~repro.runtime.parallel.ShardedEngine`
-  (between windows each shard's live engine is a pickled blob held in
-  the parent, so the parent object alone is the complete run).
+  (a mixed engine with worker knobs; with more than one worker, each
+  config group's live engine is a pickled job blob held in the parent
+  between windows, so the parent object alone is the complete run).
 - ``"mixed"`` — a :class:`~repro.runtime.mixed.MixedEngine` (per-group
-  engines plus the interleave map).
+  engines or job blobs, plus the interleave map).
 
 :class:`WindowedRun` is the one windowed-run driver built on top:
 advance in windows, checkpoint after each non-final one, resume from
@@ -66,17 +67,18 @@ __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint",
 #: On-disk checkpoint format version; bumped on incompatible changes
 #: (2: durable runs, campaigns and service cohorts share the
 #: :class:`WindowedRun` meta layout; 3: the pickled
-#: :class:`ShardedEngine` layout lost its shared-memory pool state).
-CHECKPOINT_FORMAT_VERSION = 3
+#: :class:`ShardedEngine` layout lost its shared-memory pool state;
+#: 4: engines hold one job blob per config group, not row shards).
+CHECKPOINT_FORMAT_VERSION = 4
 
 #: Header magic identifying a checkpoint artifact.
 _MAGIC = "repro-checkpoint"
 
 #: Engine kind dispatch, most specific type first (a ShardedEngine is
-#: not a BatchEngine, but keep the order defensive anyway).
+#: a MixedEngine).
 _KINDS: tuple[tuple[str, type], ...] = (
-    ("mixed", MixedEngine),
     ("sharded", ShardedEngine),
+    ("mixed", MixedEngine),
     ("batch", BatchEngine),
     ("scalar", TestRig),
 )
@@ -429,12 +431,13 @@ def run_durable(rigs: list[TestRig], profile: Profile, *,
         The checkpoint's run fingerprint (profile, fleet size, cadence,
         numerics) must match this call's.
     workers:
-        Parallelize each window across worker processes (see
-        :class:`MixedEngine`); any worker count is bit-identical to the
-        serial run, so the run fingerprint deliberately excludes it and
-        a checkpoint taken under any worker count resumes cleanly (the
-        restored engine continues with the worker count it was
-        checkpointed with).
+        Run each window's config groups as jobs in up to this many
+        worker processes (see :class:`MixedEngine`); a one-group fleet
+        runs in-process whatever the count.  Any worker count is
+        bit-identical to the serial run, so the run fingerprint
+        deliberately excludes it and a checkpoint taken under any
+        worker count resumes cleanly (the restored engine continues
+        with the worker count it was checkpointed with).
 
     Raises
     ------

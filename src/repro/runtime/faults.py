@@ -3,12 +3,12 @@
 Tests and CI set one variable to make a run fail at a chosen point.
 The spec is parsed here and nowhere else, and two sites honour it:
 
-- the shard worker entry of the parallel runtime
+- the job worker entry of the parallel runtime
   (:func:`shard_site`): ``crash:<i>`` hard-exits, ``hang:<i>`` sleeps
   for an hour, ``raise:<i>`` raises, and ``crash-once:<i>:<marker-dir>``
   hard-exits the first time only (the marker directory persists the
   "already tripped" bit across retried worker processes) — each for
-  shard ``i``;
+  job ``i`` (the ``i``-th config group of the fleet);
 - the checkpoint write of the windowed-run driver
   (:func:`checkpoint_site`, see
   :class:`repro.runtime.checkpoint.WindowedRun`): ``kill:<k>`` SIGKILLs
@@ -55,22 +55,22 @@ def _parse() -> tuple[str, int, list[str]] | None:
     return mode, int(target), extra
 
 
-def shard_site(shard_index: int) -> None:
-    """Inject the configured shard fault if it targets this shard."""
+def shard_site(job_index: int) -> None:
+    """Inject the configured worker fault if it targets this job."""
     parsed = _parse()
     if parsed is None:
         return
     mode, target, extra = parsed
-    if mode not in _SHARD_MODES or target != shard_index:
+    if mode not in _SHARD_MODES or target != job_index:
         return
     if mode == "crash":
         os._exit(3)  # hard death: the parent sees a broken pool
     elif mode == "hang":
         time.sleep(3600.0)
     elif mode == "raise":
-        raise RuntimeError(f"injected worker fault on shard {shard_index}")
+        raise RuntimeError(f"injected worker fault on job {job_index}")
     else:  # crash-once
-        marker = Path(extra[0]) / f"shard{shard_index}.tripped"
+        marker = Path(extra[0]) / f"shard{job_index}.tripped"
         if not marker.exists():
             marker.touch()
             os._exit(3)

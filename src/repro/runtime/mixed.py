@@ -13,7 +13,8 @@ module lifts the restriction without touching the hot path:
 - :func:`config_group_key` names a group: a hash of the one rig
   signature (configs with seeds zeroed, plus the handful of
   instance-level clocks), stable across releases;
-- :class:`MixedEngine` runs each group on its own ``BatchEngine`` and
+- :class:`MixedEngine` runs each group on its own ``BatchEngine`` (in
+  worker processes, one job per group, with ``workers > 1``) and
   interleaves the blocks back into caller order with the
   permutation-aware :meth:`RunResult.concat
   <repro.runtime.result.RunResult.concat>` — so every rig's trace is
@@ -105,24 +106,16 @@ def fleet_groups(rigs: list[TestRig]) -> dict[str, list[int]]:
 
 
 class _MixGroup:
-    """One config-equivalence group inside a :class:`MixedEngine`.
+    """One config-equivalence group inside a :class:`MixedEngine`: its
+    key, its caller positions and the engine that advances it (a
+    :class:`~repro.runtime.batch.BatchEngine`, or a pickled parallel
+    job)."""
 
-    A plain attribute class (no ``__slots__``), so checkpoints pickled
-    by 3.x, whose groups also carried their rigs and clocks, still
-    unpickle and resume.
-    """
-
-    def __init__(self, key: str, positions: list[int], rigs: list[TestRig],
-                 numerics: str, workers: int | None) -> None:
+    def __init__(self, key: str, positions: list[int],
+                 engine: BatchEngine) -> None:
         self.key = key
         self.positions = positions
-        effective = 0 if workers is None else min(int(workers), len(rigs))
-        if effective > 1:
-            from repro.runtime.parallel import ShardedEngine
-            self.engine = ShardedEngine(rigs, workers=effective,
-                                        numerics=numerics)
-        else:
-            self.engine = BatchEngine(rigs, numerics=numerics)
+        self.engine = engine
 
 
 class MixedEngine:
@@ -140,7 +133,8 @@ class MixedEngine:
 
     This is the one engine every fleet caller builds —
     :class:`~repro.runtime.Session`, durable runs and the streaming
-    fleet service — whether the fleet is homogeneous, mixed or sharded.
+    fleet service — whether the fleet is homogeneous, mixed or run in
+    parallel.
     The surface mirrors ``BatchEngine`` (:meth:`run`, :meth:`advance`,
     :meth:`drop`, :meth:`rewind`, :attr:`offset`), and :meth:`run` is
     exactly one :meth:`advance` over the whole profile.
@@ -155,12 +149,13 @@ class MixedEngine:
     numerics:
         Forwarded to every group's ``BatchEngine``.
     workers:
-        With ``workers > 1`` each group large enough to shard runs on
-        its own :class:`~repro.runtime.parallel.ShardedEngine`
-        (``min(workers, group size)`` shards) for every :meth:`run`,
-        :meth:`advance` and :meth:`drop`.  Groups of one rig stay on a
-        plain ``BatchEngine``.  ``None`` (default) and 1 run serially
-        in-process.  Bit-identical for any worker count.
+        With ``workers > 1`` and at least two config groups, each group
+        is one job (:mod:`repro.runtime.parallel`): every :meth:`run`
+        and :meth:`advance` window ships the groups' pickled engines to
+        worker processes, at most ``workers`` at once.  A one-group
+        fleet is one job, so it runs serially in-process whatever
+        ``workers`` says, as do ``None`` (default) and 1.  Bit-identical
+        for any worker count.
 
     Raises
     ------
@@ -174,16 +169,20 @@ class MixedEngine:
     #: What :meth:`rewind` restores; None on an engine restored from a
     #: pickle, which leaves it out.
     _step0 = None
+    #: Parallel-job knobs (:class:`~repro.runtime.parallel.ShardedEngine`
+    #: sets its own).
+    _max_retries = 1
+    _timeout_s = None
 
     def __init__(self, rigs: list[TestRig], numerics: str = "exact",
                  workers: int | None = None) -> None:
         if workers is not None and int(workers) < 1:
             raise ConfigurationError("workers must be a positive integer")
-        grouped = fleet_groups(rigs)
         self._groups = [
-            _MixGroup(key, positions, [rigs[i] for i in positions],
-                      numerics, workers)
-            for key, positions in grouped.items()
+            _MixGroup(key, positions,
+                      BatchEngine([rigs[i] for i in positions],
+                                  numerics=numerics))
+            for key, positions in fleet_groups(rigs).items()
         ]
         self._n = len(rigs)
         self._numerics = self._groups[0].engine.numerics
@@ -205,6 +204,13 @@ class MixedEngine:
                     f"config groups {g0.key} and {g.key} differ in line "
                     f"start time; a mixed fleet needs one shared clock",
                     reason="heterogeneous")
+        # Worker processes a window may use: one per group at most, and
+        # a one-group fleet stays in-process.
+        self._workers = min(int(workers or 1), len(self._groups))
+        if self._workers > 1:
+            from repro.runtime.parallel import _Job
+            for g in self._groups:
+                g.engine = _Job(g.engine, [rigs[i] for i in g.positions])
 
     # -- introspection -------------------------------------------------------
 
@@ -261,10 +267,9 @@ class MixedEngine:
         """Execute a profile over the whole mixed fleet.
 
         Exactly ``advance(profile, steps)`` for the profile's full step
-        count: every group advances on the engine it was built with
-        (serial ``BatchEngine`` groups by default, sharded groups if the
-        constructor fixed ``workers``), from the current :attr:`offset`.
-        Bit-identical for any worker count.
+        count: every group advances in-process, or as a worker job if
+        the constructor fixed ``workers``, from the current
+        :attr:`offset`.  Bit-identical for any worker count.
 
         Raises
         ------
@@ -299,9 +304,16 @@ class MixedEngine:
         """
         if not self._groups:
             raise ConfigurationError("every rig was dropped from the engine")
-        blocks = [g.engine.advance(profile, steps, record_every_n)
-                  for g in self._groups]
-        self._offset = self._groups[0].engine.offset
+        if self._workers > 1:
+            from repro.runtime.parallel import advance_jobs
+            blocks = advance_jobs(
+                [g.engine for g in self._groups], profile, steps,
+                record_every_n, workers=self._workers,
+                max_retries=self._max_retries, timeout_s=self._timeout_s)
+        else:
+            blocks = [g.engine.advance(profile, steps, record_every_n)
+                      for g in self._groups]
+        self._offset += steps
         return self._merge(blocks)
 
     def drop(self, indices: list[int]) -> None:
@@ -309,7 +321,8 @@ class MixedEngine:
 
         Each index is routed to its group's
         :meth:`BatchEngine.drop <repro.runtime.batch.BatchEngine.drop>`
-        (survivor bits untouched); surviving caller positions shift
+        (inside the pickled engine for a parallel job; survivor bits
+        untouched either way); surviving caller positions shift
         left to fill the gaps, exactly as a flat engine's would, and
         emptied groups are discarded.
 
@@ -349,10 +362,8 @@ class MixedEngine:
         ------
         ConfigurationError
             (``reason="rewind"``) on an engine restored from a pickle,
-            or if a group runs on a
-            :class:`~repro.runtime.parallel.ShardedEngine`, whose shards
-            live in pickled blobs with no step-0 state.  Nothing is
-            rewound then.
+            or if its groups run as parallel jobs, which live in pickled
+            blobs with no step-0 state.  Nothing is rewound then.
         """
         if self._step0 is None:
             raise ConfigurationError(
@@ -361,7 +372,7 @@ class MixedEngine:
         groups, n = self._step0
         if any(not isinstance(g.engine, BatchEngine) for g, _ in groups):
             raise ConfigurationError(
-                "a sharded group cannot rewind; build a new engine",
+                "parallel jobs cannot rewind; build a new engine",
                 reason="rewind")
         for g, positions in groups:
             g.engine.rewind()
@@ -371,22 +382,17 @@ class MixedEngine:
         self._offset = 0
 
     def __getstate__(self) -> dict:
-        # Pickles (checkpoints, shard blobs) leave the step-0 state
-        # out: it serves in-process rewinds only.
+        # Checkpoints leave the step-0 state out: it serves in-process
+        # rewinds only.
         return {k: v for k, v in vars(self).items() if k != "_step0"}
 
     def close(self) -> None:
-        """Close every group engine that has a lifecycle (idempotent).
+        """End the engine's life (idempotent).
 
-        Sharded groups are closed (:meth:`ShardedEngine.close
-        <repro.runtime.parallel.ShardedEngine.close>`); serial groups
-        have nothing to close.  The fleet service calls this when a
-        cohort finishes, fails or is discarded.
+        No worker outlives a window, so there is nothing to release;
+        this exists so engine owners (``WindowedRun``, the fleet
+        service) can end every engine the same way.
         """
-        for g in self._groups:
-            close = getattr(g.engine, "close", None)
-            if close is not None:
-                close()
 
     def __enter__(self) -> "MixedEngine":
         return self

@@ -1,44 +1,48 @@
-"""Process-parallel sharded fleet execution with deterministic parity.
+"""Process-parallel fleet execution: whole config groups as jobs.
 
 The batch engine (:mod:`repro.runtime.batch`) vectorizes within one
-process; this module shards a fleet **across** worker processes while
-keeping the result bit-identical to the serial path:
+process; this module runs a fleet's config groups **side by side** in
+worker processes while keeping the result bit-identical to the serial
+path:
 
-- The fleet is partitioned into contiguous shards
-  (:func:`partition_monitors`).  Per-monitor randomness lives entirely
-  inside each rig (its seeds were spawned with
-  ``numpy.random.SeedSequence.spawn`` at build time — see
-  :meth:`repro.runtime.FleetSpec.monitor_seeds`), so moving a rig to
-  another process moves its noise streams with it, untouched.
-- The shared line plant is deterministic given the profile (no fleet
-  RNG), and the batch engine validates that every rig starts from the
-  same bulk state, so each shard re-derives the identical line
-  trajectory independently.
-- Each shard's :class:`~repro.runtime.batch.BatchEngine` lives in the
-  parent as a pickled blob.  Every window ships each blob to its own
-  single-process ``concurrent.futures.ProcessPoolExecutor`` worker,
-  which advances it and sends back the shard's ``(N_shard, M)`` trace
-  block together with the re-pickled engine.  :meth:`ShardedEngine.run`
-  is one such window over the whole profile.
-- Blocks are merged in shard order with :meth:`RunResult.concat`;
-  worker scheduling order cannot reorder rows.
+- The unit of parallelism is the config group
+  (:func:`repro.runtime.mixed.fleet_groups`, the one rule that decides
+  which rigs share a :class:`~repro.runtime.batch.BatchEngine`).  Each
+  group is one *job*: its whole ``BatchEngine``, pickled.  Rows are
+  never split, so a job computes exactly what the serial engine
+  computes for that group, and a fleet with one group has one job.
+- Per-monitor randomness lives entirely inside each rig (its seeds were
+  spawned with ``numpy.random.SeedSequence.spawn`` at build time — see
+  :meth:`repro.runtime.FleetSpec.monitor_seeds`), and the shared line
+  plant is deterministic given the profile, so moving a group's engine
+  to another process moves its noise streams with it, untouched.
+- Between windows each job's engine lives in the parent as a pickled
+  blob.  Every window ships each blob to its own single-process
+  ``concurrent.futures.ProcessPoolExecutor`` worker, at most
+  ``workers`` at once, which advances it and sends back the group's
+  trace block together with the re-pickled engine.
+- Blocks are interleaved back into caller order by the group positions
+  (``MixedEngine._merge``); worker scheduling order cannot reorder
+  rows.
 
-The parity contract is therefore *exact*: for any shard count and any
-worker interleaving, ``ShardedEngine.run`` returns the same bits as
-``BatchEngine.run`` on the whole fleet (``tests/test_parallel_parity.py``
-asserts this for shard counts 1, 2, 3 and N).
+:class:`MixedEngine(rigs, workers=W) <repro.runtime.mixed.MixedEngine>`
+turns its groups into jobs when ``W > 1`` and the fleet has at least two
+groups; otherwise it advances every group in-process, with no fork and
+no blob.  :class:`ShardedEngine` is that engine with a required worker
+count and the retry/watchdog knobs.  The parity contract is *exact*:
+for any worker count and any worker interleaving, the result has the
+same bits as the serial run (``tests/test_parallel_parity.py``).
 
 Failure semantics: a worker crash, an unpicklable payload or a hung
-worker triggers a bounded re-submission of just that shard on a fresh
+worker triggers a bounded re-submission of just that job on a fresh
 worker (``max_retries`` times), then an in-process advance of the same
-blob, so a sharded window degrades to the serial engine rather than
-failing.  Every worker process is reaped before the call returns; none
-outlives a window.
-Deterministic simulation errors (:class:`~repro.errors.ReproError`,
-e.g. a membrane burst) are re-raised immediately — retrying cannot
-change physics.  ``shard.retries`` / ``shard.fallbacks`` counters and
-per-shard wall-time histograms flow through the opt-in
-:mod:`repro.observability` registry.
+blob, so a window degrades to the serial engine rather than failing.
+Every worker process is reaped before the call returns; none outlives a
+window.  Deterministic simulation errors
+(:class:`~repro.errors.ReproError`, e.g. a membrane burst) are
+re-raised immediately — retrying cannot change physics.
+``shard.retries`` / ``shard.fallbacks`` counters and per-job wall-time
+histograms flow through the opt-in :mod:`repro.observability` registry.
 
 Telemetry does not die with the workers: when any observability sink is
 enabled in the parent, each worker runs under fresh sinks bracketed by
@@ -46,18 +50,19 @@ enabled in the parent, each worker runs under fresh sinks bracketed by
 ``harvest_worker_telemetry``, wraps its engine run in a
 ``shard.worker`` span nested (via the propagated
 :class:`~repro.observability.tracer.TraceContext`) under the parent's
-``shard.run`` span (one per dispatch, run or window), and ships a
+``shard.run`` span (one per window), and ships a
 :class:`~repro.observability.remote.TelemetryHarvest` back with its
-trace block.  The parent merges harvests in shard order, so worker
+trace block.  The parent merges harvests in job order, so worker
 ``runtime.*``/``kernel.*``/``profile.*`` metrics, spans and events land
 in the parent registry exactly once — only *successful* attempts
-harvest, so retries cannot double-count, and fallback shards already
+harvest, so retries cannot double-count, and fallback jobs already
 run in-process under the parent sinks directly.
 
 Worker faults are injected through the one ``REPRO_FAULT`` hook
-(:mod:`repro.runtime.faults`): ``crash:<shard>``, ``hang:<shard>``,
-``raise:<shard>`` or ``crash-once:<shard>:<marker-dir>`` make that
-shard's worker die, hang, raise, or die exactly once.
+(:mod:`repro.runtime.faults`): ``crash:<job>``, ``hang:<job>``,
+``raise:<job>`` or ``crash-once:<job>:<marker-dir>`` make that job's
+worker die, hang, raise, or die exactly once; ``<job>`` is the group's
+index in :func:`~repro.runtime.mixed.fleet_groups` order.
 
 Because the complete run state lives in the parent between windows,
 any slicing of a run into windows is bit-identical to the
@@ -70,8 +75,8 @@ from __future__ import annotations
 
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from itertools import accumulate
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
 from repro.errors import ConfigurationError, ReproError
 from repro.observability import (get_event_log, get_profiler, get_registry,
@@ -80,55 +85,55 @@ from repro.observability.remote import (TelemetryHarvest, TelemetryRequest,
                                         harvest_worker_telemetry,
                                         install_worker_telemetry,
                                         merge_harvest)
-from repro.runtime.batch import BatchEngine, _drop_rows, _validate_fleet
+from repro.runtime.batch import BatchEngine
 from repro.runtime.faults import shard_site
-from repro.runtime.kernels import resolve_numerics
+from repro.runtime.mixed import MixedEngine
 from repro.runtime.result import RunResult
-from repro.state import state_of
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
 
-__all__ = ["ShardedEngine", "partition_monitors"]
+__all__ = ["ShardedEngine"]
 
 
-def partition_monitors(n_monitors: int, n_shards: int) -> list[tuple[int, int]]:
-    """Contiguous balanced partition of ``range(n_monitors)``.
+def _dumps(engine: BatchEngine) -> bytes:
+    return pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
 
-    Returns ``[(start, stop), ...]`` half-open slices, one per shard, in
-    fleet order.  Sizes differ by at most one (larger shards first), the
-    slices are disjoint and cover every index exactly once, and the
-    partition depends only on ``(n_monitors, n_shards)`` — never on
-    scheduling — so the merged result layout is deterministic.
 
-    Raises
-    ------
-    ConfigurationError
-        On a non-positive fleet size or shard count, or more shards
-        than monitors.
+class _Job:
+    """One config group's :class:`BatchEngine`, pickled between windows.
+
+    It stands in for the group's engine inside a
+    :class:`~repro.runtime.mixed.MixedEngine` whose groups run as jobs.
+    ``rigs`` are the caller's rigs of the group: the live state advances
+    inside the blob, so the parent only mirrors their scheduler
+    accounting.  Pickles leave them out, because a restored engine has
+    no caller.
     """
-    if n_monitors < 1:
-        raise ConfigurationError("need at least one monitor to partition")
-    if not 1 <= n_shards <= n_monitors:
-        raise ConfigurationError(
-            f"shard count must be in 1..{n_monitors}, got {n_shards}")
-    base, extra = divmod(n_monitors, n_shards)
-    bounds = []
-    start = 0
-    for i in range(n_shards):
-        stop = start + base + (1 if i < extra else 0)
-        bounds.append((start, stop))
-        start = stop
-    return bounds
+
+    def __init__(self, engine: BatchEngine, rigs: list[TestRig]) -> None:
+        self.blob = _dumps(engine)
+        self.rigs = list(rigs)
+
+    def drop(self, local: list[int]) -> None:
+        """Drop group rows inside the blob (survivor bits untouched)."""
+        engine = pickle.loads(self.blob)
+        engine.drop(local)
+        self.blob = _dumps(engine)
+        gone = set(local)
+        self.rigs = [r for k, r in enumerate(self.rigs) if k not in gone]
+
+    def __getstate__(self) -> dict:
+        return {"blob": self.blob, "rigs": []}
 
 
-def _advance_shard(shard_index: int, blob: bytes, profile: Profile,
-                   steps: int, record_every_n: int,
-                   telemetry: TelemetryRequest | None = None,
-                   ) -> tuple[tuple[RunResult, bytes],
-                              TelemetryHarvest | None]:
-    """Worker entrypoint: advance one pickled shard engine by a window.
+def _advance_job(job_index: int, blob: bytes, profile: Profile,
+                 steps: int, record_every_n: int,
+                 telemetry: TelemetryRequest | None = None,
+                 ) -> tuple[tuple[RunResult, bytes],
+                            TelemetryHarvest | None]:
+    """Worker entrypoint: advance one pickled group engine by a window.
 
-    The blob is the shard's live :class:`BatchEngine` (rigs, RNG
+    The blob is the group's live :class:`BatchEngine` (rigs, RNG
     streams, decimation phase and all) as pickled by the parent after
     the previous window; it is advanced ``steps`` samples and shipped
     home re-pickled together with the window's trace block.  Pickle
@@ -141,20 +146,20 @@ def _advance_shard(shard_index: int, blob: bytes, profile: Profile,
     ``shard.worker`` span nested under the parent's propagated trace
     context, and the collected :class:`TelemetryHarvest` rides home as
     the second tuple element.  Telemetry only ships on success: a
-    crashed, hung or raising attempt returns nothing, so retried shards
+    crashed, hung or raising attempt returns nothing, so retried jobs
     cannot double-count.
     """
-    shard_site(shard_index)
+    shard_site(job_index)
     previous = (install_worker_telemetry(telemetry)
                 if telemetry is not None else None)
     harvest = None
     try:
         engine = pickle.loads(blob)
-        with get_tracer().span("shard.worker", shard=shard_index,
+        with get_tracer().span("shard.worker", job=job_index,
                                steps=steps):
             block = engine.advance(profile, steps,
                                    record_every_n=record_every_n)
-        new_blob = pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
+        new_blob = _dumps(engine)
     finally:
         if previous is not None:
             harvest = harvest_worker_telemetry(previous)
@@ -163,11 +168,11 @@ def _advance_shard(shard_index: int, blob: bytes, profile: Profile,
 
 def _advance_blob(blob: bytes, profile: Profile, steps: int,
                   record_every_n: int) -> tuple[RunResult, bytes]:
-    """In-process fallback for one window: :func:`_advance_shard` minus
+    """In-process fallback for one window: :func:`_advance_job` minus
     the worker (fault site and telemetry bracket)."""
     engine = pickle.loads(blob)
     block = engine.advance(profile, steps, record_every_n=record_every_n)
-    return block, pickle.dumps(engine, protocol=pickle.HIGHEST_PROTOCOL)
+    return block, _dumps(engine)
 
 
 def _terminate(executor: ProcessPoolExecutor) -> None:
@@ -189,37 +194,202 @@ def _terminate(executor: ProcessPoolExecutor) -> None:
     executor.shutdown(wait=False, cancel_futures=True)
 
 
-class ShardedEngine:
-    """Run a homogeneous fleet sharded across worker processes.
+def _telemetry_request() -> TelemetryRequest | None:
+    """Worker telemetry request when any parent sink is on (or None).
+
+    Each sink re-gates itself at merge time; the trace context captured
+    here is the live ``shard.run`` span, so worker spans nest under it.
+    """
+    tracer = get_tracer()
+    profiler = get_profiler()
+    collecting = (get_registry().enabled or tracer.enabled
+                  or get_event_log().enabled or profiler.enabled)
+    if not collecting:
+        return None
+    return TelemetryRequest(trace_context=tracer.current_context(),
+                            profile=profiler.enabled)
+
+
+def advance_jobs(jobs: list[_Job], profile: Profile, steps: int,
+                 record_every_n: int, *, workers: int, max_retries: int,
+                 timeout_s: float | None) -> list[RunResult]:
+    """Advance every job one window; the group blocks, in job order.
+
+    Opens one ``shard.run`` span around :func:`_dispatch`.  Each job's
+    blob is replaced only once every job's window succeeded, so an
+    error leaves the engine at the window's start; then the caller rigs
+    get the serial engine's scheduler accounting.
+
+    Raises
+    ------
+    ConfigurationError
+        On non-positive ``steps``/``record_every_n``.
+    SensorFault
+        On membrane burst or housing overpressure, exactly as the
+        serial engine would.
+    """
+    if steps < 1:
+        raise ConfigurationError("advance needs at least one step")
+    if record_every_n < 1:
+        raise ConfigurationError("record_every_n must be >= 1")
+    registry = get_registry()
+    if registry.enabled:
+        registry.gauge("shard.workers").set(workers)
+        registry.counter("shard.runs").inc()
+    window = (profile, steps, record_every_n)
+    with get_tracer().span("shard.run", jobs=len(jobs), workers=workers,
+                           steps=steps):
+        payloads = _dispatch([job.blob for job in jobs], window,
+                             workers, max_retries, timeout_s)
+    for job, (_, blob) in zip(jobs, payloads):
+        job.blob = blob
+        for rig in job.rigs:
+            rig.monitor.platform.scheduler.bulk_tick(steps)
+    return [block for block, _ in payloads]
+
+
+def _dispatch(blobs: list[bytes], window: tuple, workers: int,
+              max_retries: int, timeout_s: float | None,
+              ) -> list[tuple[RunResult, bytes]]:
+    """The one submit/collect/retry/fallback loop.
+
+    Job ``i`` runs ``_advance_job(i, blob_i, *window, telemetry=...)``
+    on its own single-process executor, at most ``workers`` of them
+    alive at once; a crashed or hung worker cannot contaminate its
+    siblings' futures.  A job starts as soon as a worker slot frees,
+    and each attempt's ``timeout_s`` budget runs from its own
+    submission.  An infrastructure failure (timeout, dead worker,
+    pickling error, injected fault) kills that worker and re-submits
+    the job up to ``max_retries`` times, then :func:`_advance_blob` runs
+    it in-process under the parent sinks.  A deterministic
+    :class:`~repro.errors.ReproError` re-raises at once — retrying
+    cannot change physics.  Every worker is reaped before this returns
+    or raises.
+
+    Returns the per-job ``(block, new_blob)`` payloads in job order.
+    """
+    registry = get_registry()
+    observing = registry.enabled
+    telemetry = _telemetry_request()
+    if observing:
+        worker_hist = registry.histogram(
+            "shard.worker_s", "per-job worker wall time")
+
+    pending = deque(range(len(blobs)))
+    running: dict = {}  # future -> (job, executor, start time)
+    attempts = [0] * len(blobs)
+    payloads: dict[int, tuple[RunResult, bytes]] = {}
+    harvests: dict[int, TelemetryHarvest] = {}
+    fallback: list[int] = []
+
+    def failed(i: int, executor: ProcessPoolExecutor) -> None:
+        _terminate(executor)
+        attempts[i] += 1
+        if attempts[i] > max_retries:
+            fallback.append(i)
+            return
+        if observing:
+            registry.counter(
+                "shard.retries",
+                "job re-submissions after worker failure").inc()
+        pending.appendleft(i)
+
+    try:
+        while pending or running:
+            while pending and len(running) < workers:
+                i = pending.popleft()
+                executor = ProcessPoolExecutor(max_workers=1)
+                future = executor.submit(_advance_job, i, blobs[i], *window,
+                                         telemetry=telemetry)
+                running[future] = (i, executor, time.perf_counter())
+            timeout = None
+            if timeout_s is not None:
+                first = min(start for _, _, start in running.values())
+                timeout = max(0.0, first + timeout_s - time.perf_counter())
+            done, _ = wait(running, timeout=timeout,
+                           return_when=FIRST_COMPLETED)
+            for future in done:
+                i, executor, start = running.pop(future)
+                try:
+                    payloads[i], harvest = future.result()
+                except ReproError:
+                    _terminate(executor)
+                    raise
+                except Exception:
+                    failed(i, executor)
+                    continue
+                if harvest is not None:
+                    harvests[i] = harvest
+                if observing:
+                    worker_hist.observe(time.perf_counter() - start)
+                # The worker already returned; reap it promptly so no
+                # process outlives the call.
+                executor.shutdown(wait=True)
+            if timeout_s is not None:
+                now = time.perf_counter()
+                for future, (i, executor, start) in list(running.items()):
+                    if now - start >= timeout_s:
+                        del running[future]
+                        failed(i, executor)
+    finally:
+        for _, executor, _ in running.values():
+            _terminate(executor)
+
+    for i in fallback:
+        if observing:
+            registry.counter(
+                "shard.fallbacks",
+                "jobs degraded to the serial in-process engine").inc()
+        payloads[i] = _advance_blob(blobs[i], *window)
+    # Fold worker telemetry home in job order — completion order must
+    # not leak into the merged registry (determinism).  Fallback jobs
+    # have no harvest: they already ran in-process under the parent
+    # sinks.
+    for i in sorted(harvests):
+        merge_harvest(harvests[i], registry=registry, tracer=get_tracer(),
+                      event_log=get_event_log(), profiler=get_profiler())
+    return [payloads[i] for i in range(len(blobs))]
+
+
+class ShardedEngine(MixedEngine):
+    """Run a fleet's config groups as jobs across worker processes.
+
+    A :class:`~repro.runtime.mixed.MixedEngine` with a required worker
+    count and the retry/watchdog knobs.  Each config group is one job;
+    at most ``workers`` jobs advance at once, each in its own worker
+    process, and their blocks merge back into caller order.  A fleet
+    with one config group is one job and runs in-process, with no fork.
 
     Parameters
     ----------
     rigs:
-        Structurally identical test rigs (the :class:`BatchEngine`
-        homogeneity rules apply; they are validated up front in the
-        parent).  Treat them as spent once the engine has run, exactly
-        like rigs handed to a :class:`BatchEngine`.
+        Any rig list the mixed engine accepts (groups must share one
+        loop rate and line clock).  Treat them as spent once the engine
+        has run, exactly like rigs handed to a :class:`BatchEngine`.
     workers:
-        Worker process count, a positive integer.  The effective shard
-        count is ``min(workers, len(rigs))``.
+        Worker process count, a positive integer.  The effective count
+        is ``min(workers, number of config groups)``.
     max_retries:
-        Re-submissions allowed per shard after an infrastructure
-        failure (crash / hang / pickling error) before that shard falls
-        back to the serial in-process engine — per window.
+        Re-submissions allowed per job after an infrastructure failure
+        (crash / hang / pickling error) before that job falls back to
+        the serial in-process engine — per window.
     timeout_s:
         Per-attempt wall-clock budget, measured from that attempt's
         submission; ``None`` disables the watchdog.  A timed-out worker
         is killed, not abandoned.
     numerics:
-        Kernel numerics mode for every shard engine (``"exact"``, the
-        default, or ``"fast"``).  Shard-count invariance holds per mode:
-        every worker runs the same kernels the serial engine would.
+        Kernel numerics mode for every group engine (``"exact"``, the
+        default, or ``"fast"``).  Worker-count invariance holds per
+        mode: every worker runs the same kernels the serial engine
+        would.
 
     Raises
     ------
     ConfigurationError
-        From the fleet homogeneity validation, or on invalid knobs
-        (``reason="numerics"`` for an unknown numerics mode).
+        From the batch engine's validation of each group, on groups
+        that do not share a time base (``reason="heterogeneous"``), or
+        on invalid knobs (``reason="numerics"`` for an unknown numerics
+        mode).
     """
 
     def __init__(self, rigs: list[TestRig], workers: int,
@@ -231,52 +401,24 @@ class ShardedEngine:
             raise ConfigurationError("max_retries must be non-negative")
         if timeout_s is not None and timeout_s <= 0.0:
             raise ConfigurationError("timeout_s must be positive")
-        self._rigs = list(rigs)
-        self._numerics = resolve_numerics(numerics)
-        # Validate the fleet in the parent, before any process is
-        # spawned, and pin its clocks, which outlive a drop of every rig.
-        _validate_fleet(self._rigs)
-        self._dt = self._rigs[0].monitor.platform.dt_s
-        self._line_time = float(state_of(self._rigs[0].line)["time_s"])
-        self._workers = min(int(workers), len(self._rigs))
         self._max_retries = int(max_retries)
         self._timeout_s = timeout_s
-        self._offset = 0
         self._closed = False
-        # Windowed state: one pickled shard engine per live shard, and
-        # each shard's live row count (drop-aware).
-        self._blobs: list[bytes] | None = None
-        self._sizes: list[int] | None = None
+        super().__init__(rigs, numerics=numerics, workers=int(workers))
 
     @property
     def workers(self) -> int:
-        """Resolved worker/shard count (``min(workers, len(rigs))``)."""
+        """Worker processes a window may use at once:
+        ``min(workers, number of config groups)``; 1 means in-process."""
         return self._workers
 
-    @property
-    def offset(self) -> int:
-        """Samples already advanced (the absolute step of the next tick).
-
-        Zero on a fresh engine; grows with every :meth:`run` and
-        :meth:`advance` window.  A run sliced into ``advance`` windows
-        at any offsets is bit-identical to one uninterrupted
-        :meth:`run` — this property marks the cut point a checkpoint
-        captures.
-        """
-        return self._offset
-
-    @property
-    def numerics(self) -> str:
-        """The resolved numerics mode shared by every shard engine."""
-        return self._numerics
-
     def run(self, profile: Profile, record_every_n: int = 20) -> RunResult:
-        """Execute a profile over the sharded fleet; merged traces out.
+        """Execute a profile over the fleet; merged traces out.
 
         Exactly ``advance(profile, steps)`` for the profile's full step
         count: one window from the current :attr:`offset`.
-        Bit-identical to ``BatchEngine(rigs).run(profile, ...)`` for any
-        shard count and any worker completion order.
+        Bit-identical to the serial engine for any worker count and any
+        worker completion order.
 
         Raises
         ------
@@ -287,34 +429,23 @@ class ShardedEngine:
             On membrane burst or housing overpressure, exactly as the
             serial engine would.
         """
-        steps = int(round(profile.duration_s / self._dt))
-        if steps < 1:
-            raise ConfigurationError("profile shorter than one loop tick")
-        return self.advance(profile, steps, record_every_n)
+        self._require_open()
+        return super().run(profile, record_every_n)
 
     def advance(self, profile: Profile, steps: int,
                 record_every_n: int = 20) -> RunResult:
-        """Advance ``steps`` samples across the sharded fleet; one
-        window's merged traces out.
+        """Advance ``steps`` samples; one window's merged traces out.
 
-        The sharded implementation of the ``advance/offset`` contract:
-        consecutive windows concatenated time-wise are bit-identical to
+        Consecutive windows concatenated time-wise are bit-identical to
         one uninterrupted run, for any window boundaries and any worker
-        scheduling.  On the first call each shard's rigs are folded
-        into a pickled :class:`BatchEngine` blob; every window ships
-        each blob to a fresh single-process worker and stores the
+        scheduling.  With more than one worker, every window ships each
+        group's blob to a fresh single-process worker and stores the
         advanced blob it sends back, so between windows the complete
         run state lives in the parent — ready to be checkpointed by
-        pickling this engine.
-
-        A worker that dies, hangs or fails to pickle is retried on a
-        fresh worker (``shard.retries``), then that shard's window
-        degrades to an in-process advance of the same blob
-        (``shard.fallbacks``).  A blob is only replaced once its window
-        succeeded, so a retry or fallback resumes from exactly the
-        state the failed worker started with.  Deterministic simulation
-        errors re-raise immediately.  Each call opens one ``shard.run``
-        span.
+        pickling this engine.  A worker that dies, hangs or fails to
+        pickle is retried on a fresh worker (``shard.retries``), then
+        that job's window degrades to an in-process advance of the same
+        blob (``shard.fallbacks``).
 
         Raises
         ------
@@ -325,173 +456,12 @@ class ShardedEngine:
             On membrane burst or housing overpressure, exactly as the
             serial engine would.
         """
-        if steps < 1:
-            raise ConfigurationError("advance needs at least one step")
-        if record_every_n < 1:
-            raise ConfigurationError("record_every_n must be >= 1")
         self._require_open()
-        if not self._rigs:
-            raise ConfigurationError("every rig was dropped; nothing to "
-                                     "advance")
-        if self._blobs is None:
-            bounds = partition_monitors(len(self._rigs), self._workers)
-            self._sizes = [stop - start for start, stop in bounds]
-            self._blobs = [
-                pickle.dumps(
-                    BatchEngine(self._rigs[start:stop],
-                                numerics=self._numerics),
-                    protocol=pickle.HIGHEST_PROTOCOL)
-                for start, stop in bounds
-            ]
-        registry = get_registry()
-        if registry.enabled:
-            registry.gauge("shard.workers").set(self._workers)
-            registry.counter("shard.runs").inc()
-        with get_tracer().span("shard.run", n_monitors=len(self._rigs),
-                               workers=self._workers, steps=steps):
-            payloads = self._dispatch(profile, steps, record_every_n)
-            self._blobs = [blob for _, blob in payloads]
-            window = RunResult.concat([block for block, _ in payloads])
-        # Mirror the serial engine's scheduler accounting on the parent
-        # rigs (the live state advanced inside the blobs).
-        for rig in self._rigs:
-            rig.monitor.platform.scheduler.bulk_tick(steps)
-        self._offset += steps
-        return window
-
-    def _telemetry_request(self) -> TelemetryRequest | None:
-        """Worker telemetry request when any parent sink is on (or None).
-
-        Each sink re-gates itself at merge time; the trace context
-        captured here is the live ``shard.run`` span, so worker spans
-        nest under it.
-        """
-        tracer = get_tracer()
-        profiler = get_profiler()
-        collecting = (get_registry().enabled or tracer.enabled
-                      or get_event_log().enabled or profiler.enabled)
-        if not collecting:
-            return None
-        return TelemetryRequest(trace_context=tracer.current_context(),
-                                profile=profiler.enabled)
-
-    def _dispatch(self, *window) -> list[tuple[RunResult, bytes]]:
-        """The one submit/collect/retry/fallback loop.
-
-        Shard ``i`` runs ``_advance_shard(i, blob_i, *window,
-        telemetry=...)`` on its own single-process executor, all shards
-        submitted at once; a crashed or hung worker cannot contaminate
-        its siblings' futures.  Each attempt's ``timeout_s`` budget runs from its own
-        submission, whatever order the results are collected in.  An
-        infrastructure failure (timeout, dead worker, pickling error,
-        injected fault) kills that worker and re-submits the shard up to
-        ``max_retries`` times, then :func:`_advance_blob` runs it
-        in-process under the parent sinks.  A deterministic
-        :class:`~repro.errors.ReproError` re-raises at once — retrying
-        cannot change physics.  Every worker is reaped before this
-        returns or raises.
-
-        Returns the per-shard ``(block, new_blob)`` payloads in shard
-        order.
-        """
-        registry = get_registry()
-        tracer = get_tracer()
-        event_log = get_event_log()
-        profiler = get_profiler()
-        observing = registry.enabled
-        telemetry = self._telemetry_request()
-        n_shards = len(self._blobs)
-        if observing:
-            worker_hist = registry.histogram(
-                "shard.worker_s", "per-shard worker wall time")
-
-        executors: dict[int, ProcessPoolExecutor] = {}
-        futures: dict[int, object] = {}
-        started: dict[int, float] = {}
-        attempts = [0] * n_shards
-        payloads: dict[int, object] = {}
-        harvests: dict[int, TelemetryHarvest] = {}
-        fallback: list[int] = []
-
-        def launch(i: int) -> None:
-            executors[i] = ProcessPoolExecutor(max_workers=1)
-            futures[i] = executors[i].submit(_advance_shard, i,
-                                             self._blobs[i], *window,
-                                             telemetry=telemetry)
-            started[i] = time.perf_counter()
-
-        try:
-            queue = list(range(n_shards))
-            for i in queue:
-                launch(i)
-            cursor = 0
-            while cursor < len(queue):
-                i = queue[cursor]
-                cursor += 1
-                timeout = (None if self._timeout_s is None else max(
-                    0.0, started[i] + self._timeout_s - time.perf_counter()))
-                try:
-                    payloads[i], harvest = futures[i].result(timeout=timeout)
-                    if harvest is not None:
-                        harvests[i] = harvest
-                    if observing:
-                        worker_hist.observe(time.perf_counter() - started[i])
-                    # The worker already returned; reap it promptly so
-                    # no process outlives the call.
-                    executors.pop(i).shutdown(wait=True)
-                except ReproError:
-                    raise
-                except Exception:
-                    _terminate(executors.pop(i))
-                    attempts[i] += 1
-                    if attempts[i] <= self._max_retries:
-                        if observing:
-                            registry.counter(
-                                "shard.retries",
-                                "shard re-submissions after worker "
-                                "failure").inc()
-                        launch(i)
-                        queue.append(i)
-                    else:
-                        fallback.append(i)
-        finally:
-            for executor in executors.values():
-                _terminate(executor)
-
-        for i in fallback:
-            if observing:
-                registry.counter(
-                    "shard.fallbacks",
-                    "shards degraded to the serial in-process "
-                    "engine").inc()
-            payloads[i] = _advance_blob(self._blobs[i], *window)
-        # Fold worker telemetry home in shard-index order — completion
-        # order must not leak into the merged registry (determinism).
-        # Fallback shards have no harvest: they already ran in-process
-        # under the parent sinks.
-        for i in range(n_shards):
-            harvest = harvests.get(i)
-            if harvest is not None:
-                merge_harvest(harvest, registry=registry, tracer=tracer,
-                              event_log=event_log, profiler=profiler)
-        return [payloads[i] for i in range(n_shards)]
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise ConfigurationError(
-                "this engine is closed; build a fresh ShardedEngine")
-
-    # -- fleet surgery and lifecycle -----------------------------------------
+        return super().advance(profile, steps, record_every_n)
 
     def drop(self, indices) -> None:
-        """Permanently remove monitors from the live windowed fleet.
-
-        The sharded counterpart of :meth:`BatchEngine.drop
-        <repro.runtime.batch.BatchEngine.drop>`, routing each global
-        index to its shard, whose blob is unpickled, dropped and
-        re-pickled.  Shards emptied entirely are retired.  Indices are
-        engine-local fleet rows, as everywhere else; later windows
-        simply omit the dropped rows.
+        """:meth:`MixedEngine.drop
+        <repro.runtime.mixed.MixedEngine.drop>` on an open engine.
 
         Raises
         ------
@@ -499,45 +469,16 @@ class ShardedEngine:
             On out-of-range or duplicate indices, or on a closed engine.
         """
         self._require_open()
-        drop_set = _drop_rows(indices, len(self._rigs))
-        if not drop_set:
-            return
-        if self._blobs is not None:
-            # Live shards exist: route global rows to (shard, local).
-            starts = list(accumulate([0] + self._sizes[:-1]))
-            per_shard: dict[int, list[int]] = {}
-            for row in sorted(drop_set):
-                shard = 0
-                while (shard + 1 < len(starts)
-                       and row >= starts[shard + 1]):
-                    shard += 1
-                per_shard.setdefault(shard, []).append(row - starts[shard])
-            for shard, local in per_shard.items():
-                engine = pickle.loads(self._blobs[shard])
-                engine.drop(local)
-                self._blobs[shard] = pickle.dumps(
-                    engine, protocol=pickle.HIGHEST_PROTOCOL)
-                self._sizes[shard] -= len(local)
-            for s in reversed(range(len(self._sizes))):
-                if self._sizes[s] == 0:
-                    del self._sizes[s]
-                    del self._blobs[s]
-        keep = [i for i in range(len(self._rigs)) if i not in drop_set]
-        self._rigs = [self._rigs[i] for i in keep]
-        self._workers = min(self._workers, max(1, len(self._rigs)))
+        super().drop(indices)
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise ConfigurationError(
+                "this engine is closed; build a fresh ShardedEngine")
 
     def close(self) -> None:
         """End the engine's life (idempotent); it refuses further use.
 
-        No worker outlives a call, so there is nothing to release; this
-        exists so engine owners (:class:`~repro.runtime.mixed.MixedEngine`,
-        :class:`~repro.runtime.checkpoint.WindowedRun`) can end every
-        engine the same way.
+        No worker outlives a call, so there is nothing to release.
         """
         self._closed = True
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -195,10 +195,8 @@ class RunResult:
                indices: list[list[int]] | None = None) -> "RunResult":
         """The one merge entry point, over the fleet or the time axis.
 
-        ``axis="fleet"`` stacks blocks row-wise (monitor axis 0) — the
-        merge step of the sharded runtime, where each worker returns the
-        ``(N_shard, M)`` block for its contiguous slice of the fleet and
-        list order restores the serial layout.  With ``indices`` the
+        ``axis="fleet"`` stacks blocks row-wise (monitor axis 0), in
+        list order.  With ``indices`` the
         merge is *permutation-aware*: ``indices[p][r]`` is the
         destination row of part ``p``'s row ``r``, the index lists must
         jointly be a permutation of ``range(total_rows)``, and the

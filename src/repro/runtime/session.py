@@ -16,11 +16,11 @@ process-wide LRU, the artifact store or a §4 campaign — and the session
 keeps the resulting (calibration, post-campaign sensor snapshot) pairs
 until ``close``.  ``run`` may be called any number of times, and never
 consults the LRU, the store or a campaign again.  Every run starts from
-the same freshly-built post-calibration state: a serial in-memory run
-rewinds a step-0 engine the session built from those pairs on its first
-such run (one per numerics mode); a durable or sharded run assembles
-fresh rigs, because it ships them.  Calling a stage out of order raises
-:class:`~repro.errors.SessionError`.
+the same freshly-built post-calibration state: an in-process, in-memory
+run rewinds a step-0 engine the session built from those pairs on its
+first such run (one per numerics mode); a durable run, or one that
+ships config groups to worker processes, assembles fresh rigs.  Calling
+a stage out of order raises :class:`~repro.errors.SessionError`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.observability import (get_event_log, get_profiler,
 from repro.conditioning.calibration import FlowCalibration
 from repro.conditioning.monitor import WaterFlowMonitor
 from repro.runtime.kernels import resolve_numerics
-from repro.runtime.mixed import MixedEngine
+from repro.runtime.mixed import MixedEngine, fleet_groups
 from repro.runtime.result import RunResult
 from repro.runtime.spec import FleetSpec
 from repro.station.profiles import Profile
@@ -124,6 +124,8 @@ class Session:
         self._runs = 0
         # Step-0 engines of serial in-memory runs, by numerics mode.
         self._templates: dict[str, MixedEngine] = {}
+        # Config groups of the fleet, counted at calibrate.
+        self._n_groups = 0
         if checkpoint_dir is not None:
             from pathlib import Path
 
@@ -181,6 +183,8 @@ class Session:
             self._records = [(calibration, copy.deepcopy(snapshot))
                              for calibration, snapshot in records]
             self._handles = self._materialize()
+            self._n_groups = len(fleet_groups(
+                [handle.rig for handle in self._handles]))
             self._state = "calibrated"
         self._timings["calibrate_s"] = time.perf_counter() - t0
         get_event_log().emit("session.state", state="calibrated",
@@ -209,8 +213,8 @@ class Session:
         its numerics mode, rewound to step 0
         (:meth:`MixedEngine.rewind
         <repro.runtime.mixed.MixedEngine.rewind>`); the first builds it
-        from freshly assembled rigs.  A sharded run builds its engine
-        from fresh rigs every time.  With the same seeds every row is
+        from freshly assembled rigs.  A run that ships config groups to
+        worker processes builds its engine from fresh rigs every time.  With the same seeds every row is
         bit-identical to :meth:`TestRig.run
         <repro.station.rig.TestRig.run>` on a fresh rig, whatever ran
         before.  A checkpointed session advances fresh rigs in durable
@@ -221,11 +225,12 @@ class Session:
         profile:
             Line profile to execute.
         workers:
-            With ``workers > 1`` each config group is partitioned
-            across up to that many worker processes by
-            :class:`repro.runtime.parallel.ShardedEngine`; the merged
+            With ``workers > 1`` and a fleet of several config groups,
+            each group runs as one job in up to that many worker
+            processes (:mod:`repro.runtime.parallel`); the merged
             result is bit-identical to the serial path for any worker
-            count.  ``None`` (default) and 1 stay serial and in-process.
+            count.  A one-group fleet, ``None`` (default) and 1 stay
+            serial and in-process, on the session's step-0 engine.
         numerics:
             Kernel numerics mode: ``"exact"`` (default, bit-identical
             to the scalar reference path) or ``"fast"`` (vectorized
@@ -257,6 +262,8 @@ class Session:
                 f"is 'spawn'", reason="backend")
         if record_every_n < 1:
             raise ConfigurationError("record_every_n must be >= 1")
+        if workers is not None and int(workers) < 1:
+            raise ConfigurationError("workers must be a positive integer")
         durable = self._checkpoint_dir is not None
         if resume and not durable:
             raise ConfigurationError(
@@ -301,8 +308,8 @@ class Session:
         calibration-LRU statistics, and — when observability is enabled
         — the process-wide metrics snapshot under ``"metrics"`` and the
         per-stage profiler report under ``"profile"`` (empty unless the
-        profiler was enabled; merged worker stages included for sharded
-        runs).
+        profiler was enabled; merged worker stages included for
+        parallel runs).
         """
         registry = get_registry()
         return {
@@ -345,11 +352,13 @@ class Session:
     def _engine(self, mode: str, workers: int | None) -> MixedEngine:
         """The step-0 engine a non-durable run advances.
 
-        A serial run gets this session's template for ``mode``, rewound
-        (built on first use); a sharded one ships rigs to its workers,
-        so it gets a new engine over fresh rigs.
+        A run that stays in-process gets this session's template for
+        ``mode``, rewound (built on first use); one that ships config
+        groups to workers gets a new engine over fresh rigs.  A
+        one-group fleet stays in-process whatever ``workers`` says
+        (:class:`MixedEngine`).
         """
-        if workers not in (None, 1):
+        if workers not in (None, 1) and self._n_groups > 1:
             return MixedEngine(self._fresh_rigs(), numerics=mode,
                                workers=workers)
         engine = self._templates.get(mode)

@@ -308,10 +308,11 @@ class FleetService:
         strands no compute: :func:`recover_cohorts` salvages the
         orphans and finishes their runs bit-identically.
     workers:
-        Shard every cohort's ticks across worker processes
-        (:class:`~repro.runtime.mixed.MixedEngine` with fixed workers);
-        each tick spawns and reaps its shard workers.  Streamed windows
-        are bit-identical for any setting.
+        Run every cohort's config groups as jobs in up to this many
+        worker processes (:class:`~repro.runtime.mixed.MixedEngine`
+        with fixed workers); each tick spawns and reaps its workers.
+        A cohort with one config group ticks in-process whatever the
+        count.  Streamed windows are bit-identical for any setting.
     sample_every_s / http_port / http_host:
         Wire up the live observability plane
         (:mod:`repro.observability.live`): ``sample_every_s`` starts a
@@ -350,8 +351,8 @@ class FleetService:
             raise ConfigurationError("sample_every_s must be > 0")
         self._tick_steps = int(tick_steps)
         self._max_pending = int(max_pending)
-        # Cohort parallelism: every sealed cohort's engine shards its
-        # ticks across this many workers.
+        # Cohort parallelism: every sealed cohort's engine runs its
+        # config groups as jobs in up to this many workers.
         self._workers = None if workers is None else int(workers)
         self._checkpoint_dir = (None if checkpoint_dir is None
                                 else Path(checkpoint_dir))
@@ -705,8 +706,6 @@ class FleetService:
             registry.gauge("service.clients").set(len(self._members))
 
     def _discard_group(self, group: _Group) -> None:
-        # Close the cohort engine: a closed sharded engine refuses
-        # further windows (a no-op for serial groups).
         group.run.close()
         self._groups.pop(group.group_id, None)
         if self._open_by_key.get(group.key) is group:

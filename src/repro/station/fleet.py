@@ -59,9 +59,10 @@ def characterize_meter_pool(fleet, *,
         Hold duration and the initial transient to discard.
     workers:
         Forwarded to :meth:`repro.runtime.Session.run`; with
-        ``workers > 1`` the characterization hold runs through the
-        process-parallel sharded engine (bit-identical traces, so the
-        measured characters do not depend on the worker count).
+        ``workers > 1`` a pool of several config groups runs its groups
+        as jobs in worker processes, and a one-group pool runs
+        in-process (bit-identical traces either way, so the measured
+        characters do not depend on the worker count).
     numerics:
         Kernel numerics mode for the characterization hold, forwarded
         to :meth:`repro.runtime.Session.run`: ``"exact"`` (default) or

@@ -35,7 +35,7 @@ without enabling the registry.
 A process-wide default store makes cross-process layering practical:
 :func:`set_default_store` installs one explicitly, and the
 ``REPRO_STORE`` environment variable seeds it lazily — spawned workers
-(e.g. :class:`~repro.runtime.parallel.ShardedEngine` shards, the
+(e.g. :class:`~repro.runtime.parallel.ShardedEngine` jobs, the
 concurrent-store stress tests) inherit the variable and converge on
 the same directory with no plumbing.
 """

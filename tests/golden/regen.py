@@ -11,7 +11,8 @@ Five archives pin the execution paths of the same physics:
 - ``batch_engine.npz`` — a three-rig fleet through the vectorized
   :class:`~repro.runtime.batch.BatchEngine`;
 - ``sharded_engine.npz`` — the same fleet through the process-parallel
-  :class:`~repro.runtime.parallel.ShardedEngine` (two workers);
+  :class:`~repro.runtime.parallel.ShardedEngine` (two workers; the
+  fleet is one config group, hence one job, which runs in-process);
 - ``fast_engine.npz`` — the same fleet through the batch engine with
   ``numerics="fast"`` (vectorized transcendentals);
 - ``mixed_fleet.npz`` — an interleaved two-config-group fleet through

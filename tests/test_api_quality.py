@@ -79,7 +79,7 @@ def test_all_exports_resolve(pkg_name):
 
 
 def test_version_string():
-    assert repro.__version__ == "6.0.0"
+    assert repro.__version__ == "7.0.0"
 
 
 def test_removed_in_5_0():
@@ -194,6 +194,28 @@ def test_removed_in_6_0():
     with pytest.raises(ConfigurationError) as excinfo:
         resolve_numerics(Policy())
     assert excinfo.value.reason == "numerics"
+
+
+def test_removed_in_7_0():
+    """7.0 runs config groups, not row shards, as parallel jobs.
+
+    ``partition_monitors`` (the contiguous row split) is gone from
+    ``repro``, ``repro.runtime`` and ``repro.runtime.parallel``;
+    ``ShardedEngine`` keeps its name and knobs and is a
+    :class:`MixedEngine` with a required worker count.
+    """
+    from repro.runtime import MixedEngine, ShardedEngine
+
+    runtime = importlib.import_module("repro.runtime")
+    parallel = importlib.import_module("repro.runtime.parallel")
+    for pkg in (repro, runtime):
+        assert not hasattr(pkg, "partition_monitors"), pkg.__name__
+        assert "partition_monitors" not in pkg.__all__
+    assert not hasattr(parallel, "partition_monitors")
+    assert parallel.__all__ == ["ShardedEngine"]
+    assert issubclass(ShardedEngine, MixedEngine)
+    assert list(inspect.signature(ShardedEngine).parameters) == [
+        "rigs", "workers", "max_retries", "timeout_s", "numerics"]
 
 
 def test_error_hierarchy_single_source():

@@ -285,24 +285,26 @@ def test_campaign_resume_refuses_foreign_checkpoint(tmp_path):
 
 
 def test_previous_format_version_refused(tmp_path):
-    """A version-2 artifact (the old sharded-engine layout) is refused.
+    """A version-3 artifact (the row-shard sharded-engine layout) is
+    refused.
 
-    A version-2 sharded engine taken between windows could hold its
-    shard state as ``_pending_blobs`` with ``_blobs=None``; read as the
-    current layout it would rebuild its shards from parent rigs that
-    never advanced and resume from stale state, so the version gate has
-    to stop it before any engine state is used.
+    A version-3 sharded engine held contiguous row shards as ``_blobs``
+    with their ``_sizes`` and no config groups; read as the current
+    layout (one job blob per config group) it has no groups to advance
+    or merge, so the version gate has to stop it before any engine
+    state is used.
     """
     engine = ShardedEngine(_rigs(2), workers=2)
-    engine.__dict__.update(_offset=300, _blobs=None,
-                           _pending_blobs=[b"shard-0", b"shard-1"],
-                           _eids=None, _sizes=[1, 1])
-    path = tmp_path / "v2.ckpt"
+    engine.__dict__.clear()
+    engine.__dict__.update(_offset=300, _workers=2, _max_retries=1,
+                           _timeout_s=None, _closed=False,
+                           _blobs=[b"shard-0", b"shard-1"], _sizes=[1, 1])
+    path = tmp_path / "v3.ckpt"
     path.write_bytes(pickle.dumps({
-        "magic": "repro-checkpoint", "version": 2, "kind": "sharded",
+        "magic": "repro-checkpoint", "version": 3, "kind": "sharded",
         "offset": 300, "meta": {"fingerprint": "x", "windows": []},
         "engine": engine}))
-    assert CHECKPOINT_FORMAT_VERSION == 3
+    assert CHECKPOINT_FORMAT_VERSION == 4
     with pytest.raises(CheckpointError) as exc:
         WindowedRun.restore(path, "x")
     assert exc.value.reason == "version"

@@ -1,9 +1,10 @@
-"""Sharded-runtime failure semantics: retry, fallback, watchdog.
+"""Parallel-runtime failure semantics: retry, fallback, watchdog.
 
 Worker failures are injected through the ``REPRO_FAULT`` env-var
 hook in the worker entrypoint (crash = hard ``os._exit``, hang = sleep,
 raise = in-worker exception, crash-once = die on the first attempt
-only).  Every scenario must still produce the bit-identical serial
+only), aimed at a job index: the fleets here have one config group per
+rig, so ``crash:1`` hits the second rig's job.  Every scenario must still produce the bit-identical serial
 result — for one-shot runs and for ``advance`` windows alike; these
 tests additionally pin the degradation path taken via the
 ``shard.retries`` / ``shard.fallbacks`` observability counters, and
@@ -18,7 +19,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.observability import MetricsRegistry, get_registry, set_registry
-from repro.runtime import BatchEngine, RunResult, ShardedEngine
+from repro.runtime import (FleetSpec, MixedEngine, RigSpec, RunResult,
+                           ShardedEngine)
 from repro.runtime.faults import FAULT_ENV
 from repro.station.fleet import MonitoredNetwork
 from repro.station.network import PipeNetwork
@@ -29,10 +31,23 @@ pytestmark = pytest.mark.parallel
 
 PROFILE = hold(50.0, 1.0)
 SEEDS = (31, 32, 33)
+#: One overtemperature per rig, so each rig is its own config group.
+OVERTEMPS = (5.0, 7.0, 6.0)
 
 
 def _fleet():
-    return [build_calibrated_monitor(seed=s, fast=True).rig for s in SEEDS]
+    """Three rigs in three config groups: three jobs."""
+    return [build_calibrated_monitor(seed=s, fast=True,
+                                     overtemperature_k=t).rig
+            for s, t in zip(SEEDS, OVERTEMPS)]
+
+
+def _two_groups():
+    """A two-group fleet spec, so ``workers=2`` starts two workers."""
+    return FleetSpec(rigs=(
+        RigSpec(count=1, fast_calibration=True),
+        RigSpec(count=1, fast_calibration=True, overtemperature_k=7.0)),
+        seed=5)
 
 
 def _assert_bit_identical(a, b):
@@ -54,7 +69,7 @@ def metrics():
 
 @pytest.fixture(scope="module")
 def serial_reference():
-    return BatchEngine(_fleet()).run(PROFILE)
+    return MixedEngine(_fleet()).run(PROFILE)
 
 
 def _counter(registry, name):
@@ -121,7 +136,7 @@ def test_window_crash_exhausts_retries_then_falls_back(
     monkeypatch.setenv(FAULT_ENV, "crash:1")
     engine = ShardedEngine(_fleet(), workers=3, max_retries=1)
     _assert_bit_identical(_windows(engine), serial_reference)
-    # every window retries shard 1 once on a fresh worker, then degrades
+    # every window retries job 1 once on a fresh worker, then degrades
     assert _counter(metrics, "shard.retries") == 2
     assert _counter(metrics, "shard.fallbacks") == 2
 
@@ -143,19 +158,17 @@ def test_window_hung_worker_is_killed_and_falls_back(
                            timeout_s=2.0)
     _assert_bit_identical(_windows(engine), serial_reference)
     assert _counter(metrics, "shard.retries") == 0
-    # the hung shard falls back in both windows (a loaded host may
-    # push a healthy shard past the budget too)
+    # the hung job falls back in both windows (a loaded host may
+    # push a healthy job past the budget too)
     assert _counter(metrics, "shard.fallbacks") >= 2
 
 
 def test_no_worker_outlives_a_call(monkeypatch, tmp_path):
     """Sessions, crashed windows and services reap every worker."""
-    from repro.runtime import FleetSpec, Session
+    from repro.runtime import Session
     from repro.service import FleetService
 
-    def fleet():
-        return FleetSpec.homogeneous(2, seed=5, fast_calibration=True)
-
+    fleet = _two_groups
     assert multiprocessing.active_children() == []
     with Session(fleet=fleet()) as session:
         session.calibrate()
@@ -200,7 +213,7 @@ def test_session_refuses_workers_on_scalar_engine():
     """The scalar engine is gone from ``Session.run`` (5.0), so
     ``engine=`` is refused outright; a non-positive worker count still
     is a ``ConfigurationError``."""
-    from repro.runtime import FleetSpec, Session
+    from repro.runtime import Session
     with Session(fleet=FleetSpec.homogeneous(
             1, seed=5, fast_calibration=True)) as session:
         session.calibrate()

@@ -1,12 +1,14 @@
-"""Cross-process observability through the sharded runtime.
+"""Cross-process observability through the parallel runtime.
 
-The acceptance surface of the telemetry harvest: a sharded
+The acceptance surface of the telemetry harvest: a parallel
 ``Session.run`` / ``ShardedEngine.run`` with observability enabled must
 yield one merged registry containing the workers' ``runtime.*`` /
 ``kernel.*`` metrics with exact totals, a span forest whose worker
 spans nest under the parent's ``shard.run`` span, merged profiler
-reports, and identical metric-name sets whether shards ran in worker
+reports, and identical metric-name sets whether jobs ran in worker
 processes, were retried, or fell back to the in-process serial path.
+Each fleet here has one config group per rig, so every rig is a job of
+its own.
 """
 
 import numpy as np
@@ -16,7 +18,8 @@ from repro import observability as obs
 from repro.observability import (EventLog, MetricsRegistry, Profiler, Tracer,
                                  export_jsonl, export_spans_jsonl,
                                  parse_jsonl, parse_spans_jsonl, span_tree)
-from repro.runtime import FleetSpec, RunResult, Session, ShardedEngine
+from repro.runtime import (FleetSpec, RigSpec, RunResult, Session,
+                           ShardedEngine)
 from repro.runtime.faults import FAULT_ENV
 from repro.runtime.kernels import PROFILE_STAGES
 from repro.station.profiles import hold
@@ -27,11 +30,16 @@ pytestmark = pytest.mark.parallel
 
 PROFILE = hold(50.0, 1.0)
 SEED = 77
+#: One overtemperature per config group.
+OVERTEMPS = (5.0, 7.0, 6.0, 8.0)
 
 
 def _fleet(n=3):
-    return [build_calibrated_monitor(seed=s, fast=True).rig
-            for s in FleetSpec.homogeneous(n, seed=SEED).monitor_seeds()]
+    """``n`` rigs, each its own config group (one job per rig)."""
+    return [build_calibrated_monitor(seed=s, fast=True,
+                                     overtemperature_k=t).rig
+            for s, t in zip(FleetSpec.homogeneous(
+                n, seed=SEED).monitor_seeds(), OVERTEMPS)]
 
 
 @pytest.fixture
@@ -53,12 +61,14 @@ def fresh():
 def test_sharded_session_merges_worker_telemetry(fresh):
     registry, tracer, _, _ = fresh
     clear_calibration_cache()
-    with Session(fleet=FleetSpec.homogeneous(
-            4, seed=SEED, fast_calibration=True)) as session:
+    fleet = FleetSpec(rigs=tuple(
+        RigSpec(count=1, fast_calibration=True, overtemperature_k=t)
+        for t in OVERTEMPS), seed=SEED)
+    with Session(fleet=fleet) as session:
         session.calibrate()
         result = session.run(hold(50.0, 1.0), workers=4)
     snap = registry.snapshot()
-    # Worker-origin runtime metrics, merged exactly: 4 workers x 1
+    # Worker-origin runtime metrics, merged exactly: 4 jobs x 1
     # monitor x 1000 samples — any double count breaks the total.
     assert snap["runtime.batch.samples"]["value"] == 4 * 1000
     assert snap["span.batch.run.s"]["count"] == 4
@@ -96,7 +106,7 @@ def test_profile_histograms_ride_the_metrics_merge(fresh):
     names = registry.names()
     for stage in PROFILE_STAGES:
         assert f"profile.{stage}.wall_s" in names, stage
-    # Three worker engines, one film call per sample step each.
+    # Three job engines, one film call per sample step each.
     assert result.profile()["kernel.film"]["calls"] == 3 * 1000
 
 
@@ -124,7 +134,7 @@ def test_fallback_and_worker_paths_emit_same_metric_names(
         fresh, monkeypatch):
     """Satellite check: serial fallback keeps the metric surface.
 
-    A run whose shards all crash into the in-process fallback must
+    A run whose job crashes into the in-process fallback must
     publish the same merged metric names as a clean worker run — plus,
     at most, the degradation counters themselves.
     """
@@ -144,10 +154,10 @@ def test_fallback_and_worker_paths_emit_same_metric_names(
 
 def test_retried_shard_counts_samples_exactly_once(
         fresh, monkeypatch, tmp_path):
-    """A crash-once shard retries successfully without double-counting.
+    """A crash-once job retries successfully without double-counting.
 
     Only the successful attempt's harvest ships home: the totals must
-    equal the clean-run totals even though shard 0 ran twice.
+    equal the clean-run totals even though job 0 ran twice.
     """
     registry, _, _, _ = fresh
     monkeypatch.setenv(FAULT_ENV, f"crash-once:0:{tmp_path}")

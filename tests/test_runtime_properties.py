@@ -1,17 +1,23 @@
-"""Property-based invariants for the sharded-runtime building blocks.
+"""Property-based invariants for the parallel-runtime building blocks.
 
 Hypothesis is an optional dev dependency: the whole module skips when it
 is absent, so the tier-1 suite never depends on it.  The properties are
 the algebra the parity tests rely on:
 
-- :func:`partition_monitors` is a contiguous balanced partition, a
-  pure function of ``(n, k)``;
-- ``FleetSpec.monitor_seeds`` is shard-count invariant (the seed list
+- the job split (:func:`~repro.runtime.mixed.fleet_groups`, one job per
+  config group) puts every row in exactly one job, orders the jobs by
+  first occurrence, and is a pure function of the fleet — no worker
+  count or scheduling enters it;
+- ``FleetSpec.monitor_seeds`` is worker-count invariant (the seed list
   depends only on the fleet seed and size, and any prefix is stable)
   with pairwise-distinct streams;
-- ``RunResult.concat`` is the exact inverse of row-slicing, and
-  ``from_records`` / ``trace`` round-trip losslessly.
+- the permutation-aware ``RunResult.concat`` is the exact inverse of
+  the job split, in any job completion order, and ``from_records`` /
+  ``trace`` round-trip losslessly.
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +25,35 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.runtime import (FleetSpec, RunResult,  # noqa: E402
-                           partition_monitors)
+import repro.runtime.mixed as mixed  # noqa: E402
+from repro.runtime import FleetSpec, RunResult  # noqa: E402
 
 SETTINGS = settings(max_examples=50, deadline=None)
+
+#: Fleets as config labels: rigs with equal labels build alike.
+_LABELS = st.lists(st.integers(min_value=0, max_value=5), min_size=1,
+                   max_size=64)
+
+
+class _Rig:
+    """A stand-in rig whose signature is its config label."""
+
+    def __init__(self, label: int) -> None:
+        self.label = label
+
+
+@contextmanager
+def _labelled():
+    """Group stand-in rigs by label instead of the real rig signature."""
+    with mock.patch.object(mixed, "_signature", lambda rig: rig.label), \
+            mock.patch.object(mixed, "config_group_key",
+                              lambda rig: f"group-{rig.label}"):
+        yield
+
+
+def _jobs(labels: list[int]) -> list[list[int]]:
+    with _labelled():
+        return list(mixed.fleet_groups([_Rig(x) for x in labels]).values())
 
 
 @st.composite
@@ -33,22 +64,22 @@ def _fleet_and_shards(draw):
 
 
 @SETTINGS
-@given(_fleet_and_shards())
-def test_partition_covers_disjoint_contiguous_balanced(case):
-    n, k = case
-    bounds = partition_monitors(n, k)
-    assert len(bounds) == k
-    # Contiguous cover with no overlap: each slice starts where the
-    # previous one stopped, from 0 to n.
-    assert bounds[0][0] == 0 and bounds[-1][1] == n
-    for (_, stop), (start, _) in zip(bounds, bounds[1:]):
-        assert start == stop
-    sizes = [stop - start for start, stop in bounds]
-    assert all(size >= 1 for size in sizes)
-    assert max(sizes) - min(sizes) <= 1
-    assert sorted(sizes, reverse=True) == sizes  # larger shards first
-    # Pure function of (n, k).
-    assert partition_monitors(n, k) == bounds
+@given(_LABELS)
+def test_partition_covers_disjoint_contiguous_balanced(labels):
+    """The job split: one job per config group, every row in exactly
+    one job, jobs in first-occurrence order, rows in caller order."""
+    jobs = _jobs(labels)
+    assert sorted(row for job in jobs for row in job) == \
+        list(range(len(labels)))
+    assert len(jobs) == len(set(labels))
+    for job in jobs:
+        assert job == sorted(job)
+        assert {labels[row] for row in job} == {labels[job[0]]}
+    firsts = [job[0] for job in jobs]
+    assert firsts == sorted(firsts)
+    assert [labels[row] for row in firsts] == list(dict.fromkeys(labels))
+    # A pure function of the fleet.
+    assert _jobs(labels) == jobs
 
 
 @SETTINGS
@@ -74,23 +105,28 @@ def _random_result(rng, n, m):
 
 
 @SETTINGS
-@given(st.integers(min_value=0, max_value=2**31 - 1),
-       st.integers(min_value=1, max_value=12),
+@given(st.integers(min_value=0, max_value=2**31 - 1), _LABELS,
        st.integers(min_value=1, max_value=8))
-def test_concat_inverts_row_slicing(seed, n, m):
+def test_concat_inverts_row_slicing(seed, labels, m):
+    """Per-job row blocks merge back into the whole fleet, whatever
+    order the jobs finished in."""
     rng = np.random.default_rng(seed)
-    whole = _random_result(rng, n, m)
-    k = int(rng.integers(1, n + 1))
+    whole = _random_result(rng, len(labels), m)
+    jobs = _jobs(labels)
     parts = [RunResult(
         time_s=whole.time_s.copy(),
-        **{name: np.asarray(getattr(whole, name))[start:stop].copy()
+        **{name: np.asarray(getattr(whole, name))[job].copy()
            for name in RunResult.STACKED_FIELDS})
-        for start, stop in partition_monitors(n, k)]
-    merged = RunResult.concat(parts)
-    assert merged.n_monitors == n
-    for name in ("time_s",) + RunResult.STACKED_FIELDS:
-        assert np.array_equal(np.asarray(getattr(merged, name)),
-                              np.asarray(getattr(whole, name))), name
+        for job in jobs]
+    order = rng.permutation(len(jobs))
+    for permutation in (range(len(jobs)), order):
+        merged = RunResult.concat([parts[j] for j in permutation],
+                                  axis="fleet",
+                                  indices=[jobs[j] for j in permutation])
+        assert merged.n_monitors == len(labels)
+        for name in ("time_s",) + RunResult.STACKED_FIELDS:
+            assert np.array_equal(np.asarray(getattr(merged, name)),
+                                  np.asarray(getattr(whole, name))), name
 
 
 @SETTINGS

@@ -111,6 +111,38 @@ def test_only_the_first_serial_run_assembles(monkeypatch):
         assert len(calls) == 2 * spec.n_monitors
 
 
+def test_one_group_runs_with_workers_rewind_the_template(monkeypatch):
+    """A one-group fleet stays in-process under ``workers > 1``, so it
+    rewinds the step-0 engine like a serial run; a fleet of two groups
+    ships them to workers and assembles fresh rigs every run."""
+    calls = []
+    assemble = session_module._assemble
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(session_module, "_assemble", counting)
+    spec = SPECS["pulsed"]
+    reference = _fresh(spec, HOLD)
+    with Session(fleet=spec) as session:
+        session.calibrate()
+        _assert_identical(session.run(HOLD, workers=2), reference)
+        assert len(calls) == 2 * spec.n_monitors
+        session.run(STAIRS)
+        _assert_identical(session.run(HOLD, workers=3), reference)
+        assert len(calls) == 2 * spec.n_monitors
+
+    calls.clear()
+    spec = SPECS["mixed"]
+    reference = _fresh(spec, STAIRS)
+    with Session(fleet=spec) as session:
+        session.calibrate()
+        for _ in range(2):
+            _assert_identical(session.run(STAIRS, workers=2), reference)
+        assert len(calls) == 3 * spec.n_monitors
+
+
 def test_a_faulted_run_leaves_no_state_behind():
     """Line pressure above the 10 bar housing rating raises partway
     through; the next run starts from step 0 all the same."""
@@ -155,11 +187,16 @@ def test_mixed_engine_rewind_restores_dropped_groups():
 
 
 def test_rewind_refusals():
-    """Engines without a step-0 state to return to refuse, typed."""
-    rigs = SPECS["pulsed"].materialize()
+    """Engines without a step-0 state to return to refuse, typed.
+
+    Config groups that run as worker jobs live in pickled blobs, so a
+    fleet of two groups at ``workers=2`` refuses; the one-group fleet
+    below runs in-process whatever ``workers`` says.
+    """
     with pytest.raises(ConfigurationError) as sharded:
-        MixedEngine(rigs, workers=2).rewind()
+        MixedEngine(SPECS["mixed"].materialize(), workers=2).rewind()
     assert sharded.value.reason == "rewind"
+    rigs = SPECS["pulsed"].materialize()
     for engine in (BatchEngine(rigs), MixedEngine(rigs)):
         restored = pickle.loads(pickle.dumps(engine))
         with pytest.raises(ConfigurationError) as unpickled:

@@ -3,12 +3,15 @@
 ``backend="shm"`` is gone; ``spawn`` is the one parallel backend.  What
 these tests asserted for the shared-memory pool still holds for it and
 is kept here under the original names: a context-managed
-``ShardedEngine`` reproduces the serial batch engine bitwise for worker
+``ShardedEngine`` reproduces the serial engine bitwise for worker
 counts 1, 2, 3 and N and ends closed; a worker killed mid-run degrades
-its shard to in-process serial under the default retry budget; the
+its job to in-process serial under the default retry budget; the
 per-rig scheduler accounting matches serial; and ``Session.run`` with
 the backend named explicitly and ``repro.run`` on a ``FleetSpec`` stay
-bit-identical to their serial runs.
+bit-identical to their serial runs.  The worker path needs several
+config groups (one job each), so the engine-level fleets have one
+group per rig; the ``Session`` and ``repro.run`` fleets are one group
+and run in-process.
 """
 
 import numpy as np
@@ -16,7 +19,7 @@ import pytest
 
 import repro
 from repro.errors import ConfigurationError
-from repro.runtime import (BatchEngine, FleetSpec, RunResult, Session,
+from repro.runtime import (FleetSpec, MixedEngine, RunResult, Session,
                            ShardedEngine)
 from repro.runtime.faults import FAULT_ENV
 from repro.station.profiles import hold, staircase
@@ -29,10 +32,17 @@ SEED = 777
 PROFILE = hold(60.0, 1.5)
 
 
+#: One overtemperature per rig: each rig is its own config group.
+OVERTEMPS = (5.0, 7.0, 6.0, 8.0)
+
+
 def _fleet(n=N_MONITORS, seed=SEED):
-    """Fresh rigs with the same seed derivation a Session would use."""
-    return [build_calibrated_monitor(seed=s, fast=True).rig
-            for s in FleetSpec.homogeneous(n, seed=seed).monitor_seeds()]
+    """Fresh rigs with the same seed derivation a Session would use,
+    one config group each."""
+    return [build_calibrated_monitor(seed=s, fast=True,
+                                     overtemperature_k=t).rig
+            for s, t in zip(FleetSpec.homogeneous(
+                n, seed=seed).monitor_seeds(), OVERTEMPS)]
 
 
 def _assert_bit_identical(a, b):
@@ -46,8 +56,8 @@ def _assert_bit_identical(a, b):
 
 @pytest.fixture(scope="module")
 def serial_reference():
-    """The serial batch-engine run every parallel variant must reproduce."""
-    return BatchEngine(_fleet()).run(PROFILE)
+    """The serial run every parallel variant must reproduce."""
+    return MixedEngine(_fleet()).run(PROFILE)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, N_MONITORS])
@@ -60,7 +70,7 @@ def test_shm_matches_serial(serial_reference, workers):
 
 
 def test_shm_survives_worker_crash(serial_reference, monkeypatch):
-    """A killed worker degrades that shard to in-process serial."""
+    """A killed worker degrades that job to in-process serial."""
     monkeypatch.setenv(FAULT_ENV, "crash:0")
     with ShardedEngine(_fleet(), workers=2) as engine:
         _assert_bit_identical(engine.run(PROFILE), serial_reference)
@@ -68,7 +78,7 @@ def test_shm_survives_worker_crash(serial_reference, monkeypatch):
 
 def test_shm_scheduler_accounting_matches_serial():
     serial_rigs, sharded_rigs = _fleet(2), _fleet(2)
-    BatchEngine(serial_rigs).run(PROFILE)
+    MixedEngine(serial_rigs).run(PROFILE)
     with ShardedEngine(sharded_rigs, workers=2) as engine:
         engine.run(PROFILE)
     for serial_rig, sharded_rig in zip(serial_rigs, sharded_rigs):
