@@ -9,6 +9,18 @@ Workload: (a) the calibrated monitor rides a pressure profile with
 6.8 bar peaks while measuring a steady 100 cm/s — the reading must not
 care about pressure; (b) a burst sweep of membrane ratings with and
 without the fill.
+
+What (a) measures: the ``rel=0.03`` bound compares unpaired means —
+samples below 3 bar against the ~4.5 s of samples above 5 bar, behind
+a 0.1 Hz output filter — so the "shift" it bounds is filter noise, not
+a pressure effect.  The model has no physical path from line pressure
+into the reading: pressure reaches the sensor only through the
+boiling, burst and housing checks, and membrane deflection is computed
+but unused.  Two same-seed rigs with and without the peaks read
+bit-identically; ``tests/test_paper_guards.py`` pins that paired
+comparison.  A real die's pressure sensitivity (deflection changing
+the heater-to-water coupling) is a model limitation, recorded in
+``EXPERIMENTS.md``.
 """
 
 import numpy as np

@@ -83,7 +83,7 @@ from repro.service import (ClientSession, FleetService, RecoveredCohort,
 from repro.store import (ArtifactStore, canonical_key, get_default_store,
                          set_default_store)
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     *errors.__all__,

@@ -106,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="true line speed to simulate [cm/s]")
     meas.add_argument("--duration", type=float, default=10.0,
                       help="measurement duration [s]")
-    meas.add_argument("--seed", type=int, default=42, help="die/noise seed")
 
     swp = sub.add_parser("sweep", help="measure a list of speed levels")
     swp.add_argument("--cal", type=Path, required=True)
@@ -114,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated speeds [cm/s]")
     swp.add_argument("--dwell", type=float, default=8.0,
                      help="seconds per level")
-    swp.add_argument("--seed", type=int, default=42)
 
     rec = sub.add_parser("record",
                          help="run a staircase campaign, save traces (.npz)")
@@ -296,12 +294,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_monitor(cal_path: Path, seed: int) -> WaterFlowMonitor:
-    return WaterFlowMonitor.from_calibration_file(cal_path, seed=seed)
-
-
 def _cmd_measure(args: argparse.Namespace) -> int:
-    monitor = _load_monitor(args.cal, args.seed)
+    monitor = WaterFlowMonitor.from_calibration_file(args.cal)
     conditions = FlowConditions(speed_mps=args.speed_cmps * 1e-2)
     measurement = monitor.measure(conditions, args.duration)
     print(f"true speed     : {args.speed_cmps:.2f} cm/s")
@@ -322,7 +316,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not levels:
         print("error: no levels given", file=sys.stderr)
         return 2
-    monitor = _load_monitor(args.cal, args.seed)
+    monitor = WaterFlowMonitor.from_calibration_file(args.cal)
     print(f"{'true [cm/s]':>12}  {'measured [cm/s]':>16}  {'error [cm/s]':>13}")
     for level in levels:
         m = monitor.measure(FlowConditions(speed_mps=level * 1e-2), args.dwell)

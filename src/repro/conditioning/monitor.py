@@ -10,7 +10,6 @@ all over the water distribution channels".
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -152,26 +151,20 @@ class WaterFlowMonitor:
                 temperature_compensation=self.config.temperature_compensation))
 
     @classmethod
-    def from_calibration_file(cls, path: Path | str,
-                              seed: int = 42) -> "WaterFlowMonitor":
+    def from_calibration_file(cls, path: Path | str) -> "WaterFlowMonitor":
         """Rebuild a monitoring point from a stored calibration image.
 
-        Understands both image layouts:
-
-        * ``anemos-cal/2`` (current): the flat calibration fields plus
-          a ``format`` marker and nested ``monitor`` / ``sensor``
-          config sections, so the rebuilt monitor matches the one that
-          was calibrated (including the die seed).
-        * legacy flat images (pre-``format``): only the calibration
-          fields; the monitor falls back to a default continuous-drive
-          configuration and a die seeded with ``seed``.  A deprecation
-          note is printed to stderr.
+        The image is ``anemos-cal/2``: the flat calibration fields plus
+        a ``format`` marker and nested ``monitor`` / ``sensor`` config
+        sections, so the rebuilt monitor matches the one that was
+        calibrated (including the die seed).
 
         Raises
         ------
         CalibrationError
-            If the file is not valid JSON, declares an unknown format,
-            or is missing required fields.
+            If the file is not valid JSON, is not ``anemos-cal/2`` (a
+            flat image from before it has no ``format``), or is missing
+            required fields.
         """
         try:
             image = json.loads(Path(path).read_text())
@@ -181,21 +174,16 @@ class WaterFlowMonitor:
         if not isinstance(image, dict):
             raise CalibrationError("calibration image must be a JSON object")
         fmt = image.get("format")
-        if fmt == "anemos-cal/2":
-            try:
-                config = MonitorConfig.from_dict(image["monitor"])
-                sensor_cfg = MAFConfig.from_dict(image["sensor"])
-            except KeyError as exc:
-                raise CalibrationError(
-                    f"anemos-cal/2 image missing section {exc}") from exc
-        elif fmt is None:
-            print("note: legacy flat calibration image (pre anemos-cal/2); "
-                  "re-run 'calibrate' to refresh it", file=sys.stderr)
-            config = MonitorConfig(use_pulsed_drive=False)
-            sensor_cfg = MAFConfig(seed=seed)
-        else:
+        if fmt != "anemos-cal/2":
             raise CalibrationError(
-                f"unsupported calibration image format {fmt!r}")
+                f"unsupported calibration image format {fmt!r} (expected "
+                f"anemos-cal/2); re-run 'calibrate' to refresh it")
+        try:
+            config = MonitorConfig.from_dict(image["monitor"])
+            sensor_cfg = MAFConfig.from_dict(image["sensor"])
+        except KeyError as exc:
+            raise CalibrationError(
+                f"anemos-cal/2 image missing section {exc}") from exc
         calibration = FlowCalibration.from_dict(image)
         return cls(MAFSensor(sensor_cfg), calibration, config)
 

@@ -52,7 +52,6 @@ from repro.errors import CheckpointError, ConfigurationError
 from repro.observability import get_registry
 from repro.runtime.batch import BatchEngine
 from repro.runtime.faults import checkpoint_site
-from repro.runtime.kernels import resolve_numerics
 from repro.runtime.mixed import MixedEngine
 from repro.runtime.parallel import ShardedEngine
 from repro.runtime.result import RunResult
@@ -398,46 +397,40 @@ class WindowedRun:
             close()
 
 
-def run_durable(rigs: list[TestRig], profile: Profile, *,
+def run_durable(engine: MixedEngine, profile: Profile, *,
                 checkpoint_path, record_every_n: int = 20,
-                window_steps: int = 1000, resume: bool = False,
-                numerics: str = "exact",
-                workers: int | None = None) -> RunResult:
-    """Run a fleet with per-window checkpoints; resume after a crash.
+                window_steps: int = 1000,
+                resume: bool = False) -> RunResult:
+    """Run an engine with per-window checkpoints; resume after a crash.
 
-    The fleet runs as a :class:`MixedEngine` (whose single-group path
-    is byte-identical to a plain :class:`BatchEngine`), advanced by a
-    :class:`WindowedRun` in ``window_steps`` slices; after each window
-    the live engine and the accumulated window results are
-    checkpointed at ``checkpoint_path``.  If the process dies, calling
-    again with ``resume=True`` picks up at the last completed window
-    and the final :class:`RunResult` is bit-identical to an
-    uninterrupted run.  On success the checkpoint is deleted.
+    A :class:`WindowedRun` advances ``engine`` in ``window_steps``
+    slices; after each window the live engine and the accumulated
+    window results are checkpointed at ``checkpoint_path``.  If the
+    process dies, calling again with ``resume=True`` picks up at the
+    last completed window and the final :class:`RunResult` is
+    bit-identical to an uninterrupted run.  On success the checkpoint
+    is deleted.
 
     Parameters
     ----------
-    rigs:
-        The fleet (heterogeneous fleets welcome).
+    engine:
+        A :class:`MixedEngine` at step 0, new or rewound; its numerics
+        mode and worker count are the run's.  On resume the engine
+        restored from the checkpoint advances instead, with the worker
+        count it was checkpointed with, and ``engine`` only supplies
+        the fleet size and numerics the fingerprint checks.
     profile:
         Setpoint schedule; its length fixes the total step count.
     checkpoint_path:
         Artifact location for the per-window snapshots.
-    record_every_n / numerics:
+    record_every_n:
         As for the engines.
     window_steps:
         Checkpoint cadence in loop ticks.
     resume:
         Continue from an existing checkpoint instead of starting fresh.
         The checkpoint's run fingerprint (profile, fleet size, cadence,
-        numerics) must match this call's.
-    workers:
-        Run each window's config groups as jobs in up to this many
-        worker processes (see :class:`MixedEngine`); a one-group fleet
-        runs in-process whatever the count.  Any worker count is
-        bit-identical to the serial run, so the run fingerprint
-        deliberately excludes it and a checkpoint taken under any
-        worker count resumes cleanly (the restored engine continues
-        with the worker count it was checkpointed with).
+        numerics, not workers) must match this call's.
 
     Raises
     ------
@@ -446,29 +439,32 @@ def run_durable(rigs: list[TestRig], profile: Profile, *,
         ``reason="mismatch"`` when the checkpoint belongs to a
         different run configuration.
     ConfigurationError
-        On invalid knobs or an empty profile.
+        On invalid knobs or an empty profile; ``reason="engine"`` when
+        ``engine`` is not a :class:`MixedEngine` at step 0 (a rig list,
+        say).
     """
     if window_steps < 1:
         raise ConfigurationError("window_steps must be >= 1")
     if record_every_n < 1:
         raise ConfigurationError("record_every_n must be >= 1")
-    if not rigs:
-        raise ConfigurationError("run_durable needs at least one rig")
-    numerics = resolve_numerics(numerics)
-    dt = rigs[0].monitor.platform.dt_s
-    total = int(round(profile.duration_s / dt))
+    if not isinstance(engine, MixedEngine) or engine.offset != 0:
+        raise ConfigurationError(
+            "run_durable takes a MixedEngine at step 0: build "
+            "MixedEngine(rigs), or rewind() a used one", reason="engine")
+    total = int(round(profile.duration_s / engine.dt_s))
     if total < 1:
         raise ConfigurationError("profile shorter than one loop tick")
-    fingerprint = run_fingerprint(profile, total, record_every_n, numerics,
-                                  n_monitors=len(rigs))
+    fingerprint = run_fingerprint(profile, total, record_every_n,
+                                  engine.numerics,
+                                  n_monitors=engine.n_monitors)
     if resume:
         run, state = WindowedRun.restore(checkpoint_path, fingerprint)
         windows: list[RunResult] = list(state["windows"])
     else:
-        run = WindowedRun(
-            MixedEngine(list(rigs), numerics=numerics, workers=workers),
-            profile, total, record_every_n=record_every_n,
-            checkpoint_path=checkpoint_path, fingerprint=fingerprint)
+        run = WindowedRun(engine, profile, total,
+                          record_every_n=record_every_n,
+                          checkpoint_path=checkpoint_path,
+                          fingerprint=fingerprint)
         windows = []
     try:
         while not run.complete:

@@ -132,9 +132,10 @@ class MixedEngine:
     ``(group_key, row_in_group)`` pairs.
 
     This is the one engine every fleet caller builds —
-    :class:`~repro.runtime.Session`, durable runs and the streaming
-    fleet service — whether the fleet is homogeneous, mixed or run in
-    parallel.
+    :class:`~repro.runtime.Session` (which keeps one, rewound, for all
+    its runs, durable ones included), :func:`repro.runtime.run_durable`
+    callers and the streaming fleet service — whether the fleet is
+    homogeneous, mixed or run in parallel.
     The surface mirrors ``BatchEngine`` (:meth:`run`, :meth:`advance`,
     :meth:`drop`, :meth:`rewind`, :attr:`offset`), and :meth:`run` is
     exactly one :meth:`advance` over the whole profile.
@@ -155,7 +156,7 @@ class MixedEngine:
         worker processes, at most ``workers`` at once.  A one-group
         fleet is one job, so it runs serially in-process whatever
         ``workers`` says, as do ``None`` (default) and 1.  Bit-identical
-        for any worker count.
+        for any worker count, and :meth:`rewind` works either way.
 
     Raises
     ------
@@ -243,6 +244,11 @@ class MixedEngine:
     def offset(self) -> int:
         """Samples already advanced (shared by every group engine)."""
         return self._offset
+
+    @property
+    def dt_s(self) -> float:
+        """The loop period every group shares [s]."""
+        return self._dt
 
     # -- execution -----------------------------------------------------------
 
@@ -353,7 +359,8 @@ class MixedEngine:
         """Return every group to the state it was built with.
 
         Each group's :meth:`BatchEngine.rewind
-        <repro.runtime.batch.BatchEngine.rewind>` runs, groups and
+        <repro.runtime.batch.BatchEngine.rewind>` (or, for a parallel
+        job, its step-0 blob) is restored, groups and
         caller rows removed by :meth:`drop` come back, and
         :attr:`offset` is 0 again: the next :meth:`run` is
         byte-identical to one on a new engine over freshly built rigs.
@@ -361,19 +368,14 @@ class MixedEngine:
         Raises
         ------
         ConfigurationError
-            (``reason="rewind"``) on an engine restored from a pickle,
-            or if its groups run as parallel jobs, which live in pickled
-            blobs with no step-0 state.  Nothing is rewound then.
+            (``reason="rewind"``) on an engine restored from a pickle.
+            Nothing is rewound then.
         """
         if self._step0 is None:
             raise ConfigurationError(
                 "this engine was restored from a pickle and has no "
                 "step-0 state to rewind to", reason="rewind")
         groups, n = self._step0
-        if any(not isinstance(g.engine, BatchEngine) for g, _ in groups):
-            raise ConfigurationError(
-                "parallel jobs cannot rewind; build a new engine",
-                reason="rewind")
         for g, positions in groups:
             g.engine.rewind()
             g.positions = positions

@@ -20,7 +20,8 @@ path:
   blob.  Every window ships each blob to its own single-process
   ``concurrent.futures.ProcessPoolExecutor`` worker, at most
   ``workers`` at once, which advances it and sends back the group's
-  trace block together with the re-pickled engine.
+  trace block together with the re-pickled engine.  A job's first blob
+  is its step-0 state, which ``MixedEngine.rewind`` puts back.
 - Blocks are interleaved back into caller order by the group positions
   (``MixedEngine._merge``); worker scheduling order cannot reorder
   rows.
@@ -106,13 +107,18 @@ class _Job:
     :class:`~repro.runtime.mixed.MixedEngine` whose groups run as jobs.
     ``rigs`` are the caller's rigs of the group: the live state advances
     inside the blob, so the parent only mirrors their scheduler
-    accounting.  Pickles leave them out, because a restored engine has
-    no caller.
+    accounting.  The first blob is the job's step-0 state, which
+    :meth:`rewind` restores.  Pickles keep only the live blob, because a
+    restored engine has no caller and no step-0 state.
     """
+
+    #: The step-0 blob and rigs; None on a job restored from a pickle.
+    _step0 = None
 
     def __init__(self, engine: BatchEngine, rigs: list[TestRig]) -> None:
         self.blob = _dumps(engine)
         self.rigs = list(rigs)
+        self._step0 = (self.blob, self.rigs)
 
     def drop(self, local: list[int]) -> None:
         """Drop group rows inside the blob (survivor bits untouched)."""
@@ -121,6 +127,15 @@ class _Job:
         self.blob = _dumps(engine)
         gone = set(local)
         self.rigs = [r for k, r in enumerate(self.rigs) if k not in gone]
+
+    def rewind(self) -> None:
+        """Restore the step-0 blob and rigs (``reason="rewind"`` on a
+        job restored from a pickle)."""
+        if self._step0 is None:
+            raise ConfigurationError(
+                "this job was restored from a pickle and has no step-0 "
+                "state to rewind to", reason="rewind")
+        self.blob, self.rigs = self._step0
 
     def __getstate__(self) -> dict:
         return {"blob": self.blob, "rigs": []}

@@ -16,11 +16,12 @@ process-wide LRU, the artifact store or a §4 campaign — and the session
 keeps the resulting (calibration, post-campaign sensor snapshot) pairs
 until ``close``.  ``run`` may be called any number of times, and never
 consults the LRU, the store or a campaign again.  Every run starts from
-the same freshly-built post-calibration state: an in-process, in-memory
-run rewinds a step-0 engine the session built from those pairs on its
-first such run (one per numerics mode); a durable run, or one that
-ships config groups to worker processes, assembles fresh rigs.  Calling
-a stage out of order raises :class:`~repro.errors.SessionError`.
+the same freshly-built post-calibration state by one path: it rewinds a
+step-0 engine the session built from those pairs on its first run with
+the same numerics mode and effective worker count.  Serial, durable and
+parallel runs all go that way; only ``calibrate`` and each engine's
+first build assemble monitors.  Calling a stage out of order raises
+:class:`~repro.errors.SessionError`.
 """
 
 from __future__ import annotations
@@ -122,8 +123,8 @@ class Session:
         self._dt = self._fleet.dt_s
         self._timings: dict[str, float] = {}
         self._runs = 0
-        # Step-0 engines of serial in-memory runs, by numerics mode.
-        self._templates: dict[str, MixedEngine] = {}
+        # Step-0 engines of every run, by (numerics, effective workers).
+        self._templates: dict[tuple[str, int], MixedEngine] = {}
         # Config groups of the fleet, counted at calibrate.
         self._n_groups = 0
         if checkpoint_dir is not None:
@@ -209,16 +210,15 @@ class Session:
         to a plain :class:`~repro.runtime.batch.BatchEngine`), a
         structurally mixed :class:`~repro.runtime.FleetSpec` is
         sub-batched per config group (bit-identical per rig to running
-        its group alone).  A serial run reuses the session's engine for
-        its numerics mode, rewound to step 0
+        its group alone).  Every run reuses the session's engine for
+        its numerics mode and effective worker count, rewound to step 0
         (:meth:`MixedEngine.rewind
-        <repro.runtime.mixed.MixedEngine.rewind>`); the first builds it
-        from freshly assembled rigs.  A run that ships config groups to
-        worker processes builds its engine from fresh rigs every time.  With the same seeds every row is
-        bit-identical to :meth:`TestRig.run
+        <repro.runtime.mixed.MixedEngine.rewind>`); the first such run
+        builds it from freshly assembled rigs.  With the same seeds
+        every row is bit-identical to :meth:`TestRig.run
         <repro.station.rig.TestRig.run>` on a fresh rig, whatever ran
-        before.  A checkpointed session advances fresh rigs in durable
-        windows instead (:func:`repro.runtime.checkpoint.run_durable`).
+        before.  A checkpointed session advances that engine in durable
+        windows (:func:`repro.runtime.checkpoint.run_durable`).
 
         Parameters
         ----------
@@ -230,7 +230,8 @@ class Session:
             processes (:mod:`repro.runtime.parallel`); the merged
             result is bit-identical to the serial path for any worker
             count.  A one-group fleet, ``None`` (default) and 1 stay
-            serial and in-process, on the session's step-0 engine.
+            serial and in-process.  The effective count is
+            ``min(workers or 1, number of config groups)``.
         numerics:
             Kernel numerics mode: ``"exact"`` (default, bit-identical
             to the scalar reference path) or ``"fast"`` (vectorized
@@ -277,17 +278,16 @@ class Session:
         t0 = time.perf_counter()
         with get_tracer().span("session.run", numerics=mode,
                                n_monitors=self.n_monitors):
+            engine = self._engine(mode, workers)
             if durable:
                 from repro.runtime.checkpoint import run_durable
                 result = run_durable(
-                    self._fresh_rigs(), profile,
-                    record_every_n=record_every_n,
+                    engine, profile, record_every_n=record_every_n,
                     checkpoint_path=(self._checkpoint_dir /
                                      f"run-{self._runs}.ckpt"),
-                    resume=resume, numerics=mode, workers=workers)
+                    resume=resume)
             else:
-                result = self._engine(mode, workers).run(
-                    profile, record_every_n=record_every_n)
+                result = engine.run(profile, record_every_n=record_every_n)
         elapsed = time.perf_counter() - t0
         self._timings["run_s"] = elapsed
         self._runs += 1
@@ -350,27 +350,21 @@ class Session:
         self.close()
 
     def _engine(self, mode: str, workers: int | None) -> MixedEngine:
-        """The step-0 engine a non-durable run advances.
+        """This session's step-0 engine for ``mode`` and ``workers``,
+        rewound (built on first use).
 
-        A run that stays in-process gets this session's template for
-        ``mode``, rewound (built on first use); one that ships config
-        groups to workers gets a new engine over fresh rigs.  A
-        one-group fleet stays in-process whatever ``workers`` says
-        (:class:`MixedEngine`).
+        A one-group fleet runs in-process whatever ``workers`` says
+        (:class:`MixedEngine`), so it shares the serial engine.
         """
-        if workers not in (None, 1) and self._n_groups > 1:
-            return MixedEngine(self._fresh_rigs(), numerics=mode,
-                               workers=workers)
-        engine = self._templates.get(mode)
+        key = (mode, min(int(workers or 1), self._n_groups))
+        engine = self._templates.get(key)
         if engine is None:
-            engine = self._templates[mode] = MixedEngine(
-                self._fresh_rigs(), numerics=mode)
+            rigs = [handle.rig for handle in self._materialize()]
+            engine = self._templates[key] = MixedEngine(
+                rigs, numerics=mode, workers=key[1])
         else:
             engine.rewind()
         return engine
-
-    def _fresh_rigs(self) -> list[TestRig]:
-        return [handle.rig for handle in self._materialize()]
 
     def _materialize(self) -> list[MonitorHandle]:
         """Assemble fresh handles from the calibrations kept at calibrate."""

@@ -79,7 +79,7 @@ def test_all_exports_resolve(pkg_name):
 
 
 def test_version_string():
-    assert repro.__version__ == "7.0.0"
+    assert repro.__version__ == "8.0.0"
 
 
 def test_removed_in_5_0():
@@ -216,6 +216,48 @@ def test_removed_in_7_0():
     assert issubclass(ShardedEngine, MixedEngine)
     assert list(inspect.signature(ShardedEngine).parameters) == [
         "rigs", "workers", "max_retries", "timeout_s", "numerics"]
+
+
+def test_removed_in_8_0(tmp_path):
+    """8.0 runs every ``Session`` mode on one rewound step-0 engine.
+
+    ``run_durable`` takes that engine, so its ``numerics``/``workers``
+    knobs (the engine's own) and its rig-list form are gone; calibration
+    images must be ``anemos-cal/2``, which carries its die seed, so
+    ``from_calibration_file(seed=)`` and ``measure``/``sweep --seed`` are
+    gone too.
+    """
+    from repro.cli import main
+    from repro.conditioning.monitor import WaterFlowMonitor
+    from repro.runtime import FleetSpec, Session, run_durable
+    from repro.station.profiles import hold
+
+    profile = hold(50.0, 0.1)
+    path = tmp_path / "run.ckpt"
+    # Arguments bind before any body runs, so the stand-in engine below
+    # is never touched.
+    with pytest.raises(TypeError):
+        run_durable(None, profile, checkpoint_path=path, numerics="fast")
+    with pytest.raises(TypeError):
+        run_durable(None, profile, checkpoint_path=path, workers=2)
+    assert list(inspect.signature(run_durable).parameters) == [
+        "engine", "profile", "checkpoint_path", "record_every_n",
+        "window_steps", "resume"]
+    rigs = FleetSpec.homogeneous(1, fast_calibration=True).materialize()
+    with pytest.raises(ConfigurationError) as excinfo:
+        run_durable(rigs, profile, checkpoint_path=path)
+    assert excinfo.value.reason == "engine"
+    assert not path.exists()
+    with pytest.raises(TypeError):
+        WaterFlowMonitor.from_calibration_file(tmp_path / "cal.json",
+                                               seed=5)
+    for command in (["measure", "--speed-cmps", "50"],
+                    ["sweep", "--levels", "0,50"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--cal", str(tmp_path / "cal.json"),
+                  "--seed", "5"])
+        assert exit_info.value.code == 2
+    assert not hasattr(Session, "_fresh_rigs")
 
 
 def test_error_hierarchy_single_source():

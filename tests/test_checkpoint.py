@@ -132,7 +132,7 @@ def test_batch_resume_bit_identical(tmp_path, cut):
 
 def test_run_durable_matches_plain_batch(tmp_path):
     ref = BatchEngine(_rigs(2)).run(_PROFILE, record_every_n=_EVERY)
-    got = run_durable(_rigs(2), _PROFILE,
+    got = run_durable(MixedEngine(_rigs(2)), _PROFILE,
                       checkpoint_path=tmp_path / "run.ckpt",
                       record_every_n=_EVERY, window_steps=180)
     _assert_bit_equal(got, ref)
@@ -141,7 +141,7 @@ def test_run_durable_matches_plain_batch(tmp_path):
 
 def test_run_durable_crash_resume_bit_identical(tmp_path, monkeypatch):
     """Kill run_durable after two windows; resume equals uninterrupted."""
-    ref = run_durable(_rigs(2), _PROFILE,
+    ref = run_durable(MixedEngine(_rigs(2)), _PROFILE,
                       checkpoint_path=tmp_path / "ref.ckpt",
                       record_every_n=_EVERY, window_steps=180)
 
@@ -156,14 +156,14 @@ def test_run_durable_crash_resume_bit_identical(tmp_path, monkeypatch):
 
     monkeypatch.setattr(MixedEngine, "advance", dying_advance)
     with pytest.raises(KeyboardInterrupt):
-        run_durable(_rigs(2), _PROFILE,
+        run_durable(MixedEngine(_rigs(2)), _PROFILE,
                     checkpoint_path=tmp_path / "run.ckpt",
                     record_every_n=_EVERY, window_steps=180)
     monkeypatch.setattr(MixedEngine, "advance", real_advance)
     assert (tmp_path / "run.ckpt").exists()
     assert load_checkpoint(tmp_path / "run.ckpt").offset == 360
 
-    got = run_durable(_rigs(2), _PROFILE,
+    got = run_durable(MixedEngine(_rigs(2)), _PROFILE,
                       checkpoint_path=tmp_path / "run.ckpt",
                       record_every_n=_EVERY, window_steps=180, resume=True)
     _assert_bit_equal(got, ref)
@@ -172,7 +172,7 @@ def test_run_durable_crash_resume_bit_identical(tmp_path, monkeypatch):
 
 def test_run_durable_resume_without_checkpoint_raises(tmp_path):
     with pytest.raises(CheckpointError) as exc:
-        run_durable(_rigs(1), _PROFILE,
+        run_durable(MixedEngine(_rigs(1)), _PROFILE,
                     checkpoint_path=tmp_path / "none.ckpt",
                     record_every_n=_EVERY, resume=True)
     assert exc.value.reason == "missing"
@@ -184,7 +184,7 @@ def test_run_durable_fingerprint_mismatch_raises(tmp_path):
     save_checkpoint(engine, tmp_path / "run.ckpt",
                     meta={"fingerprint": "not-this-run", "windows": []})
     with pytest.raises(CheckpointError) as exc:
-        run_durable(_rigs(2), _PROFILE,
+        run_durable(MixedEngine(_rigs(2)), _PROFILE,
                     checkpoint_path=tmp_path / "run.ckpt",
                     record_every_n=_EVERY, resume=True)
     assert exc.value.reason == "mismatch"
@@ -192,13 +192,20 @@ def test_run_durable_fingerprint_mismatch_raises(tmp_path):
 
 def test_run_durable_validates_knobs(tmp_path):
     with pytest.raises(ConfigurationError):
-        run_durable(_rigs(1), _PROFILE, checkpoint_path=tmp_path / "x",
+        run_durable(MixedEngine(_rigs(1)), _PROFILE, checkpoint_path=tmp_path / "x",
                     window_steps=0)
     with pytest.raises(ConfigurationError):
-        run_durable(_rigs(1), _PROFILE, checkpoint_path=tmp_path / "x",
+        run_durable(MixedEngine(_rigs(1)), _PROFILE, checkpoint_path=tmp_path / "x",
                     record_every_n=0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError) as rigs:
         run_durable([], _PROFILE, checkpoint_path=tmp_path / "x")
+    assert rigs.value.reason == "engine"
+    engine = MixedEngine(_rigs(1))
+    engine.advance(_PROFILE, 10, record_every_n=_EVERY)
+    with pytest.raises(ConfigurationError) as advanced:
+        run_durable(engine, _PROFILE, checkpoint_path=tmp_path / "x")
+    assert advanced.value.reason == "engine"
+    assert not (tmp_path / "x").exists()
 
 
 # -- Session wiring -----------------------------------------------------------

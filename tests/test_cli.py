@@ -31,8 +31,7 @@ def test_calibrate_writes_valid_image(cal_file):
 
 def test_measure_against_stored_calibration(cal_file, capsys):
     code = main(["measure", "--cal", str(cal_file),
-                 "--speed-cmps", "100", "--duration", "8",
-                 "--seed", "5"])
+                 "--speed-cmps", "100", "--duration", "8"])
     assert code == 0
     out = capsys.readouterr().out
     measured = float([line for line in out.splitlines()
@@ -43,7 +42,7 @@ def test_measure_against_stored_calibration(cal_file, capsys):
 
 def test_sweep_prints_all_levels(cal_file, capsys):
     code = main(["sweep", "--cal", str(cal_file),
-                 "--levels", "20,120", "--dwell", "5", "--seed", "5"])
+                 "--levels", "20,120", "--dwell", "5"])
     assert code == 0
     out = capsys.readouterr().out
     assert "20.0" in out

@@ -93,13 +93,13 @@ def test_v2_calibration_image_roundtrip(tmp_path, shared_setup):
     assert monitor.estimator.calibration.law == shared_setup.calibration.law
 
 
-def test_legacy_flat_image_loads_with_note(tmp_path, capsys, shared_setup):
+def test_legacy_flat_image_loads_with_note(tmp_path, shared_setup):
+    """A flat image from before ``anemos-cal/2`` carries no die seed or
+    monitor config, so it is refused rather than guessed at."""
     path = tmp_path / "legacy.json"
     path.write_text(json.dumps(shared_setup.calibration.to_dict()))
-    monitor = WaterFlowMonitor.from_calibration_file(path, seed=5)
-    assert monitor.sensor.config.seed == 5
-    assert not monitor.config.use_pulsed_drive
-    assert "legacy" in capsys.readouterr().err
+    with pytest.raises(CalibrationError, match="re-run 'calibrate'"):
+        WaterFlowMonitor.from_calibration_file(path)
 
 
 def test_unknown_format_rejected(tmp_path, shared_setup):

@@ -11,16 +11,19 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
 from repro.analysis.metrics import repeatability_pct_fs, resolution_3sigma
 from repro.conditioning.cta import CTAConfig, CTAController
 from repro.conditioning.drive import ContinuousDrive, PulsedDrive
 from repro.conditioning.flow_estimator import EstimatorConfig, FlowEstimator
+from repro.errors import SensorFault
 from repro.isif.platform import ISIFPlatform
 from repro.runtime import FleetSpec, Session
 from repro.sensor.maf import FlowConditions, MAFConfig, MAFSensor
+from repro.sensor.membrane import ORGANIC_FILL, WATER_BACKSIDE, Membrane
 from repro.station.line import LineConfig
-from repro.station.profiles import Profile, Segment
+from repro.station.profiles import Profile, Segment, pressure_peaks
 from repro.station.scenarios import (build_calibrated_monitor,
                                      clear_calibration_cache)
 
@@ -174,3 +177,46 @@ def test_e5_pulsed_drive_suppresses_bubbles():
     assert coverage > 0.3 and corruption > 0.03
     coverage, corruption = _bubble_case(5.0, pulsed=True)
     assert coverage < 0.02 and corruption < 0.01
+
+
+#: E7: line pressure [bar] between and at the peaks, and the base dwell
+#: [s].  A peak lasts a quarter dwell; against the line's 0.3 s pressure
+#: lag, a 1 s dwell peaked at only 4.7 bar, so the guard dwells 2 s.
+BASE_BAR, PEAK_BAR = 2.0, 6.8
+PRESSURE_DWELL_S = 2.0
+
+
+def test_e7_pressure_does_not_reach_the_reading():
+    """§5: 0-3 bar with peaks of 7 bar.  The reading ignores pressure,
+    the organic fill rates the die above 7 bar, and an unfilled die
+    (rated below the base pressure) bursts at the first peak.
+
+    Paired, unlike bench E7: two same-seed rigs ride one profile with
+    the peaks and one held at the base pressure, and their readings are
+    equal bit for bit.  In the model pressure reaches the sensor only
+    through the boiling, burst and housing checks, so any difference
+    would be a new physical path, not filter noise.
+    """
+    peaks = pressure_peaks(speed_cmps=100.0, base_bar=BASE_BAR,
+                           peak_bar=PEAK_BAR, dwell_s=PRESSURE_DWELL_S,
+                           peaks=2)
+    flat = Profile([Segment(s.duration_s, s.speed_mps, BASE_BAR * 1e5,
+                            s.temperature_k) for s in peaks.segments])
+    ridden = build_calibrated_monitor(seed=5, fast=True)
+    held = build_calibrated_monitor(seed=5, fast=True)
+    with_peaks = ridden.rig.run(peaks, record_every_n=20)
+    without = held.rig.run(flat, record_every_n=20)
+    assert np.max(with_peaks.pressure_pa) > 5.0e5
+    assert np.max(without.pressure_pa) < 3.0e5
+    assert ridden.monitor.sensor.failed is None
+    assert np.array_equal(with_peaks.measured_mps, without.measured_mps)
+
+    assert Membrane(backside=ORGANIC_FILL).burst_pressure_pa > 7.0e5
+    assert Membrane(backside=WATER_BACKSIDE).burst_pressure_pa < 7.0e5
+    naked = MAFSensor(MAFConfig(
+        seed=2, membrane=Membrane(backside=WATER_BACKSIDE)))
+    first_peak = peaks.segments[1]
+    with pytest.raises(SensorFault):
+        naked.step(1e-3, 1.0, 1.0,
+                   FlowConditions(speed_mps=first_peak.speed_mps,
+                                  pressure_pa=first_peak.pressure_pa))

@@ -223,12 +223,12 @@ def test_run_durable_workers_crash_resume_bit_identical(tmp_path,
     """Kill a 2-worker durable run after two windows; the resume equals
     both the uninterrupted 2-worker run and the serial reference."""
     profile = staircase([0.0, 70.0], dwell_s=0.25)  # 500 steps
-    serial = run_durable(_groups_fleet(2), profile,
+    serial = run_durable(MixedEngine(_groups_fleet(2)), profile,
                          checkpoint_path=tmp_path / "serial.ckpt",
                          record_every_n=10, window_steps=180)
-    ref = run_durable(_groups_fleet(2), profile,
+    ref = run_durable(MixedEngine(_groups_fleet(2), workers=2), profile,
                       checkpoint_path=tmp_path / "ref.ckpt",
-                      record_every_n=10, window_steps=180, workers=2)
+                      record_every_n=10, window_steps=180)
     _assert_bit_identical(ref, serial)
 
     calls = {"n": 0}
@@ -242,16 +242,15 @@ def test_run_durable_workers_crash_resume_bit_identical(tmp_path,
 
     monkeypatch.setattr(MixedEngine, "advance", dying_advance)
     with pytest.raises(KeyboardInterrupt):
-        run_durable(_groups_fleet(2), profile,
+        run_durable(MixedEngine(_groups_fleet(2), workers=2), profile,
                     checkpoint_path=tmp_path / "run.ckpt",
-                    record_every_n=10, window_steps=180, workers=2)
+                    record_every_n=10, window_steps=180)
     monkeypatch.setattr(MixedEngine, "advance", real_advance)
     assert (tmp_path / "run.ckpt").exists()
 
-    got = run_durable(_groups_fleet(2), profile,
+    got = run_durable(MixedEngine(_groups_fleet(2), workers=2), profile,
                       checkpoint_path=tmp_path / "run.ckpt",
-                      record_every_n=10, window_steps=180, workers=2,
-                      resume=True)
+                      record_every_n=10, window_steps=180, resume=True)
     _assert_bit_identical(got, ref)
     assert not (tmp_path / "run.ckpt").exists()
 
@@ -312,7 +311,7 @@ def test_one_group_fleet_runs_in_process(tracer, tmp_path, monkeypatch):
         session.calibrate()
         _assert_bit_identical(session.run(profile, workers=2), serial)
     _assert_bit_identical(
-        run_durable(spec.materialize(), profile, workers=2,
+        run_durable(MixedEngine(spec.materialize(), workers=2), profile,
                     checkpoint_path=tmp_path / "run.ckpt",
                     window_steps=200), serial)
 

@@ -1,11 +1,14 @@
-"""Serial ``Session.run`` on a rewound step-0 engine.
+"""Every ``Session.run`` on a rewound step-0 engine.
 
-A calibrated session builds one :class:`MixedEngine` per numerics mode
-on its first serial run and :meth:`~MixedEngine.rewind`-s it for every
-later one, instead of assembling the fleet again.  Whatever ran before
-(other profiles, the other numerics mode, a run that faulted, the
-caller's own use of the handle rigs), every run must be byte-identical
-to a new ``MixedEngine`` over freshly materialized rigs.
+A calibrated session builds one :class:`MixedEngine` per (numerics
+mode, effective worker count) on its first run of that kind and
+:meth:`~MixedEngine.rewind`-s it for every later one, instead of
+assembling the fleet again — serial, durable (``checkpoint_dir``) and
+parallel (``workers > 1`` over several config groups) runs alike.
+Whatever ran before (other profiles, the other numerics mode, a run
+that faulted, the caller's own use of the handle rigs), every run must
+be byte-identical to a new ``MixedEngine`` over freshly materialized
+rigs.
 """
 
 from __future__ import annotations
@@ -91,30 +94,21 @@ def test_handle_rig_runs_do_not_reach_the_session():
         assert all(a is b for a, b in zip(session.monitors, handles))
 
 
-def test_only_the_first_serial_run_assembles(monkeypatch):
-    calls = []
-    assemble = session_module._assemble
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["seed"])
-        return assemble(*args, **kwargs)
-
-    monkeypatch.setattr(session_module, "_assemble", counting)
+def test_only_the_first_serial_run_assembles(assembled):
     spec = SPECS["pulsed"]
     with Session(fleet=spec) as session:
         session.calibrate()
-        assert len(calls) == spec.n_monitors
+        assert len(assembled) == spec.n_monitors
         session.run(HOLD)
-        assert len(calls) == 2 * spec.n_monitors
+        assert len(assembled) == 2 * spec.n_monitors
         session.run(STAIRS)
         session.run(HOLD)
-        assert len(calls) == 2 * spec.n_monitors
+        assert len(assembled) == 2 * spec.n_monitors
 
 
-def test_one_group_runs_with_workers_rewind_the_template(monkeypatch):
-    """A one-group fleet stays in-process under ``workers > 1``, so it
-    rewinds the step-0 engine like a serial run; a fleet of two groups
-    ships them to workers and assembles fresh rigs every run."""
+@pytest.fixture()
+def assembled(monkeypatch):
+    """The seeds ``Session`` assembles monitors for, in call order."""
     calls = []
     assemble = session_module._assemble
 
@@ -123,24 +117,50 @@ def test_one_group_runs_with_workers_rewind_the_template(monkeypatch):
         return assemble(*args, **kwargs)
 
     monkeypatch.setattr(session_module, "_assemble", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["serial", "durable", "workers"])
+def test_every_run_mode_rewinds_one_template(mode, assembled, tmp_path):
+    """Serial, durable and two-group ``workers=2`` runs each assemble
+    the fleet once, for their template, and rewind it after."""
+    spec = SPECS["mixed"]
+    checkpoint_dir = tmp_path / "ck" if mode == "durable" else None
+    workers = 2 if mode == "workers" else None
+    references = {id(p): _fresh(spec, p) for p in (STAIRS, HOLD)}
+    with Session(fleet=spec, checkpoint_dir=checkpoint_dir) as session:
+        session.calibrate()
+        assert len(assembled) == spec.n_monitors
+        for profile in (STAIRS, HOLD, STAIRS):
+            result = session.run(profile, workers=workers)
+            _assert_identical(result, references[id(profile)])
+            assert len(assembled) == 2 * spec.n_monitors
+    if checkpoint_dir is not None:
+        assert not list(checkpoint_dir.glob("*.ckpt"))
+
+
+def test_one_group_runs_with_workers_rewind_the_template(assembled):
+    """A one-group fleet stays in-process under ``workers > 1``, so it
+    rewinds the serial step-0 engine; a fleet of two groups ships them
+    to workers from a template of its own, rewound like any other."""
     spec = SPECS["pulsed"]
     reference = _fresh(spec, HOLD)
     with Session(fleet=spec) as session:
         session.calibrate()
         _assert_identical(session.run(HOLD, workers=2), reference)
-        assert len(calls) == 2 * spec.n_monitors
+        assert len(assembled) == 2 * spec.n_monitors
         session.run(STAIRS)
         _assert_identical(session.run(HOLD, workers=3), reference)
-        assert len(calls) == 2 * spec.n_monitors
+        assert len(assembled) == 2 * spec.n_monitors
 
-    calls.clear()
+    assembled.clear()
     spec = SPECS["mixed"]
     reference = _fresh(spec, STAIRS)
     with Session(fleet=spec) as session:
         session.calibrate()
-        for _ in range(2):
+        for _ in range(3):
             _assert_identical(session.run(STAIRS, workers=2), reference)
-        assert len(calls) == 3 * spec.n_monitors
+        assert len(assembled) == 2 * spec.n_monitors
 
 
 def test_a_faulted_run_leaves_no_state_behind():
@@ -189,19 +209,30 @@ def test_mixed_engine_rewind_restores_dropped_groups():
 def test_rewind_refusals():
     """Engines without a step-0 state to return to refuse, typed.
 
-    Config groups that run as worker jobs live in pickled blobs, so a
-    fleet of two groups at ``workers=2`` refuses; the one-group fleet
-    below runs in-process whatever ``workers`` says.
+    Config groups that run as worker jobs rewind to their first blob,
+    even after advancing and dropping rows; a job engine restored from
+    a pickle has no such blob and refuses.
     """
-    with pytest.raises(ConfigurationError) as sharded:
-        MixedEngine(SPECS["mixed"].materialize(), workers=2).rewind()
-    assert sharded.value.reason == "rewind"
+    spec = SPECS["mixed"]
+    reference = _fresh(spec, STAIRS)
+    jobs = MixedEngine(spec.materialize(), workers=2)
+    jobs.advance(STAIRS, 100)
+    jobs.drop([0, 3])
+    assert jobs.advance(STAIRS, 50).n_monitors == 2
+    jobs.rewind()
+    assert jobs.offset == 0 and jobs.n_monitors == 4
+    _assert_identical(jobs.run(STAIRS), reference)
     rigs = SPECS["pulsed"].materialize()
-    for engine in (BatchEngine(rigs), MixedEngine(rigs)):
+    for engine in (BatchEngine(rigs), MixedEngine(rigs),
+                   MixedEngine(spec.materialize(), workers=2)):
         restored = pickle.loads(pickle.dumps(engine))
         with pytest.raises(ConfigurationError) as unpickled:
             restored.rewind()
         assert unpickled.value.reason == "rewind"
+    for group in restored._groups:  # each restored job refuses too
+        with pytest.raises(ConfigurationError) as job:
+            group.engine.rewind()
+        assert job.value.reason == "rewind"
     engine = BatchEngine(rigs)
     engine.advance(HOLD, 10)
     engine.write_back()
