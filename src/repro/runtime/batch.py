@@ -26,9 +26,11 @@ array math, replacing the per-sample Python loops of
   :mod:`repro.runtime.kernels` precomputes each chunk's time axis
   (profile setpoints, shared-line plant, drive schedule) and runs every
   feed-forward stochastic trajectory (turbulence OU, AFE flicker,
-  backside OU, Promag lag) as a time-blocked kernel.  ``numerics="fast"``
-  additionally swaps the libm transcendentals for numpy's vectorized
-  ``exp``/``power`` (within 1e-9 relative error, identical RNG streams).
+  backside OU, Promag lag) as a time-blocked kernel; the flow
+  estimator, which feeds nothing back, runs once per chunk after it.
+  ``numerics="fast"`` additionally swaps the libm transcendentals for
+  numpy's vectorized ``exp``/``power`` (within 1e-9 relative error,
+  identical RNG streams).
 
 The engine *consumes* the rigs passed to it: their RNG streams advance,
 the first rig's drive scheme is ticked, and every platform scheduler is
@@ -68,8 +70,8 @@ from repro.isif.sigma_delta import BehavioralAdc
 from repro.physics.convection import NATURAL_CONVECTION_FLOOR
 from repro.physics.water import boiling_temperature
 from repro.runtime.kernels import (ar1_block, exp_exact, film_conductance,
-                                   plan_chunk, pow_exact, relax_block,
-                                   resolve_numerics)
+                                   hysteresis_block, plan_chunk, pow_exact,
+                                   relax_block, resolve_numerics)
 from repro.runtime.result import RunResult
 from repro.state import load_state, state_of
 from repro.station.profiles import Profile
@@ -247,6 +249,11 @@ def _validate_fleet(rigs: list[TestRig]) -> None:
 
 #: The tracer calibration windows use: their campaign's span covers them.
 _QUIET = Tracer(enabled=False)
+
+#: Valid steps the chunk-tail flow estimator stacks at once: bounds its
+#: ``(steps, 2, N)`` temporaries whatever the chunk size.
+_EST_SLICE = 128
+
 
 @dataclass
 class WindowSums:
@@ -940,6 +947,66 @@ class BatchEngine:
             rig.offset = self._offset
         self._synced = self._offset
 
+    def _estimate(self, u_valid: list[np.ndarray], rec_valid: list[int]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Run the flow estimator over one chunk's valid PI outputs.
+
+        ``u_valid`` holds the chunk's ``(2, N)`` PI outputs on valid
+        samples, ``rec_valid`` how many of them each recorded tick had
+        seen.  King's-law inversion, the 0.1 Hz output IIR and the
+        direction comparator replay the per-sample estimator in slices
+        of :data:`_EST_SLICE` steps with its elementwise association, so
+        the outputs are bitwise those of stepping it.  Returns the
+        recorded ``(measured, direction)`` rows; a tick recorded before
+        the chunk's first valid sample holds the carried-in output.
+        """
+        n_rec = len(rec_valid)
+        meas = np.empty((n_rec, self._n))
+        dirs = np.empty((n_rec, self._n), dtype=self._dir.dtype)
+        seen = np.array(rec_valid, dtype=np.intp)
+        held = seen == 0
+        meas[held] = self._last_output
+        dirs[held] = self._dir
+        vpow = np.power if self._fast else pow_exact
+        rh_star, bp_denom = self._rh_star, self._bp_denom
+        thr_hi = self._dir_threshold + self._dir_hysteresis
+        y_iir, y_dir, dir_state = self._y_iir, self._y_dir, self._dir
+        for s0 in range(0, len(u_valid), _EST_SLICE):
+            block = np.stack(u_valid[s0:s0 + _EST_SLICE])
+            ua, ub = block[:, 0], block[:, 1]
+            bp_a = ua ** 2 * rh_star / bp_denom
+            bp_b = ub ** 2 * rh_star / bp_denom
+            g_cond = 0.5 * (bp_a + bp_b) / self._overtemp
+            excess = np.maximum(g_cond - self._coeff_a, 0.0)
+            speed = vpow(excess / self._coeff_b, self._inv_exp)
+            if not self._primed:
+                y_iir = speed[0].copy()
+                self._primed = True
+            y_traj, y_iir = relax_block(y_iir, self._alpha_iir, speed)
+            if self._use_direction:
+                pa = ua * ua
+                pb = ub * ub
+                total = pa + pb
+                tz = total <= 0.0
+                asym = np.where(tz, 0.0,
+                                (pa - pb) / np.where(tz, 1.0, total))
+                d_traj, y_dir = relax_block(y_dir, self._alpha_dir,
+                                            asym - self._dir_offset)
+                dir_traj, dir_state = hysteresis_block(
+                    dir_state, d_traj, self._dir_threshold, thr_hi)
+                out = np.where(dir_traj != 0, dir_traj.astype(float),
+                               1.0) * y_traj
+            else:
+                dir_traj = np.broadcast_to(dir_state, y_traj.shape)
+                out = y_traj
+            sel = (seen > s0) & (seen <= s0 + len(block))
+            at = seen[sel] - s0 - 1
+            meas[sel] = out[at]
+            dirs[sel] = dir_traj[at]
+            self._last_output = out[-1].copy()
+        self._y_iir, self._y_dir, self._dir = y_iir, y_dir, dir_state
+        return meas, dirs
+
     def _run(self, profile: Profile, steps: int,
              record_every_n: int, sums: WindowSums | None = None
              ) -> RunResult | None:
@@ -951,8 +1018,10 @@ class BatchEngine:
         feed-forward trajectory (line OU, AFE flicker, backside OU,
         Promag lag) and per-sample noise array for the whole chunk, and
         only the genuinely recurrent chain (reference/heater/membrane
-        thermals, AFE state, filters, PI, estimator) stays in the
-        per-sample loop.
+        thermals, AFE state, filters, PI) stays in the per-sample loop.
+        The flow estimator feeds nothing back into that chain, so the
+        loop only collects the PI output of valid samples and
+        :meth:`_estimate` runs it once per chunk, after the loop.
 
         With ``sums`` the window is a calibration window
         (:meth:`accumulate`): it records nothing, skips the estimator,
@@ -1079,19 +1148,6 @@ class BatchEngine:
             pi_dt = as0(self._pi_dt)
             pi_out_min = as0(self._pi_out_min)
             pi_out_max = as0(self._pi_out_max)
-        rh_star, bp_denom = self._rh_star, self._bp_denom
-        overtemp = as0(self._overtemp)
-        coeff_a, coeff_b, inv_exp = self._coeff_a, self._coeff_b, self._inv_exp
-        alpha_iir = as0(self._alpha_iir)
-        use_direction = self._use_direction
-        dir_offset, alpha_dir = self._dir_offset, as0(self._alpha_dir)
-        # The hysteresis thresholds of the direction comparator, in all
-        # four signed forms the loop compares against (same additions
-        # and exact negations as the inline expressions).
-        dir_thr = as0(self._dir_threshold)
-        neg_thr = as0(-self._dir_threshold)
-        thr_hi = as0(self._dir_threshold + self._dir_hysteresis)
-        neg_thr_hi = as0(-(self._dir_threshold + self._dir_hysteresis))
         pm_noise = self._pm_noise
         # Single anti-alias stage is the common configuration; unpack it
         # once so the hot loop skips the zip machinery.
@@ -1108,7 +1164,6 @@ class BatchEngine:
         np_trunc, np_copysign = np.trunc, np.copysign
         np_floor, np_int64 = np.floor, np.int64
         vexp = np.exp if fast else exp_exact
-        vpow = np.power if fast else pow_exact
         film = film_conductance
 
         # Recurrent state mirrored into locals for the loop and written
@@ -1125,9 +1180,6 @@ class BatchEngine:
             pi_int = self._pi_int
         else:
             pi_int_f = self._pi_int_f
-        y_iir, primed = self._y_iir, self._primed
-        y_dir, dir_state = self._y_dir, self._dir
-        last_output = self._last_output
         if accumulating:
             supply_sum, ref_sum = sums.supply_sum, sums.reference_sum
             n_valid = sums.valid
@@ -1260,6 +1312,9 @@ class BatchEngine:
             bulk_t = plan.bulk_temp
             line_t = plan.line_time
 
+            u_valid: list[np.ndarray] = []
+            keep_u = u_valid.append
+            rec_valid: list[int] = []
             if profiling:
                 loop_w, loop_c = perf_counter(), process_time()
                 film_w = film_c = 0.0
@@ -1532,47 +1587,6 @@ class BatchEngine:
                             pi_out_min - pi_kp * np_abs(err)),
                             pi_out_max + pi_kp * np_abs(err))
 
-                # Flow estimator (valid samples only; otherwise hold).
-                if not accumulating and sample_valid[k]:
-                    bp_a = u[0] ** 2 * rh_star / bp_denom
-                    bp_b = u[1] ** 2 * rh_star / bp_denom
-                    g_cond = f_half * (bp_a + bp_b) / overtemp
-                    excess = np_max(g_cond - coeff_a, f_zero)
-                    base = excess / coeff_b
-                    speed = vpow(base, inv_exp)
-                    if not primed:
-                        y_iir = speed.copy()
-                        primed = True
-                    y_iir = y_iir + alpha_iir * (speed - y_iir)
-                    if use_direction:
-                        pa = u[0] * u[0]
-                        pb = u[1] * u[1]
-                        total = pa + pb
-                        tz = total <= f_zero
-                        asym = np_where(
-                            tz, f_zero,
-                            (pa - pb) / np_where(tz, f_one, total))
-                        x_dir = asym - dir_offset
-                        y_dir = y_dir + alpha_dir * (x_dir - y_dir)
-                        d = y_dir
-                        dirs = dir_state
-                        dir_state = np_where(
-                            (dirs == i_zero) & (d > dir_thr), i_one,
-                            np_where(
-                                (dirs == i_zero) & (d < neg_thr), i_neg,
-                                np_where(
-                                    (dirs == i_one)
-                                    & (d < neg_thr_hi), i_neg,
-                                    np_where(
-                                        (dirs == i_neg)
-                                        & (d > thr_hi), i_one,
-                                        dirs))))
-                        sign = np_where(dir_state != i_zero,
-                                        dir_state.astype(float), f_one)
-                    else:
-                        sign = 1.0
-                    last_output = sign * y_iir
-
                 if accumulating:
                     # A §4 averaging window: the meter is read every
                     # sample and the supplies on valid ones.
@@ -1580,18 +1594,26 @@ class BatchEngine:
                     if sample_valid[k]:
                         supply_sum = supply_sum + u
                         n_valid += 1
-                elif i % record_every_n == 0:
-                    # The Promag 50 trajectory was precomputed by the
-                    # relaxation kernel; the reading (state + resolution
-                    # noise) only exists at recorded ticks.
-                    t_buf.append(line_t[k])
-                    v_true.append(np.full(n, float(bulk_v[k])))
-                    v_ref.append(pm_traj[k] + pm_noise * xi_pm[:, k])
-                    v_meas.append(last_output.copy())
-                    direction.append(dir_state.copy())
-                    pressure.append(np.full(n, float(p_line)))
-                    temperature.append(np.full(n, float(t_fluid)))
-                    coverage.append(np.maximum(cov[0], cov[1]))
+                else:
+                    # The flow estimator reads only the PI output of
+                    # valid samples (PI rebinds ``u``, never mutates
+                    # it) and feeds nothing back, so it runs after the
+                    # loop; a recorded tick notes how many valid
+                    # samples the chunk has seen so far.
+                    if sample_valid[k]:
+                        keep_u(u)
+                    if i % record_every_n == 0:
+                        # The Promag 50 trajectory was precomputed by
+                        # the relaxation kernel; the reading (state +
+                        # resolution noise) only exists at recorded
+                        # ticks.
+                        t_buf.append(line_t[k])
+                        v_true.append(np.full(n, float(bulk_v[k])))
+                        v_ref.append(pm_traj[k] + pm_noise * xi_pm[:, k])
+                        rec_valid.append(len(u_valid))
+                        pressure.append(np.full(n, float(p_line)))
+                        temperature.append(np.full(n, float(t_fluid)))
+                        coverage.append(np.maximum(cov[0], cov[1]))
 
             if profiling:
                 now_w, now_c = perf_counter(), process_time()
@@ -1601,6 +1623,15 @@ class BatchEngine:
                     # were summed locally to keep the profiler dict
                     # lookups out of the hot loop.
                     note("kernel.film", film_w, film_c, calls=film_n)
+            if not accumulating:
+                if profiling:
+                    prof_w, prof_c = perf_counter(), process_time()
+                meas, dirs = self._estimate(u_valid, rec_valid)
+                v_meas.extend(meas)
+                direction.extend(dirs)
+                if profiling:
+                    now_w, now_c = perf_counter(), process_time()
+                    note("kernel.estimator", now_w - prof_w, now_c - prof_c)
 
             # Carry the shared-line plant into the next chunk's plan.
             self._bulk_speed = float(bulk_v[c - 1])
@@ -1625,9 +1656,6 @@ class BatchEngine:
             self._pi_int = pi_int
         else:
             self._pi_int_f = pi_int_f
-        self._y_iir, self._primed = y_iir, primed
-        self._y_dir, self._dir = y_dir, dir_state
-        self._last_output = last_output
         self._ua = ua.copy()
         if accumulating:
             sums.supply_sum, sums.reference_sum = supply_sum, ref_sum

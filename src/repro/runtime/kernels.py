@@ -12,8 +12,14 @@ of that per-sample loop:
   per tick.
 - :func:`ar1_block` / :func:`relax_block` run the linear recurrences
   that do not feed back into the control loop (turbulence OU, AFE
-  flicker, backside-conductance OU, the Promag reference lag) for a
-  whole chunk at once, returning ``(trajectory, final_state)``.
+  flicker, backside-conductance OU, the Promag reference lag, and the
+  flow estimator's output and direction IIRs) for a whole chunk at
+  once, returning ``(trajectory, final_state)``.
+- :func:`hysteresis_block` runs the direction comparator over a block
+  of filtered asymmetries with integer array logic.  Together with the
+  two relaxations it lets the engine run the whole flow estimator
+  (King's-law inversion, 0.1 Hz output IIR, direction) once per chunk,
+  after the per-sample loop, over the PI outputs the loop collected.
 - :func:`film_conductance` evaluates the film-property correlations
   over the fleet with array arithmetic instead of per-element Python
   calls into :func:`repro.physics.water.film_properties_scalar`.
@@ -66,6 +72,7 @@ __all__ = [
     "film_conductance",
     "ar1_block",
     "relax_block",
+    "hysteresis_block",
     "ChunkPlan",
     "plan_chunk",
 ]
@@ -77,10 +84,11 @@ NUMERICS_MODES = ("exact", "fast")
 #: (see :mod:`repro.observability.profile`): chunk planning
 #: (:func:`plan_chunk` — ``kernel.plan``), the time-blocked trajectory
 #: kernels (``kernel.ar1_block``), the per-sample water-film kernel
-#: accumulated per chunk (``kernel.film``), and the whole recurrent
-#: per-sample loop (``kernel.chunk_loop``).
+#: accumulated per chunk (``kernel.film``), the whole recurrent
+#: per-sample loop (``kernel.chunk_loop``), and the chunk-tail flow
+#: estimator (``kernel.estimator``).
 PROFILE_STAGES = ("kernel.plan", "kernel.ar1_block", "kernel.film",
-                  "kernel.chunk_loop")
+                  "kernel.chunk_loop", "kernel.estimator")
 
 
 def resolve_numerics(value) -> str:
@@ -304,6 +312,41 @@ def relax_block(state: np.ndarray, alpha, target: np.ndarray
         x = x + alpha * (tgt - x)
         out[k] = x
     return out, x
+
+
+def hysteresis_block(state: np.ndarray, level: np.ndarray, threshold,
+                     threshold_hi) -> tuple[np.ndarray, np.ndarray]:
+    """Run the direction comparator over a ``(steps, rows)`` block.
+
+    Per step (:class:`repro.conditioning.direction.DirectionDetector`),
+    an idle row (state 0) goes to 1 on ``level > threshold`` and to -1
+    on ``level < -threshold``; a row at 1 flips to -1 on ``level <
+    -threshold_hi``, a row at -1 to 1 on ``level > threshold_hi``.
+    With ``0 < threshold <= threshold_hi`` the two crossings of one
+    step exclude each other, so a row's state is the sign of its last
+    ``±threshold_hi`` crossing, counted from the step after an idle
+    row's first trigger (which sets the state itself), and its
+    carried-in state before any.  NaN levels cross nothing.  ``level``
+    holds at least one step.  Returns ``(trajectory, final_state)``.
+    """
+    dtype = state.dtype
+    steps = np.arange(len(level))[:, None]
+    event = ((level > threshold_hi).astype(dtype)
+             - (level < -threshold_hi).astype(dtype))
+    idle = state == 0
+    if idle.any():
+        trigger = ((level > threshold).astype(dtype)
+                   - (level < -threshold).astype(dtype))
+        fired = trigger != 0
+        first = np.where(idle & fired.any(axis=0), fired.argmax(axis=0),
+                         np.where(idle, len(level), -1))
+        event = np.where(steps > first, event,
+                         np.where(steps == first, trigger, 0))
+    last = np.maximum.accumulate(np.where(event != 0, steps, -1), axis=0)
+    traj = np.where(last >= 0,
+                    np.take_along_axis(event, np.maximum(last, 0), axis=0),
+                    state)
+    return traj, traj[-1].copy()
 
 
 # -- the chunk plan ----------------------------------------------------------

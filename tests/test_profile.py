@@ -2,9 +2,10 @@
 
 Covers the :class:`~repro.observability.profile.Profiler` primitive,
 the batch-engine stage hooks (``kernel.plan``, ``kernel.ar1_block``,
-``kernel.film``, ``kernel.chunk_loop``), bit-parity of profiled vs
-unprofiled runs, the :meth:`RunResult.profile` / ``concat`` plumbing,
-``Session.stats()["profile"]`` and the CLI ``--profile-out`` flag.
+``kernel.film``, ``kernel.chunk_loop``, ``kernel.estimator``),
+bit-parity of profiled vs unprofiled runs, the :meth:`RunResult.profile`
+/ ``concat`` plumbing, ``Session.stats()["profile"]`` and the CLI
+``--profile-out`` flag.
 """
 
 import json
@@ -113,8 +114,12 @@ def test_profiled_engine_run_attributes_all_stages(fresh_profiler):
     result = BatchEngine([_rig()]).run(hold(50.0, 0.5))
     report = result.profile()
     assert set(report) == set(PROFILE_STAGES)
-    # One film call per sample step (vectorized across the fleet).
+    # One film call per sample step (vectorized across the fleet); the
+    # time-blocked kernels and the estimator run once per chunk.
     assert report["kernel.film"]["calls"] == 500
+    for stage in ("kernel.plan", "kernel.ar1_block", "kernel.chunk_loop",
+                  "kernel.estimator"):
+        assert report[stage]["calls"] == 1, stage
     for stage in PROFILE_STAGES:
         assert report[stage]["calls"] >= 1
         assert report[stage]["wall_s"] >= 0.0
@@ -194,6 +199,7 @@ def test_session_stats_exposes_profile(fresh_profiler):
         stats = session.stats()
     assert set(stats["profile"]) == set(PROFILE_STAGES)
     assert stats["profile"]["kernel.film"]["calls"] == 500
+    assert stats["profile"]["kernel.estimator"]["calls"] == 1
     assert set(result.profile()) == set(PROFILE_STAGES)
 
 
@@ -207,6 +213,8 @@ def test_cli_profile_out(tmp_path, capsys):
     report = json.loads(out.read_text())["stages"]
     assert set(report) >= set(PROFILE_STAGES)
     assert report["kernel.film"]["calls"] == 2000
+    # 2000 steps are two 1024-step chunks.
+    assert report["kernel.estimator"]["calls"] == 2
     assert "profile written" in capsys.readouterr().out
     # the flag must not leave the default profiler enabled
     assert not obs.get_profiler().enabled
