@@ -1689,17 +1689,7 @@ class BatchEngine:
             # A window shorter than the decimation stride can record
             # zero ticks; the state still advanced, so hand back an
             # empty-but-well-shaped result the caller can concat.
-            empty = np.empty((n, 0))
-            result = RunResult(
-                time_s=np.empty(0),
-                true_speed_mps=empty,
-                reference_mps=empty.copy(),
-                measured_mps=empty.copy(),
-                direction=np.empty((n, 0), dtype=np.int64),
-                pressure_pa=empty.copy(),
-                temperature_k=empty.copy(),
-                bubble_coverage=empty.copy(),
-            )
+            result = RunResult.empty(n)
         if profiling:
             result.attach_profile(run_stages)
         return result

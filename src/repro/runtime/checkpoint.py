@@ -42,7 +42,6 @@ Writes land on the opt-in ``checkpoint.writes`` counter and
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 from dataclasses import dataclass
@@ -57,7 +56,7 @@ from repro.runtime.parallel import ShardedEngine
 from repro.runtime.result import RunResult
 from repro.station.profiles import Profile
 from repro.station.rig import TestRig
-from repro.store import canonical_key
+from repro.store import atomic_write, canonical_key, decode_record
 
 __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint",
            "WindowedRun", "run_durable", "run_fingerprint", "engine_kind",
@@ -128,17 +127,6 @@ class Checkpoint:
     engine: object
 
 
-def _atomic_write(path: Path, blob: bytes) -> None:
-    """Publish ``blob`` at ``path`` via write-then-rename (atomic)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".tmp-{os.getpid()}-{id(blob):x}-{path.name}"
-    try:
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def save_checkpoint(engine, path, *, meta: dict | None = None) -> Path:
     """Snapshot a live engine (or scalar rig) to a checkpoint artifact.
 
@@ -180,7 +168,7 @@ def save_checkpoint(engine, path, *, meta: dict | None = None) -> Path:
     except Exception as exc:
         raise CheckpointError(
             f"{kind} engine failed to pickle: {exc}") from exc
-    _atomic_write(path, blob)
+    atomic_write(path, blob)
     registry = get_registry()
     if registry.enabled:
         registry.counter("checkpoint.writes").inc()
@@ -215,20 +203,9 @@ def load_checkpoint(path, *, expect_kind: str | None = None) -> Checkpoint:
     except FileNotFoundError:
         raise CheckpointError(
             f"no checkpoint at {path}", reason="missing") from None
-    try:
-        record = pickle.loads(blob)
-    except Exception as exc:
-        raise CheckpointError(
-            f"checkpoint {path} failed to deserialize: {exc}",
-            reason="corrupt") from exc
-    if not isinstance(record, dict) or record.get("magic") != _MAGIC:
-        raise CheckpointError(
-            f"{path} is not a repro checkpoint", reason="corrupt")
-    if record["version"] != CHECKPOINT_FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path} has format version {record['version']}; "
-            f"this library reads version {CHECKPOINT_FORMAT_VERSION}",
-            reason="version")
+    record = decode_record(blob, path, magic=_MAGIC,
+                           version=CHECKPOINT_FORMAT_VERSION,
+                           what="checkpoint")
     if expect_kind is not None and record["kind"] != expect_kind:
         raise CheckpointError(
             f"checkpoint {path} holds a {record['kind']} engine, "
@@ -247,8 +224,8 @@ def run_fingerprint(profile: Profile, total_steps: int,
 
     Covers the profile (type and segments), the horizon, the recording
     cadence and the numerics mode; callers add what else pins their
-    run (``n_monitors`` for :func:`run_durable`, the fleet spec and
-    chunk size for campaigns) as ``extra`` keys.
+    run (``n_monitors`` for :func:`run_durable`, the fleet spec for
+    campaigns) as ``extra`` keys.
     """
     return canonical_key({
         "profile_type": type(profile).__name__,
@@ -284,10 +261,11 @@ class WindowedRun:
       safe.
 
     A run may chain several engines over consecutive legs — a
-    campaign runs its execution groups one after the other inside one
-    horizon — by assigning :attr:`engine` and :attr:`profile` before a
-    leg's first window.  The engine may also be attached late (a
-    service cohort builds it when the cohort seals).
+    campaign runs one :class:`MixedEngine` per scenario, one after the
+    other inside one horizon — by assigning :attr:`engine` and
+    :attr:`profile` before a leg's first window.  The engine may also
+    be attached late (a service cohort builds it when the cohort
+    seals).
 
     Attributes
     ----------

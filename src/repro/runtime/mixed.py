@@ -134,8 +134,9 @@ class MixedEngine:
     This is the one engine every fleet caller builds —
     :class:`~repro.runtime.Session` (which keeps one, rewound, for all
     its runs, durable ones included), :func:`repro.runtime.run_durable`
-    callers and the streaming fleet service — whether the fleet is
-    homogeneous, mixed or run in parallel.
+    callers, the streaming fleet service and
+    :func:`repro.station.campaign.run_campaign` (one per scenario leg)
+    — whether the fleet is homogeneous, mixed or run in parallel.
     The surface mirrors ``BatchEngine`` (:meth:`run`, :meth:`advance`,
     :meth:`drop`, :meth:`rewind`, :attr:`offset`), and :meth:`run` is
     exactly one :meth:`advance` over the whole profile.
@@ -230,15 +231,6 @@ class MixedEngine:
         """``(group_key, caller_positions)`` per config group, in
         first-occurrence order — the partition provenance."""
         return [(g.key, tuple(g.positions)) for g in self._groups]
-
-    @property
-    def group_keys(self) -> list[str]:
-        """Each caller row's config-group key, in caller order."""
-        keys = [""] * self._n
-        for g in self._groups:
-            for pos in g.positions:
-                keys[pos] = g.key
-        return keys
 
     @property
     def offset(self) -> int:

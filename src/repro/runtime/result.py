@@ -56,6 +56,38 @@ class RunResult:
                 raise ConfigurationError(
                     f"trace {name!r} must be (N, {m}), got {arr.shape}")
 
+    @classmethod
+    def empty(cls, n: int) -> "RunResult":
+        """A zero-tick result for an ``n``-monitor fleet.
+
+        What a window shorter than the decimation stride records, and
+        what a client detached before its first window resolves to:
+        well shaped, so it joins any :meth:`concat`.
+        """
+        empty = np.empty((n, 0))
+        return cls(
+            time_s=np.empty(0),
+            true_speed_mps=empty,
+            reference_mps=empty.copy(),
+            measured_mps=empty.copy(),
+            direction=np.empty((n, 0), dtype=np.int64),
+            pressure_pa=empty.copy(),
+            temperature_k=empty.copy(),
+            bubble_coverage=empty.copy(),
+        )
+
+    def take(self, rows) -> "RunResult":
+        """Copies of the monitor rows ``rows`` (a slice or index list).
+
+        The time base is copied too, so the selection shares no memory
+        with this result.
+        """
+        return RunResult(
+            time_s=self.time_s.copy(),
+            **{name: getattr(self, name)[rows].copy()
+               for name in self.STACKED_FIELDS},
+        )
+
     def __len__(self) -> int:
         return int(self.time_s.shape[0])
 

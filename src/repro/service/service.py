@@ -53,8 +53,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import AsyncIterator
 
-import numpy as np
-
 from repro.errors import ConfigurationError, ReproError, ServiceError
 from repro.observability import get_event_log, get_registry, get_tracer
 from repro.runtime.checkpoint import WindowedRun
@@ -69,30 +67,6 @@ from repro.station.profiles import Profile
 
 __all__ = ["FleetService", "ClientSession", "RecoveredCohort",
            "recover_cohorts"]
-
-
-def _empty_result(n: int) -> RunResult:
-    """A zero-tick result for an ``n``-monitor fleet (detach before data)."""
-    empty = np.empty((n, 0))
-    return RunResult(
-        time_s=np.empty(0),
-        true_speed_mps=empty,
-        reference_mps=empty.copy(),
-        measured_mps=empty.copy(),
-        direction=np.empty((n, 0), dtype=np.int64),
-        pressure_pa=empty.copy(),
-        temperature_k=empty.copy(),
-        bubble_coverage=empty.copy(),
-    )
-
-
-def _slice_rows(window: RunResult, lo: int, hi: int) -> RunResult:
-    """A client's rows ``[lo, hi)`` of a cohort window (copies)."""
-    return RunResult(
-        time_s=window.time_s.copy(),
-        **{name: getattr(window, name)[lo:hi].copy()
-           for name in RunResult.STACKED_FIELDS},
-    )
 
 
 class _Member:
@@ -681,7 +655,7 @@ class FleetService:
     def _stitch(self, member: _Member) -> RunResult:
         """Concatenate a member's streamed windows into one result."""
         if not member.windows:
-            return _empty_result(member.n)
+            return RunResult.empty(member.n)
         return RunResult.concat(member.windows, axis="time")
 
     def _finalize(self, member: _Member,
@@ -769,7 +743,7 @@ class FleetService:
             self._score_window(group, window)
         lo = 0
         for member in group.members:
-            rows = _slice_rows(window, lo, lo + member.n)
+            rows = window.take(slice(lo, lo + member.n))
             lo += member.n
             member.windows.append(rows)
             member.stream.push(Snapshot(
@@ -933,12 +907,12 @@ class RecoveredCohort:
             window = run.advance(run.remaining)
             lo = 0
             for m, acc in zip(self._members, windows):
-                acc.append(_slice_rows(window, lo, lo + m["n"]))
+                acc.append(window.take(slice(lo, lo + m["n"])))
                 lo += m["n"]
         run.close()
         results = {
             m["client_id"]: (RunResult.concat(acc, axis="time") if acc
-                             else _empty_result(m["n"]))
+                             else RunResult.empty(m["n"]))
             for m, acc in zip(self._members, windows)
         }
         run.finish()

@@ -19,14 +19,16 @@ on the line?*  This module provides the scenario layer:
   occurrence inside a given horizon.
 - **The campaign driver** (:func:`run_campaign`): takes a
   :class:`~repro.runtime.FleetSpec` whose entries carry scenario tags,
-  materializes the fleet, groups rigs by (config group, scenario), and
-  advances each group window-by-window through
-  :meth:`BatchEngine.advance <repro.runtime.batch.BatchEngine.advance>`
-  with the event schedule applied at *absolute step offsets* — so a
-  rig's trace is bit-identical whether or not unrelated scenarios run
+  materializes the fleet, splits it into one *leg* per scenario, and
+  advances each leg window-by-window on one
+  :class:`~repro.runtime.mixed.MixedEngine` (which runs each config
+  group of the leg on its own batch engine) with the event schedule
+  applied at *absolute step offsets* — so a rig's trace is
+  bit-identical whether or not unrelated scenarios or configs run
   alongside it.  Per-window ``run.*`` summary deltas (vs the
-  scenario's pre-event window) and day-scale rollups land in the
-  returned :class:`CampaignReport`.
+  scenario's pre-event window) for every (config group, scenario)
+  pair and day-scale rollups land in the returned
+  :class:`CampaignReport`.
 
 Runtime imports stay inside functions (the station package must not
 import :mod:`repro.runtime` at module load; see
@@ -34,16 +36,16 @@ import :mod:`repro.runtime` at module load; see
 idiom).
 
 Campaigns are durable: pass ``checkpoint_dir=`` and
-:func:`run_campaign` snapshots the live group engine plus all completed
+:func:`run_campaign` snapshots the live leg engine plus all completed
 bookkeeping after every window (the event-edge cuts it already advances
 between), through the windowed-run driver
 :class:`repro.runtime.checkpoint.WindowedRun` — the whole campaign is
-one run whose legs are the execution groups.  A killed campaign
-restarted with ``resume=True`` skips the completed groups and windows
-and produces a :class:`CampaignReport` bit-identical to an
-uninterrupted run — groups execute in a deterministic order and
-untouched groups re-materialize from their seeds, so only the
-in-flight engine needs to ride the checkpoint.  The driver's
+one run over its scenario legs.  A killed campaign restarted with
+``resume=True`` skips the completed legs and windows and produces a
+:class:`CampaignReport` bit-identical to an uninterrupted run — legs
+execute in a deterministic order and untouched legs re-materialize
+from their seeds, so only the in-flight engine needs to ride the
+checkpoint.  The driver's
 ``REPRO_FAULT=kill:<k>`` site (:mod:`repro.runtime.faults`) SIGKILLs
 the process right after the k-th checkpoint write, for tests and CI.
 """
@@ -324,7 +326,8 @@ class CampaignReport:
         order (row ``i`` is fleet position ``i``), with per-row
         ``(config_key:scenario, row_in_group)`` provenance.
     groups:
-        One dict per (config group, scenario) execution group:
+        One dict per (config group, scenario) pair, in the order the
+        pairs first appear in the fleet:
         ``scenario``, ``config_key``, ``positions``, ``events`` and the
         per-window ``windows`` list — each window carrying its time
         span, the active event kinds, its ``run.*`` summary means and
@@ -376,13 +379,15 @@ def run_campaign(fleet, *, duration_s: float | None = None,
     Each :class:`~repro.runtime.RigSpec` entry's ``scenario`` tag (a
     builtin name, a :class:`ScenarioSpec`, or None for baseline) picks
     that entry's event schedule.  The fleet is materialized with the
-    spec's seed plumbing, partitioned into (config group, scenario)
-    execution groups, and every group advances window-by-window on a
-    :class:`~repro.runtime.batch.BatchEngine`, splitting exactly at the
-    event boundaries (absolute step offsets) — so each window's
-    ``run.*`` summary isolates one event configuration, and a rig's
-    trace is bit-identical to running its group alone over the same
-    horizon.
+    spec's seed plumbing and split into one leg per scenario schedule;
+    each leg advances window-by-window on one
+    :class:`~repro.runtime.mixed.MixedEngine` over its rigs (in
+    position order), splitting exactly at the event boundaries
+    (absolute step offsets) — so each window's ``run.*`` summary
+    isolates one event configuration, and a rig's trace is
+    bit-identical to running its (config group, scenario) pair alone
+    over the same horizon.  Each pair's window means pool that config
+    group's rows of the leg window.
 
     Parameters
     ----------
@@ -409,7 +414,7 @@ def run_campaign(fleet, *, duration_s: float | None = None,
         window; the artifact is deleted on success.
     resume:
         Continue from the checkpoint a previous (killed) campaign left
-        under ``checkpoint_dir``.  Completed groups and windows are
+        under ``checkpoint_dir``.  Completed legs and windows are
         skipped; the final report is bit-identical to an uninterrupted
         run.
 
@@ -420,15 +425,16 @@ def run_campaign(fleet, *, duration_s: float | None = None,
         names, or anything the engines refuse.
     CheckpointError
         When resuming: ``reason="missing"`` without a checkpoint,
-        ``reason="mismatch"`` if the checkpoint belongs to a different
-        campaign configuration.
+        ``reason="kind"`` if it holds no mixed engine (a campaign
+        checkpoint from before legs ran on one holds a batch engine),
+        ``reason="mismatch"`` if it belongs to a different campaign
+        configuration.
     """
     # Lazy runtime imports: station must not pull repro.runtime at
     # module-import time (cycle; see module docstring).
-    from repro.runtime import BatchEngine, FleetSpec, RunResult
+    from repro.runtime import FleetSpec, MixedEngine, RunResult
     from repro.runtime.checkpoint import WindowedRun, run_fingerprint
     from repro.runtime.kernels import resolve_numerics
-    from repro.runtime.mixed import fleet_groups
 
     if not isinstance(fleet, FleetSpec):
         raise ConfigurationError(
@@ -464,53 +470,44 @@ def run_campaign(fleet, *, duration_s: float | None = None,
 
     seeds = fleet.monitor_seeds()
     rigs = fleet.materialize(seeds)
-    scenarios = [resolve_scenario(tag, horizon_s)
-                 for tag in fleet.scenarios()]
 
-    # Execution groups: same config group (fleet_groups, the one rule
-    # for which rigs share an engine) AND same scenario schedule.
-    config_key = {pos: key for key, positions in fleet_groups(rigs).items()
-                  for pos in positions}
-    exec_groups: dict[tuple, dict] = {}
-    for pos, (rig, scenario) in enumerate(zip(rigs, scenarios)):
-        key = (config_key[pos], scenario.name, tuple(scenario.events))
-        group = exec_groups.setdefault(
-            key, {"config_key": key[0], "scenario": scenario,
-                  "positions": [], "rigs": []})
-        group["positions"].append(pos)
-        group["rigs"].append(rig)
+    # Legs: one per scenario schedule, holding its rigs in position
+    # order.  Each leg runs on one MixedEngine, which splits it into
+    # config groups.
+    legs: dict[tuple, dict] = {}
+    for pos, tag in enumerate(fleet.scenarios()):
+        scenario = resolve_scenario(tag, horizon_s)
+        leg = legs.setdefault((scenario.name, scenario.events),
+                              {"scenario": scenario, "positions": []})
+        leg["positions"].append(pos)
 
-    # The whole campaign is one windowed run whose legs are the
-    # execution groups, each over the full horizon.  Completed groups
-    # travel inside the checkpoint state; groups the crash never
-    # reached re-materialize deterministically from their seeds, so
-    # only the in-flight engine rides the artifact.
+    # The whole campaign is one windowed run over its legs, each over
+    # the full horizon.  Completed legs travel inside the checkpoint
+    # state; legs the crash never reached re-materialize
+    # deterministically from their seeds, so only the in-flight engine
+    # rides the artifact.
     checkpoint_path = (Path(checkpoint_dir) / "campaign.ckpt"
                        if checkpoint_dir is not None else None)
-    # The fingerprint keeps the engine's noise block length (1024) from
-    # when it was a campaign knob, so 4.x checkpoints still resume.
     fingerprint = run_fingerprint(
         base_profile, total_steps, record_every_n, resolve_numerics(numerics),
-        fleet=fleet.to_dict(), chunk_size=1024)
+        fleet=fleet.to_dict())
     if resume:
         run, state = WindowedRun.restore(checkpoint_path, fingerprint,
-                                         expect_kind="batch")
+                                         expect_kind="mixed")
         completed, current = list(state["completed"]), state["current"]
     else:
-        run = WindowedRun(None, base_profile,
-                          len(exec_groups) * total_steps,
+        run = WindowedRun(None, base_profile, len(legs) * total_steps,
                           record_every_n=record_every_n,
                           checkpoint_path=checkpoint_path,
                           fingerprint=fingerprint)
         completed, current = [], None
 
     with get_tracer().span("station.campaign", n_monitors=len(rigs),
-                           n_groups=len(exec_groups),
-                           duration_s=horizon_s):
-        for gi, group in enumerate(exec_groups.values()):
-            if gi < len(completed):
+                           n_legs=len(legs), duration_s=horizon_s):
+        for li, leg in enumerate(legs.values()):
+            if li < len(completed):
                 continue
-            scenario = group["scenario"]
+            scenario = leg["scenario"]
             run.profile = ScenarioProfile(base_profile, scenario.events)
             # Window boundaries at the event edges, as absolute steps
             # (the same rounding used to label window activity below —
@@ -527,14 +524,16 @@ def run_campaign(fleet, *, duration_s: float | None = None,
                         cuts.add(step)
             bounds = sorted(cuts)
             if current is not None:
-                # The restored engine is the in-flight group's.
+                # The restored engine is the in-flight leg's.
                 windows = list(current["windows"])
                 window_rows = list(current["window_rows"])
                 first_window = current["next_window"]
                 current = None
             else:
-                run.engine = BatchEngine(group["rigs"], numerics=numerics)
-                windows = []
+                run.engine = MixedEngine([rigs[pos]
+                                          for pos in leg["positions"]],
+                                         numerics=numerics)
+                windows = [[] for _ in run.engine.groups]
                 window_rows = []
                 first_window = 0
             last_window = len(bounds) - 2
@@ -544,40 +543,51 @@ def run_campaign(fleet, *, duration_s: float | None = None,
                 active = sorted({kind for kind, start, end in edges
                                  if start < hi and end > lo})
                 window_rows.append(rows)
-                windows.append({
-                    "start_s": lo * dt, "end_s": hi * dt,
-                    "active": active,
-                    "means": _window_means(rows),
-                })
+                # Each config group's means come from its own rows.
+                for (_, local), group_windows in zip(run.engine.groups,
+                                                     windows):
+                    group_windows.append({
+                        "start_s": lo * dt, "end_s": hi * dt,
+                        "active": active,
+                        "means": _window_means(rows.take(list(local))),
+                    })
                 if wi < last_window:
                     progress = {"windows": windows,
                                 "window_rows": window_rows,
                                 "next_window": wi + 1}
                 else:
-                    completed.append(
-                        _finish_group(group, windows, window_rows))
+                    completed.append(_finish_leg(
+                        leg, run.engine.groups, windows, window_rows))
                     progress = None
                 run.checkpoint({"completed": completed,
                                 "current": progress})
         blocks = [entry["block"] for entry in completed]
-        group_reports = [entry["report"] for entry in completed]
-        indices = [group["positions"] for group in exec_groups.values()]
-        if len(blocks) == 1 and indices[0] == list(range(len(rigs))):
+        if len(blocks) == 1:
             result = blocks[0]
         else:
-            result = RunResult.concat(blocks, axis="fleet",
-                                      indices=indices)
-        result._provenance = [
-            (_exec_label(group_reports, pos),
-             _rank_in_group(group_reports, pos))
-            for pos in range(len(rigs))]
+            result = RunResult.concat(
+                blocks, axis="fleet",
+                indices=[leg["positions"] for leg in legs.values()])
+        # In the order (config group, scenario) pairs first appear in
+        # the fleet.
+        group_reports = sorted(
+            (report for entry in completed for report in entry["reports"]),
+            key=lambda report: report["positions"][0])
+        # Per fleet row: its (config group, scenario) pair and its rank
+        # among that pair's rows.
+        provenance = [()] * len(rigs)
+        for report in group_reports:
+            label = f"{report['config_key']}:{report['scenario']}"
+            for rank, pos in enumerate(report["positions"]):
+                provenance[pos] = (label, rank)
+        result._provenance = provenance
 
     registry = get_registry()
     if registry.enabled:
         registry.counter("station.campaign.runs").inc()
-        registry.gauge("station.campaign.groups").set(len(exec_groups))
+        registry.gauge("station.campaign.groups").set(len(group_reports))
     get_event_log().emit("station.campaign", n_monitors=len(rigs),
-                         n_groups=len(exec_groups), duration_s=horizon_s)
+                         n_groups=len(group_reports), duration_s=horizon_s)
 
     run.finish()
     day_reports = _day_rollups(result, horizon_s, days)
@@ -586,43 +596,30 @@ def run_campaign(fleet, *, duration_s: float | None = None,
                           record_every_n=record_every_n)
 
 
-def _finish_group(group: dict, windows: list[dict],
-                  window_rows: list) -> dict:
-    """A finished group's report (with per-window deltas vs its first,
-    pre-event window) and its merged trace block."""
+def _finish_leg(leg: dict, groups: list, windows: list[list[dict]],
+                window_rows: list) -> dict:
+    """A finished leg's per-config-group reports (with per-window deltas
+    vs each group's first, pre-event window) and its merged trace
+    block."""
     from repro.runtime import RunResult  # lazy: see module docstring
-    baseline_means = windows[0]["means"]
-    for window in windows:
-        window["deltas"] = {
-            name: window["means"][name] - baseline_means[name]
-            for name in window["means"]}
-    merged = RunResult.concat(window_rows, axis="time") \
+    scenario = leg["scenario"]
+    reports = []
+    for (key, local), group_windows in zip(groups, windows):
+        baseline_means = group_windows[0]["means"]
+        for window in group_windows:
+            window["deltas"] = {
+                name: window["means"][name] - baseline_means[name]
+                for name in window["means"]}
+        reports.append({
+            "scenario": scenario.name,
+            "config_key": key,
+            "positions": [leg["positions"][row] for row in local],
+            "events": [event.to_dict() for event in scenario.events],
+            "windows": group_windows,
+        })
+    block = RunResult.concat(window_rows, axis="time") \
         if len(window_rows) > 1 else window_rows[0]
-    scenario = group["scenario"]
-    report = {
-        "scenario": scenario.name,
-        "config_key": group["config_key"],
-        "positions": list(group["positions"]),
-        "events": [event.to_dict() for event in scenario.events],
-        "windows": windows,
-    }
-    return {"report": report, "block": merged}
-
-
-def _exec_label(group_reports: list[dict], pos: int) -> str:
-    """``config_key:scenario`` label of the group owning fleet row ``pos``."""
-    for group in group_reports:
-        if pos in group["positions"]:
-            return f"{group['config_key']}:{group['scenario']}"
-    raise ConfigurationError(f"fleet position {pos} is in no group")
-
-
-def _rank_in_group(group_reports: list[dict], pos: int) -> int:
-    """Row index of fleet position ``pos`` inside its execution group."""
-    for group in group_reports:
-        if pos in group["positions"]:
-            return group["positions"].index(pos)
-    raise ConfigurationError(f"fleet position {pos} is in no group")
+    return {"reports": reports, "block": block}
 
 
 def _day_rollups(result, horizon_s: float, days: int) -> list[dict]:

@@ -52,8 +52,9 @@ from pathlib import Path
 from repro.errors import CheckpointError
 from repro.observability import get_registry
 
-__all__ = ["ArtifactStore", "canonical_key", "get_default_store",
-           "set_default_store", "STORE_ENV", "STORE_FORMAT_VERSION"]
+__all__ = ["ArtifactStore", "atomic_write", "canonical_key", "decode_record",
+           "get_default_store", "set_default_store", "STORE_ENV",
+           "STORE_FORMAT_VERSION"]
 
 #: On-disk artifact format version; bumped on incompatible layout changes.
 STORE_FORMAT_VERSION = 1
@@ -80,6 +81,54 @@ def canonical_key(payload) -> str:
     blob = json.dumps(payload, sort_keys=True, default=repr,
                       separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def atomic_write(path: Path, blob: bytes) -> None:
+    """Publish ``blob`` at ``path`` via write-then-rename (atomic).
+
+    The bytes go to a private temporary file in the destination
+    directory (created if needed), which ``os.replace`` renames into
+    place; a reader sees the old file or the new one, never a torn one.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f".tmp-{os.getpid()}-{id(blob):x}-{path.name}"
+    try:
+        tmp.write_bytes(blob)
+        os.replace(tmp, path)
+    finally:
+        # The replace consumed the temp file on success; only a failed
+        # write leaves one behind.
+        tmp.unlink(missing_ok=True)
+
+
+def decode_record(blob: bytes, path: Path, *, magic: str, version: int,
+                  what: str) -> dict:
+    """Unpickle one artifact and check its header's magic and version.
+
+    ``what`` names the artifact kind in the error messages
+    (``"checkpoint"``, ``"store artifact"``).
+
+    Raises
+    ------
+    CheckpointError
+        ``reason="corrupt"`` if the bytes do not unpickle to a record
+        carrying ``magic``; ``reason="version"`` if the record was
+        written under another format ``version``.
+    """
+    try:
+        record = pickle.loads(blob)
+    except Exception as exc:
+        raise CheckpointError(
+            f"{what} {path} failed to deserialize: {exc}",
+            reason="corrupt") from exc
+    if not isinstance(record, dict) or record.get("magic") != magic:
+        raise CheckpointError(
+            f"{path} is not a repro {what}", reason="corrupt")
+    if record["version"] != version:
+        raise CheckpointError(
+            f"{what} {path} has format version {record['version']}; "
+            f"this library reads version {version}", reason="version")
+    return record
 
 
 class ArtifactStore:
@@ -126,12 +175,9 @@ class ArtifactStore:
             if registry.enabled:
                 registry.counter("store.misses").inc()
             return None
-        record = self._decode(blob, path)
-        if record["version"] != STORE_FORMAT_VERSION:
-            raise CheckpointError(
-                f"store artifact {path} has format version "
-                f"{record['version']}; this library reads version "
-                f"{STORE_FORMAT_VERSION}", reason="version")
+        record = decode_record(blob, path, magic=_MAGIC,
+                               version=STORE_FORMAT_VERSION,
+                               what="store artifact")
         if record["kind"] != kind or record["key"] != key:
             raise CheckpointError(
                 f"store artifact {path} is keyed ({record['kind']}, "
@@ -158,7 +204,6 @@ class ArtifactStore:
         """
         t0 = time.perf_counter()
         path = self._path(kind, key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         record = {
             "magic": _MAGIC,
             "version": STORE_FORMAT_VERSION,
@@ -166,15 +211,8 @@ class ArtifactStore:
             "key": key,
             "artifact": artifact,
         }
-        blob = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp = path.parent / f".tmp-{os.getpid()}-{id(record):x}-{path.name}"
-        try:
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
-        finally:
-            # The replace consumed the temp file on success; only a
-            # failed write leaves one behind.
-            tmp.unlink(missing_ok=True)
+        atomic_write(path, pickle.dumps(record,
+                                        protocol=pickle.HIGHEST_PROTOCOL))
         self._writes += 1
         registry = get_registry()
         if registry.enabled:
@@ -251,21 +289,6 @@ class ArtifactStore:
     def _path(self, kind: str, key: str) -> Path:
         """The published path of ``(kind, key)``."""
         return self.root / kind / f"{key}.pkl"
-
-    @staticmethod
-    def _decode(blob: bytes, path: Path) -> dict:
-        """Unpickle and header-check one artifact file."""
-        try:
-            record = pickle.loads(blob)
-        except Exception as exc:
-            raise CheckpointError(
-                f"store artifact {path} failed to deserialize: {exc}",
-                reason="corrupt") from exc
-        if not isinstance(record, dict) or record.get("magic") != _MAGIC:
-            raise CheckpointError(
-                f"{path} is not a repro store artifact", reason="corrupt")
-        return record
-
 
 #: The process-wide default store (None until configured).
 _DEFAULT_STORE: ArtifactStore | None = None

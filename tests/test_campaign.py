@@ -147,8 +147,8 @@ def test_campaign_windows_are_bit_exact_vs_uninterrupted_run():
 
 
 def test_campaign_groups_by_the_rig_signature(monkeypatch):
-    """Execution groups are fleet_groups crossed with the scenario: one
-    key is hashed per config group, not one per rig."""
+    """Each scenario leg's MixedEngine splits it with fleet_groups: one
+    key is hashed per config group of each leg, not one per rig."""
     import repro.runtime.mixed as mixed
 
     calls = []
@@ -166,11 +166,128 @@ def test_campaign_groups_by_the_rig_signature(monkeypatch):
               RigSpec(**hot), RigSpec(scenario="tank_leak", **hot)),
         seed=77)
     report = run_campaign(spec, duration_s=2.0)
-    assert len(calls) == 2
+    # Two legs (baseline, tank_leak) of two config groups each; hashing
+    # per rig would make five calls.
+    assert len(calls) == 4
     assert [(g["config_key"] == report.groups[0]["config_key"],
              g["scenario"], g["positions"]) for g in report.groups] == [
         (True, "baseline", [0, 1]), (True, "tank_leak", [2]),
         (False, "baseline", [3]), (False, "tank_leak", [4])]
+
+
+def _interleaved_spec():
+    """Two build configs crossed with three scenarios, interleaved so
+    every scenario leg holds both configs and no pair is contiguous."""
+    hot = dict(overtemperature_k=8.0, **_FAST)
+    return FleetSpec(
+        rigs=(RigSpec(**_FAST), RigSpec(scenario="tank_leak", **hot),
+              RigSpec(scenario="mains_burst", **_FAST), RigSpec(**hot),
+              RigSpec(scenario="tank_leak", count=2, **_FAST),
+              RigSpec(scenario="mains_burst", **hot),
+              RigSpec(count=2, **_FAST)),
+        seed=11)
+
+
+def _per_pair_reference(spec, duration_s, every):
+    """The campaign rebuilt pair by pair: each (config group, scenario)
+    pair alone on its own BatchEngine, cut at its scenario's event
+    edges.  Returns the merged result, the per-pair reports in
+    first-appearance order and the per-row provenance."""
+    from repro.runtime import BatchEngine
+    from repro.runtime.mixed import fleet_groups
+
+    base = household_demand(duration_s)
+    horizon = float(base.duration_s)
+    dt = spec.dt_s
+    total = int(round(horizon / dt))
+    rigs = spec.materialize()
+    config = {pos: key for key, positions in fleet_groups(rigs).items()
+              for pos in positions}
+    pairs = {}
+    for pos, tag in enumerate(spec.scenarios()):
+        scenario = resolve_scenario(tag, horizon)
+        pairs.setdefault((config[pos], scenario.name),
+                         (scenario, []))[1].append(pos)
+    blocks, reports, provenance = [], [], [None] * len(rigs)
+    for (key, name), (scenario, positions) in pairs.items():
+        engine = BatchEngine([rigs[pos] for pos in positions])
+        profile = ScenarioProfile(base, scenario.events)
+        edges = [(e.kind, int(round(e.at_s / dt)),
+                  int(round((e.at_s + e.duration_s) / dt)))
+                 for e in scenario.events]
+        bounds = sorted({0, total} | {step for _, a, b in edges
+                                      for step in (a, b) if 0 < step < total})
+        windows, rows = [], []
+        for lo, hi in zip(bounds, bounds[1:]):
+            window = engine.advance(profile, hi - lo, record_every_n=every)
+            rows.append(window)
+            windows.append({
+                "start_s": lo * dt, "end_s": hi * dt,
+                "active": sorted({kind for kind, a, b in edges
+                                  if a < hi and b > lo}),
+                "means": {k: v["mean"] for k, v in window.summary().items()
+                          if k != "run.time_s"}})
+        for window in windows:
+            window["deltas"] = {k: window["means"][k] - windows[0]["means"][k]
+                                for k in window["means"]}
+        reports.append({"scenario": name, "config_key": key,
+                        "positions": positions,
+                        "events": [e.to_dict() for e in scenario.events],
+                        "windows": windows})
+        blocks.append(RunResult.concat(rows, axis="time"))
+        for rank, pos in enumerate(positions):
+            provenance[pos] = (f"{key}:{name}", rank)
+    result = RunResult.concat(blocks, axis="fleet",
+                              indices=[p for _, p in pairs.values()])
+    return result, reports, provenance
+
+
+def _assert_same_campaign(got, want):
+    for name in ("time_s",) + RunResult.STACKED_FIELDS:
+        assert np.array_equal(getattr(got.result, name),
+                              getattr(want.result, name)), name
+    assert json.dumps(got.summary()) == json.dumps(want.summary())
+    assert got.result.provenance() == want.result.provenance()
+
+
+def test_interleaved_campaign_matches_per_pair_engines(tmp_path,
+                                                        monkeypatch):
+    """Scenario legs on one MixedEngine each give what every (config
+    group, scenario) pair gives alone on its own BatchEngine — arrays,
+    report (group order, positions, window means) and provenance ranks
+    — and a resume from the checkpoint of every window cut gives the
+    uninterrupted campaign."""
+    from repro.station.campaign import CampaignReport, _day_rollups
+
+    spec = _interleaved_spec()
+    report = run_campaign(spec, duration_s=0.5)
+    result, reports, provenance = _per_pair_reference(
+        spec, 0.5, report.record_every_n)
+    assert [(r["scenario"], r["positions"]) for r in reports] == [
+        ("baseline", [0, 7, 8]), ("tank_leak", [1]),
+        ("mains_burst", [2]), ("baseline", [3]), ("tank_leak", [4, 5]),
+        ("mains_burst", [6])]
+    result._provenance = provenance
+    _assert_same_campaign(report, CampaignReport(
+        result=result, groups=reports,
+        days=_day_rollups(result, report.duration_s, 1),
+        duration_s=report.duration_s, record_every_n=report.record_every_n))
+
+    # Keep the checkpoint written at every window cut: 1 + 3 + 3
+    # windows over the three legs, all but the last one checkpointed.
+    path = tmp_path / "campaign.ckpt"
+    cuts = []
+    monkeypatch.setattr("repro.runtime.checkpoint.checkpoint_site",
+                        lambda: cuts.append(path.read_bytes()))
+    _assert_same_campaign(
+        run_campaign(spec, duration_s=0.5, checkpoint_dir=tmp_path), report)
+    assert len(cuts) == 6 and not path.exists()
+    for blob in cuts:
+        path.write_bytes(blob)
+        _assert_same_campaign(
+            run_campaign(spec, duration_s=0.5, checkpoint_dir=tmp_path,
+                         resume=True), report)
+        assert not path.exists()
 
 
 def test_campaign_refusals():

@@ -277,18 +277,35 @@ def test_windowed_run_refuses_foreign_fingerprint(tmp_path):
     assert restored.done == restored.engine.offset == 100
 
 
-def test_campaign_resume_refuses_foreign_checkpoint(tmp_path):
-    path = tmp_path / "campaign.ckpt"
-    run = WindowedRun(BatchEngine(_rigs(1)), _PROFILE, _TOTAL,
-                      record_every_n=_EVERY, checkpoint_path=path,
-                      fingerprint="not-this-campaign")
+def _campaign_checkpoint(path, engine, fingerprint):
+    """A campaign-shaped checkpoint of ``engine`` 100 steps in."""
+    run = WindowedRun(engine, _PROFILE, _TOTAL, record_every_n=_EVERY,
+                      checkpoint_path=path, fingerprint=fingerprint)
     run.advance(100)
     run.checkpoint({"completed": [], "current": None})
+
+
+def test_campaign_resume_refuses_foreign_checkpoint(tmp_path):
+    _campaign_checkpoint(tmp_path / "campaign.ckpt", MixedEngine(_rigs(1)),
+                         "not-this-campaign")
     fleet = FleetSpec.homogeneous(1, seed=3, fast_calibration=True)
     with pytest.raises(CheckpointError) as exc:
         run_campaign(fleet, duration_s=0.5, checkpoint_dir=tmp_path,
                      resume=True)
     assert exc.value.reason == "mismatch"
+
+
+def test_campaign_resume_refuses_batch_engine_checkpoint(tmp_path):
+    """A campaign checkpoint holding a BatchEngine (the layout from
+    before each scenario leg ran on one MixedEngine) is refused by kind,
+    before its fingerprint is read."""
+    _campaign_checkpoint(tmp_path / "campaign.ckpt", BatchEngine(_rigs(1)),
+                         "any-campaign")
+    fleet = FleetSpec.homogeneous(1, seed=3, fast_calibration=True)
+    with pytest.raises(CheckpointError) as exc:
+        run_campaign(fleet, duration_s=0.5, checkpoint_dir=tmp_path,
+                     resume=True)
+    assert exc.value.reason == "kind"
 
 
 def test_previous_format_version_refused(tmp_path):

@@ -30,14 +30,6 @@ def _random_result(rng, n, m, t0=0.0):
            for name in RunResult.STACKED_FIELDS})
 
 
-def _rows(result, positions):
-    """The sub-result holding ``positions`` of ``result``, in order."""
-    return RunResult(
-        time_s=np.asarray(result.time_s).copy(),
-        **{name: np.asarray(getattr(result, name))[list(positions)].copy()
-           for name in RunResult.STACKED_FIELDS})
-
-
 @st.composite
 def _partition_case(draw):
     """A fleet size, a random partition of its rows, and a time length."""
@@ -59,7 +51,7 @@ def test_partition_then_interleave_is_identity(case):
     n, groups, m, seed = case
     rng = np.random.default_rng(seed)
     whole = _random_result(rng, n, m)
-    blocks = [_rows(whole, g) for g in groups]
+    blocks = [whole.take(g) for g in groups]
     merged = RunResult.concat(blocks, axis="fleet", indices=groups)
     assert merged.n_monitors == n
     for name in ("time_s",) + RunResult.STACKED_FIELDS:
@@ -81,12 +73,37 @@ def test_time_then_fleet_concat_commute(case, windows):
             for w in range(windows)]
     whole = RunResult.concat(wins, axis="time") if windows > 1 else wins[0]
     time_first = RunResult.concat(
-        [RunResult.concat([_rows(w, g) for w in wins], axis="time")
-         if windows > 1 else _rows(wins[0], g) for g in groups],
+        [RunResult.concat([w.take(g) for w in wins], axis="time")
+         if windows > 1 else wins[0].take(g) for g in groups],
         axis="fleet", indices=groups)
     for name in ("time_s",) + RunResult.STACKED_FIELDS:
         assert np.asarray(getattr(time_first, name)).tobytes() == \
             np.asarray(getattr(whole, name)).tobytes(), name
+
+
+@SETTINGS
+@given(_partition_case())
+def test_take_copies_rows_and_empty_joins_anywhere(case):
+    """``take`` hands back copies of the chosen rows in the given order
+    (a slice or an index list alike), and a zero-tick ``empty`` window
+    joins a run on either side without changing it."""
+    n, groups, m, seed = case
+    whole = _random_result(np.random.default_rng(seed), n, m)
+    for rows in groups + [slice(0, n), slice(n // 2, n)]:
+        part = whole.take(rows)
+        for name in ("time_s",) + RunResult.STACKED_FIELDS:
+            got, src = getattr(part, name), getattr(whole, name)
+            want = src if name == "time_s" else src[rows]
+            assert got.tobytes() == want.tobytes() and \
+                got.dtype == want.dtype, name
+            assert not np.shares_memory(got, src), name
+    empty = RunResult.empty(n)
+    assert len(empty) == 0 and empty.n_monitors == n
+    assert empty.direction.dtype == np.int64
+    joined = RunResult.concat([empty, whole, empty], axis="time")
+    for name in ("time_s",) + RunResult.STACKED_FIELDS:
+        assert getattr(joined, name).tobytes() == \
+            getattr(whole, name).tobytes(), name
 
 
 @SETTINGS
