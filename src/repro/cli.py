@@ -84,9 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile-out", type=Path, default=None, metavar="PATH",
         help="enable the per-stage kernel profiler and write its JSON "
              "report here after the command (stages: kernel.plan, "
-             "kernel.ar1_block, kernel.film, kernel.chunk_loop, "
-             "kernel.estimator; merged across workers for parallel "
-             "fleet runs)")
+             "kernel.ar1_block, the per-sample loop regions kernel.dac, "
+             "kernel.guards, kernel.reference, kernel.wake, kernel.film, "
+             "kernel.fouling, kernel.bubbles, kernel.backside, "
+             "kernel.heater, kernel.membrane, kernel.bridge, kernel.afe, "
+             "kernel.anti_alias, kernel.adc, kernel.lpf and kernel.pi, "
+             "then kernel.chunk_loop and kernel.estimator; merged across "
+             "workers for parallel fleet runs)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("selftest", help="ISIF platform power-on self-test")

@@ -69,8 +69,9 @@ from repro.conditioning.drive import ContinuousDrive, PulsedDrive
 from repro.isif.sigma_delta import BehavioralAdc
 from repro.physics.convection import NATURAL_CONVECTION_FLOOR
 from repro.physics.water import boiling_temperature
-from repro.runtime.kernels import (ar1_block, exp_exact, film_conductance,
-                                   hysteresis_block, plan_chunk, pow_exact,
+from repro.runtime.kernels import (LOOP_REGIONS, ar1_block, exp_exact,
+                                   film_conductance, hysteresis_block,
+                                   plan_chunk, pow_exact, q_pi_step,
                                    relax_block, resolve_numerics)
 from repro.runtime.result import RunResult
 from repro.state import load_state, state_of
@@ -84,6 +85,16 @@ def _require(condition: bool, message: str) -> None:
     """Raise ConfigurationError with ``message`` unless ``condition``."""
     if not condition:
         raise ConfigurationError(message)
+
+
+def _pair(values) -> np.ndarray:
+    """Two contiguous copies of ``values`` stacked on the next-to-last axis.
+
+    ``(N,)`` becomes ``(2, N)`` and ``(c, N)`` becomes ``(c, 2, N)``:
+    a per-monitor value laid out like the engine's (bridge A, bridge
+    B) rows, so the loop's ufuncs meet equal shapes.
+    """
+    return np.stack((values, values), axis=-2)
 
 
 def _drop_rows(indices, n: int) -> set[int]:
@@ -360,7 +371,6 @@ class BatchEngine:
         ``rows`` walks one key path through every rig's stage state.
         """
         rigs = self._rigs
-        n = self._n
         self._offset = 0
         mon0 = rigs[0].monitor
         sen0 = mon0.sensor
@@ -411,15 +421,14 @@ class BatchEngine:
         dac0 = mon0.platform.supply_dac_a
         self._dac_lsb = dac0.lsb_v
         self._dac_max_code = dac0.max_code
-        self._lev_a = np.stack(rows(
-            states(m.platform.supply_dac_a for m in mons), "levels_v"))
-        self._lev_b = np.stack(rows(
-            states(m.platform.supply_dac_b for m in mons), "levels_v"))
-        self._iota = np.arange(n)
+        # ``_lev[h, j, code]``: DAC ``h`` (A/B) of monitor ``j``.
+        self._lev = np.array([
+            rows(states(getattr(m.platform, dac) for m in mons), "levels_v")
+            for dac in ("supply_dac_a", "supply_dac_b")])
         # On a non-energised drive tick every command is 0 V, which
         # quantizes to code 0 on every DAC — the supply pair is this
         # precomputed column, no quantization work needed.
-        self._ua_off = np.stack([self._lev_a[:, 0], self._lev_b[:, 0]])
+        self._ua_off = self._lev[:, :, 0].copy()
 
         # Sensor: thermal state, realized resistances, degradation.
         self._t_h = np.array([rows(sensor, "t_a"), rows(sensor, "t_b")])
@@ -534,8 +543,6 @@ class BatchEngine:
             self._q_scale = q.scale
             self._q_min_int = q.min_int
             self._q_max_int = q.max_int
-            self._q_half = 1 << (q.frac_bits - 1)
-            self._q_shift = q.frac_bits
             self._kp_code = pi0["kp_code"]
             self._ki_dt_code = pi0["ki_dt_code"]
             self._pi_min_code = pi0["min_code"]
@@ -603,15 +610,6 @@ class BatchEngine:
             [(rng, rng.bit_generator.state) for rng in rngs],
             (state_of(self._drive)
              if isinstance(self._drive, PulsedDrive) else None))
-
-    # -- per-step kernels ----------------------------------------------------
-
-    def _qmul(self, code: int, arr: np.ndarray) -> np.ndarray:
-        """Vector Q-format saturating multiply (round-half-up shift)."""
-        product = code * arr
-        rounded = (product + self._q_half) >> self._q_shift
-        return np.minimum(np.maximum(rounded, self._q_min_int),
-                          self._q_max_int)
 
     # -- main loop -----------------------------------------------------------
 
@@ -783,8 +781,7 @@ class BatchEngine:
             self._ua = self._ua[..., keep]
         self._aa_state = [[st[..., keep] for st in stage]
                           for stage in self._aa_state]
-        self._lev_a = self._lev_a[keep]
-        self._lev_b = self._lev_b[keep]
+        self._lev = self._lev[:, keep]
         for name in ("_line_rngs", "_bs_rngs", "_pm_rngs"):
             row = getattr(self, name)
             setattr(self, name, [row[j] for j in keep])
@@ -794,8 +791,7 @@ class BatchEngine:
 
         self._rigs = [self._rigs[j] for j in keep]
         self._n = len(keep)
-        self._iota = np.arange(self._n)
-        self._ua_off = np.stack([self._lev_a[:, 0], self._lev_b[:, 0]])
+        self._ua_off = self._lev[:, :, 0].copy()
         self._leak_zero = bool(self._leak_mask.all())
         self._min_rating = min(
             (r.monitor.sensor.housing.pressure_rating_pa
@@ -971,6 +967,11 @@ class BatchEngine:
         rh_star, bp_denom = self._rh_star, self._bp_denom
         thr_hi = self._dir_threshold + self._dir_hysteresis
         y_iir, y_dir, dir_state = self._y_iir, self._y_dir, self._dir
+        # The output and direction IIRs relax as one stacked (2, N)
+        # state, each row with its own coefficient (same elementwise
+        # ops, half the per-step dispatches).
+        alphas = np.repeat([[self._alpha_iir], [self._alpha_dir]],
+                           self._n, axis=1)
         for s0 in range(0, len(u_valid), _EST_SLICE):
             block = np.stack(u_valid[s0:s0 + _EST_SLICE])
             ua, ub = block[:, 0], block[:, 1]
@@ -982,7 +983,6 @@ class BatchEngine:
             if not self._primed:
                 y_iir = speed[0].copy()
                 self._primed = True
-            y_traj, y_iir = relax_block(y_iir, self._alpha_iir, speed)
             if self._use_direction:
                 pa = ua * ua
                 pb = ub * ub
@@ -990,13 +990,16 @@ class BatchEngine:
                 tz = total <= 0.0
                 asym = np.where(tz, 0.0,
                                 (pa - pb) / np.where(tz, 1.0, total))
-                d_traj, y_dir = relax_block(y_dir, self._alpha_dir,
-                                            asym - self._dir_offset)
+                traj, (y_iir, y_dir) = relax_block(
+                    np.stack((y_iir, y_dir)), alphas,
+                    np.stack((speed, asym - self._dir_offset), axis=1))
+                y_traj, d_traj = traj[:, 0], traj[:, 1]
                 dir_traj, dir_state = hysteresis_block(
                     dir_state, d_traj, self._dir_threshold, thr_hi)
                 out = np.where(dir_traj != 0, dir_traj.astype(float),
                                1.0) * y_traj
             else:
+                y_traj, y_iir = relax_block(y_iir, self._alpha_iir, speed)
                 dir_traj = np.broadcast_to(dir_state, y_traj.shape)
                 out = y_traj
             sel = (seen > s0) & (seen <= s0 + len(block))
@@ -1056,11 +1059,11 @@ class BatchEngine:
                 "runtime.batch.samples", "monitor-samples advanced")
             chunks_counter = registry.counter("runtime.batch.chunks")
             run_start = time.perf_counter()
-        # Per-stage profiling (kernel.plan / kernel.ar1_block /
-        # kernel.film / kernel.chunk_loop): strictly opt-in — one bool
-        # check per hook while disabled — because the film hook sits in
-        # the per-sample loop and a live profiler costs two clock reads
-        # per sample.
+        # Per-stage profiling (kernel.plan / kernel.ar1_block, each
+        # LOOP_REGIONS region of the per-sample loop, kernel.chunk_loop
+        # and kernel.estimator): strictly opt-in.  While disabled each
+        # region boundary costs one bool check; while enabled, one
+        # perf_counter stamp, differenced into regions once per chunk.
         profiler = get_profiler()
         profiling = profiler.enabled and not accumulating
         if profiling:
@@ -1091,22 +1094,34 @@ class BatchEngine:
         # skips the per-call Python-float boxing (~0.2 us per dispatch
         # at fleet size) and the ufunc sees the identical float64
         # value, so results stay bitwise.  Values consumed by Python
-        # branches (guards, flags) stay native scalars.
+        # branches (guards, flags) stay native scalars.  Per-monitor
+        # constants that meet (2, N) operands get a contiguous (2, N)
+        # copy (``_pair``): a ufunc that broadcasts an (N,) operand
+        # costs about twice one over equal shapes, for the same
+        # elementwise values.
         as0 = np.asarray
-        lev_a, lev_b, iota = self._lev_a, self._lev_b, self._iota
-        dac_lsb, dac_max = as0(self._dac_lsb), as0(self._dac_max_code)
+        lev = self._lev
+        lev_flat = lev.reshape(-1)
+        # Flat-table offset of each (DAC, monitor) row: one ``take``
+        # gathers both DACs' levels.
+        lev_off = np.arange(2 * n).reshape(2, n) * lev.shape[2]
+        # Integer bounds that clamp float arrays are boxed as floats
+        # (exact: they are small integers), so the ufunc skips the
+        # per-call int-to-float cast of a mixed-type operand.
+        dac_lsb, dac_max = as0(self._dac_lsb), as0(float(self._dac_max_code))
         burst_p, min_rating = self._burst_pressure, self._min_rating
-        ref_r0, tcr_ref = as0(self._ref_r0), as0(self._tcr_ref)
+        ref_r0, tcr_ref = _pair(self._ref_r0), as0(self._tcr_ref)
         tref_ref = as0(self._tref_ref)
         r_trim, r_series = self._r_trim, as0(self._r_series)
         alpha_ref = as0(self._alpha_ref)
         h_r0, tcr_h = as0(self._h_r0), as0(self._tcr_h)
         tref_h = as0(self._tref_h)
         g_lat, rho_m = as0(self._g_lat), as0(self._rho_m)
+        g_lat2 = _pair(self._g_lat)
         g_rim, lat_total = as0(self._g_rim_total), self._lat_total
-        heater_cap = as0(self._heater_cap)
+        heater_cap = _pair(self._heater_cap)
         ndt = as0(-dt)
-        leak, leak_mask = self._leak, self._leak_mask
+        leak, leak_mask = _pair(self._leak), _pair(self._leak_mask)
         leak_zero = self._leak_zero
         gain = as0(self._gain)
         residual_offset = as0(self._residual_offset)
@@ -1114,7 +1129,7 @@ class BatchEngine:
         neg_rail = as0(-self._rail)
         aa_coeffs, aa_state = self._aa_coeffs, self._aa_state
         adc_lsb = as0(self._adc_lsb)
-        adc_min, adc_max = as0(self._adc_min), as0(self._adc_max)
+        adc_min, adc_max = as0(float(self._adc_min)), as0(float(self._adc_max))
         alpha_lpf = as0(self._alpha_lpf)
         geom_d, geom_L = as0(self._geom_d), as0(self._geom_L)
         enable_fouling, r_foul = self._enable_fouling, as0(self._r_foul)
@@ -1138,11 +1153,11 @@ class BatchEngine:
         pi_quant = self._qformat is not None
         if pi_quant:
             q_scale = as0(self._q_scale)
-            q_min_int, q_max_int = as0(self._q_min_int), as0(self._q_max_int)
-            kp_code, ki_dt_code = self._kp_code, self._ki_dt_code
-            pi_min_code = as0(self._pi_min_code)
-            pi_max_code = as0(self._pi_max_code)
-            qmul = self._qmul
+            q_min_f, q_max_f = as0(float(self._q_min_int)), \
+                as0(float(self._q_max_int))
+            pi_step = q_pi_step(self._qformat, self._ki_dt_code,
+                                self._kp_code, self._pi_min_code,
+                                self._pi_max_code, n)
         else:
             pi_kp, pi_ki = as0(self._pi_kp), as0(self._pi_ki)
             pi_dt = as0(self._pi_dt)
@@ -1160,9 +1175,10 @@ class BatchEngine:
         # lookups per dispatch); the numerics mode picks the
         # transcendental kernels once instead of branching per step.
         np_min, np_max, np_where = np.minimum, np.maximum, np.where
-        np_add, np_abs, np_sign = np.add, np.abs, np.sign
+        np_abs, np_sign = np.abs, np.sign
         np_trunc, np_copysign = np.trunc, np.copysign
         np_floor, np_int64 = np.floor, np.int64
+        or_all = np.logical_or.reduce
         vexp = np.exp if fast else exp_exact
         film = film_conductance
 
@@ -1184,23 +1200,24 @@ class BatchEngine:
             supply_sum, ref_sum = sums.supply_sum, sums.reference_sum
             n_valid = sums.valid
 
-        # Scratch buffers reused every step: each is fully overwritten
-        # before use and never stored across steps.  ``t_f0`` is the
-        # 0-d box for the per-step fluid temperature — refilled each
-        # tick, read by several ufuncs, never aliased into results.
-        ua_buf = np.empty((2, n))
-        t_in_buf = np.empty((2, n))
+        # ``t_f0`` is the 0-d box for the per-step fluid temperature —
+        # refilled each tick, read by several ufuncs, never aliased into
+        # results.
         t_f0 = np.empty(())
 
-        # Operating-point resistances carried across steps: step k's
-        # post-step values are bitwise step k+1's pre-step values (same
-        # formula, same state), so each is computed once, not twice.
+        # Operating-point resistances and the bridge-arm denominators
+        # carried across steps: step k's post-step values are bitwise
+        # step k+1's pre-step values (same formula, same state), so
+        # each is computed once per step, not twice.  ``rt`` is held
+        # as (2, N), both rows the monitor's reference resistance.
         rt = ref_r0 * (1.0 + tcr_ref * (t_ref - tref_ref))
+        rt_den = r_trim + rt
         rh = h_r0 * (1.0 + tcr_h * (t_h - tref_h))
         rh_eff = rh if leak_zero else np.where(
             leak_mask, rh, 1.0 / (1.0 / rh + leak))
+        rh_den = r_series + rh_eff
         if not bs_on:
-            g_back = self._g_back_half * 1.0
+            g_back = _pair(self._g_back_half * 1.0)
         cov_nonzero = bool((cov > 0.0).any())
 
         # Steps are absolute indices on the engine clock: the profile
@@ -1245,11 +1262,17 @@ class BatchEngine:
                 afe_blocks = [
                     np.stack([rng.standard_normal(2 * c) for rng in row])
                     for row in self._afe_rngs]
-                xi_flick = np.stack([blk[:, 0::2] for blk in afe_blocks])
-                xi_white = np.stack([blk[:, 1::2] for blk in afe_blocks])
+                # The AFE and ADC blocks are laid out (c, 2, N), step
+                # first, so each step reads one contiguous (2, N) slab:
+                # a ufunc over a strided step slice costs about twice.
+                xi_flick = np.stack([blk[:, 0::2].T for blk in afe_blocks],
+                                    axis=1)
+                xi_white = np.stack([blk[:, 1::2].T for blk in afe_blocks],
+                                    axis=1)
                 xi_adc = np.stack(
-                    [np.stack([rng.standard_normal(c) for rng in row])
-                     for row in self._adc_rngs])
+                    [np.stack([rng.standard_normal(c) for rng in row],
+                              axis=1)
+                     for row in self._adc_rngs], axis=1)
                 xi_pm = np.stack(
                     [rng.standard_normal(c) for rng in self._pm_rngs])
 
@@ -1268,35 +1291,40 @@ class BatchEngine:
                 v_local_all = bulk_v[:, None] + x_ou_traj
                 absv_all = np.abs(v_local_all)
                 x_wake = absv_all / self._wake_peak_speed
-                coupling_all = self._wake2 * x_wake / (1.0 + x_wake * x_wake)
+                coupling_all = _pair(
+                    self._wake2 * x_wake / (1.0 + x_wake * x_wake))
+                # Each monitor's downstream heater: B (row 1) in forward
+                # flow, A (row 0) in reverse.
                 fwd_all = v_local_all >= 0.0
-                # One reduction per chunk buys a branch-free inlet-
-                # temperature path for fully-forward chunks (the common
-                # case away from zero crossings).
-                fwd_chunk = bool(fwd_all.all())
-                v_eff_all = np.maximum(absv_all, NATURAL_CONVECTION_FLOOR)
+                down_all = np.stack((~fwd_all, fwd_all), axis=1)
+                v_eff_all = _pair(
+                    np.maximum(absv_all, NATURAL_CONVECTION_FLOOR))
                 if enable_bubbles:
                     detach_all = (self._bub_base_detach
                                   + self._bub_shear_detach * absv_all)
                 flick_traj, self._flick = ar1_block(
                     self._flick, self._afe_leak,
-                    self._flicker_scale * np.moveaxis(xi_flick, 2, 0))
-                noise_gain_all = (self._white_rms * np.moveaxis(xi_white, 2, 0)
+                    self._flicker_scale * xi_flick)
+                noise_gain_all = (self._white_rms * xi_white
                                   + flick_traj) * gain
                 if bs_on:
                     bs_traj, self._x_bs = ar1_block(
                         self._x_bs, self._bs_rho, self._bs_scale * xi_bs.T)
-                    g_back_all = self._g_back_half * np.maximum(
-                        1.0 + bs_traj, 0.1)
-                adc_noise_all = self._adc_thermal * np.moveaxis(xi_adc, 2, 0)
+                    g_back_all = _pair(self._g_back_half * np.maximum(
+                        1.0 + bs_traj, 0.1))
+                adc_noise_all = self._adc_thermal * xi_adc
                 pm_traj, self._pm_state = relax_block(
                     self._pm_state, self._pm_alpha,
                     bulk_v[:, None] * self._pm_gain)
+                if accumulating:
+                    # An averaging window reads the meter (state +
+                    # resolution noise) every sample.
+                    meter_all = pm_traj + pm_noise * xi_pm.T
                 if not bs_on:
                     # With a constant backside conductance the
                     # ``g_back * t_fluid`` term of the heater ambient is
                     # a per-chunk outer product (same elementwise mul).
-                    gbtf_all = np.array(plan.bulk_temp)[:, None] * g_back
+                    gbtf_all = np.array(plan.bulk_temp)[:, None, None] * g_back
                 if profiling:
                     now_w, now_c = perf_counter(), process_time()
                     note("kernel.ar1_block", now_w - prof_w, now_c - prof_c)
@@ -1316,10 +1344,12 @@ class BatchEngine:
             keep_u = u_valid.append
             rec_valid: list[int] = []
             if profiling:
+                stamps: list[float] = []
+                stamp = stamps.append
                 loop_w, loop_c = perf_counter(), process_time()
-                film_w = film_c = 0.0
-                film_n = 0
             for k in range(c):
+                if profiling:
+                    stamp(perf_counter())
                 i = start + k
                 p_line = bulk_p[k]
                 t_fluid = bulk_t[k]
@@ -1338,11 +1368,13 @@ class BatchEngine:
                     codes = np_min(
                         np_max(u / dac_lsb + f_half, f_zero),
                         dac_max).astype(np_int64)
-                    ua = ua_buf
-                    ua[0] = lev_a[iota, codes[0]]
-                    ua[1] = lev_b[iota, codes[1]]
+                    codes += lev_off
+                    ua = lev_flat.take(codes)
                 else:
                     ua = ua_off
+
+                if profiling:
+                    stamp(perf_counter())
 
                 # Sensor guards (shared line pressure).
                 if p_line > burst_p:
@@ -1356,6 +1388,9 @@ class BatchEngine:
                         f"housing rated {min_rating / 1e5:.1f} bar "
                         f"failed at {float(p_line) / 1e5:.1f} bar")
 
+                if profiling:
+                    stamp(perf_counter())
+
                 # Reference resistor: lagged tracking + self-heating
                 # bias (``rt`` carries the pre-step resistance).  The
                 # two bridge branches are computed rows-joint — the
@@ -1364,7 +1399,7 @@ class BatchEngine:
                 # zero supply the reference power is exactly +0.0 and
                 # the target collapses to the fluid temperature.
                 if live:
-                    i_r = ua / (r_trim + rt)
+                    i_r = ua / rt_den
                     p_r = i_r * i_r * rt
                     p_ref = p_r[0] + p_r[1]
                     t_ref_target = t_f0 + f_thirty * p_ref
@@ -1372,42 +1407,38 @@ class BatchEngine:
                 else:
                     t_ref = t_ref + alpha_ref * (t_f0 - t_ref)
                 rt = ref_r0 * (f_one + tcr_ref * (t_ref - tref_ref))
+                rt_den = r_trim + rt
+
+                if profiling:
+                    stamp(perf_counter())
 
                 # Wake coupling → inlet temperatures (old heater temps).
                 # ``warm`` is the rows-joint form of the per-row
                 # coupling * max(t_h - t_fluid, 0) products (elementwise
-                # identical); when the whole chunk flows forward the
-                # wheres collapse to a fill and a single add.
-                coupling = coupling_all[k]
+                # identical).  The downstream heater's inlet is the
+                # fluid warmed by the other row's wake (``warm[::-1]``);
+                # the upstream one sees the fluid itself.
                 dth = t_h - t_f0
-                t_in = t_in_buf
-                if fwd_chunk:
-                    # Only the upstream wake row is consumed; the add
-                    # lands straight in the buffer row (same ufunc).
-                    t_in[0] = t_fluid
-                    np_add(t_f0,
-                           coupling * np_max(dth[0], f_zero),
-                           out=t_in[1])
-                else:
-                    warm = coupling * np_max(dth, f_zero)
-                    fwd = fwd_all[k]
-                    t_in[0] = np_where(fwd, t_fluid, t_fluid + warm[1])
-                    t_in[1] = np_where(fwd, t_fluid + warm[0], t_fluid)
+                warm = coupling_all[k] * np_max(dth, f_zero)
+                t_in = np_where(down_all[k], t_f0 + warm[::-1], t_f0)
+
+                if profiling:
+                    stamp(perf_counter())
 
                 # Clean film conductance at the film temperature.
                 film_t = f_half * (t_h + t_f0)
-                if profiling:
-                    film_t0w, film_t0c = perf_counter(), process_time()
                 g = film(v_eff_all[k], film_t,
                          geom_d, geom_L, fast=fast)
+
                 if profiling:
-                    film_w += perf_counter() - film_t0w
-                    film_c += process_time() - film_t0c
-                    film_n += 1
+                    stamp(perf_counter())
 
                 # Fouling: deposit resistance in series with the film.
                 if enable_fouling:
                     g = f_one / (f_one / g + r_foul)
+
+                if profiling:
+                    stamp(perf_counter())
 
                 # Bubbles: coverage dynamics + multiplicative churn noise.
                 # With zero coverage and no element past the nucleation
@@ -1419,7 +1450,7 @@ class BatchEngine:
                 # elementwise.  No RNG draw is skipped: churn noise only
                 # draws where coverage is already positive.
                 if enable_bubbles and (
-                        cov_nonzero or (dth > bub_thresh).any()):
+                        cov_nonzero or or_all(dth > bub_thresh, axis=None)):
                     superheat = dth
                     powered = superheat > 1.0
                     active = powered & (superheat > self._bub_nucleation)
@@ -1456,22 +1487,28 @@ class BatchEngine:
                     cov_nonzero = bool((cov > 0.0).any())
                 g = np_max(g, g_floor)
 
+                if profiling:
+                    stamp(perf_counter())
+
                 # Backside conductance fluctuation (flooded cavity only;
                 # the OU trajectory is precomputed per chunk).
                 if bs_on:
                     g_back = g_back_all[k]
-                    gbtf = g_back * t_fluid
+                    gbtf = g_back * t_f0
                 else:
                     gbtf = gbtf_all[k]
+
+                if profiling:
+                    stamp(perf_counter())
 
                 # Heater powers at the pre-step operating point (``rh``
                 # and ``rh_eff`` carry the pre-step resistances).  A
                 # zero supply dissipates exactly +0.0, which the finite
                 # positive conduction terms absorb bitwise.
                 rh_old = rh
-                g_total = g + g_lat + g_back
+                g_total = g + g_lat2 + g_back
                 if live:
-                    branch_i = ua / (r_series + rh_eff)
+                    branch_i = ua / rh_den
                     if leak_zero:
                         i_h = branch_i
                     else:
@@ -1486,10 +1523,16 @@ class BatchEngine:
                 rho_h = vexp(arg)
                 t_h = t_inf + (t_h - t_inf) * rho_h
 
+                if profiling:
+                    stamp(perf_counter())
+
                 # Membrane rim update (new heater temps).
                 t_rim_inf = (g_lat * (t_h[0] + t_h[1])
                              + lat_total * t_fluid) / g_rim
                 t_mem = t_rim_inf + (t_mem - t_rim_inf) * rho_m
+
+                if profiling:
+                    stamp(perf_counter())
 
                 # Bridge readout at the post-step operating point.
                 rh = h_r0 * (f_one + tcr_h * (t_h - tref_h))
@@ -1498,13 +1541,18 @@ class BatchEngine:
                 else:
                     rh_eff = np_where(leak_mask, rh,
                                       f_one / (f_one / rh + leak))
+                rh_den = r_series + rh_eff
+
+                if profiling:
+                    stamp(perf_counter())
+
                 # AFE: gain + offset, precomputed 1/f + white noise,
                 # bandwidth, rails.  With a zero supply both bridge
                 # mid-points read exactly +0.0, so the offset-and-gain
                 # term is the precomputed ``ro_gain``.
                 if live:
-                    v_meas_mid = ua * rh_eff / (r_series + rh_eff)
-                    v_ref_mid = ua * rt / (r_trim + rt)
+                    v_meas_mid = ua * rh_eff / rh_den
+                    v_ref_mid = ua * rt / rt_den
                     diff = v_meas_mid - v_ref_mid
                     noisy = (diff + residual_offset) * gain \
                         + noise_gain_all[k]
@@ -1512,6 +1560,9 @@ class BatchEngine:
                     noisy = ro_gain + noise_gain_all[k]
                 afe_state = afe_state + alpha_bw * (noisy - afe_state)
                 afe_state = np_min(np_max(afe_state, neg_rail), rail)
+
+                if profiling:
+                    stamp(perf_counter())
 
                 # Anti-alias biquads (direct-form II transposed).
                 y = afe_state
@@ -1528,6 +1579,9 @@ class BatchEngine:
                         st[1] = b2 * y - a2 * out
                         y = out
 
+                if profiling:
+                    stamp(perf_counter())
+
                 # Behavioural ADC: thermal noise, round-to-nearest, clamp.
                 noisy_adc = y + adc_noise_all[k]
                 # copysign(0.5, x) equals where(x >= 0, 0.5, -0.5) up
@@ -1540,35 +1594,24 @@ class BatchEngine:
                     adc_min), adc_max)
                 volts = q_codes * adc_lsb
 
+                if profiling:
+                    stamp(perf_counter())
+
                 # Digital one-pole LPF, then input-referred error.
                 y_lpf = y_lpf + alpha_lpf * (volts - y_lpf)
                 err = -(y_lpf / gain)
+
+                if profiling:
+                    stamp(perf_counter())
 
                 # PI control (gated by the drive scheme).
                 if control_active[k]:
                     if pi_quant:
                         err_code = np_min(np_max(
                             np_floor(err * q_scale + f_half),
-                            q_min_int), q_max_int).astype(np_int64)
-                        err_sign = np_sign(err_code)
-                        cond = (pi_sat == i_zero) | (err_sign != pi_sat)
-                        inc = qmul(ki_dt_code, err_code)
-                        int_new = np_where(
-                            cond,
-                            np_min(np_max(pi_int + inc, q_min_int),
-                                   q_max_int),
-                            pi_int)
-                        p_term = qmul(kp_code, err_code)
-                        raw = int_new + p_term
-                        out_code = np_min(np_max(
-                            raw, pi_min_code), pi_max_code)
-                        pi_sat = np_where(
-                            raw > pi_max_code, i_one,
-                            np_where(raw < pi_min_code, i_neg, i_zero))
-                        abs_p = np_abs(p_term)
-                        pi_int = np_min(
-                            np_max(int_new, pi_min_code - abs_p),
-                            pi_max_code + abs_p)
+                            q_min_f), q_max_f).astype(np_int64)
+                        out_code, pi_int, pi_sat = pi_step(
+                            err_code, pi_int, pi_sat)
                         u = out_code / q_scale
                     else:
                         cond = (pi_sat == i_zero) | (np_sign(err) != pi_sat)
@@ -1587,10 +1630,13 @@ class BatchEngine:
                             pi_out_min - pi_kp * np_abs(err)),
                             pi_out_max + pi_kp * np_abs(err))
 
+                if profiling:
+                    stamp(perf_counter())
+
                 if accumulating:
                     # A §4 averaging window: the meter is read every
                     # sample and the supplies on valid ones.
-                    ref_sum = ref_sum + (pm_traj[k] + pm_noise * xi_pm[:, k])
+                    ref_sum = ref_sum + meter_all[k]
                     if sample_valid[k]:
                         supply_sum = supply_sum + u
                         n_valid += 1
@@ -1617,12 +1663,19 @@ class BatchEngine:
 
             if profiling:
                 now_w, now_c = perf_counter(), process_time()
-                note("kernel.chunk_loop", now_w - loop_w, now_c - loop_c)
-                if film_n:
-                    # One accumulate per chunk: the per-sample timings
-                    # were summed locally to keep the profiler dict
-                    # lookups out of the hot loop.
-                    note("kernel.film", film_w, film_c, calls=film_n)
+                loop_wall, loop_cpu = now_w - loop_w, now_c - loop_c
+                note("kernel.chunk_loop", loop_wall, loop_cpu)
+                # Each step stamped the clock at the top and at the end
+                # of every region; one accumulate per region per chunk
+                # keeps the profiler's dict lookups out of the hot loop.
+                # Regions get the loop's CPU time in proportion to their
+                # wall time (a CPU clock read per boundary would cost
+                # more than most regions take).
+                laps = np.diff(np.reshape(stamps, (c, len(LOOP_REGIONS) + 1)),
+                               axis=1).sum(axis=0)
+                share = loop_cpu / loop_wall if loop_wall > 0.0 else 0.0
+                for stage, wall in zip(LOOP_REGIONS, laps.tolist()):
+                    note(stage, wall, wall * share, calls=c)
             if not accumulating:
                 if profiling:
                     prof_w, prof_c = perf_counter(), process_time()

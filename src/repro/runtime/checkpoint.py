@@ -66,8 +66,10 @@ __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint",
 #: (2: durable runs, campaigns and service cohorts share the
 #: :class:`WindowedRun` meta layout; 3: the pickled
 #: :class:`ShardedEngine` layout lost its shared-memory pool state;
-#: 4: engines hold one job blob per config group, not row shards).
-CHECKPOINT_FORMAT_VERSION = 4
+#: 4: engines hold one job blob per config group, not row shards;
+#: 5: a :class:`BatchEngine` holds one ``(2, N, K)`` DAC level table
+#: in place of one ``(N, K)`` table per bridge).
+CHECKPOINT_FORMAT_VERSION = 5
 
 #: Header magic identifying a checkpoint artifact.
 _MAGIC = "repro-checkpoint"

@@ -64,12 +64,14 @@ from repro.units import CELSIUS_OFFSET
 
 __all__ = [
     "NUMERICS_MODES",
+    "LOOP_REGIONS",
     "PROFILE_STAGES",
     "resolve_numerics",
     "exp_exact",
     "pow_exact",
     "pow10_exact",
     "film_conductance",
+    "q_pi_step",
     "ar1_block",
     "relax_block",
     "hysteresis_block",
@@ -80,14 +82,29 @@ __all__ = [
 #: The supported numerics modes, in documentation order.
 NUMERICS_MODES = ("exact", "fast")
 
+#: The regions of the batch engine's per-sample loop, in signal-chain
+#: order: supply DACs, line-pressure guards, reference resistor, wake
+#: coupling, water film, fouling, bubbles, backside conductance, heater
+#: and membrane thermals, bridge, AFE, anti-alias filter, ADC, digital
+#: LPF and PI.  Each is timed per sample (``calls`` counts samples) and
+#: summed per chunk; together they cover ``kernel.chunk_loop`` but for
+#: the loop's own bookkeeping (the estimator hand-off and recorded
+#: ticks).
+LOOP_REGIONS = ("kernel.dac", "kernel.guards", "kernel.reference",
+                "kernel.wake", "kernel.film", "kernel.fouling",
+                "kernel.bubbles", "kernel.backside", "kernel.heater",
+                "kernel.membrane", "kernel.bridge", "kernel.afe",
+                "kernel.anti_alias", "kernel.adc", "kernel.lpf",
+                "kernel.pi")
+
 #: Stage names the batch engine times when the opt-in profiler is on
 #: (see :mod:`repro.observability.profile`): chunk planning
 #: (:func:`plan_chunk` — ``kernel.plan``), the time-blocked trajectory
-#: kernels (``kernel.ar1_block``), the per-sample water-film kernel
-#: accumulated per chunk (``kernel.film``), the whole recurrent
-#: per-sample loop (``kernel.chunk_loop``), and the chunk-tail flow
-#: estimator (``kernel.estimator``).
-PROFILE_STAGES = ("kernel.plan", "kernel.ar1_block", "kernel.film",
+#: kernels (``kernel.ar1_block``), the :data:`LOOP_REGIONS` of the
+#: per-sample loop, the whole recurrent per-sample loop
+#: (``kernel.chunk_loop``), and the chunk-tail flow estimator
+#: (``kernel.estimator``).
+PROFILE_STAGES = ("kernel.plan", "kernel.ar1_block", *LOOP_REGIONS,
                   "kernel.chunk_loop", "kernel.estimator")
 
 
@@ -149,32 +166,56 @@ def pow10_exact(arg: np.ndarray) -> np.ndarray:
 
 # -- fused per-step physics kernels ------------------------------------------
 
-#: Joint Horner tables for the Kell density numerator (rows 0-1) and the
-#: specific-heat polynomial (rows 2-3), evaluated over ``t_c`` stacked
-#: twice.  Each level computes ``c_i + t_c * acc`` — bitwise the nested
-#: form of the separate polynomials, because broadcasting a per-row
-#: coefficient does not change the elementwise float ops.  The specific
-#: heat has one level fewer, so its rows start at ``0.0``: the first
-#: level then yields ``c + t_c * 0.0 == c`` exactly (``±0.0`` absorbs
-#: into a non-zero constant).
-_RHOCP_START = np.array([[-280.54253e-12], [-280.54253e-12], [0.0], [0.0]])
-_RHOCP_LEVELS = (
-    np.array([[105.56302e-9], [105.56302e-9],
-              [3.40034965e-6], [3.40034965e-6]]),
-    np.array([[-46.170461e-6], [-46.170461e-6],
-              [-8.32342657e-4], [-8.32342657e-4]]),
-    np.array([[-7.9870401e-3], [-7.9870401e-3],
-              [7.96622960e-2], [7.96622960e-2]]),
-    np.array([[16.945176], [16.945176],
-              [-3.04860723], [-3.04860723]]),
-    np.array([[999.83952], [999.83952],
-              [4216.92378], [4216.92378]]),
+#: Joint Horner tables for the Kell density numerator (rows 0-1), the
+#: specific-heat polynomial (rows 2-3) and the Kell denominator
+#: ``1 + 16.879850e-3 * t_c`` (rows 4-5), evaluated over ``t_c``
+#: stacked three times.  Each level computes ``c_i + t_c * acc`` —
+#: bitwise the nested form of the separate polynomials, because a
+#: per-row coefficient does not change the elementwise float ops (and
+#: ``t_c * c`` is ``c * t_c``).  The shorter polynomials start at
+#: ``0.0``: a level then yields ``c + t_c * 0.0 == c`` exactly (``±0.0``
+#: absorbs into ``c``, and into ``+0.0`` for ``c == 0.0``).  The first
+#: entry is the start value.
+_HORNER_LEVELS = (
+    (-280.54253e-12, 0.0, 0.0),
+    (105.56302e-9, 3.40034965e-6, 0.0),
+    (-46.170461e-6, -8.32342657e-4, 0.0),
+    (-7.9870401e-3, 7.96622960e-2, 0.0),
+    (16.945176, -3.04860723, 16.879850e-3),
+    (999.83952, 4216.92378, 1.0),
 )
 
-#: Scratch buffers for the stacked ``t_c`` of the joint Horner pass,
-#: keyed by fleet shape (the engine calls with one shape for its whole
-#: life, so this holds one or two small arrays).
-_TC_STACK: dict = {}
+#: Per fleet shape (the engine calls with one shape for its whole life,
+#: so this holds one or two entries), everything the joint ``(2, N)``
+#: film pass reuses, as full-shape arrays (a ufunc over equal shapes
+#: costs well under one that broadcasts a column or a row):
+#:
+#: - a ``(4, 2, N)`` scratch buffer and the offsets one subtraction
+#:   takes from the film temperature to fill it: ``t_c`` three times
+#:   (the Horner rows) and the Vogel ``t - 140``;
+#: - the :data:`_HORNER_LEVELS` as ``(6, N)`` rows;
+#: - the Nusselt coefficients of the free and forced terms as
+#:   ``(2, 2, N)`` rows, and the two Prandtl exponents, listed for one
+#:   elementwise ``pow`` pass.
+_FILM_SCRATCH: dict = {}
+
+
+def _film_scratch(shape: tuple) -> tuple:
+    """The :data:`_FILM_SCRATCH` entry for a ``(2, N)`` film shape."""
+    entry = _FILM_SCRATCH.get(shape)
+    if entry is None:
+        def rows(*values):
+            return np.repeat(np.array(values), 2 * shape[1]).reshape(
+                (len(values), *shape))
+        offsets = rows(CELSIUS_OFFSET, CELSIUS_OFFSET, CELSIUS_OFFSET, 140.0)
+        levels = tuple(rows(*level).reshape(6, shape[1])
+                       for level in _HORNER_LEVELS)
+        size = 2 * shape[1]
+        entry = _FILM_SCRATCH[shape] = (
+            np.empty_like(offsets), offsets, levels, rows(0.42, 0.57),
+            [0.20] * size + [0.33] * size)
+    return entry
+
 
 #: Scalar constants of the film correlations pre-boxed as 0-d arrays:
 #: a 0-d ufunc operand skips the per-dispatch Python-float boxing and
@@ -184,7 +225,6 @@ _F_K0, _F_K1, _F_K2 = np.asarray(-0.5752), np.asarray(6.397e-3), \
     np.asarray(8.151e-6)
 _F_VOGEL_NUM, _F_VOGEL_OFF = np.asarray(247.8), np.asarray(140.0)
 _F_MU_SCALE = np.asarray(2.414e-5)
-_F_ONE, _F_DEN_SLOPE = np.asarray(1.0), np.asarray(16.879850e-3)
 _F_NU_FORCED, _F_NU_FREE = np.asarray(0.57), np.asarray(0.42)
 _F_PI = np.asarray(math.pi)
 
@@ -215,27 +255,32 @@ def film_conductance(v_eff, film_t: np.ndarray, diameter: float,
             raise ConfigurationError(
                 f"film temperature {bad} K outside liquid range — "
                 f"Celsius passed as K?")
-    t_c = t - _F_CELSIUS
+    joint = t.ndim == 2 and t.shape[0] == 2
+    if joint:
+        # One subtraction fills the Horner rows' t_c and the Vogel
+        # denominator's t - 140 (see _FILM_SCRATCH).
+        shifted, offsets, levels, nu_coeffs, pr_exponents = \
+            _film_scratch(t.shape)
+        np.subtract(t, offsets, out=shifted)
+        t_c = shifted[0]
+        vogel = _F_VOGEL_NUM / shifted[3]
+    else:
+        t_c = t - _F_CELSIUS
+        vogel = _F_VOGEL_NUM / (t - _F_VOGEL_OFF)
     k = _F_K0 + _F_K1 * t - _F_K2 * t * t
-    vogel = _F_VOGEL_NUM / (t - _F_VOGEL_OFF)
     if fast:
         mu = _F_MU_SCALE * np.power(10.0, vogel)
     else:
         mu = _F_MU_SCALE * pow10_exact(vogel)
-    if t_c.ndim == 2 and t_c.shape[0] == 2:
-        # Density numerator and specific heat share one joint Horner
-        # pass over t_c stacked twice (see _RHOCP_LEVELS): identical
-        # elementwise ops, seven fewer ufunc dispatches per call.
-        stacked = _TC_STACK.get(t_c.shape)
-        if stacked is None:
-            stacked = np.empty((4, t_c.shape[1]))
-            _TC_STACK[t_c.shape] = stacked
-        stacked[:2] = t_c
-        stacked[2:] = t_c
-        acc = _RHOCP_START
-        for coeff in _RHOCP_LEVELS:
+    if joint:
+        # The Kell numerator and denominator and the specific heat share
+        # one joint Horner pass (see _HORNER_LEVELS): identical
+        # elementwise ops, ten fewer ufunc dispatches per call.
+        stacked = shifted[:3].reshape(6, -1)
+        acc = levels[0]
+        for coeff in levels[1:]:
             acc = coeff + stacked * acc
-        rho = acc[0:2] / (_F_ONE + _F_DEN_SLOPE * t_c)
+        rho = acc[0:2] / acc[4:6]
         cp = acc[2:4]
     else:
         rho = (
@@ -256,19 +301,67 @@ def film_conductance(v_eff, film_t: np.ndarray, diameter: float,
     nu = mu / rho
     pr = cp * mu / k
     re = v_eff * diameter / nu
-    if fast:
-        pr20, pr33 = np.power(pr, 0.20), np.power(pr, 0.33)
-    else:
-        # One tolist round-trip feeds both exponents; ``pow`` under
-        # ``map`` is the scalar path's ``**`` without loop overhead.
+    if joint and not fast:
+        # One ``map`` over the flat Prandtl numbers listed twice feeds
+        # both exponents (``math.pow`` is the C ``pow`` behind the
+        # scalar path's ``**``, as in :func:`pow10_exact`), and one
+        # multiply scales both Nusselt terms.
         pr_flat = pr.ravel().tolist()
-        size, shape = pr.size, pr.shape
-        pr20 = np.fromiter(map(pow, pr_flat, repeat(0.20)),
-                           np.float64, count=size).reshape(shape)
-        pr33 = np.fromiter(map(pow, pr_flat, repeat(0.33)),
-                           np.float64, count=size).reshape(shape)
-    nusselt = _F_NU_FREE * pr20 + _F_NU_FORCED * pr33 * np.sqrt(re)
+        free, forced = nu_coeffs * np.fromiter(
+            map(math.pow, pr_flat + pr_flat, pr_exponents), np.float64,
+            count=2 * pr.size).reshape(nu_coeffs.shape)
+    else:
+        if fast:
+            pr20, pr33 = np.power(pr, 0.20), np.power(pr, 0.33)
+        else:
+            pr20, pr33 = pow_exact(pr, 0.20), pow_exact(pr, 0.33)
+        free, forced = _F_NU_FREE * pr20, _F_NU_FORCED * pr33
+    nusselt = free + forced * np.sqrt(re)
     return nusselt * k * _F_PI * length
+
+
+def q_pi_step(qformat, ki_dt_code: int, kp_code: int, min_code: int,
+              max_code: int, n: int):
+    """The fixed-point PI step over ``(2, n)`` rows of controllers.
+
+    Returns ``step(err_code, int_code, sat) -> (out_code, int_code,
+    sat)``, all ``(2, n)`` int64 arrays: the vector form of
+    :meth:`PIController.step_codes
+    <repro.isif.pi_controller.PIController.step_codes>`, integer for
+    integer.  Both Q-format products (``ki*dt`` and ``kp`` times the
+    error code) run as one stacked multiply, round-half-up shift and
+    saturate; a row integrates unless it is saturated with the error
+    pushing the same way (``sign(e) * sat == 1``), and its new
+    saturation is the sign of how far the raw output lies past the
+    rails.  Raises ``ValueError`` for a format with no fraction bits,
+    as the engine always has.
+    """
+    as0 = np.asarray
+    gains = np.empty((2, 2, n), dtype=np.int64)
+    gains[0] = ki_dt_code
+    gains[1] = kp_code
+    half, shift = as0(1 << (qformat.frac_bits - 1)), as0(qformat.frac_bits)
+    q_min, q_max = as0(qformat.min_int), as0(qformat.max_int)
+    lo, hi, one = as0(min_code), as0(max_code), as0(1)
+    minimum, maximum, where = np.minimum, np.maximum, np.where
+    sign, absolute = np.sign, np.abs
+
+    def step(err_code, int_code, sat):
+        integrate = sign(err_code) * sat != one
+        inc, p_term = minimum(maximum((gains * err_code + half) >> shift,
+                                      q_min), q_max)
+        int_new = where(integrate,
+                        minimum(maximum(int_code + inc, q_min), q_max),
+                        int_code)
+        raw = int_new + p_term
+        out_code = minimum(maximum(raw, lo), hi)
+        # Integrator clamp (back-calculation analogue).
+        abs_p = absolute(p_term)
+        return (out_code,
+                minimum(maximum(int_new, lo - abs_p), hi + abs_p),
+                sign(raw - out_code))
+
+    return step
 
 
 # -- time-blocked recurrence kernels -----------------------------------------
@@ -289,6 +382,8 @@ def ar1_block(state: np.ndarray, rho, noise: np.ndarray
     out = np.empty_like(noise)
     x = state
     if np.ndim(rho) == 0:
+        # A 0-d operand skips the per-step Python-float boxing.
+        rho = np.asarray(rho)
         for k, w in enumerate(noise):
             x = x * rho + w
             out[k] = x
@@ -303,11 +398,14 @@ def relax_block(state: np.ndarray, alpha, target: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Run ``x <- x + alpha * (target[k] - x)`` over a chunk.
 
-    The first-order relaxation used by the Promag reference lag.
-    Returns ``(trajectory, final_state)``.
+    The first-order relaxation behind the Promag reference lag and the
+    flow estimator's 0.1 Hz output and direction IIRs.  ``alpha`` is a
+    scalar or an array shaped like ``state`` (one relaxation per row of
+    a stacked state).  Returns ``(trajectory, final_state)``.
     """
     out = np.empty_like(target)
     x = state
+    alpha = np.asarray(alpha)
     for k, tgt in enumerate(target):
         x = x + alpha * (tgt - x)
         out[k] = x

@@ -199,7 +199,8 @@ class RunResult:
         A :meth:`concat` over the fleet axis with explicit ``indices``
         records, for each destination row, the ``(part, row)`` pair it
         came from (the :class:`~repro.runtime.mixed.MixedEngine`
-        relabels ``part`` with the group's config key).  Like the
+        relabels ``part`` with the group's config key); a join over
+        the time axis keeps the labels its windows share.  Like the
         profile report this lives on the instance only: archives and
         equality stay byte-identical with or without it.  Returns
         ``[]`` when no provenance was attached.
@@ -249,9 +250,10 @@ class RunResult:
             If the list is empty or the axis is unknown; for
             ``"fleet"``, if the time bases are not bit-identical or
             ``indices`` is not a valid permutation cover; for
-            ``"time"``, if the windows disagree on fleet size or time
-            does not increase strictly across boundaries (``indices``
-            is refused — rows never permute across windows).
+            ``"time"``, if the windows disagree on fleet size or
+            provenance labels, or time does not increase strictly
+            across boundaries (``indices`` is refused — rows never
+            permute across windows).
         """
         if axis == "time":
             if indices is not None:
@@ -314,15 +316,27 @@ class RunResult:
 
     @classmethod
     def _join_windows(cls, parts: list["RunResult"]) -> "RunResult":
-        """The time-axis merge behind ``concat(axis="time")``."""
+        """The time-axis merge behind ``concat(axis="time")``.
+
+        Rows never permute across windows, so the joined run carries
+        the :meth:`provenance` its labelled windows share; windows with
+        no labels (such as :meth:`empty`) contribute none.
+        """
         if not parts:
             raise ConfigurationError("need at least one window to concatenate")
         n = parts[0].n_monitors
         last_t = None
+        labels: list[tuple] = []
         for part in parts:
             if part.n_monitors != n:
                 raise ConfigurationError(
                     "windows must share one fleet size")
+            rows = part.provenance()
+            if rows:
+                if labels and rows != labels:
+                    raise ConfigurationError(
+                        "windows carry different provenance labels")
+                labels = rows
             if len(part) == 0:
                 continue
             if last_t is not None and float(part.time_s[0]) <= last_t:
@@ -335,6 +349,8 @@ class RunResult:
                 [np.asarray(getattr(p, name)) for p in parts], axis=1)
                for name in cls.STACKED_FIELDS},
         )
+        if labels:
+            merged._provenance = labels
         return cls._merge_profiles(merged, parts)
 
     @classmethod

@@ -228,6 +228,27 @@ def test_session_checkpoint_dir_parity_and_stats(tmp_path):
     assert stats["store"]["writes"] >= 1
 
 
+def test_durable_run_keeps_serial_provenance(tmp_path):
+    """A durable run joins its windows on the time axis; the join keeps
+    the ``(group_key, row)`` labels the same fleet's serial run carries,
+    through ``run_durable`` and a ``Session(checkpoint_dir=...)``."""
+    serial = MixedEngine(_rigs(2)).run(_PROFILE, record_every_n=_EVERY)
+    assert len(serial.provenance()) == 2
+    durable = run_durable(MixedEngine(_rigs(2)), _PROFILE,
+                          checkpoint_path=tmp_path / "run.ckpt",
+                          record_every_n=_EVERY, window_steps=180)
+    assert durable.provenance() == serial.provenance()
+    spec = FleetSpec.homogeneous(2, seed=555, fast_calibration=True)
+    with Session(fleet=spec) as plain:
+        plain.calibrate()
+        ref = plain.run(_PROFILE, record_every_n=_EVERY)
+    with Session(fleet=spec, checkpoint_dir=tmp_path / "s") as session:
+        session.calibrate()
+        got = session.run(_PROFILE, record_every_n=_EVERY)
+    assert len(ref.provenance()) == 2
+    assert got.provenance() == ref.provenance()
+
+
 def test_session_resume_requires_durable_run(tmp_path):
     one = FleetSpec.homogeneous(1, seed=1, fast_calibration=True)
     two = FleetSpec.homogeneous(2, seed=1, fast_calibration=True)
@@ -328,9 +349,29 @@ def test_previous_format_version_refused(tmp_path):
         "magic": "repro-checkpoint", "version": 3, "kind": "sharded",
         "offset": 300, "meta": {"fingerprint": "x", "windows": []},
         "engine": engine}))
-    assert CHECKPOINT_FORMAT_VERSION == 4
+    assert CHECKPOINT_FORMAT_VERSION == 5
     with pytest.raises(CheckpointError) as exc:
         WindowedRun.restore(path, "x")
+    assert exc.value.reason == "version"
+
+
+def test_format_4_batch_engine_refused(tmp_path):
+    """A version-4 batch engine (one DAC level table per bridge,
+    ``_lev_a``/``_lev_b``) is refused: the current loop gathers both
+    supplies from the one ``(2, N, K)`` table ``_lev`` it lacks."""
+    engine = BatchEngine(_rigs(1))
+    engine.run(_PROFILE)
+    state = engine.__getstate__()
+    lev = state.pop("_lev")
+    state.update(_lev_a=lev[0], _lev_b=lev[1], _iota=np.arange(1))
+    engine.__dict__.clear()
+    engine.__dict__.update(state)
+    path = tmp_path / "v4.ckpt"
+    path.write_bytes(pickle.dumps({
+        "magic": "repro-checkpoint", "version": 4, "kind": "batch",
+        "offset": _TOTAL, "meta": {}, "engine": engine}))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
     assert exc.value.reason == "version"
 
 

@@ -120,6 +120,25 @@ def test_indices_must_be_an_exact_permutation_cover(seed):
         RunResult.concat([a, b], axis="fleet", indices=[[0], [1, 2]])
 
 
+def test_time_join_keeps_shared_provenance():
+    """Windows joined on the time axis keep the row labels they share;
+    an unlabelled window (a zero-tick ``empty``) adds none, and windows
+    whose labels disagree are refused."""
+    rng = np.random.default_rng(7)
+    first, second = _random_result(rng, 2, 3), _random_result(rng, 2, 3, 1.0)
+    labels = [("g", 0), ("g", 1)]
+    first._provenance = list(labels)
+    second._provenance = list(labels)
+    joined = RunResult.concat([RunResult.empty(2), first, second],
+                              axis="time")
+    assert joined.provenance() == labels
+    assert RunResult.concat([first, _random_result(rng, 2, 3, 1.0)],
+                            axis="time").provenance() == labels
+    second._provenance = [("g", 1), ("g", 0)]
+    with pytest.raises(ConfigurationError):
+        RunResult.concat([first, second], axis="time")
+
+
 def test_unknown_axis_refused():
     rng = np.random.default_rng(0)
     a = _random_result(rng, 1, 3)

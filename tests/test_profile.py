@@ -2,7 +2,8 @@
 
 Covers the :class:`~repro.observability.profile.Profiler` primitive,
 the batch-engine stage hooks (``kernel.plan``, ``kernel.ar1_block``,
-``kernel.film``, ``kernel.chunk_loop``, ``kernel.estimator``),
+the per-sample loop regions such as ``kernel.film``,
+``kernel.chunk_loop``, ``kernel.estimator``),
 bit-parity of profiled vs unprofiled runs, the :meth:`RunResult.profile`
 / ``concat`` plumbing, ``Session.stats()["profile"]`` and the CLI
 ``--profile-out`` flag.
@@ -17,7 +18,7 @@ from repro import observability as obs
 from repro.errors import ConfigurationError
 from repro.observability import MetricsRegistry, Profiler
 from repro.runtime import BatchEngine, RunResult
-from repro.runtime.kernels import PROFILE_STAGES
+from repro.runtime.kernels import LOOP_REGIONS, PROFILE_STAGES
 from repro.station.profiles import hold
 from repro.station.scenarios import build_calibrated_monitor
 
@@ -114,9 +115,11 @@ def test_profiled_engine_run_attributes_all_stages(fresh_profiler):
     result = BatchEngine([_rig()]).run(hold(50.0, 0.5))
     report = result.profile()
     assert set(report) == set(PROFILE_STAGES)
-    # One film call per sample step (vectorized across the fleet); the
-    # time-blocked kernels and the estimator run once per chunk.
-    assert report["kernel.film"]["calls"] == 500
+    # Every loop region (the film kernel among them) is timed once per
+    # sample step (vectorized across the fleet); the time-blocked
+    # kernels and the estimator run once per chunk.
+    for stage in LOOP_REGIONS:
+        assert report[stage]["calls"] == 500, stage
     for stage in ("kernel.plan", "kernel.ar1_block", "kernel.chunk_loop",
                   "kernel.estimator"):
         assert report[stage]["calls"] == 1, stage

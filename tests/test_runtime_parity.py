@@ -25,6 +25,9 @@ from repro.isif.fixed_point import QFormat
 from repro.isif.sigma_delta import SigmaDeltaAdc
 from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, RunResult,
                            Session, ShardedEngine)
+from repro.sensor.maf import MAFConfig
+from repro.sensor.membrane import WATER_BACKSIDE, Membrane
+from repro.state import state_of
 from repro.station.profiles import bidirectional_staircase, hold, staircase
 from repro.station.scenarios import (build_calibrated_monitor,
                                      clear_calibration_cache)
@@ -66,6 +69,38 @@ def _assert_parity(batched, scalar):
 def test_batch_matches_scalar(profile):
     batched, scalar = _parity_case(profile)
     _assert_parity(batched, scalar)
+
+
+def test_batch_matches_scalar_with_flooded_backside():
+    """A water-flooded cavity turns on the backside-conductance OU, the
+    engine's per-chunk ``g_back`` trajectory branch; a small membrane
+    window keeps its burst rating above the 2 bar line."""
+    membrane = Membrane(backside=WATER_BACKSIDE, side_m=0.3e-3)
+    profile = bidirectional_staircase([40.0, 120.0], dwell_s=1.0)
+
+    def rigs():
+        return [build_calibrated_monitor(
+            seed=s, fast=True, use_pulsed_drive=False,
+            calibration_speeds_cmps=(0.0, 50.0, 120.0, 250.0),
+            sensor_config=MAFConfig(seed=s, membrane=membrane)).rig
+            for s in (7, 8)]
+
+    fleet = rigs()
+    engine = BatchEngine(fleet)
+    batched = engine.run(profile)
+    oracles = rigs()
+    scalar = RunResult.from_records([rig.run(profile) for rig in oracles])
+    assert np.std(scalar.measured_mps) > 0.0
+    _assert_parity(batched, scalar)
+    # The recorded outputs pass through the ADC and PI quantizers, so
+    # also hold the written-back thermal state to the scalar loop's.
+    engine.write_back()
+    for rig, oracle in zip(fleet, oracles):
+        got = state_of(rig.monitor.sensor)
+        want = state_of(oracle.monitor.sensor)
+        for key in ("t_a", "t_b", "t_membrane", "t_reference"):
+            assert got[key] == want[key], key
+        assert got["backside_noise"]["x"] == want["backside_noise"]["x"]
 
 
 def test_run_batch_convenience_matches_rig_run():
