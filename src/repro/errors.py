@@ -37,7 +37,9 @@ class ConfigurationError(ReproError):
     :class:`~repro.runtime.BatchEngine` handed rigs from more than one
     config group — the message names the offending group keys; use
     :class:`~repro.runtime.MixedEngine` or a
-    :class:`~repro.runtime.FleetSpec` surface instead).
+    :class:`~repro.runtime.FleetSpec` surface instead), or ``"admit"``
+    when a running engine cannot take rigs as a new lane (another drive
+    phase, or a config group new to it past step 0).
     """
 
     def __init__(self, message: str, reason: str = "config") -> None:

@@ -112,7 +112,7 @@ def _group_rows(samples: list[dict]) -> list[dict]:
             "group_id": group.get("group_id"),
             "members": group.get("members"),
             "fleet_size": group.get("fleet_size"),
-            "sealed": group.get("sealed"),
+            "lanes": group.get("lanes"),
             "done_steps": group.get("done_steps"),
             "total_steps": group.get("total_steps"),
             "queue_depth": group.get("queue_depth"),
@@ -167,15 +167,18 @@ def render_top(snapshot: dict, health: dict | None = None, *,
     rows = _group_rows(samples)
     if rows:
         lines.append("")
-        lines.append(f"{'cohort':>8} {'members':>8} {'fleet':>6} "
-                     f"{'queue':>6} {'progress':>12} {'samples/s':>10}")
+        lines.append(f"{'cohort':>8} {'members':>8} {'lanes':>6} "
+                     f"{'fleet':>6} {'queue':>6} {'progress':>12} "
+                     f"{'samples/s':>10}")
         for row in rows:
             done = row.get("done_steps") or 0
             total = row.get("total_steps") or 0
             progress = f"{done}/{total}" if total else str(done)
             queue = row.get("queue_depth")
+            lanes = row.get("lanes")
             lines.append(
                 f"{str(row['group_id']):>8} {str(row['members']):>8} "
+                f"{'-' if lanes is None else lanes:>6} "
                 f"{str(row['fleet_size']):>6} "
                 f"{'-' if queue is None else queue:>6} {progress:>12} "
                 f"{_fmt_num(row['samples_per_s']):>10}")

@@ -41,6 +41,17 @@ generators it shares with its rigs) back to the state it was built
 with, byte-identical to a new engine over freshly built rigs;
 :class:`repro.runtime.Session` reruns a fleet that way.
 
+A fleet runs in *lanes*.  A lane is a set of rows that joined the
+engine at one step (:meth:`BatchEngine.admit`): it reads the profile
+at its own clock (the engine step minus the step it joined at) and
+carries its own shared-line plant and line time.  Each chunk is
+planned once per lane and scattered into per-row line tables (fluid
+temperature, pressure, bulk speed, turbulence-OU coefficients) that
+the one per-sample loop reads, so a row's arithmetic is the same in a
+lane of its own and beside others.  Lanes share the drive phase and
+the decimation phase, which is why a lane can only join where both
+match.  An engine built from a rig list is one lane.
+
 Fleets must be *structurally homogeneous* (same configs modulo seeds);
 per-monitor diversity enters only through realized component values
 (resistor tolerances, DAC mismatch, calibration constants, housing
@@ -69,10 +80,10 @@ from repro.conditioning.drive import ContinuousDrive, PulsedDrive
 from repro.isif.sigma_delta import BehavioralAdc
 from repro.physics.convection import NATURAL_CONVECTION_FLOOR
 from repro.physics.water import boiling_temperature
-from repro.runtime.kernels import (LOOP_REGIONS, ar1_block, exp_exact,
-                                   film_conductance, hysteresis_block,
-                                   plan_chunk, pow_exact, q_pi_step,
-                                   relax_block, resolve_numerics)
+from repro.runtime.kernels import (LOOP_REGIONS, ar1_block, drive_schedule,
+                                   exp_exact, film_conductance,
+                                   hysteresis_block, plan_chunk, pow_exact,
+                                   q_pi_step, relax_block, resolve_numerics)
 from repro.runtime.result import RunResult
 from repro.state import load_state, state_of
 from repro.station.profiles import Profile
@@ -95,6 +106,36 @@ def _pair(values) -> np.ndarray:
     B) rows, so the loop's ufuncs meet equal shapes.
     """
     return np.stack((values, values), axis=-2)
+
+
+def _drive_state(drive):
+    """The phase a drive scheme carries (None for a stateless one)."""
+    return state_of(drive) if isinstance(drive, PulsedDrive) else None
+
+
+@dataclass(slots=True)
+class _Lane:
+    """Rows that joined an engine at one step: their profile clock and
+    shared-line plant.
+
+    ``start`` is the engine step the lane joined at, so the lane reads
+    the profile at ``step - start``; ``speed``/``pressure``/
+    ``temperature`` are the line plant after the lane's last step and
+    ``time_s`` its line time.  Two lanes are equal when rows joining one
+    could run in the other.
+    """
+
+    start: int
+    speed: float
+    pressure: float
+    temperature: float
+    time_s: float
+
+    @classmethod
+    def joining(cls, start: int, line: dict) -> "_Lane":
+        """A lane joining at ``start`` with a line's (state) plant."""
+        return cls(start, *(float(line[key]) for key in
+                             ("speed", "pressure", "temperature", "time_s")))
 
 
 def _drop_rows(indices, n: int) -> set[int]:
@@ -195,14 +236,14 @@ def _signature(rig: TestRig) -> tuple:
     )
 
 
-def _validate_fleet(rigs: list[TestRig]) -> None:
+def _validate_fleet(rigs: list[TestRig]) -> tuple:
     """Refuse fleets the vectorized path cannot reproduce bit-exactly.
 
     Every rig's :func:`_signature` must equal rig 0's; a fleet that
     splits is refused naming its config groups.  Rig 0 then speaks for
     the fleet: it must use only features the engine reproduces, and its
     bridge B must be built like bridge A, because the engine keeps one
-    value for both bridges.
+    value for both bridges.  Returns the fleet's signature.
 
     Raises
     ------
@@ -256,10 +297,16 @@ def _validate_fleet(rigs: list[TestRig]) -> None:
         _require(isinstance(mon.controller.drive,
                             (ContinuousDrive, PulsedDrive)),
                  "unknown drive scheme")
+    return sig0
 
 
 #: The tracer calibration windows use: their campaign's span covers them.
 _QUIET = Tracer(enabled=False)
+
+#: The per-sample loop's regions, in loop order: every
+#: :data:`~repro.runtime.kernels.LOOP_REGIONS` entry but the
+#: line-pressure guards, which run once per chunk on the lane plans.
+_STEP_REGIONS = tuple(r for r in LOOP_REGIONS if r != "kernel.guards")
 
 #: Valid steps the chunk-tail flow estimator stacks at once: bounds its
 #: ``(steps, 2, N)`` temporaries whatever the chunk size.
@@ -340,11 +387,26 @@ class BatchEngine:
     #: mutates.  :meth:`rewind` restores fresh copies of their step-0
     #: values; every other field the build set is constant between
     #: drops and is shared, not copied.
-    _LIVE = ("_offset", "_bulk_speed", "_bulk_pressure", "_bulk_temp",
-             "_line_time", "_x_ou", "_flick", "_x_bs", "_pm_state", "_u",
-             "_t_ref", "_t_h", "_t_mem", "_cov", "_afe_state", "_aa_state",
-             "_y_lpf", "_pi_sat", "_pi_int", "_pi_int_f", "_y_iir",
-             "_primed", "_y_dir", "_dir", "_last_output")
+    _LIVE = ("_offset", "_lanes", "_x_ou", "_flick", "_x_bs", "_pm_state",
+             "_u", "_t_ref", "_t_h", "_t_mem", "_cov", "_afe_state",
+             "_aa_state", "_y_lpf", "_pi_sat", "_pi_int", "_pi_int_f",
+             "_y_iir", "_primed", "_y_dir", "_dir", "_last_output")
+
+    #: The per-row fields whose last axis is the fleet row: what
+    #: :meth:`drop` slices and :meth:`admit` concatenates (besides the
+    #: DAC table, the anti-alias state, the generators and the rigs).
+    _ROWS = ("_turb_intensity", "_x_ou", "_t_mem", "_t_ref", "_ref_r0",
+             "_leak", "_leak_mask", "_rating", "_g_lat", "_g_back_half",
+             "_heater_cap", "_g_rim_total", "_rho_m", "_x_bs", "_rh_star",
+             "_bp_denom", "_coeff_a", "_coeff_b", "_inv_exp", "_y_iir",
+             "_primed", "_last_output", "_dir_offset", "_y_dir", "_dir",
+             "_pm_gain", "_pm_state", "_t_h", "_h_r0", "_r_trim", "_r_foul",
+             "_cov", "_afe_state", "_flick", "_y_lpf", "_pi_sat", "_u",
+             "_lane_of")
+    #: Per-row generator lists: one generator per row, or one list of
+    #: them per bridge.
+    _RNG_ROWS = ("_line_rngs", "_bs_rngs", "_pm_rngs")
+    _RNG_BRIDGES = ("_bubble_rngs", "_afe_rngs", "_adc_rngs")
 
     def __init__(self, rigs: list[TestRig], chunk_size: int = 1024,
                  numerics: str = "exact") -> None:
@@ -354,7 +416,7 @@ class BatchEngine:
         self._n = len(self._rigs)
         self._numerics = resolve_numerics(numerics)
         self._fast = self._numerics == "fast"
-        _validate_fleet(self._rigs)
+        self._sig = _validate_fleet(self._rigs)
         self._extract()
 
     @property
@@ -398,13 +460,14 @@ class BatchEngine:
             [states(getattr(ch, part) for ch in row) for row in chans]
             for part in ("afe", "anti_alias", "adc", "digital_lpf"))
 
-        # Water line (shared bulk plant, per-monitor OU fluctuation).
+        # Water line (one lane: shared bulk plant and line clock;
+        # per-monitor OU fluctuation).  ``_line_time`` is the line
+        # clock every lane starts from.
         line0 = line[0]
         lcfg = rigs[0].line.config
         noise0 = line0["noise"]["config"]
-        self._bulk_speed = np.float64(line0["speed"])
-        self._bulk_pressure = np.float64(line0["pressure"])
-        self._bulk_temp = np.float64(line0["temperature"])
+        self._lanes = [_Lane.joining(0, line0)]
+        self._lane_of = np.zeros(len(rigs), dtype=np.intp)
         self._line_time = float(line0["time_s"])
         self._a_speed = 1.0 - np.exp(-dt / lcfg.speed_tau_s)
         self._a_press = 1.0 - np.exp(-dt / lcfg.pressure_tau_s)
@@ -448,7 +511,8 @@ class BatchEngine:
             [m.sensor.housing.leakage_conductance_s() for m in mons])
         self._leak_mask = self._leak == 0.0
         self._leak_zero = bool(self._leak_mask.all())
-        self._min_rating = min(m.sensor.housing.pressure_rating_pa for m in mons)
+        self._rating = np.array(
+            [m.sensor.housing.pressure_rating_pa for m in mons])
         self._burst_pressure = cfg.membrane.burst_pressure_pa
         self._alpha_ref = 1.0 - math.exp(-dt / cfg.reference_lag_s)
         self._geom_d = cfg.geometry.diameter_m
@@ -578,7 +642,7 @@ class BatchEngine:
         self._inv_exp = np.array([1.0 / law.exponent for law in laws])
         self._alpha_iir = est[0]["iir"]["alpha"]
         self._y_iir = np.array(rows(est, "iir", "y_f"))
-        self._primed = est[0]["primed"]
+        self._primed = np.array(rows(est, "primed"), dtype=bool)
         self._last_output = np.array(rows(est, "last_output"), dtype=float)
         self._use_direction = est0.config.use_direction
         self._dir_offset = np.array(
@@ -608,8 +672,7 @@ class BatchEngine:
             copy.deepcopy({k: v for k, v in fields.items()
                            if k in self._LIVE}),
             [(rng, rng.bit_generator.state) for rng in rngs],
-            (state_of(self._drive)
-             if isinstance(self._drive, PulsedDrive) else None))
+            _drive_state(self._drive))
 
     # -- main loop -----------------------------------------------------------
 
@@ -618,10 +681,11 @@ class BatchEngine:
         """Samples already advanced (the absolute step of the next tick).
 
         Starts at 0 and grows with every :meth:`run` / :meth:`advance`
-        call; profile setpoints and the ``record_every_n`` decimation
-        phase are both evaluated at this absolute step index, so a run
-        split across several :meth:`advance` calls lands on the same
-        recorded ticks as one uninterrupted :meth:`run`.
+        call; the ``record_every_n`` decimation phase is evaluated at
+        this absolute step index and each lane's profile setpoints at
+        it minus the step the lane joined at, so a run split across
+        several :meth:`advance` calls lands on the same recorded ticks
+        as one uninterrupted :meth:`run`.
         """
         return self._offset
 
@@ -694,13 +758,15 @@ class BatchEngine:
 
         The engine form of :meth:`WaterLine.jump_to(speed_mps)
         <repro.station.line.WaterLine.jump_to>` on every rig's line:
-        the bulk speed moves to ``speed_mps`` and the bulk pressure and
-        temperature to the line's defaults (2 bar, 15 °C).  The line
-        clock and each row's turbulence stream carry on.
+        each lane's bulk speed moves to ``speed_mps`` and its bulk
+        pressure and temperature to the line's defaults (2 bar,
+        15 °C).  The line clocks and each row's turbulence stream
+        carry on.
         """
-        self._bulk_speed = speed_mps
-        self._bulk_pressure = 2.0e5
-        self._bulk_temp = 288.15
+        for lane in self._lanes:
+            lane.speed = speed_mps
+            lane.pressure = 2.0e5
+            lane.temperature = 288.15
 
     def accumulate(self, profile: Profile, steps: int,
                    sums: WindowSums | None = None) -> WindowSums:
@@ -763,15 +829,7 @@ class BatchEngine:
             return
         keep = [j for j in range(self._n) if j not in drop_set]
 
-        for name in ("_turb_intensity", "_x_ou", "_t_mem", "_t_ref",
-                     "_ref_r0", "_leak", "_leak_mask", "_g_lat",
-                     "_g_back_half", "_heater_cap", "_g_rim_total",
-                     "_rho_m", "_x_bs", "_rh_star", "_bp_denom",
-                     "_coeff_a", "_coeff_b", "_inv_exp", "_y_iir",
-                     "_last_output", "_dir_offset", "_y_dir", "_dir",
-                     "_pm_gain", "_pm_state",
-                     "_t_h", "_h_r0", "_r_trim", "_r_foul", "_cov",
-                     "_afe_state", "_flick", "_y_lpf", "_pi_sat", "_u"):
+        for name in self._ROWS:
             setattr(self, name, getattr(self, name)[..., keep])
         if self._qformat is not None:
             self._pi_int = self._pi_int[..., keep]
@@ -782,20 +840,116 @@ class BatchEngine:
         self._aa_state = [[st[..., keep] for st in stage]
                           for stage in self._aa_state]
         self._lev = self._lev[:, keep]
-        for name in ("_line_rngs", "_bs_rngs", "_pm_rngs"):
+        for name in self._RNG_ROWS:
             row = getattr(self, name)
             setattr(self, name, [row[j] for j in keep])
-        for name in ("_bubble_rngs", "_afe_rngs", "_adc_rngs"):
+        for name in self._RNG_BRIDGES:
             rows = getattr(self, name)
             setattr(self, name, [[row[j] for j in keep] for row in rows])
-
         self._rigs = [self._rigs[j] for j in keep]
         self._n = len(keep)
+        # A lane whose every row left is gone.
+        used = sorted(set(self._lane_of.tolist()))
+        if len(used) < len(self._lanes):
+            renumber = np.zeros(len(self._lanes), dtype=np.intp)
+            renumber[used] = np.arange(len(used))
+            self._lanes = [self._lanes[i] for i in used]
+            self._lane_of = renumber[self._lane_of]
+        self._derive_row_constants()
+
+    def _derive_row_constants(self) -> None:
+        """Recompute the fleet-wide values derived from per-row fields."""
         self._ua_off = self._lev[:, :, 0].copy()
         self._leak_zero = bool(self._leak_mask.all())
-        self._min_rating = min(
-            (r.monitor.sensor.housing.pressure_rating_pa
-             for r in self._rigs), default=math.inf)
+
+    def check_admit(self, rigs: list[TestRig]) -> None:
+        """Refuse rigs :meth:`admit` could not run bit-exactly.
+
+        A rig joins only if it shares this engine's config group (its
+        :func:`_signature` equals the one the engine was built with)
+        and its drive scheme is at the engine's drive phase: a
+        continuous drive always is, a pulsed one only at the phase the
+        engine's lead drive holds (in practice at step 0).  Nothing
+        changes either way.
+
+        Raises
+        ------
+        ConfigurationError
+            ``reason="admit"`` for a rig of another config group or at
+            another drive phase; on an empty rig list.
+        SensorFault
+            If a rig's sensor is already failed.
+        """
+        _require(len(rigs) > 0, "admit needs at least one rig")
+        phase = _drive_state(self._drive)
+        for rig in rigs:
+            if rig.monitor.sensor.failed is not None:
+                raise SensorFault(rig.monitor.sensor.failed)
+            if _signature(rig) != self._sig:
+                raise ConfigurationError(
+                    "rig is not in this engine's config group",
+                    reason="admit")
+            if _drive_state(rig.monitor.controller.drive) != phase:
+                raise ConfigurationError(
+                    "rig's drive phase differs from the engine's",
+                    reason="admit")
+
+    def admit(self, rigs: list[TestRig]) -> None:
+        """Append rigs to the fleet as a lane joining at :attr:`offset`.
+
+        The rigs become the last rows, in order.  Their lane reads the
+        profile from its own step 0 and carries its own line plant and
+        line time (rows joining where the last lane joined, before it
+        advanced, share that lane), while every lane ticks the one
+        shared drive and records at the engine's decimation phase.  A
+        row's traces are *bit-identical* to a run of its rigs alone,
+        recorded at the engine steps where ``offset % record_every_n``
+        lines up: admit where ``offset`` is a multiple of the cadence
+        to record the standalone ticks.  This is the lane counterpart
+        of :meth:`drop`, and it concatenates the same per-row fields.
+
+        Raises
+        ------
+        ConfigurationError, SensorFault
+            As :meth:`check_admit`; nothing changes then.
+        """
+        rigs = list(rigs)
+        self.check_admit(rigs)
+        # The joiners' own one-lane engine supplies their per-row
+        # fields; a lane that has not stepped since it joined here
+        # takes them in.
+        theirs = vars(BatchEngine(rigs, chunk_size=self._chunk,
+                                  numerics=self._numerics))
+        lane = _Lane.joining(self._offset, state_of(rigs[0].line))
+        if not self._lanes or self._lanes[-1] != lane:
+            self._lanes = [*self._lanes, lane]
+        theirs["_lane_of"] = np.full(len(rigs), len(self._lanes) - 1,
+                                     dtype=np.intp)
+        for name in (*self._ROWS, "_pi_int" if self._qformat is not None
+                     else "_pi_int_f"):
+            setattr(self, name,
+                    np.concatenate((getattr(self, name), theirs[name]),
+                                   axis=-1))
+        self._lev = np.concatenate((self._lev, theirs["_lev"]), axis=1)
+        if self._ua is not None:
+            # The supplies the joiners' DACs hold (what write_back
+            # keeps for rows that have not stepped yet).
+            self._ua = np.concatenate((self._ua, np.array([
+                [state_of(getattr(r.monitor.platform, dac))["output_v"]
+                 for r in rigs]
+                for dac in ("supply_dac_a", "supply_dac_b")])), axis=1)
+        self._aa_state = [
+            [np.concatenate((st, new), axis=-1)
+             for st, new in zip(stage, new_stage)]
+            for stage, new_stage in zip(self._aa_state, theirs["_aa_state"])]
+        for name in self._RNG_ROWS:
+            setattr(self, name, getattr(self, name) + theirs[name])
+        for name in self._RNG_BRIDGES:
+            setattr(self, name, [mine + new for mine, new in zip(
+                getattr(self, name), theirs[name])])
+        self._rigs = self._rigs + rigs
+        self._n = len(self._rigs)
+        self._derive_row_constants()
 
     def rewind(self) -> None:
         """Return the engine to the state it was built with.
@@ -844,7 +998,8 @@ class BatchEngine:
         declared layout (:func:`repro.state.state_of`), the state the
         scalar loop would have left after the same steps, and its
         :attr:`TestRig.offset <repro.station.rig.TestRig.offset>` is
-        the engine's.  A rig can then continue on its own with
+        its lane's step (the engine's :attr:`offset` less the step the
+        lane joined at).  A rig can then continue on its own with
         :meth:`TestRig.advance <repro.station.rig.TestRig.advance>`,
         bit-identical to a scalar run that never left it.  The
         generators are shared already: the engine draws from the rigs'
@@ -854,14 +1009,15 @@ class BatchEngine:
         inside the engine keeps its old sticky rail flag, because the
         engine clamps without recording the clip.
         """
-        steps = self._offset - self._synced
         dt = self._dt
-        clocks: dict[float, float] = {}
-        drive = (state_of(self._drive)
-                 if isinstance(self._drive, PulsedDrive) else None)
+        clocks: dict[tuple, float] = {}
+        drive = _drive_state(self._drive)
         quant = self._qformat is not None
-        v_mag = abs(float(self._bulk_speed))
         for j, rig in enumerate(self._rigs):
+            lane = self._lanes[self._lane_of[j]]
+            # A lane's rigs were last written when it joined, or at the
+            # last write_back if that came later.
+            steps = self._offset - max(self._synced, lane.start)
             mon = rig.monitor
             sensor = state_of(mon.sensor)
             sensor.update(t_a=self._t_h[0, j], t_b=self._t_h[1, j],
@@ -879,13 +1035,13 @@ class BatchEngine:
 
             ctrl = state_of(mon.controller)
             start = ctrl["time_s"]
-            if start not in clocks:
+            if (start, steps) not in clocks:
                 # The scalar loop adds dt once per step; so must we.
                 t = start
                 for _ in range(steps):
                     t += dt
-                clocks[start] = t
-            ctrl["time_s"] = clocks[start]
+                clocks[start, steps] = t
+            ctrl["time_s"] = clocks[start, steps]
             ctrl["u_a"] = float(self._u[0, j])
             ctrl["u_b"] = float(self._u[1, j])
             for h, key in enumerate(("pi_a", "pi_b")):
@@ -916,7 +1072,7 @@ class BatchEngine:
                                             "y_f": float(self._y_lpf[h, j])})
 
             est = state_of(mon.estimator)
-            est["primed"] = self._primed
+            est["primed"] = bool(self._primed[j])
             est["last_output"] = float(self._last_output[j])
             est["iir"]["y_f"] = float(self._y_iir[j])
             if self._use_direction:
@@ -925,13 +1081,14 @@ class BatchEngine:
             load_state(mon.estimator, est)
 
             line = state_of(rig.line)
-            line.update(time_s=self._line_time, speed=self._bulk_speed,
-                        pressure=self._bulk_pressure,
-                        temperature=self._bulk_temp)
+            line.update(time_s=lane.time_s, speed=lane.speed,
+                        pressure=lane.pressure,
+                        temperature=lane.temperature)
             ou = line["noise"]["ou"]
             ou["x"] = float(self._x_ou[j])
             if steps:
                 # The turbulence stream's last retune, as perturb() did.
+                v_mag = abs(lane.speed)
                 noise = line["noise"]["config"]
                 ou["sigma"] = noise.intensity * v_mag + noise.floor_mps
                 ou["tau_s"] = noise.integral_length_m / max(
@@ -940,7 +1097,7 @@ class BatchEngine:
 
             load_state(rig.reference, {**state_of(rig.reference),
                                        "state": float(self._pm_state[j])})
-            rig.offset = self._offset
+            rig.offset = self._offset - lane.start
         self._synced = self._offset
 
     def _estimate(self, u_valid: list[np.ndarray], rec_valid: list[int]
@@ -972,6 +1129,7 @@ class BatchEngine:
         # ops, half the per-step dispatches).
         alphas = np.repeat([[self._alpha_iir], [self._alpha_dir]],
                            self._n, axis=1)
+        primed = self._primed
         for s0 in range(0, len(u_valid), _EST_SLICE):
             block = np.stack(u_valid[s0:s0 + _EST_SLICE])
             ua, ub = block[:, 0], block[:, 1]
@@ -980,9 +1138,10 @@ class BatchEngine:
             g_cond = 0.5 * (bp_a + bp_b) / self._overtemp
             excess = np.maximum(g_cond - self._coeff_a, 0.0)
             speed = vpow(excess / self._coeff_b, self._inv_exp)
-            if not self._primed:
-                y_iir = speed[0].copy()
-                self._primed = True
+            if not primed.all():
+                # A row's output IIR starts at its first valid speed.
+                y_iir = np.where(primed, y_iir, speed[0])
+                primed = np.ones_like(primed)
             if self._use_direction:
                 pa = ua * ua
                 pb = ub * ub
@@ -1008,7 +1167,42 @@ class BatchEngine:
             dirs[sel] = dir_traj[at]
             self._last_output = out[-1].copy()
         self._y_iir, self._y_dir, self._dir = y_iir, y_dir, dir_state
+        self._primed = primed
         return meas, dirs
+
+    def _guard(self, plans: list, c: int) -> tuple[int, Exception | None]:
+        """Check a chunk's line pressures against the sensor guards.
+
+        Each lane's rows see its plant pressure: above the membrane's
+        burst rating, below zero, or above the housing rating of the
+        lane's weakest housing.  Returns ``(c, None)`` when no step
+        trips, else the first tripping step and the error the scalar
+        rig raises there (burst, then negative pressure, then housing,
+        checked across the lanes in that order, as each rig checks).
+        """
+        burst = self._burst_pressure
+        ratings = [self._rating[self._lane_of == lane].min()
+                   for lane in range(len(plans))]
+        first = c
+        for plan, rating in zip(plans, ratings):
+            p = plan.bulk_pressure
+            bad = (p > burst) | (p < 0.0) | (p > rating)
+            if bad.any():
+                first = min(first, int(bad.argmax()))
+        if first == c:
+            return c, None
+        pressures = [float(plan.bulk_pressure[first]) for plan in plans]
+        for p in pressures:
+            if p > burst:
+                return first, SensorFault(
+                    f"membrane burst at {p / 1e5:.2f} bar "
+                    f"(rating {burst / 1e5:.2f} bar)")
+        if any(p < 0.0 for p in pressures):
+            return first, ConfigurationError("pressure must be non-negative")
+        p, rating = next((p, rating) for p, rating
+                         in zip(pressures, ratings) if p > rating)
+        return first, SensorFault(f"housing rated {rating / 1e5:.1f} bar "
+                                  f"failed at {p / 1e5:.1f} bar")
 
     def _run(self, profile: Profile, steps: int,
              record_every_n: int, sums: WindowSums | None = None
@@ -1016,12 +1210,15 @@ class BatchEngine:
         """The instrumented main loop behind :meth:`run`.
 
         Each chunk is advanced in three phases: :func:`plan_chunk`
-        precomputes the time axis (setpoints, shared-line plant, drive
-        schedule, OU coefficients), the time-blocked kernels run every
-        feed-forward trajectory (line OU, AFE flicker, backside OU,
-        Promag lag) and per-sample noise array for the whole chunk, and
-        only the genuinely recurrent chain (reference/heater/membrane
-        thermals, AFE state, filters, PI) stays in the per-sample loop.
+        precomputes each lane's time axis (setpoints, shared-line plant,
+        OU coefficients), scattered into per-row line tables, and
+        :func:`drive_schedule` the shared drive schedule; the
+        line-pressure guards check the lane plans; the time-blocked
+        kernels run every feed-forward trajectory (line OU, AFE flicker
+        and backside OU as one stacked AR(1), the Promag lag) and
+        per-sample noise array for the whole chunk, and only the
+        genuinely recurrent chain (reference/heater/membrane thermals,
+        AFE state, filters, PI) stays in the per-sample loop.
         The flow estimator feeds nothing back into that chain, so the
         loop only collects the PI output of valid samples and
         :meth:`_estimate` runs it once per chunk, after the loop.
@@ -1059,11 +1256,12 @@ class BatchEngine:
                 "runtime.batch.samples", "monitor-samples advanced")
             chunks_counter = registry.counter("runtime.batch.chunks")
             run_start = time.perf_counter()
-        # Per-stage profiling (kernel.plan / kernel.ar1_block, each
-        # LOOP_REGIONS region of the per-sample loop, kernel.chunk_loop
-        # and kernel.estimator): strictly opt-in.  While disabled each
-        # region boundary costs one bool check; while enabled, one
-        # perf_counter stamp, differenced into regions once per chunk.
+        # Per-stage profiling (kernel.plan, kernel.guards once per
+        # chunk, kernel.ar1_block, each region of the per-sample loop,
+        # kernel.chunk_loop and kernel.estimator): strictly opt-in.
+        # While disabled each region boundary costs one bool check;
+        # while enabled, one perf_counter stamp, differenced into
+        # regions once per chunk.
         profiler = get_profiler()
         profiling = profiler.enabled and not accumulating
         if profiling:
@@ -1080,7 +1278,10 @@ class BatchEngine:
                 totals["calls"] += calls
                 totals["wall_s"] += wall
                 totals["cpu_s"] += cpu
-        t_buf: list[float] = []
+        # Recorded ticks, gathered once per chunk as (ticks, N) blocks
+        # (the lanes' line times as (lanes, ticks)); the bubble
+        # coverage is loop state, so it is kept per tick.
+        t_blocks: list[np.ndarray] = []
         v_true: list[np.ndarray] = []
         v_ref: list[np.ndarray] = []
         v_meas: list[np.ndarray] = []
@@ -1109,7 +1310,6 @@ class BatchEngine:
         # (exact: they are small integers), so the ufunc skips the
         # per-call int-to-float cast of a mixed-type operand.
         dac_lsb, dac_max = as0(self._dac_lsb), as0(float(self._dac_max_code))
-        burst_p, min_rating = self._burst_pressure, self._min_rating
         ref_r0, tcr_ref = _pair(self._ref_r0), as0(self._tcr_ref)
         tref_ref = as0(self._tref_ref)
         r_trim, r_series = self._r_trim, as0(self._r_series)
@@ -1118,7 +1318,7 @@ class BatchEngine:
         tref_h = as0(self._tref_h)
         g_lat, rho_m = as0(self._g_lat), as0(self._rho_m)
         g_lat2 = _pair(self._g_lat)
-        g_rim, lat_total = as0(self._g_rim_total), self._lat_total
+        g_rim = as0(self._g_rim_total)
         heater_cap = _pair(self._heater_cap)
         ndt = as0(-dt)
         leak, leak_mask = _pair(self._leak), _pair(self._leak_mask)
@@ -1200,11 +1400,6 @@ class BatchEngine:
             supply_sum, ref_sum = sums.supply_sum, sums.reference_sum
             n_valid = sums.valid
 
-        # ``t_f0`` is the 0-d box for the per-step fluid temperature —
-        # refilled each tick, read by several ufuncs, never aliased into
-        # results.
-        t_f0 = np.empty(())
-
         # Operating-point resistances and the bridge-arm denominators
         # carried across steps: step k's post-step values are bitwise
         # step k+1's pre-step values (same formula, same state), so
@@ -1220,10 +1415,15 @@ class BatchEngine:
             g_back = _pair(self._g_back_half * 1.0)
         cov_nonzero = bool((cov > 0.0).any())
 
-        # Steps are absolute indices on the engine clock: the profile
-        # setpoints, the drive phase and the decimation condition all
-        # see ``start + k``, so an advance window resumes exactly where
-        # the previous one stopped.
+        # Steps are absolute indices on the engine clock: the drive
+        # phase and the decimation condition see ``start + k``, each
+        # lane's profile setpoints ``start + k - lane.start``, so an
+        # advance window resumes exactly where the previous one
+        # stopped.
+        lanes, lane_of = self._lanes, self._lane_of
+        # A result whose lanes joined at different steps carries each
+        # row's line time (RunResult.take hands a lane its own axis).
+        lane_times = any(lane.start for lane in lanes)
         start0 = self._offset
         end = start0 + steps
         for start in range(start0, end, self._chunk):
@@ -1233,24 +1433,42 @@ class BatchEngine:
             with tracer.span("kernel.plan", samples=c, fast=fast):
                 if profiling:
                     prof_w, prof_c = perf_counter(), process_time()
-                # Time axis: setpoints, shared plant, drive schedule, OU
-                # coefficients — everything loop-invariant per step.
-                plan = plan_chunk(
-                    profile, self._drive, dt, start, c,
-                    speed=float(self._bulk_speed),
-                    pressure=float(self._bulk_pressure),
-                    temperature=float(self._bulk_temp),
-                    time_s=float(self._line_time),
+                # Time axis: each lane's setpoints, plant and OU
+                # coefficients, and the drive schedule all lanes share
+                # — everything loop-invariant per step.
+                plans = [plan_chunk(
+                    profile, dt, start - lane.start, c,
+                    speed=lane.speed, pressure=lane.pressure,
+                    temperature=lane.temperature, time_s=lane.time_s,
                     a_speed=float(self._a_speed),
                     a_press=float(self._a_press),
                     a_temp=float(self._a_temp),
                     turb_length=self._turb_length,
                     turb_min_speed=self._turb_min_speed,
-                    fast=fast)
+                    fast=fast) for lane in lanes]
+                energise, control_active, sample_valid = drive_schedule(
+                    self._drive, dt, c)
+
+                def table(name: str) -> np.ndarray:
+                    # A lane quantity scattered to its rows: (c, N).
+                    return np.stack([getattr(plan, name) for plan in plans],
+                                    axis=1)[:, lane_of]
+
+                bulk_v = table("bulk_speed")
+                bulk_p = table("bulk_pressure")
+                tf_all = table("bulk_temp")
+                tf2_all = _pair(tf_all)
                 if profiling:
                     now_w, now_c = perf_counter(), process_time()
                     note("kernel.plan", now_w - prof_w, now_c - prof_c)
-                bulk_v = plan.bulk_speed
+                    prof_w, prof_c = now_w, now_c
+                # The line-pressure guards, once per chunk: the loop
+                # stops before the first step that trips one.
+                c_run, fault = self._guard(plans, c)
+                if profiling:
+                    now_w, now_c = perf_counter(), process_time()
+                    note("kernel.guards", now_w - prof_w, now_c - prof_c,
+                         calls=c)
 
                 # Pre-draw this chunk's gaussian blocks from the live
                 # streams (identical consumption in both numerics modes).
@@ -1283,12 +1501,29 @@ class BatchEngine:
                 # input prep) under the name "kernel.ar1_block".
                 if profiling:
                     prof_w, prof_c = perf_counter(), process_time()
-                sigma_ou = (self._turb_intensity * plan.v_mag[:, None]
+                # The turbulence OU (N rows), the AFE flicker (2N) and
+                # the backside OU (N, flooded cavity only) run as one
+                # stacked AR(1) over a (c, R) coefficient table.
+                sigma_ou = (self._turb_intensity * table("v_mag")
                             + self._turb_floor)
-                x_ou_traj, self._x_ou = ar1_block(
-                    self._x_ou, plan.rho_ou,
-                    (sigma_ou * plan.ou_sqrt[:, None]) * xi_line.T)
-                v_local_all = bulk_v[:, None] + x_ou_traj
+                width = (4 if bs_on else 3) * n
+                rho_tab = np.empty((c, width))
+                ar1_noise = np.empty((c, width))
+                rho_tab[:, :n] = table("rho_ou")
+                rho_tab[:, n:3 * n] = self._afe_leak
+                ar1_noise[:, :n] = (sigma_ou * table("ou_sqrt")) * xi_line.T
+                ar1_noise[:, n:3 * n] = (self._flicker_scale
+                                         * xi_flick).reshape(c, 2 * n)
+                ar1_state = [self._x_ou, self._flick.ravel()]
+                if bs_on:
+                    rho_tab[:, 3 * n:] = self._bs_rho
+                    ar1_noise[:, 3 * n:] = self._bs_scale * xi_bs.T
+                    ar1_state.append(self._x_bs)
+                ar1_traj, ar1_last = ar1_block(
+                    np.concatenate(ar1_state), rho_tab, ar1_noise)
+                self._x_ou = ar1_last[:n]
+                self._flick = ar1_last[n:3 * n].reshape(2, n)
+                v_local_all = bulk_v + ar1_traj[:, :n]
                 absv_all = np.abs(v_local_all)
                 x_wake = absv_all / self._wake_peak_speed
                 coupling_all = _pair(
@@ -1302,20 +1537,16 @@ class BatchEngine:
                 if enable_bubbles:
                     detach_all = (self._bub_base_detach
                                   + self._bub_shear_detach * absv_all)
-                flick_traj, self._flick = ar1_block(
-                    self._flick, self._afe_leak,
-                    self._flicker_scale * xi_flick)
                 noise_gain_all = (self._white_rms * xi_white
-                                  + flick_traj) * gain
+                                  + ar1_traj[:, n:3 * n].reshape(c, 2, n)
+                                  ) * gain
                 if bs_on:
-                    bs_traj, self._x_bs = ar1_block(
-                        self._x_bs, self._bs_rho, self._bs_scale * xi_bs.T)
+                    self._x_bs = ar1_last[3 * n:]
                     g_back_all = _pair(self._g_back_half * np.maximum(
-                        1.0 + bs_traj, 0.1))
+                        1.0 + ar1_traj[:, 3 * n:], 0.1))
                 adc_noise_all = self._adc_thermal * xi_adc
                 pm_traj, self._pm_state = relax_block(
-                    self._pm_state, self._pm_alpha,
-                    bulk_v[:, None] * self._pm_gain)
+                    self._pm_state, self._pm_alpha, bulk_v * self._pm_gain)
                 if accumulating:
                     # An averaging window reads the meter (state +
                     # resolution noise) every sample.
@@ -1323,8 +1554,10 @@ class BatchEngine:
                 if not bs_on:
                     # With a constant backside conductance the
                     # ``g_back * t_fluid`` term of the heater ambient is
-                    # a per-chunk outer product (same elementwise mul).
-                    gbtf_all = np.array(plan.bulk_temp)[:, None, None] * g_back
+                    # a per-chunk table (same elementwise mul).
+                    gbtf_all = tf2_all * g_back
+                # The membrane rim's ``lat_total * t_fluid`` term.
+                lat_tf_all = self._lat_total * tf_all
                 if profiling:
                     now_w, now_c = perf_counter(), process_time()
                     note("kernel.ar1_block", now_w - prof_w, now_c - prof_c)
@@ -1333,27 +1566,19 @@ class BatchEngine:
                 plan_hist.observe(plan_end - chunk_start)
                 planned_counter.inc(c)
 
-            energise = plan.energise
-            control_active = plan.control_active
-            sample_valid = plan.sample_valid
-            bulk_p = plan.bulk_pressure
-            bulk_t = plan.bulk_temp
-            line_t = plan.line_time
-
             u_valid: list[np.ndarray] = []
             keep_u = u_valid.append
             rec_valid: list[int] = []
+            rec_k: list[int] = []
             if profiling:
                 stamps: list[float] = []
                 stamp = stamps.append
                 loop_w, loop_c = perf_counter(), process_time()
-            for k in range(c):
+            for k in range(c_run):
                 if profiling:
                     stamp(perf_counter())
                 i = start + k
-                p_line = bulk_p[k]
-                t_fluid = bulk_t[k]
-                t_f0[()] = t_fluid
+                t_f = tf2_all[k]
 
                 # Supply DACs: quantize + mismatch table — but only when
                 # the drive energises the bridges; on off ticks every
@@ -1376,21 +1601,6 @@ class BatchEngine:
                 if profiling:
                     stamp(perf_counter())
 
-                # Sensor guards (shared line pressure).
-                if p_line > burst_p:
-                    raise SensorFault(
-                        f"membrane burst at {float(p_line) / 1e5:.2f} bar "
-                        f"(rating {burst_p / 1e5:.2f} bar)")
-                if p_line < 0.0:
-                    raise ConfigurationError("pressure must be non-negative")
-                if p_line > min_rating:
-                    raise SensorFault(
-                        f"housing rated {min_rating / 1e5:.1f} bar "
-                        f"failed at {float(p_line) / 1e5:.1f} bar")
-
-                if profiling:
-                    stamp(perf_counter())
-
                 # Reference resistor: lagged tracking + self-heating
                 # bias (``rt`` carries the pre-step resistance).  The
                 # two bridge branches are computed rows-joint — the
@@ -1402,10 +1612,10 @@ class BatchEngine:
                     i_r = ua / rt_den
                     p_r = i_r * i_r * rt
                     p_ref = p_r[0] + p_r[1]
-                    t_ref_target = t_f0 + f_thirty * p_ref
+                    t_ref_target = tf_all[k] + f_thirty * p_ref
                     t_ref = t_ref + alpha_ref * (t_ref_target - t_ref)
                 else:
-                    t_ref = t_ref + alpha_ref * (t_f0 - t_ref)
+                    t_ref = t_ref + alpha_ref * (tf_all[k] - t_ref)
                 rt = ref_r0 * (f_one + tcr_ref * (t_ref - tref_ref))
                 rt_den = r_trim + rt
 
@@ -1418,15 +1628,15 @@ class BatchEngine:
                 # identical).  The downstream heater's inlet is the
                 # fluid warmed by the other row's wake (``warm[::-1]``);
                 # the upstream one sees the fluid itself.
-                dth = t_h - t_f0
+                dth = t_h - t_f
                 warm = coupling_all[k] * np_max(dth, f_zero)
-                t_in = np_where(down_all[k], t_f0 + warm[::-1], t_f0)
+                t_in = np_where(down_all[k], t_f + warm[::-1], t_f)
 
                 if profiling:
                     stamp(perf_counter())
 
                 # Clean film conductance at the film temperature.
-                film_t = f_half * (t_h + t_f0)
+                film_t = f_half * (t_h + t_f)
                 g = film(v_eff_all[k], film_t,
                          geom_d, geom_L, fast=fast)
 
@@ -1459,9 +1669,12 @@ class BatchEngine:
                         self._bub_growth * (superheat - self._bub_nucleation),
                         0.0)
                     if active.any():
-                        p_abs = p_line + 101_325.0
-                        t_boil = float(boiling_temperature(
-                            max(float(p_abs), 5_000.0)))
+                        # Each row boils at its own lane's pressure.
+                        t_boil = np.array([
+                            float(boiling_temperature(max(
+                                float(plan.bulk_pressure[k]) + 101_325.0,
+                                5_000.0)))
+                            for plan in plans])[lane_of]
                         growth = growth + np.where(
                             active & (t_h >= t_boil),
                             10.0 * self._bub_growth * (t_h - t_boil + 1.0),
@@ -1494,7 +1707,7 @@ class BatchEngine:
                 # the OU trajectory is precomputed per chunk).
                 if bs_on:
                     g_back = g_back_all[k]
-                    gbtf = g_back * t_f0
+                    gbtf = g_back * t_f
                 else:
                     gbtf = gbtf_all[k]
 
@@ -1528,7 +1741,7 @@ class BatchEngine:
 
                 # Membrane rim update (new heater temps).
                 t_rim_inf = (g_lat * (t_h[0] + t_h[1])
-                             + lat_total * t_fluid) / g_rim
+                             + lat_tf_all[k]) / g_rim
                 t_mem = t_rim_inf + (t_mem - t_rim_inf) * rho_m
 
                 if profiling:
@@ -1649,17 +1862,12 @@ class BatchEngine:
                     if sample_valid[k]:
                         keep_u(u)
                     if i % record_every_n == 0:
-                        # The Promag 50 trajectory was precomputed by
-                        # the relaxation kernel; the reading (state +
-                        # resolution noise) only exists at recorded
-                        # ticks.
-                        t_buf.append(line_t[k])
-                        v_true.append(np.full(n, float(bulk_v[k])))
-                        v_ref.append(pm_traj[k] + pm_noise * xi_pm[:, k])
+                        rec_k.append(k)
                         rec_valid.append(len(u_valid))
-                        pressure.append(np.full(n, float(p_line)))
-                        temperature.append(np.full(n, float(t_fluid)))
                         coverage.append(np.maximum(cov[0], cov[1]))
+
+            if fault is not None:
+                raise fault
 
             if profiling:
                 now_w, now_c = perf_counter(), process_time()
@@ -1671,26 +1879,38 @@ class BatchEngine:
                 # Regions get the loop's CPU time in proportion to their
                 # wall time (a CPU clock read per boundary would cost
                 # more than most regions take).
-                laps = np.diff(np.reshape(stamps, (c, len(LOOP_REGIONS) + 1)),
+                laps = np.diff(np.reshape(stamps, (c, len(_STEP_REGIONS) + 1)),
                                axis=1).sum(axis=0)
                 share = loop_cpu / loop_wall if loop_wall > 0.0 else 0.0
-                for stage, wall in zip(LOOP_REGIONS, laps.tolist()):
+                for stage, wall in zip(_STEP_REGIONS, laps.tolist()):
                     note(stage, wall, wall * share, calls=c)
             if not accumulating:
                 if profiling:
                     prof_w, prof_c = perf_counter(), process_time()
                 meas, dirs = self._estimate(u_valid, rec_valid)
-                v_meas.extend(meas)
-                direction.extend(dirs)
+                if rec_k:
+                    # The recorded ticks' line quantities and Promag 50
+                    # readings (state + resolution noise, which only
+                    # exist at recorded ticks), gathered per chunk.
+                    ks = np.array(rec_k)
+                    t_blocks.append(np.stack(
+                        [plan.line_time[ks] for plan in plans]))
+                    v_true.append(bulk_v[ks])
+                    v_ref.append(pm_traj[ks] + pm_noise * xi_pm[:, ks].T)
+                    pressure.append(bulk_p[ks])
+                    temperature.append(tf_all[ks])
+                    v_meas.append(meas)
+                    direction.append(dirs)
                 if profiling:
                     now_w, now_c = perf_counter(), process_time()
                     note("kernel.estimator", now_w - prof_w, now_c - prof_c)
 
-            # Carry the shared-line plant into the next chunk's plan.
-            self._bulk_speed = float(bulk_v[c - 1])
-            self._bulk_pressure = bulk_p[c - 1]
-            self._bulk_temp = bulk_t[c - 1]
-            self._line_time = line_t[c - 1]
+            # Carry each lane's plant into the next chunk's plan.
+            for lane, plan in zip(lanes, plans):
+                lane.speed = float(plan.bulk_speed[c - 1])
+                lane.pressure = float(plan.bulk_pressure[c - 1])
+                lane.temperature = float(plan.bulk_temp[c - 1])
+                lane.time_s = float(plan.line_time[c - 1])
 
             if observing:
                 now = time.perf_counter()
@@ -1727,17 +1947,24 @@ class BatchEngine:
         if accumulating:
             return None
 
-        if t_buf:
+        if t_blocks:
+            def rows(blocks):
+                # (ticks, N) blocks to one C-ordered (N, ticks) trace.
+                return np.ascontiguousarray(np.concatenate(blocks).T)
+
+            times = np.concatenate(t_blocks, axis=1)
             result = RunResult(
-                time_s=np.array(t_buf),
-                true_speed_mps=np.stack(v_true, axis=1),
-                reference_mps=np.stack(v_ref, axis=1),
-                measured_mps=np.stack(v_meas, axis=1),
-                direction=np.stack(direction, axis=1),
-                pressure_pa=np.stack(pressure, axis=1),
-                temperature_k=np.stack(temperature, axis=1),
+                time_s=times[lane_of[0]].copy(),
+                true_speed_mps=rows(v_true),
+                reference_mps=rows(v_ref),
+                measured_mps=rows(v_meas),
+                direction=rows(direction),
+                pressure_pa=rows(pressure),
+                temperature_k=rows(temperature),
                 bubble_coverage=np.stack(coverage, axis=1),
             )
+            if lane_times:
+                result.set_lane_time(times[lane_of])
         else:
             # A window shorter than the decimation stride can record
             # zero ticks; the state still advanced, so hand back an

@@ -68,8 +68,11 @@ __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint",
 #: :class:`ShardedEngine` layout lost its shared-memory pool state;
 #: 4: engines hold one job blob per config group, not row shards;
 #: 5: a :class:`BatchEngine` holds one ``(2, N, K)`` DAC level table
-#: in place of one ``(N, K)`` table per bridge).
-CHECKPOINT_FORMAT_VERSION = 5
+#: in place of one ``(N, K)`` table per bridge; 6: a batch engine runs
+#: in lanes, each with its own profile clock and line plant, in place
+#: of one engine-wide plant, and a service cohort checkpoint carries
+#: each member's start step and horizon).
+CHECKPOINT_FORMAT_VERSION = 6
 
 #: Header magic identifying a checkpoint artifact.
 _MAGIC = "repro-checkpoint"
@@ -265,9 +268,9 @@ class WindowedRun:
     A run may chain several engines over consecutive legs — a
     campaign runs one :class:`MixedEngine` per scenario, one after the
     other inside one horizon — by assigning :attr:`engine` and
-    :attr:`profile` before a leg's first window.  The engine may also
-    be attached late (a service cohort builds it when the cohort
-    seals).
+    :attr:`profile` before a leg's first window.  The horizon may also
+    grow between windows (a service cohort's reaches the farthest
+    horizon of the clients that joined it).
 
     Attributes
     ----------

@@ -4,17 +4,19 @@ The chunk loop of :mod:`repro.runtime.batch` advances the whole fleet
 one sample at a time; everything in this module exists to lift work out
 of that per-sample loop:
 
-- :func:`plan_chunk` precomputes the *time axis* of a chunk — profile
-  setpoints, the shared-line first-order plant trajectory, the
-  turbulence-OU coefficients and the drive-scheme energise schedule —
-  so the per-sample loop reads plain floats instead of calling
+- :func:`plan_chunk` precomputes the *time axis* of one lane's chunk —
+  profile setpoints, the shared-line first-order plant trajectory and
+  the turbulence-OU coefficients — and :func:`drive_schedule` the
+  drive-scheme energise schedule every lane shares, so the per-sample
+  loop reads precomputed tables instead of calling
   ``Profile.setpoints`` / ``DriveScheme.tick`` and stepping the plant
   per tick.
 - :func:`ar1_block` / :func:`relax_block` run the linear recurrences
-  that do not feed back into the control loop (turbulence OU, AFE
-  flicker, backside-conductance OU, the Promag reference lag, and the
-  flow estimator's output and direction IIRs) for a whole chunk at
-  once, returning ``(trajectory, final_state)``.
+  that do not feed back into the control loop for a whole chunk at
+  once, returning ``(trajectory, final_state)``: the turbulence OU,
+  AFE flicker and backside-conductance OU as one stacked AR(1), and
+  the Promag reference lag and the flow estimator's output and
+  direction IIRs as relaxations.
 - :func:`hysteresis_block` runs the direction comparator over a block
   of filtered asymmetries with integer array logic.  Together with the
   two relaxations it lets the engine run the whole flow estimator
@@ -77,19 +79,21 @@ __all__ = [
     "hysteresis_block",
     "ChunkPlan",
     "plan_chunk",
+    "drive_schedule",
 ]
 
 #: The supported numerics modes, in documentation order.
 NUMERICS_MODES = ("exact", "fast")
 
-#: The regions of the batch engine's per-sample loop, in signal-chain
+#: The regions of the batch engine's per-sample chain, in signal-chain
 #: order: supply DACs, line-pressure guards, reference resistor, wake
 #: coupling, water film, fouling, bubbles, backside conductance, heater
 #: and membrane thermals, bridge, AFE, anti-alias filter, ADC, digital
-#: LPF and PI.  Each is timed per sample (``calls`` counts samples) and
-#: summed per chunk; together they cover ``kernel.chunk_loop`` but for
-#: the loop's own bookkeeping (the estimator hand-off and recorded
-#: ticks).
+#: LPF and PI.  ``calls`` counts samples.  The guards check each lane's
+#: planned pressures once per chunk, before the loop; every other
+#: region is timed per sample and summed per chunk, and together they
+#: cover ``kernel.chunk_loop`` but for the loop's own bookkeeping (the
+#: estimator hand-off and recorded ticks).
 LOOP_REGIONS = ("kernel.dac", "kernel.guards", "kernel.reference",
                 "kernel.wake", "kernel.film", "kernel.fouling",
                 "kernel.bubbles", "kernel.backside", "kernel.heater",
@@ -367,31 +371,28 @@ def q_pi_step(qformat, ki_dt_code: int, kp_code: int, min_code: int,
 # -- time-blocked recurrence kernels -----------------------------------------
 
 
-def ar1_block(state: np.ndarray, rho, noise: np.ndarray
+def ar1_block(state: np.ndarray, rho: np.ndarray, noise: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``x <- x * rho + noise[k]`` over a chunk; trajectory out.
+    """Run ``x <- x * rho[k] + noise[k]`` over a chunk; trajectory out.
 
-    ``rho`` is a scalar (AFE flicker leak, backside OU) or a ``(c,)``
-    array of per-step coefficients (the speed-dependent turbulence OU).
-    The recurrence keeps its per-step multiply-add association, so the
-    trajectory is bit-identical to stepping inside the sample loop.
+    ``state`` is ``(R,)``, ``rho`` and ``noise`` are ``(c, R)`` tables:
+    one coefficient per step and row, so several AR(1) processes (the
+    speed-dependent turbulence OU, the AFE flicker leak, the backside
+    OU) stacked side by side run as one recurrence.  Each element keeps
+    its per-step multiply-add, so every trajectory is bit-identical to
+    stepping it alone inside the sample loop.
 
     Returns ``(trajectory, final_state)`` with ``trajectory[k]`` the
     post-update state at step ``k``.
     """
     out = np.empty_like(noise)
+    multiply, add = np.multiply, np.add
     x = state
-    if np.ndim(rho) == 0:
-        # A 0-d operand skips the per-step Python-float boxing.
-        rho = np.asarray(rho)
-        for k, w in enumerate(noise):
-            x = x * rho + w
-            out[k] = x
-    else:
-        for k, (r, w) in enumerate(zip(rho.tolist(), noise)):
-            x = x * r + w
-            out[k] = x
-    return out, x
+    for row, r, w in zip(out, rho, noise):
+        multiply(x, r, out=row)
+        add(row, w, out=row)
+        x = row
+    return out, x.copy()
 
 
 def relax_block(state: np.ndarray, alpha, target: np.ndarray
@@ -452,12 +453,11 @@ def hysteresis_block(state: np.ndarray, level: np.ndarray, threshold,
 
 @dataclass
 class ChunkPlan:
-    """Precomputed time axis of one chunk (everything loop-invariant).
+    """Precomputed line time axis of one lane's chunk.
 
-    All per-step scalars are Python floats / bools in plain lists (the
-    inner loop indexes them far more often than numpy scalars would
-    pay for); the per-step *array* inputs derived from them are built
-    by the engine with one vectorized call each.
+    Every field is a ``(c,)`` array, one entry per step; the engine
+    scatters the lanes' plans into per-row tables the per-sample loop
+    reads.
 
     Attributes
     ----------
@@ -470,42 +470,36 @@ class ChunkPlan:
     rho_ou / ou_sqrt:
         Turbulence-OU decay ``exp(-dt/tau)`` and the matching
         ``sqrt(1 - rho^2)`` noise gain, per step.
-    energise / control_active / sample_valid:
-        The drive scheme's decisions, one tick per step.
     """
 
     bulk_speed: np.ndarray
-    bulk_pressure: list = field(repr=False)
-    bulk_temp: list = field(repr=False)
-    line_time: list = field(repr=False)
+    bulk_pressure: np.ndarray = field(repr=False)
+    bulk_temp: np.ndarray = field(repr=False)
+    line_time: np.ndarray = field(repr=False)
     v_mag: np.ndarray = field(repr=False)
     rho_ou: np.ndarray = field(repr=False)
     ou_sqrt: np.ndarray = field(repr=False)
-    energise: list = field(repr=False)
-    control_active: list = field(repr=False)
-    sample_valid: list = field(repr=False)
 
 
-def plan_chunk(profile, drive, dt: float, start_step: int, c: int, *,
+def plan_chunk(profile, dt: float, start_step: int, c: int, *,
                speed: float, pressure: float, temperature: float,
                time_s: float, a_speed: float, a_press: float, a_temp: float,
                turb_length: float, turb_min_speed: float,
                fast: bool = False) -> ChunkPlan:
-    """Precompute one chunk's setpoints, plant trajectory and schedule.
+    """Precompute one lane's setpoints and plant trajectory for a chunk.
 
     Advances the shared-line plant (``x <- x + a * (set - x)``, the
-    exact scalar recurrence of the per-sample loop), accumulates line
-    time, evaluates the turbulence-OU coefficients, and ticks ``drive``
-    once per step — all outside the per-sample loop.  The caller seeds
-    the plant state (``speed`` / ``pressure`` / ``temperature`` /
-    ``time_s``) and carries the returned trajectory tails forward to
-    the next chunk.
+    exact scalar recurrence of the per-sample loop) from the profile
+    step ``start_step`` (the lane's own clock), accumulates line time
+    and evaluates the turbulence-OU coefficients — all outside the
+    per-sample loop.  The caller seeds the plant state (``speed`` /
+    ``pressure`` / ``temperature`` / ``time_s``) and carries the
+    returned trajectory tails forward to the next chunk.
     """
     bulk_v = np.empty(c)
-    v_mag = np.empty(c)
-    bulk_p: list[float] = []
-    bulk_t: list[float] = []
-    times: list[float] = []
+    bulk_p = np.empty(c)
+    bulk_t = np.empty(c)
+    times = np.empty(c)
     rho_arg = np.empty(c)
     setpoints = profile.setpoints
     for k in range(c):
@@ -514,27 +508,11 @@ def plan_chunk(profile, drive, dt: float, start_step: int, c: int, *,
         pressure = pressure + a_press * (p_set - pressure)
         temperature = temperature + a_temp * (t_set - temperature)
         time_s = time_s + dt
-        mag = abs(speed)
         bulk_v[k] = speed
-        v_mag[k] = mag
-        bulk_p.append(pressure)
-        bulk_t.append(temperature)
-        times.append(time_s)
-        rho_arg[k] = -dt / (turb_length / max(mag, turb_min_speed))
-    # The drive has no coupling to the profile, so ticking it as one
-    # block after the plant loop is order-equivalent; built-in schemes
-    # override tick_block with allocation-free loops.
-    tick_block = getattr(drive, "tick_block", None)
-    if tick_block is not None:
-        energise, control, valid = tick_block(dt, c)
-    else:
-        energise, control, valid = [], [], []
-        tick = drive.tick
-        for _ in range(c):
-            dec = tick(dt)
-            energise.append(dec.energise)
-            control.append(dec.control_active)
-            valid.append(dec.sample_valid)
+        bulk_p[k] = pressure
+        bulk_t[k] = temperature
+        times[k] = time_s
+        rho_arg[k] = -dt / (turb_length / max(abs(speed), turb_min_speed))
     if fast:
         rho_ou = np.exp(rho_arg)
     else:
@@ -543,5 +521,26 @@ def plan_chunk(profile, drive, dt: float, start_step: int, c: int, *,
     ou_sqrt = np.sqrt(1.0 - rho_ou * rho_ou)
     return ChunkPlan(
         bulk_speed=bulk_v, bulk_pressure=bulk_p, bulk_temp=bulk_t,
-        line_time=times, v_mag=v_mag, rho_ou=rho_ou, ou_sqrt=ou_sqrt,
-        energise=energise, control_active=control, sample_valid=valid)
+        line_time=times, v_mag=np.abs(bulk_v), rho_ou=rho_ou,
+        ou_sqrt=ou_sqrt)
+
+
+def drive_schedule(drive, dt: float, c: int) -> tuple[list, list, list]:
+    """Tick ``drive`` ``c`` times: ``(energise, control_active,
+    sample_valid)`` lists, one decision per step.
+
+    The drive has no coupling to the profile or the plant, so one
+    block of ticks per chunk serves every lane; built-in schemes
+    override ``tick_block`` with allocation-free loops.
+    """
+    tick_block = getattr(drive, "tick_block", None)
+    if tick_block is not None:
+        return tick_block(dt, c)
+    energise, control, valid = [], [], []
+    tick = drive.tick
+    for _ in range(c):
+        dec = tick(dt)
+        energise.append(dec.energise)
+        control.append(dec.control_active)
+        valid.append(dec.sample_valid)
+    return energise, control, valid

@@ -26,6 +26,11 @@ constants, housing state, noise streams) rides along exactly as it
 always did; only structural differences split groups.  Groups must
 still share one loop rate and line clock, because the merged result
 needs a single time base.
+
+:meth:`MixedEngine.admit` lets rigs join a running engine: each rig
+becomes a row of a new lane of its group's engine (see
+:mod:`repro.runtime.batch`), with its own profile clock, and a new
+config group can join only while the engine is at step 0.
 """
 
 from __future__ import annotations
@@ -138,8 +143,8 @@ class MixedEngine:
     :func:`repro.station.campaign.run_campaign` (one per scenario leg)
     — whether the fleet is homogeneous, mixed or run in parallel.
     The surface mirrors ``BatchEngine`` (:meth:`run`, :meth:`advance`,
-    :meth:`drop`, :meth:`rewind`, :attr:`offset`), and :meth:`run` is
-    exactly one :meth:`advance` over the whole profile.
+    :meth:`drop`, :meth:`admit`, :meth:`rewind`, :attr:`offset`), and
+    :meth:`run` is exactly one :meth:`advance` over the whole profile.
     Like the batch engine, a mixed engine *consumes* its rigs.
 
     Parameters
@@ -195,13 +200,16 @@ class MixedEngine:
         # The shared loop period: run() needs it even once every rig
         # has been dropped, so advance() can refuse with a typed error.
         self._dt = g0.engine._dt
+        # The line clock every group (and every admitted one) starts
+        # from.
+        self._line_time = g0.engine._line_time
         for g in self._groups[1:]:
             if g.engine._dt != self._dt:
                 raise ConfigurationError(
                     f"config groups {g0.key} and {g.key} differ in loop "
                     f"rate; a mixed fleet needs one shared time base",
                     reason="heterogeneous")
-            if g.engine._line_time != g0.engine._line_time:
+            if g.engine._line_time != self._line_time:
                 raise ConfigurationError(
                     f"config groups {g0.key} and {g.key} differ in line "
                     f"start time; a mixed fleet needs one shared clock",
@@ -346,6 +354,64 @@ class MixedEngine:
                 survivors.append(g)
         self._groups = survivors
         self._n = len(keep)
+
+    def admit(self, rigs: list[TestRig]) -> None:
+        """Append rigs to the fleet as caller rows joining at :attr:`offset`.
+
+        The rigs become the last caller rows, in order.  Each config
+        group's rigs join that group's engine as a lane
+        (:meth:`BatchEngine.admit
+        <repro.runtime.batch.BatchEngine.admit>`, inside the blob for a
+        parallel job), so every joined row is *bit-identical* to a run
+        of its rigs alone from their own step 0; rows keep their
+        traces, and each lane its own time axis
+        (:meth:`RunResult.take <repro.runtime.result.RunResult.take>`).
+        A config group new to the engine can join only at step 0, as
+        an engine of its own (in-process when this engine runs in
+        process).  Either every rig joins or none does.
+
+        Raises
+        ------
+        ConfigurationError
+            ``reason="admit"`` for a new config group past step 0 or a
+            rig at another drive phase than its group's engine; on an
+            empty rig list.
+        SensorFault
+            If a rig's sensor is already failed.
+        """
+        rigs = list(rigs)
+        by_key = {g.key: g for g in self._groups}
+        joins = []
+        for key, local in fleet_groups(rigs).items():
+            group_rigs = [rigs[i] for i in local]
+            group = by_key.get(key)
+            if group is None:
+                if self._offset:
+                    raise ConfigurationError(
+                        f"config group {key} is new to this engine; a new "
+                        f"group can only join at step 0", reason="admit")
+                engine = BatchEngine(group_rigs, numerics=self._numerics)
+                if (engine._dt, engine._line_time) != (self._dt,
+                                                       self._line_time):
+                    raise ConfigurationError(
+                        f"config group {key} differs in loop rate or line "
+                        f"start time; a mixed fleet needs one shared clock",
+                        reason="heterogeneous")
+                if self._workers > 1:
+                    from repro.runtime.parallel import _Job
+                    engine = _Job(engine, group_rigs)
+            else:
+                group.engine.check_admit(group_rigs)
+                engine = None
+            joins.append((key, local, group, group_rigs, engine))
+        for key, local, group, group_rigs, engine in joins:
+            positions = [self._n + i for i in local]
+            if group is None:
+                self._groups.append(_MixGroup(key, positions, engine))
+            else:
+                group.engine.admit(group_rigs)
+                group.positions = group.positions + positions
+        self._n += len(rigs)
 
     def rewind(self) -> None:
         """Return every group to the state it was built with.

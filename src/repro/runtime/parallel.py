@@ -128,6 +128,19 @@ class _Job:
         gone = set(local)
         self.rigs = [r for k, r in enumerate(self.rigs) if k not in gone]
 
+    def check_admit(self, rigs: list[TestRig]) -> None:
+        """Refuse rigs the blob's engine would not admit (nothing
+        changes either way)."""
+        pickle.loads(self.blob).check_admit(rigs)
+
+    def admit(self, rigs: list[TestRig]) -> None:
+        """Admit rigs as a lane inside the blob (survivor bits
+        untouched)."""
+        engine = pickle.loads(self.blob)
+        engine.admit(rigs)
+        self.blob = _dumps(engine)
+        self.rigs = self.rigs + list(rigs)
+
     def rewind(self) -> None:
         """Restore the step-0 blob and rigs (``reason="rewind"`` on a
         job restored from a pickle)."""
@@ -485,6 +498,18 @@ class ShardedEngine(MixedEngine):
         """
         self._require_open()
         super().drop(indices)
+
+    def admit(self, rigs) -> None:
+        """:meth:`MixedEngine.admit
+        <repro.runtime.mixed.MixedEngine.admit>` on an open engine.
+
+        Raises
+        ------
+        ConfigurationError
+            As :meth:`MixedEngine.admit`, or on a closed engine.
+        """
+        self._require_open()
+        super().admit(rigs)
 
     def _require_open(self) -> None:
         if self._closed:

@@ -30,7 +30,9 @@ class RunResult:
     """Decimated traces for a fleet of N monitors over M record ticks.
 
     ``time_s`` is a shared ``(M,)`` vector; every other trace is an
-    ``(N, M)`` array whose row ``i`` belongs to monitor ``i``.
+    ``(N, M)`` array whose row ``i`` belongs to monitor ``i``.  A window
+    of an engine whose lanes joined at different steps also carries
+    each row's own time axis (:meth:`set_lane_time`).
     """
 
     time_s: np.ndarray
@@ -80,13 +82,50 @@ class RunResult:
         """Copies of the monitor rows ``rows`` (a slice or index list).
 
         The time base is copied too, so the selection shares no memory
-        with this result.
+        with this result; from a result with per-row time axes it is
+        the selected rows' axis.
+
+        Raises
+        ------
+        ConfigurationError
+            If the rows lie in lanes with different time axes.
         """
+        time_s = self.time_s
+        lane_time = getattr(self, "_lane_time", None)
+        if lane_time is not None:
+            chosen = lane_time[rows]
+            if len(chosen):
+                if not (chosen == chosen[0]).all():
+                    raise ConfigurationError(
+                        "rows lie in lanes with different time axes")
+                time_s = chosen[0]
         return RunResult(
-            time_s=self.time_s.copy(),
+            time_s=time_s.copy(),
             **{name: getattr(self, name)[rows].copy()
                for name in self.STACKED_FIELDS},
         )
+
+    def set_lane_time(self, times) -> "RunResult":
+        """Attach each row's own ``(N, M)`` time axis (returns self).
+
+        An engine whose lanes joined at different steps
+        (:meth:`BatchEngine.admit
+        <repro.runtime.batch.BatchEngine.admit>`) records each lane at
+        its own line time: :attr:`time_s` is row 0's axis, and
+        :meth:`take` of one lane's rows, :meth:`trace` and the merges
+        keep each row's.  Like the profile report this lives on the
+        instance only: archives and equality ignore it.
+        """
+        self._lane_time = np.asarray(times)
+        return self
+
+    def row_times(self) -> np.ndarray:
+        """Each row's time axis, ``(N, M)`` (a broadcast view when the
+        rows share :attr:`time_s`)."""
+        lane_time = getattr(self, "_lane_time", None)
+        if lane_time is None:
+            return np.broadcast_to(self.time_s, (self.n_monitors, len(self)))
+        return lane_time
 
     def __len__(self) -> int:
         return int(self.time_s.shape[0])
@@ -102,7 +141,7 @@ class RunResult:
             raise ConfigurationError(
                 f"monitor index {index} out of range [0, {self.n_monitors})")
         return RigRecord(
-            time_s=self.time_s.copy(),
+            time_s=self.row_times()[index].copy(),
             **{name: getattr(self, name)[index].copy()
                for name in self.STACKED_FIELDS},
         )
@@ -266,8 +305,16 @@ class RunResult:
         if not parts:
             raise ConfigurationError("need at least one block to concatenate")
         time_s = np.asarray(parts[0].time_s)
+        # Blocks with per-row time axes (lanes) need one tick count,
+        # not one time base.
+        lanes = any(getattr(p, "_lane_time", None) is not None
+                    for p in parts)
         for part in parts[1:]:
-            if not np.array_equal(np.asarray(part.time_s), time_s):
+            if lanes and len(part) != len(time_s):
+                raise ConfigurationError(
+                    "blocks must record the same number of ticks")
+            if not lanes and not np.array_equal(np.asarray(part.time_s),
+                                                time_s):
                 raise ConfigurationError(
                     "blocks must share an identical time base")
         if indices is None:
@@ -277,6 +324,9 @@ class RunResult:
                     [np.asarray(getattr(p, name)) for p in parts], axis=0)
                    for name in cls.STACKED_FIELDS},
             )
+            if lanes:
+                merged.set_lane_time(np.concatenate(
+                    [p.row_times() for p in parts]))
             return cls._merge_profiles(merged, parts)
         if len(indices) != len(parts):
             raise ConfigurationError(
@@ -306,7 +356,14 @@ class RunResult:
                 out[np.asarray(rows, dtype=int)] = \
                     np.asarray(getattr(part, name))
             fields[name] = out
+        if lanes:
+            row_time = np.empty((total, len(time_s)))
+            for part, rows in zip(parts, indices):
+                row_time[np.asarray(rows, dtype=int)] = part.row_times()
+            time_s = row_time[0]
         merged = cls(time_s=time_s.copy(), **fields)
+        if lanes:
+            merged.set_lane_time(row_time)
         provenance: list[tuple] = [()] * total
         for p, rows in enumerate(indices):
             for r, j in enumerate(rows):
@@ -349,6 +406,9 @@ class RunResult:
                 [np.asarray(getattr(p, name)) for p in parts], axis=1)
                for name in cls.STACKED_FIELDS},
         )
+        if any(getattr(p, "_lane_time", None) is not None for p in parts):
+            merged.set_lane_time(np.concatenate(
+                [p.row_times() for p in parts], axis=1))
         if labels:
             merged._provenance = labels
         return cls._merge_profiles(merged, parts)

@@ -17,7 +17,7 @@ package): :func:`~repro.service.facade.connect` for streaming,
 ``docs/service.md`` for the architecture and the parity guarantees.
 
 Durability: a service built with ``checkpoint_dir=`` snapshots every
-sealed cohort after each tick; after a process death
+cohort after each tick; after a process death
 :func:`recover_cohorts` salvages the orphans and finishes their runs
 bit-identically (see ``docs/durability.md``).
 """

@@ -3,26 +3,25 @@
 :class:`FleetService` is a long-lived asyncio component that multiplexes
 concurrent client runs onto shared engine advances.  Clients
 :meth:`~FleetService.attach` a profile with their own fleet description
-(a :class:`~repro.runtime.FleetSpec`, or a homogeneous default-build
-size/seed pair); the service groups clients who share a profile,
-cadence, loop rate and numerics into *cohorts* — build configurations
-may differ freely, because each cohort runs on a
+(a :class:`~repro.runtime.FleetSpec`); the service groups clients who
+share a profile, cadence, loop rate and numerics into *cohorts* — build
+configurations may differ, because each cohort runs on a
 :class:`~repro.runtime.mixed.MixedEngine` that sub-batches per config
 group — advances each cohort in bounded tick slices, and streams every
 client its own rows of each window through a bounded
-:class:`~repro.service.streams.SnapshotStream`.
+:class:`~repro.service.streams.SnapshotStream`.  A client may join a
+running cohort at a tick boundary: its rigs become a new engine lane
+with its own profile clock (:meth:`MixedEngine.admit
+<repro.runtime.mixed.MixedEngine.admit>`), and it leaves at its own
+horizon.
 
 The engine guarantees the service leans on (see
-:meth:`BatchEngine.advance <repro.runtime.batch.BatchEngine.advance>` and
-:meth:`BatchEngine.drop <repro.runtime.batch.BatchEngine.drop>`, which
-:class:`~repro.runtime.mixed.MixedEngine` mirrors per config group):
-
-- advancing in arbitrary tick slices is bit-identical to one
-  uninterrupted run, so streamed windows concatenate into exactly the
-  result a standalone ``Session.run`` returns;
-- per-monitor state and RNG streams are independent, so a client's rows
-  inside a shared cohort are bit-identical to a cohort of its own, and
-  a detaching client's rows can be dropped without perturbing the rest.
+:class:`~repro.runtime.batch.BatchEngine` ``advance``/``drop``/``admit``,
+which :class:`~repro.runtime.mixed.MixedEngine` mirrors per config
+group): tick slices stitch bit-identically into one uninterrupted run,
+and per-monitor state and RNG streams are independent, so a client's
+rows in a shared cohort — whoever joins or leaves around it — equal a
+standalone ``Session.run`` of its own.
 
 Concurrency model: everything runs on one event loop; the tick loop
 never awaits inside a tick, so attach/detach mutations — which run as
@@ -32,17 +31,13 @@ every member's stream has space, so one slow consumer stalls its cohort
 (bounded memory) without blocking other cohorts.
 
 Crash recovery: every cohort is a
-:class:`~repro.runtime.checkpoint.WindowedRun`, the windowed-run driver
-durable runs and campaigns share.  With ``checkpoint_dir=`` the driver
-snapshots every sealed cohort after each non-final tick — the live
-:class:`~repro.runtime.mixed.MixedEngine` plus each member's streamed
-windows, a consistent pair — into ``cohort-<id>.ckpt`` artifacts, and
-deletes them when the cohort completes, crashes deterministically, or
-empties.  After a process death, :func:`recover_cohorts` lists the
-orphaned cohorts and each :class:`RecoveredCohort` can :meth:`~
-RecoveredCohort.resume` — advancing the engine to the horizon and
-stitching per-client results bit-identical to what the uninterrupted
-service would have streamed.
+:class:`~repro.runtime.checkpoint.WindowedRun`.  With
+``checkpoint_dir=`` it snapshots every cohort after each non-final tick
+— the live engine plus each member's start step, horizon and streamed
+windows — into ``cohort-<id>.ckpt``, deleted when the cohort ends.
+After a process death, :func:`recover_cohorts` lists the orphans and
+:meth:`RecoveredCohort.resume` finishes each, bit-identical to what the
+uninterrupted service would have streamed.
 """
 
 from __future__ import annotations
@@ -51,6 +46,7 @@ import asyncio
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import AsyncIterator
 
 from repro.errors import ConfigurationError, ReproError, ServiceError
@@ -72,20 +68,21 @@ __all__ = ["FleetService", "ClientSession", "RecoveredCohort",
 class _Member:
     """Service-side bookkeeping for one attached client."""
 
-    __slots__ = ("client", "session", "rigs", "n", "stream", "windows",
-                 "future", "group", "finalized", "done", "health")
+    __slots__ = ("client", "session", "n", "start", "total", "stream",
+                 "windows", "future", "group", "finalized", "done", "health")
 
     def __init__(self, client: "ClientSession", session: Session,
-                 rigs: list, stream: SnapshotStream) -> None:
+                 n: int, stream: SnapshotStream) -> None:
         self.client = client
         self.session = session
-        self.rigs = rigs
-        self.n = len(rigs)
+        self.n = n
+        self.start = 0  # the cohort step the client joined at
+        self.total = client.total_steps  # its horizon, from its start
         self.stream = stream
         self.windows: list[RunResult] = []
         self.done = 0  # frozen off the cohort clock at finalize
         # One streaming RigHealthTracker per rig, fed each tick window
-        # against the cohort reference (built lazily at the first tick).
+        # against its lane's reference (built lazily at the first tick).
         self.health: list[RigHealthTracker] = []
         self.future: asyncio.Future[RunResult] = (
             asyncio.get_running_loop().create_future())
@@ -100,25 +97,18 @@ class _Group:
     """One cohort: clients sharing a profile, cadence, loop rate and
     numerics — build configurations may differ, the cohort engine is a
     :class:`~repro.runtime.mixed.MixedEngine` sub-batching per config
-    group.
-
-    A cohort is *open* while its engine is unbuilt — attaches with the
-    same key keep joining.  The first tick seals it (builds the engine
-    from every member's rigs, in attach order); later attaches with the
-    same key start a fresh cohort, because a running engine cannot admit
-    new rigs without disturbing the shared clocks.  The cohort's
+    group, built from the first member's rigs; later members are
+    admitted as lanes, in attach order.  The cohort's
     :class:`~repro.runtime.checkpoint.WindowedRun` carries the profile,
-    horizon, cadence, offset and (once sealed) the engine.
+    the farthest member horizon, cadence, offset and engine.
     """
 
-    __slots__ = ("group_id", "key", "numerics", "members", "run")
+    __slots__ = ("group_id", "key", "members", "run")
 
-    def __init__(self, group_id: int, key: tuple, run: WindowedRun,
-                 numerics: str) -> None:
+    def __init__(self, group_id: int, key: tuple, run: WindowedRun) -> None:
         self.group_id = group_id
         self.key = key
         self.run = run
-        self.numerics = numerics
         self.members: list[_Member] = []
 
     def ready(self) -> bool:
@@ -148,41 +138,34 @@ class ClientSession:
         self.total_steps = total_steps
         self.record_every_n = record_every_n
         self._service = service
-        self._member: _Member | None = None  # linked by attach
+        self._member: _Member  # linked by attach, before it returns
 
     @property
     def done_steps(self) -> int:
-        """Engine samples completed for this client so far.
+        """Engine samples completed for this client so far (counted from
+        the step it joined its cohort at).
 
         Frozen at detach/completion: the surviving cohort advancing
         further does not move a finalized client's count.
         """
         member = self._member
-        if member is None:
-            return 0
-        if member.finalized or member.group is None:
+        if member.finalized:
             return member.done
-        return member.group.run.done
+        return member.group.run.done - member.start
 
     @property
     def group_id(self) -> int:
         """The cohort this client was multiplexed into."""
-        member = self._member
-        if member is None or member.group is None:
-            raise ServiceError("client is not attached", reason="detached")
-        return member.group.group_id
+        return self._member.group.group_id
 
     @property
     def attached(self) -> bool:
         """False once the run completed, crashed, or the client left."""
-        member = self._member
-        return member is not None and not member.finalized
+        return not self._member.finalized
 
     @property
     def stream_depth(self) -> int:
         """Snapshots queued and not yet consumed (bounded)."""
-        if self._member is None:
-            return 0
         return self._member.stream.depth
 
     def health(self) -> list[dict]:
@@ -190,13 +173,11 @@ class ClientSession:
 
         One dict per monitor row (``rig``, ``score``, ``status``,
         ``components``, ...), updated by the service at every tick from
-        the cohort-reference residuals.  Empty before the first tick.
+        the residuals against its lane's reference.  Empty before the
+        first tick.
         """
-        member = self._member
-        if member is None:
-            return []
         reports = []
-        for rig, tracker in enumerate(member.health):
+        for rig, tracker in enumerate(self._member.health):
             report = tracker.report()
             report["rig"] = rig
             reports.append(report)
@@ -212,8 +193,6 @@ class ClientSession:
             :class:`~repro.errors.ServiceError` if the service stopped
             under the client.
         """
-        if self._member is None:
-            raise ServiceError("client is not attached", reason="detached")
         return await self._member.stream.get()
 
     async def snapshots(self) -> AsyncIterator[Snapshot]:
@@ -238,8 +217,6 @@ class ClientSession:
             The typed engine fault if the shared engine crashed, or a
             :class:`~repro.errors.ServiceError` if the service stopped.
         """
-        if self._member is None:
-            raise ServiceError("client is not attached", reason="detached")
         return await self._member.future
 
     async def detach(self) -> RunResult:
@@ -276,7 +253,7 @@ class FleetService:
         cohort at ``max_pending`` buffered windows (bounded memory)
         without affecting other cohorts.
     checkpoint_dir:
-        When given, every sealed cohort is snapshotted to
+        When given, every cohort is snapshotted to
         ``cohort-<id>.ckpt`` under this directory after each tick (and
         the artifact deleted once the cohort ends), so a process death
         strands no compute: :func:`recover_cohorts` salvages the
@@ -325,13 +302,12 @@ class FleetService:
             raise ConfigurationError("sample_every_s must be > 0")
         self._tick_steps = int(tick_steps)
         self._max_pending = int(max_pending)
-        # Cohort parallelism: every sealed cohort's engine runs its
-        # config groups as jobs in up to this many workers.
+        # Cohort parallelism: every cohort's engine runs its config
+        # groups as jobs in up to this many workers.
         self._workers = None if workers is None else int(workers)
         self._checkpoint_dir = (None if checkpoint_dir is None
                                 else Path(checkpoint_dir))
         self._groups: dict[int, _Group] = {}
-        self._open_by_key: dict[tuple, _Group] = {}
         self._members: set[_Member] = set()
         self._wake = asyncio.Event()
         self._task: asyncio.Task | None = None
@@ -406,7 +382,6 @@ class FleetService:
         for group in self._groups.values():
             group.run.close()
         self._groups.clear()
-        self._open_by_key.clear()
         if self._http is not None:
             self._http.stop()
             self._http = None
@@ -432,14 +407,16 @@ class FleetService:
         the client's fleet — a :class:`~repro.runtime.FleetSpec` via
         ``fleet=``, possibly mixed — the same deterministic
         materialization a standalone run uses, which is what makes the
-        streamed rows bit-identical to ``Session.run`` — then queues
-        the rigs into an *open* cohort of clients sharing this profile,
-        cadence, loop rate and numerics.  Build configurations may
-        differ across a cohort's members: the cohort engine sub-batches
-        per config group (:class:`~repro.runtime.mixed.MixedEngine`),
-        bit-identical per rig to a cohort of its own.  The cohort seals
-        at its first tick; every client attached before that (e.g. an
-        attach storm racing the loop) lands in one shared engine.
+        streamed rows bit-identical to ``Session.run`` — then joins a
+        cohort of clients sharing this profile, cadence, loop rate and
+        numerics at the next tick boundary, bit-identical per rig to a
+        cohort of its own.  Build configurations may differ: the cohort
+        engine sub-batches per config group.  A running cohort takes
+        the client as a new lane when its drive phase matches (always
+        for continuous drive, at step 0 for pulsed), ``done %
+        record_every_n == 0``, and the client's config groups are in
+        it (any group joins at step 0); otherwise the client starts a
+        cohort.  The client leaves at its own horizon.
 
         Parameters mirror :meth:`repro.runtime.Session.run` where they
         overlap (``record_every_n``, ``numerics``); ``fleet`` mirrors
@@ -487,22 +464,27 @@ class FleetService:
                                total_steps=total_steps,
                                record_every_n=record_every_n)
         stream = SnapshotStream(self._max_pending, on_space=self._wake.set)
-        member = _Member(client, session, rigs, stream)
+        member = _Member(client, session, len(rigs), stream)
         client._member = member
 
         key = self._group_key(session, profile, record_every_n, mode)
-        group = self._open_by_key.get(key)
+        group, fault = self._cohort_for(key, rigs), None
         if group is None:
             self._group_seq += 1
             path = (None if self._checkpoint_dir is None else
                     self._checkpoint_dir / f"cohort-{self._group_seq}.ckpt")
-            group = _Group(self._group_seq, key,
-                           WindowedRun(None, profile, total_steps,
-                                       record_every_n=record_every_n,
-                                       checkpoint_path=path),
-                           mode)
+            group = _Group(self._group_seq, key, WindowedRun(
+                None, profile, 0, record_every_n=record_every_n,
+                checkpoint_path=path))
             self._groups[group.group_id] = group
-            self._open_by_key[key] = group
+            try:
+                group.run.engine = MixedEngine(rigs, numerics=mode,
+                                               workers=self._workers)
+            except ReproError as exc:
+                fault = exc  # the client learns it from its result
+        member.start = group.run.done
+        group.run.total_steps = max(group.run.total_steps,
+                                    member.start + member.total)
         group.members.append(member)
         member.group = group
         self._members.add(member)
@@ -516,6 +498,8 @@ class FleetService:
         get_event_log().emit("service.attach", client=client_id,
                              trace=trace_id, n_monitors=session.n_monitors,
                              seed=session.seed, group=group.group_id)
+        if fault is not None:
+            self._fail_group(group, fault)
         self._wake.set()
         return client
 
@@ -533,7 +517,7 @@ class FleetService:
             engine = g.run.engine
             groups.append({
                 "group_id": g.group_id,
-                "sealed": engine is not None,
+                "lanes": len({m.start for m in members}),
                 "members": len(members),
                 "fleet_size": sum(m.n for m in members),
                 "config_groups": (len(engine.groups)
@@ -621,24 +605,38 @@ class FleetService:
         """
         return (tuple(profile.segments), every, session._dt, mode)
 
+    def _cohort_for(self, key: tuple, rigs: list) -> "_Group | None":
+        """The oldest cohort with ``key`` that admits ``rigs`` as a lane
+        now: at a recorded tick, if its engine takes them
+        (:meth:`~repro.runtime.mixed.MixedEngine.admit`)."""
+        for group in self._groups.values():
+            run = group.run
+            if group.key != key or run.engine is None \
+                    or run.done % run.record_every_n:
+                continue
+            try:
+                run.engine.admit(rigs)
+            except ReproError:
+                continue
+            return group
+        return None
+
     async def _detach(self, client: ClientSession) -> RunResult:
         """Remove ``client`` between ticks; finalize its partial result."""
         member = client._member
-        if member is None or member.finalized:
+        if member.finalized:
             raise ServiceError(
                 f"client {client.client_id} is not attached",
                 reason="detached")
         group = member.group
         with get_tracer().span("service.detach", client=client.client_id,
-                               group=group.group_id if group else -1):
-            if group is not None:
-                index = group.members.index(member)
-                if group.run.engine is not None:
-                    lo = sum(m.n for m in group.members[:index])
-                    group.run.engine.drop(list(range(lo, lo + member.n)))
-                group.members.pop(index)
-                if not group.members:
-                    self._discard_group(group)
+                               group=group.group_id):
+            index = group.members.index(member)
+            lo = sum(m.n for m in group.members[:index])
+            group.run.engine.drop(list(range(lo, lo + member.n)))
+            group.members.pop(index)
+            if not group.members:
+                self._discard_group(group)
             partial = self._stitch(member)
             self._finalize(member, result=partial)
         self._counters["detaches"] += 1
@@ -648,7 +646,7 @@ class FleetService:
             registry.gauge("service.clients").set(len(self._members))
             registry.gauge("service.groups").set(len(self._groups))
         get_event_log().emit("service.detach", client=client.client_id,
-                             done_steps=group.run.done if group else 0)
+                             done_steps=member.done)
         self._wake.set()
         return partial
 
@@ -665,8 +663,7 @@ class FleetService:
         if member.finalized:
             return
         member.finalized = True
-        if member.group is not None:
-            member.done = member.group.run.done
+        member.done = member.group.run.done - member.start
         self._members.discard(member)
         if not member.future.done():
             if error is not None:
@@ -682,8 +679,6 @@ class FleetService:
     def _discard_group(self, group: _Group) -> None:
         group.run.close()
         self._groups.pop(group.group_id, None)
-        if self._open_by_key.get(group.key) is group:
-            del self._open_by_key[group.key]
         # The cohort ended (completed, crashed or emptied): its
         # checkpoint no longer names recoverable work.
         group.run.finish()
@@ -694,21 +689,6 @@ class FleetService:
         # cardinality stays bounded by *live* cohorts, not history.
         get_registry().discard(
             f"service.group.{group.group_id}.queue_depth")
-
-    def _seal(self, group: _Group) -> None:
-        """Build the cohort engine; no more members may join.
-
-        The engine is a :class:`~repro.runtime.mixed.MixedEngine` over
-        every member's rigs in attach order: a homogeneous cohort takes
-        its single-group fast path (byte-identical to the plain
-        ``BatchEngine`` it used to build), a mixed cohort sub-batches
-        per config group.
-        """
-        if self._open_by_key.get(group.key) is group:
-            del self._open_by_key[group.key]
-        rigs = [rig for member in group.members for rig in member.rigs]
-        group.run.engine = MixedEngine(rigs, numerics=group.numerics,
-                                       workers=self._workers)
 
     def _fail_group(self, group: _Group, exc: BaseException) -> None:
         """Propagate an engine fault to every member; drop the cohort."""
@@ -721,38 +701,30 @@ class FleetService:
         self._discard_group(group)
 
     def _tick(self, group: _Group) -> None:
-        """Advance one cohort by one bounded slice; fan out snapshots."""
+        """Advance one cohort by one bounded slice; fan out snapshots.
+
+        The slice stops at the nearest member horizon; members that
+        reach theirs leave the engine with their stitched result.
+        """
         tick_start = time.perf_counter()
-        tracer = get_tracer()
         run = group.run
-        if run.engine is None:
+        budget = min(self._tick_steps,
+                     min(m.start + m.total for m in group.members) - run.done)
+        with get_tracer().span("service.tick", group=group.group_id,
+                               steps=budget, clients=len(group.members)):
             try:
-                self._seal(group)
-            except ReproError as exc:
-                self._fail_group(group, exc)
-                return
-        budget = run.budget(self._tick_steps)
-        with tracer.span("service.tick", group=group.group_id,
-                         steps=budget, clients=len(group.members)):
-            try:
-                window = run.advance(budget)
+                window, finished = _advance_cohort(run, group.members, budget)
             except ReproError as exc:
                 self._fail_group(group, exc)
                 return
         if self._health_scores and len(window):
             self._score_window(group, window)
-        lo = 0
         for member in group.members:
-            rows = window.take(slice(lo, lo + member.n))
-            lo += member.n
-            member.windows.append(rows)
+            rows = member.windows[-1]
             member.stream.push(Snapshot(
-                seq=len(member.windows) - 1,
-                window=rows,
-                summary=rows.summary(),
-                done_steps=run.done,
-                total_steps=run.total_steps,
-            ))
+                seq=len(member.windows) - 1, window=rows,
+                summary=rows.summary(), done_steps=run.done - member.start,
+                total_steps=member.total))
         self._counters["ticks"] += 1
         self._counters["snapshots"] += len(group.members)
         self._last_tick_monotonic = time.monotonic()
@@ -768,59 +740,59 @@ class FleetService:
             registry.gauge(f"service.group.{group.group_id}.queue_depth").set(
                 depth)
             registry.gauge("service.queue.depth").set(depth)
-        if run.complete:
-            self._counters["completed"] += len(group.members)
-            for member in list(group.members):
-                self._finalize(member, result=self._stitch(member))
-            group.members.clear()
+        self._counters["completed"] += len(finished)
+        for member in finished:
+            group.members.remove(member)
+            self._finalize(member, result=self._stitch(member))
+        if not group.members:
             self._discard_group(group)
         elif self._checkpoint_dir is not None:
             # Every member's streamed windows pair with the engine at
             # the same cut point, so a resume continues exactly where
             # the streamed data ends.
-            run.checkpoint({
-                "group_id": group.group_id,
-                "members": [
-                    {"client_id": m.client.client_id,
-                     "seed": m.client.seed,
-                     "n": m.n,
-                     "windows": list(m.windows)}
-                    for m in group.members
-                ],
-            })
+            run.checkpoint({"group_id": group.group_id, "members": [
+                {"client_id": m.client.client_id, "seed": m.client.seed,
+                 "n": m.n, "start": m.start, "total": m.total,
+                 "windows": list(m.windows)} for m in group.members]})
 
     def _score_window(self, group: _Group, window: RunResult) -> None:
         """Feed one cohort window through every member's health trackers.
 
-        Residuals are taken against the cohort-wide reference trace
-        (per-tick median across all rigs in the window), which cancels
-        the shared demand profile and isolates per-rig anomalies; see
-        :mod:`repro.station.health`.
+        Residuals are taken against each lane's reference trace
+        (per-tick median across the rigs that joined at the same step),
+        which cancels the shared demand profile and isolates per-rig
+        anomalies; see :mod:`repro.station.health`.  Rigs at other
+        profile positions never enter a lane's reference.
         """
         dt_s = group.key[2] * group.run.record_every_n
-        ref_speed = fleet_reference(window, "measured_mps")
-        ref_press = fleet_reference(window, "pressure_pa")
-        ref_temp = fleet_reference(window, "temperature_k")
-        worst = 0.0
+        lanes: dict[int, list] = {}
         lo = 0
         for member in group.members:
-            if len(member.health) != member.n:
-                member.health = [RigHealthTracker()
-                                 for _ in range(member.n)]
-            for offset, tracker in enumerate(member.health):
-                row = lo + offset
-                score = tracker.update(
-                    dt_s=dt_s,
-                    measured_mps=window.measured_mps[row],
-                    reference_mps=ref_speed,
-                    pressure_pa=window.pressure_pa[row],
-                    reference_pa=ref_press,
-                    temperature_k=window.temperature_k[row],
-                    reference_k=ref_temp,
-                    bubble_coverage=window.bubble_coverage[row],
-                )
-                worst = max(worst, score)
+            lanes.setdefault(member.start, []).append((member, lo))
             lo += member.n
+        worst = 0.0
+        for lane in lanes.values():
+            part = window.take([lo + r for member, lo in lane
+                                for r in range(member.n)])
+            refs = [fleet_reference(part, name) for name in
+                    ("measured_mps", "pressure_pa", "temperature_k")]
+            for member, lo in lane:
+                if len(member.health) != member.n:
+                    member.health = [RigHealthTracker()
+                                     for _ in range(member.n)]
+                for offset, tracker in enumerate(member.health):
+                    row = lo + offset
+                    score = tracker.update(
+                        dt_s=dt_s,
+                        measured_mps=window.measured_mps[row],
+                        reference_mps=refs[0],
+                        pressure_pa=window.pressure_pa[row],
+                        reference_pa=refs[1],
+                        temperature_k=window.temperature_k[row],
+                        reference_k=refs[2],
+                        bubble_coverage=window.bubble_coverage[row],
+                    )
+                    worst = max(worst, score)
         registry = get_registry()
         if registry.enabled:
             registry.gauge("service.health.worst").set(worst)
@@ -858,6 +830,29 @@ class FleetService:
                 await self._wake.wait()
 
 
+def _advance_cohort(run: WindowedRun, members: list, steps: int
+                    ) -> tuple[RunResult, list]:
+    """Advance a cohort one window and hand each member its rows.
+
+    ``members`` hold the engine's rows in order; each has ``n`` rows, a
+    ``start`` step, a horizon ``total`` steps from it and a ``windows``
+    list the window's rows are appended to (with the member's own lane
+    time axis).  Returns the window and the members that reached their
+    horizon, whose rows leave the engine if others remain.
+    """
+    window = run.advance(steps)
+    finished, gone, lo = [], [], 0
+    for member in members:
+        member.windows.append(window.take(slice(lo, lo + member.n)))
+        if run.done - member.start >= member.total:
+            finished.append(member)
+            gone.extend(range(lo, lo + member.n))
+        lo += member.n
+    if finished and len(finished) < len(members):
+        run.engine.drop(gone)
+    return window, finished
+
+
 @dataclass
 class RecoveredCohort:
     """One orphaned cohort salvaged from a dead service's checkpoints.
@@ -874,7 +869,9 @@ class RecoveredCohort:
     group_id:
         The dead service's cohort id.
     done / total_steps:
-        Engine samples completed at the checkpoint, and the horizon.
+        Engine samples completed at the checkpoint, and the farthest
+        member horizon.  Each member's own start step and horizon ride
+        in the checkpoint too.
     record_every_n:
         Recording decimation the cohort streamed at.
     clients:
@@ -893,27 +890,25 @@ class RecoveredCohort:
     def resume(self) -> dict[str, RunResult]:
         """Finish the cohort's run; per-client stitched results.
 
-        Advances the restored engine from the checkpoint's cut point to
-        the horizon, slices each member its own rows, and concatenates
-        them onto the windows the dead service already streamed — the
-        returned :class:`~repro.runtime.result.RunResult` per client id
-        is bit-identical to what an uninterrupted service would have
-        resolved from :meth:`ClientSession.result`.  On success the
-        checkpoint artifact is deleted.
+        Advances the restored engine to each member's horizon in turn,
+        as the service would have, and joins each member's rows onto
+        the windows the dead service already streamed: per client id,
+        bit-identical to what :meth:`ClientSession.result` would have
+        resolved.  On success the checkpoint artifact is deleted.
         """
         run = self._run
-        windows = [list(m["windows"]) for m in self._members]
-        if not run.complete:
-            window = run.advance(run.remaining)
-            lo = 0
-            for m, acc in zip(self._members, windows):
-                acc.append(window.take(slice(lo, lo + m["n"])))
-                lo += m["n"]
+        members = live = [SimpleNamespace(
+            n=m["n"], start=m["start"], total=m["total"],
+            windows=list(m["windows"])) for m in self._members]
+        while live:
+            budget = min(m.start + m.total for m in live) - run.done
+            _, finished = _advance_cohort(run, live, budget)
+            live = [m for m in live if all(m is not f for f in finished)]
         run.close()
         results = {
-            m["client_id"]: (RunResult.concat(acc, axis="time") if acc
-                             else RunResult.empty(m["n"]))
-            for m, acc in zip(self._members, windows)
+            m["client_id"]: (RunResult.concat(acc.windows, axis="time")
+                             if acc.windows else RunResult.empty(m["n"]))
+            for m, acc in zip(self._members, members)
         }
         run.finish()
         return results

@@ -349,9 +349,35 @@ def test_previous_format_version_refused(tmp_path):
         "magic": "repro-checkpoint", "version": 3, "kind": "sharded",
         "offset": 300, "meta": {"fingerprint": "x", "windows": []},
         "engine": engine}))
-    assert CHECKPOINT_FORMAT_VERSION == 5
+    assert CHECKPOINT_FORMAT_VERSION == 6
     with pytest.raises(CheckpointError) as exc:
         WindowedRun.restore(path, "x")
+    assert exc.value.reason == "version"
+
+
+def test_format_5_batch_engine_refused(tmp_path):
+    """A version-5 batch engine (one engine-wide line plant,
+    ``_bulk_speed``/``_bulk_pressure``/``_bulk_temp`` and an advancing
+    ``_line_time``, and a scalar ``_primed``) is refused rather than
+    restored as one lane: the current loop plans each of its
+    ``_lanes`` and it has none."""
+    engine = BatchEngine(_rigs(1))
+    engine.run(_PROFILE)
+    state = engine.__getstate__()
+    (lane,) = state.pop("_lanes")
+    del state["_lane_of"]
+    state.update(_bulk_speed=lane.speed, _bulk_pressure=lane.pressure,
+                 _bulk_temp=lane.temperature, _line_time=lane.time_s,
+                 _primed=bool(state["_primed"][0]),
+                 _min_rating=float(state.pop("_rating").min()))
+    engine.__dict__.clear()
+    engine.__dict__.update(state)
+    path = tmp_path / "v5.ckpt"
+    path.write_bytes(pickle.dumps({
+        "magic": "repro-checkpoint", "version": 5, "kind": "batch",
+        "offset": _TOTAL, "meta": {}, "engine": engine}))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
     assert exc.value.reason == "version"
 
 

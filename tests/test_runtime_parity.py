@@ -27,31 +27,47 @@ from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, RunResult,
                            Session, ShardedEngine)
 from repro.sensor.maf import MAFConfig
 from repro.sensor.membrane import WATER_BACKSIDE, Membrane
-from repro.state import state_of
 from repro.station.profiles import bidirectional_staircase, hold, staircase
 from repro.station.scenarios import (build_calibrated_monitor,
                                      clear_calibration_cache)
 from repro.store import ArtifactStore
+from tests.state_parity import assert_state_parity
 
 
-def _scalar_oracle(spec, profile):
-    """Each rig of ``spec`` through ``TestRig.run`` on a fresh build."""
+def _oracle_rigs(spec):
+    """Freshly built scalar rigs of ``spec``, one per position."""
+    return [build_calibrated_monitor(seed=s, **entry.build_kwargs()).rig
+            for s, entry in zip(spec.monitor_seeds(), spec.flat())]
+
+
+def _scalar_oracle(spec, profile, rigs=None):
+    """Each rig of ``spec`` through ``TestRig.run`` on a fresh build
+    (or on ``rigs``, kept by the caller for state checks)."""
     return RunResult.from_records([
-        build_calibrated_monitor(seed=s, **entry.build_kwargs()).rig.run(
-            profile, record_every_n=20)
-        for s, entry in zip(spec.monitor_seeds(), spec.flat())])
+        rig.run(profile, record_every_n=20)
+        for rig in (_oracle_rigs(spec) if rigs is None else rigs)])
 
 
 def _parity_case(profile, n_monitors=2, seed=2024):
+    """``(session run, scalar oracle, states)``; ``states`` pairs an
+    engine that ran the same profile over ``spec.materialize()`` rigs
+    with the oracle's rigs, for :func:`_assert_parity`."""
     spec = FleetSpec.homogeneous(n_monitors, seed=seed,
                                  fast_calibration=True)
     with Session(fleet=spec) as session:
         session.calibrate()
         batched = session.run(profile)
-    return batched, _scalar_oracle(spec, profile)
+    rigs, oracles = spec.materialize(), _oracle_rigs(spec)
+    engine = BatchEngine(rigs)
+    _assert_parity(engine.run(profile), batched)
+    return batched, _scalar_oracle(spec, profile, oracles), \
+        (engine, rigs, oracles)
 
 
-def _assert_parity(batched, scalar):
+def _assert_parity(batched, scalar, states=None):
+    """Records equal bitwise; with ``states=(engine, rigs, oracles)``
+    the engine's written-back rigs also equal the scalar rigs stage by
+    stage (a drift the quantized records hide shows there)."""
     for name in RunResult.STACKED_FIELDS:
         a = np.asarray(getattr(batched, name), dtype=float)
         b = np.asarray(getattr(scalar, name), dtype=float)
@@ -59,6 +75,8 @@ def _assert_parity(batched, scalar):
         np.testing.assert_allclose(a, b, atol=1e-6, err_msg=name)
         # The design target is stronger: bit-exact.
         assert np.array_equal(a, b), f"{name} differs bitwise"
+    if states is not None:
+        assert_state_parity(*states)
 
 
 @pytest.mark.parametrize("profile", [
@@ -67,8 +85,8 @@ def _assert_parity(batched, scalar):
     bidirectional_staircase([40.0, 120.0], dwell_s=1.5),
 ], ids=["hold", "staircase", "bidirectional"])
 def test_batch_matches_scalar(profile):
-    batched, scalar = _parity_case(profile)
-    _assert_parity(batched, scalar)
+    batched, scalar, states = _parity_case(profile)
+    _assert_parity(batched, scalar, states)
 
 
 def test_batch_matches_scalar_with_flooded_backside():
@@ -91,16 +109,7 @@ def test_batch_matches_scalar_with_flooded_backside():
     oracles = rigs()
     scalar = RunResult.from_records([rig.run(profile) for rig in oracles])
     assert np.std(scalar.measured_mps) > 0.0
-    _assert_parity(batched, scalar)
-    # The recorded outputs pass through the ADC and PI quantizers, so
-    # also hold the written-back thermal state to the scalar loop's.
-    engine.write_back()
-    for rig, oracle in zip(fleet, oracles):
-        got = state_of(rig.monitor.sensor)
-        want = state_of(oracle.monitor.sensor)
-        for key in ("t_a", "t_b", "t_membrane", "t_reference"):
-            assert got[key] == want[key], key
-        assert got["backside_noise"]["x"] == want["backside_noise"]["x"]
+    _assert_parity(batched, scalar, (engine, fleet, oracles))
 
 
 def test_run_batch_convenience_matches_rig_run():

@@ -414,7 +414,6 @@ def test_service_stats_reports_live_cohorts():
                                           fleet=fast_fleet(1, 9))
             open_stats = service.stats()  # before the first tick
             await wait_until(lambda: (stats := service.stats())["groups"]
-                             and stats["groups"][0]["sealed"]
                              and stats["groups"][0]["done_steps"] > 0)
             sealed_stats = service.stats()
             await client.detach()
@@ -423,9 +422,11 @@ def test_service_stats_reports_live_cohorts():
     open_stats, sealed_stats = asyncio.run(main())
     assert open_stats["running"] and open_stats["clients"] == 1
     (open_group,) = open_stats["groups"]
-    assert not open_group["sealed"] and open_group["done_steps"] == 0
+    # The cohort's engine exists from its first member.
+    assert open_group["lanes"] == 1 and open_group["config_groups"] == 1
+    assert open_group["done_steps"] == 0
     (sealed_group,) = sealed_stats["groups"]
-    assert sealed_group["sealed"] and sealed_group["fleet_size"] == 1
+    assert sealed_group["lanes"] == 1 and sealed_group["fleet_size"] == 1
     assert 0 < sealed_group["done_steps"] <= sealed_group["total_steps"]
 
 

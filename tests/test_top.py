@@ -40,7 +40,7 @@ def sample(seq, t_s, *, delta=None, service=None):
 
 def group(gid, done, *, fleet=2, queue=1):
     return {"group_id": gid, "members": 1, "fleet_size": fleet,
-            "sealed": True, "done_steps": done, "total_steps": 3000,
+            "lanes": 1, "done_steps": done, "total_steps": 3000,
             "queue_depth": queue}
 
 
