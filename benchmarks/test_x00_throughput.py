@@ -9,8 +9,7 @@ pytest-benchmark timing of the hot paths a user actually pays for:
 * one raw sensor step (physics only);
 * the fleet-scale comparison: scalar reference loop vs the vectorized
   batch engine at N=16, with the samples/sec figures printed;
-* the engine-only kernel figures at N=16 in both numerics modes (see
-  ``docs/performance.md``).
+* the engine-only kernel figure at N=16 (see ``docs/performance.md``).
 
 Each figure is printed (``pytest -s``) and held to an in-test bar; the
 repo's end-to-end benchmark with per-layer attribution is
@@ -122,12 +121,12 @@ def test_x00_batch_engine_speedup():
 
 
 #: The pre-kernel batched figure the kernel layer is measured against
-#: (N=16, dt=1 ms); the acceptance bar is >=2x this in exact mode.
+#: (N=16, dt=1 ms); the acceptance bar is >=2x this.
 _PRE_KERNEL_SAMPLES_PER_S = 66382.78
 
 
 def test_x00_kernel_throughput():
-    """Engine-only samples/s at N=16, both numerics modes.
+    """Engine-only samples/s at N=16.
 
     Unlike :func:`test_x00_batch_engine_speedup`, the timing excludes
     the session layer (materialization, result assembly dispatch stays,
@@ -147,37 +146,30 @@ def test_x00_kernel_throughput():
     with Session(fleet=FleetSpec.homogeneous(
             n_monitors, seed=7, fast_calibration=True)) as session:
         session.calibrate()
-        rates = {}
-        for mode in ("exact", "fast"):
-            # Fresh rigs per mode: the engine's state write-back leaves
-            # drive phases mid-cycle, which a later *constructor* on the
-            # same rigs rejects; repeated runs on one engine are fine.
-            rigs = [handle.rig for handle in session._materialize()]
-            engine = BatchEngine(rigs, numerics=mode)
-            best_s = float("inf")
-            gc.disable()
-            try:
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    engine.run(profile)
-                    best_s = min(best_s, time.perf_counter() - t0)
-            finally:
-                gc.enable()
-            rates[mode] = samples / best_s
+        engine = BatchEngine([handle.rig
+                              for handle in session._materialize()])
+        best_s = float("inf")
+        gc.disable()
+        try:
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                engine.run(profile)
+                best_s = min(best_s, time.perf_counter() - t0)
+        finally:
+            gc.enable()
+    rate = samples / best_s
     stage = {
         "n_monitors": n_monitors,
         "samples": samples,
         "repeats": repeats,
-        "exact_samples_per_s": rates["exact"],
-        "fast_samples_per_s": rates["fast"],
+        "exact_samples_per_s": rate,
         "pre_kernel_samples_per_s": _PRE_KERNEL_SAMPLES_PER_S,
     }
     print(json.dumps({"kernels": stage}, indent=2))
     # The acceptance headline is >=2x the pre-kernel figure; the
     # in-test floor sits at 1.6x so a loaded host flags real
     # regressions without flaking on noise.
-    assert rates["exact"] >= 1.6 * _PRE_KERNEL_SAMPLES_PER_S, stage
-    assert rates["fast"] >= rates["exact"] * 0.9, stage
+    assert rate >= 1.6 * _PRE_KERNEL_SAMPLES_PER_S, stage
 
 
 def test_x00_observability_overhead():

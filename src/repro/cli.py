@@ -4,8 +4,7 @@
     python -m repro calibrate --out cal.json [--seed N] [--fast]
     python -m repro measure --cal cal.json --speed-cmps 120 [--duration 10]
     python -m repro sweep --cal cal.json --levels 0,50,100,250
-    python -m repro fleet --n-monitors 8 --workers 4 [--numerics fast]
-                          [--out traces.npz]
+    python -m repro fleet --n-monitors 8 --workers 4 [--out traces.npz]
     python -m repro fleet --spec fleet.json [--workers 4]
     python -m repro fleet --checkpoint-dir ckpt/ [--resume]
     python -m repro campaign --duration 6 \
@@ -63,7 +62,6 @@ from repro.isif.platform import ISIFPlatform
 from repro.observability import (enable as _enable_observability,
                                  export_jsonl, export_prometheus,
                                  get_profiler, get_registry)
-from repro.runtime.kernels import NUMERICS_MODES
 from repro.sensor.maf import FlowConditions
 from repro.station.scenarios import build_calibrated_monitor
 
@@ -151,12 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     flt.add_argument("--seed", type=int, default=None,
                      help="session seed (default 42; ignored with --spec "
                           "-- the spec carries its own seed)")
-    flt.add_argument("--numerics", choices=list(NUMERICS_MODES),
-                     default="exact",
-                     help="kernel numerics mode: 'exact' is bit-identical "
-                          "to the scalar reference path, 'fast' uses "
-                          "vectorized transcendentals (<=1e-9 relative "
-                          "error; default exact)")
     flt.add_argument("--out", type=Path, default=None,
                      help="optional .npz path for the fleet traces")
     flt.add_argument("--checkpoint-dir", type=Path, default=None,
@@ -397,7 +389,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         desc = f"fleet of {n_monitors} monitors"
     profile = staircase(levels, dwell_s=args.dwell)
     print(f"{desc}, {args.workers} worker(s), "
-          f"staircase {levels} cm/s, numerics={args.numerics} ...")
+          f"staircase {levels} cm/s ...")
     if args.checkpoint_dir is not None:
         print(f"checkpointing to {args.checkpoint_dir}"
               + (" (resuming)" if args.resume else ""))
@@ -405,7 +397,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         session.calibrate()
         t0 = time.perf_counter()
         result = session.run(profile, workers=args.workers,
-                             numerics=args.numerics, resume=args.resume)
+                             resume=args.resume)
         elapsed = time.perf_counter() - t0
     samples = int(profile.duration_s * 1000.0) * spec.n_monitors
     print(f"ran {profile.duration_s:.1f} s x {result.n_monitors} monitors "

@@ -31,7 +31,6 @@ class ConfigurationError(ReproError):
 
     ``reason`` is a machine-readable slug for programmatic handling:
     ``"config"`` (the default catch-all) or a knob-specific tag such as
-    ``"numerics"`` for an invalid numerics-mode selection, or
     ``"heterogeneous"`` when a structurally mixed fleet reaches a
     homogeneous-only surface (e.g. a raw
     :class:`~repro.runtime.BatchEngine` handed rigs from more than one

@@ -26,9 +26,6 @@
   the one declarative fleet description (per-rig config + count + seed
   + scenario) accepted by ``Session``,
   ``characterize_meter_pool``, the service facade and the CLI,
-- :func:`resolve_numerics` (:mod:`repro.runtime.kernels`) — the check
-  behind the ``numerics="exact" | "fast"`` knob every run surface
-  accepts (see ``docs/performance.md``),
 - :func:`save_checkpoint` / :func:`load_checkpoint` /
   :class:`WindowedRun` / :func:`run_durable`
   (:mod:`repro.runtime.checkpoint`) — bit-exact engine checkpoints,
@@ -46,7 +43,6 @@ from repro.runtime.checkpoint import (CHECKPOINT_FORMAT_VERSION, Checkpoint,
                                       WindowedRun, engine_kind,
                                       load_checkpoint, run_durable,
                                       save_checkpoint)
-from repro.runtime.kernels import NUMERICS_MODES, resolve_numerics
 from repro.runtime.mixed import MixedEngine, config_group_key, fleet_groups
 from repro.runtime.parallel import ShardedEngine
 from repro.runtime.result import RunResult
@@ -57,7 +53,6 @@ __all__ = ["BatchEngine", "RunResult", "Session",
            "MonitorHandle", "ShardedEngine",
            "MixedEngine", "config_group_key", "fleet_groups",
            "FleetSpec", "RigSpec",
-           "NUMERICS_MODES", "resolve_numerics",
            "Checkpoint", "save_checkpoint", "load_checkpoint",
            "WindowedRun", "run_durable", "engine_kind",
            "CHECKPOINT_FORMAT_VERSION"]

@@ -28,9 +28,6 @@ array math, replacing the per-sample Python loops of
   feed-forward stochastic trajectory (turbulence OU, AFE flicker,
   backside OU, Promag lag) as a time-blocked kernel; the flow
   estimator, which feeds nothing back, runs once per chunk after it.
-  ``numerics="fast"`` additionally swaps the libm transcendentals for
-  numpy's vectorized ``exp``/``power`` (within 1e-9 relative error,
-  identical RNG streams).
 
 The engine *consumes* the rigs passed to it: their RNG streams advance,
 the first rig's drive scheme is ticked, and every platform scheduler is
@@ -83,7 +80,7 @@ from repro.physics.water import boiling_temperature
 from repro.runtime.kernels import (LOOP_REGIONS, ar1_block, drive_schedule,
                                    exp_exact, film_conductance,
                                    hysteresis_block, plan_chunk, pow_exact,
-                                   q_pi_step, relax_block, resolve_numerics)
+                                   q_pi_step, relax_block)
 from repro.runtime.result import RunResult
 from repro.state import load_state, state_of
 from repro.station.profiles import Profile
@@ -352,12 +349,6 @@ class BatchEngine:
         all schedulers advance as the engine runs.
     chunk_size:
         Samples per noise pre-draw block (memory/locality trade-off).
-    numerics:
-        ``"exact"`` (default) keeps every transcendental on the libm
-        scalar path and stays bit-identical to the scalar rigs;
-        ``"fast"`` switches the chunk kernels to numpy's vectorized
-        ``exp``/``power`` (within 1e-9 relative error of exact, same
-        RNG streams).
 
     Raises
     ------
@@ -367,8 +358,7 @@ class BatchEngine:
         strict AFE, non-zero DAC settling, temperature compensation,
         fixed-point output IIR, non-water medium, zero turbulence floor,
         a non-Promag50 reference meter, or a bridge B not built like
-        bridge A); with ``reason="numerics"`` for an unknown numerics
-        mode.
+        bridge A).
     SensorFault
         If any sensor is already failed.
     """
@@ -408,21 +398,13 @@ class BatchEngine:
     _RNG_ROWS = ("_line_rngs", "_bs_rngs", "_pm_rngs")
     _RNG_BRIDGES = ("_bubble_rngs", "_afe_rngs", "_adc_rngs")
 
-    def __init__(self, rigs: list[TestRig], chunk_size: int = 1024,
-                 numerics: str = "exact") -> None:
+    def __init__(self, rigs: list[TestRig], chunk_size: int = 1024) -> None:
         _require(chunk_size >= 1, "chunk_size must be >= 1")
         self._rigs = list(rigs)
         self._chunk = int(chunk_size)
         self._n = len(self._rigs)
-        self._numerics = resolve_numerics(numerics)
-        self._fast = self._numerics == "fast"
         self._sig = _validate_fleet(self._rigs)
         self._extract()
-
-    @property
-    def numerics(self) -> str:
-        """The resolved numerics mode (``"exact"`` or ``"fast"``)."""
-        return self._numerics
 
     # -- state extraction ----------------------------------------------------
 
@@ -816,8 +798,10 @@ class BatchEngine:
         stay *bit-identical* to a fleet that never contained the
         dropped rigs — this is what lets the streaming service detach
         one client without perturbing the rest.  The shared drive phase
-        and line plant stay on the engine even if rig 0 leaves (they
-        are engine-global clocks, not per-rig state).
+        stays on the engine even if rig 0 leaves (it is an
+        engine-global clock, not per-rig state); each lane keeps its own
+        profile clock and line plant until its last row leaves, and
+        then the lane is gone.
 
         Raises
         ------
@@ -918,8 +902,7 @@ class BatchEngine:
         # The joiners' own one-lane engine supplies their per-row
         # fields; a lane that has not stepped since it joined here
         # takes them in.
-        theirs = vars(BatchEngine(rigs, chunk_size=self._chunk,
-                                  numerics=self._numerics))
+        theirs = vars(BatchEngine(rigs, chunk_size=self._chunk))
         lane = _Lane.joining(self._offset, state_of(rigs[0].line))
         if not self._lanes or self._lanes[-1] != lane:
             self._lanes = [*self._lanes, lane]
@@ -1120,7 +1103,6 @@ class BatchEngine:
         held = seen == 0
         meas[held] = self._last_output
         dirs[held] = self._dir
-        vpow = np.power if self._fast else pow_exact
         rh_star, bp_denom = self._rh_star, self._bp_denom
         thr_hi = self._dir_threshold + self._dir_hysteresis
         y_iir, y_dir, dir_state = self._y_iir, self._y_dir, self._dir
@@ -1137,7 +1119,7 @@ class BatchEngine:
             bp_b = ub ** 2 * rh_star / bp_denom
             g_cond = 0.5 * (bp_a + bp_b) / self._overtemp
             excess = np.maximum(g_cond - self._coeff_a, 0.0)
-            speed = vpow(excess / self._coeff_b, self._inv_exp)
+            speed = pow_exact(excess / self._coeff_b, self._inv_exp)
             if not primed.all():
                 # A row's output IIR starts at its first valid speed.
                 y_iir = np.where(primed, y_iir, speed[0])
@@ -1230,7 +1212,6 @@ class BatchEngine:
         """
         dt = self._dt
         n = self._n
-        fast = self._fast
         accumulating = sums is not None
         # Per-chunk instrumentation: one branch when disabled, one
         # perf_counter pair + histogram/counter update per chunk (never
@@ -1240,7 +1221,6 @@ class BatchEngine:
         observing = registry.enabled and not accumulating
         if observing:
             registry.gauge("runtime.batch.fleet_size").set(n)
-            registry.gauge("runtime.kernel.fast").set(1.0 if fast else 0.0)
             chunk_hist = registry.histogram(
                 "runtime.batch.chunk_s", "per-chunk advance latency")
             plan_hist = registry.histogram(
@@ -1372,14 +1352,13 @@ class BatchEngine:
                 as0(v) for v in aa_coeffs[0])
             aast = aa_state[0]
         # Hot-loop callables bound to locals (skips the global/attr
-        # lookups per dispatch); the numerics mode picks the
-        # transcendental kernels once instead of branching per step.
+        # lookups per dispatch).
         np_min, np_max, np_where = np.minimum, np.maximum, np.where
         np_abs, np_sign = np.abs, np.sign
         np_trunc, np_copysign = np.trunc, np.copysign
         np_floor, np_int64 = np.floor, np.int64
         or_all = np.logical_or.reduce
-        vexp = np.exp if fast else exp_exact
+        vexp = exp_exact
         film = film_conductance
 
         # Recurrent state mirrored into locals for the loop and written
@@ -1430,7 +1409,7 @@ class BatchEngine:
             c = min(self._chunk, end - start)
             if observing:
                 chunk_start = time.perf_counter()
-            with tracer.span("kernel.plan", samples=c, fast=fast):
+            with tracer.span("kernel.plan", samples=c):
                 if profiling:
                     prof_w, prof_c = perf_counter(), process_time()
                 # Time axis: each lane's setpoints, plant and OU
@@ -1444,8 +1423,7 @@ class BatchEngine:
                     a_press=float(self._a_press),
                     a_temp=float(self._a_temp),
                     turb_length=self._turb_length,
-                    turb_min_speed=self._turb_min_speed,
-                    fast=fast) for lane in lanes]
+                    turb_min_speed=self._turb_min_speed) for lane in lanes]
                 energise, control_active, sample_valid = drive_schedule(
                     self._drive, dt, c)
 
@@ -1470,8 +1448,7 @@ class BatchEngine:
                     note("kernel.guards", now_w - prof_w, now_c - prof_c,
                          calls=c)
 
-                # Pre-draw this chunk's gaussian blocks from the live
-                # streams (identical consumption in both numerics modes).
+                # Pre-draw this chunk's gaussian blocks from the live streams.
                 xi_line = np.stack(
                     [rng.standard_normal(c) for rng in self._line_rngs])
                 if bs_on:
@@ -1637,8 +1614,7 @@ class BatchEngine:
 
                 # Clean film conductance at the film temperature.
                 film_t = f_half * (t_h + t_f)
-                g = film(v_eff_all[k], film_t,
-                         geom_d, geom_L, fast=fast)
+                g = film(v_eff_all[k], film_t, geom_d, geom_L)
 
                 if profiling:
                     stamp(perf_counter())

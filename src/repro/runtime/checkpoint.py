@@ -71,8 +71,10 @@ __all__ = ["Checkpoint", "save_checkpoint", "load_checkpoint",
 #: in place of one ``(N, K)`` table per bridge; 6: a batch engine runs
 #: in lanes, each with its own profile clock and line plant, in place
 #: of one engine-wide plant, and a service cohort checkpoint carries
-#: each member's start step and horizon).
-CHECKPOINT_FORMAT_VERSION = 6
+#: each member's start step and horizon; 7: engines and run
+#: fingerprints carry no numerics mode, so a fast-mode format-6
+#: artifact cannot resume as an exact run).
+CHECKPOINT_FORMAT_VERSION = 7
 
 #: Header magic identifying a checkpoint artifact.
 _MAGIC = "repro-checkpoint"
@@ -224,11 +226,11 @@ def load_checkpoint(path, *, expect_kind: str | None = None) -> Checkpoint:
 
 
 def run_fingerprint(profile: Profile, total_steps: int,
-                    record_every_n: int, numerics: str, **extra) -> str:
+                    record_every_n: int, **extra) -> str:
     """Canonical hash of everything a resumed run must agree on.
 
-    Covers the profile (type and segments), the horizon, the recording
-    cadence and the numerics mode; callers add what else pins their
+    Covers the profile (type and segments), the horizon and the
+    recording cadence; callers add what else pins their
     run (``n_monitors`` for :func:`run_durable`, the fleet spec for
     campaigns) as ``extra`` keys.
     """
@@ -239,7 +241,6 @@ def run_fingerprint(profile: Profile, total_steps: int,
                      for s in profile.segments],
         "total_steps": total_steps,
         "record_every_n": record_every_n,
-        "numerics": numerics,
         **extra,
     })
 
@@ -397,11 +398,11 @@ def run_durable(engine: MixedEngine, profile: Profile, *,
     Parameters
     ----------
     engine:
-        A :class:`MixedEngine` at step 0, new or rewound; its numerics
-        mode and worker count are the run's.  On resume the engine
-        restored from the checkpoint advances instead, with the worker
-        count it was checkpointed with, and ``engine`` only supplies
-        the fleet size and numerics the fingerprint checks.
+        A :class:`MixedEngine` at step 0, new or rewound; its worker
+        count is the run's.  On resume the engine restored from the
+        checkpoint advances instead, with the worker count it was
+        checkpointed with, and ``engine`` only supplies the fleet size
+        the fingerprint checks.
     profile:
         Setpoint schedule; its length fixes the total step count.
     checkpoint_path:
@@ -413,7 +414,7 @@ def run_durable(engine: MixedEngine, profile: Profile, *,
     resume:
         Continue from an existing checkpoint instead of starting fresh.
         The checkpoint's run fingerprint (profile, fleet size, cadence,
-        numerics, not workers) must match this call's.
+        not workers) must match this call's.
 
     Raises
     ------
@@ -438,7 +439,6 @@ def run_durable(engine: MixedEngine, profile: Profile, *,
     if total < 1:
         raise ConfigurationError("profile shorter than one loop tick")
     fingerprint = run_fingerprint(profile, total, record_every_n,
-                                  engine.numerics,
                                   n_monitors=engine.n_monitors)
     if resume:
         run, state = WindowedRun.restore(checkpoint_path, fingerprint)

@@ -26,31 +26,16 @@ of that per-sample loop:
   over the fleet with array arithmetic instead of per-element Python
   calls into :func:`repro.physics.water.film_properties_scalar`.
 - :func:`exp_exact` / :func:`pow_exact` are the libm-elementwise
-  transcendentals of the bit-exact path; fast mode swaps them for
-  ``np.exp`` / ``np.power``.
+  transcendentals that keep the engine bit-identical to the scalar path.
 
-Two numerics modes, selected by the ``numerics="exact" | "fast"``
-string every run surface accepts (:func:`resolve_numerics` checks it):
-
-``exact`` (default)
-    Only transformations that are provably bit-identical to the scalar
-    reference loop: elementary IEEE-754 float64 operations (``+ - * /
-    sqrt min max``) commute between numpy arrays and Python scalars
-    when the association order is mirrored, recurrences keep their
-    per-step form, and every transcendental whose implementation is
-    *not* correctly rounded (``exp``, ``pow``) is evaluated elementwise
-    through libm exactly as the scalar code would.  The golden traces
-    under ``tests/golden/`` pin this contract byte for byte.
-
-``fast``
-    The same structure, but transcendentals go through numpy's
-    vectorized ``exp`` / ``power`` (SIMD, last-ulp differences from
-    libm) and the per-generator gaussian draws are pooled into block
-    draws.  RNG *consumption* is unchanged — every generator produces
-    the identical stream — so the two modes diverge only by sub-ulp
-    transcendental rounding; ``tests/test_kernels.py`` holds fast-mode
-    traces within 1e-9 relative error of exact on every recorded field,
-    and ``tests/golden/fast_engine.npz`` pins a reference trace.
+Every kernel makes only transformations that are provably bit-identical
+to the scalar reference loop: elementary IEEE-754 float64 operations
+(``+ - * / sqrt min max``) commute between numpy arrays and Python
+scalars when the association order is mirrored, recurrences keep their
+per-step form, and every transcendental whose implementation is *not*
+correctly rounded (``exp``, ``pow``) is evaluated elementwise through
+libm exactly as the scalar code would.  The golden traces under
+``tests/golden/`` pin this contract byte for byte.
 """
 
 from __future__ import annotations
@@ -65,10 +50,8 @@ from repro.errors import ConfigurationError
 from repro.units import CELSIUS_OFFSET
 
 __all__ = [
-    "NUMERICS_MODES",
     "LOOP_REGIONS",
     "PROFILE_STAGES",
-    "resolve_numerics",
     "exp_exact",
     "pow_exact",
     "pow10_exact",
@@ -81,9 +64,6 @@ __all__ = [
     "plan_chunk",
     "drive_schedule",
 ]
-
-#: The supported numerics modes, in documentation order.
-NUMERICS_MODES = ("exact", "fast")
 
 #: The regions of the batch engine's per-sample chain, in signal-chain
 #: order: supply DACs, line-pressure guards, reference resistor, wake
@@ -110,22 +90,6 @@ LOOP_REGIONS = ("kernel.dac", "kernel.guards", "kernel.reference",
 #: (``kernel.estimator``).
 PROFILE_STAGES = ("kernel.plan", "kernel.ar1_block", *LOOP_REGIONS,
                   "kernel.chunk_loop", "kernel.estimator")
-
-
-def resolve_numerics(value) -> str:
-    """Check a ``numerics=`` knob is one of :data:`NUMERICS_MODES`; return it.
-
-    Raises
-    ------
-    ConfigurationError
-        With ``reason == "numerics"`` for anything else.
-    """
-    if value not in NUMERICS_MODES:
-        raise ConfigurationError(
-            f"unknown numerics {value!r}; use "
-            + " or ".join(repr(m) for m in NUMERICS_MODES),
-            reason="numerics")
-    return value
 
 
 # -- elementwise transcendentals ---------------------------------------------
@@ -234,7 +198,7 @@ _F_PI = np.asarray(math.pi)
 
 
 def film_conductance(v_eff, film_t: np.ndarray, diameter: float,
-                     length: float, fast: bool = False) -> np.ndarray:
+                     length: float) -> np.ndarray:
     """Clean-film conductance over the fleet (forced + natural mix).
 
     Vectorized form of the per-element loop over
@@ -243,7 +207,7 @@ def film_conductance(v_eff, film_t: np.ndarray, diameter: float,
     arithmetic (bit-identical — only ``+ - * /``), and the two
     non-correctly-rounded transcendentals (``10**x`` in the Vogel
     viscosity, ``Pr**n`` in the Nusselt fit) go through libm
-    elementwise in exact mode or ``np.power`` in fast mode.
+    elementwise.
     """
     t = film_t
     # Range guard on the cheap path: one tolist round-trip + Python
@@ -272,10 +236,7 @@ def film_conductance(v_eff, film_t: np.ndarray, diameter: float,
         t_c = t - _F_CELSIUS
         vogel = _F_VOGEL_NUM / (t - _F_VOGEL_OFF)
     k = _F_K0 + _F_K1 * t - _F_K2 * t * t
-    if fast:
-        mu = _F_MU_SCALE * np.power(10.0, vogel)
-    else:
-        mu = _F_MU_SCALE * pow10_exact(vogel)
+    mu = _F_MU_SCALE * pow10_exact(vogel)
     if joint:
         # The Kell numerator and denominator and the specific heat share
         # one joint Horner pass (see _HORNER_LEVELS): identical
@@ -305,7 +266,7 @@ def film_conductance(v_eff, film_t: np.ndarray, diameter: float,
     nu = mu / rho
     pr = cp * mu / k
     re = v_eff * diameter / nu
-    if joint and not fast:
+    if joint:
         # One ``map`` over the flat Prandtl numbers listed twice feeds
         # both exponents (``math.pow`` is the C ``pow`` behind the
         # scalar path's ``**``, as in :func:`pow10_exact`), and one
@@ -315,11 +276,8 @@ def film_conductance(v_eff, film_t: np.ndarray, diameter: float,
             map(math.pow, pr_flat + pr_flat, pr_exponents), np.float64,
             count=2 * pr.size).reshape(nu_coeffs.shape)
     else:
-        if fast:
-            pr20, pr33 = np.power(pr, 0.20), np.power(pr, 0.33)
-        else:
-            pr20, pr33 = pow_exact(pr, 0.20), pow_exact(pr, 0.33)
-        free, forced = _F_NU_FREE * pr20, _F_NU_FORCED * pr33
+        free = _F_NU_FREE * pow_exact(pr, 0.20)
+        forced = _F_NU_FORCED * pow_exact(pr, 0.33)
     nusselt = free + forced * np.sqrt(re)
     return nusselt * k * _F_PI * length
 
@@ -484,8 +442,7 @@ class ChunkPlan:
 def plan_chunk(profile, dt: float, start_step: int, c: int, *,
                speed: float, pressure: float, temperature: float,
                time_s: float, a_speed: float, a_press: float, a_temp: float,
-               turb_length: float, turb_min_speed: float,
-               fast: bool = False) -> ChunkPlan:
+               turb_length: float, turb_min_speed: float) -> ChunkPlan:
     """Precompute one lane's setpoints and plant trajectory for a chunk.
 
     Advances the shared-line plant (``x <- x + a * (set - x)``, the
@@ -513,11 +470,8 @@ def plan_chunk(profile, dt: float, start_step: int, c: int, *,
         bulk_t[k] = temperature
         times[k] = time_s
         rho_arg[k] = -dt / (turb_length / max(abs(speed), turb_min_speed))
-    if fast:
-        rho_ou = np.exp(rho_arg)
-    else:
-        rho_ou = np.fromiter(map(math.exp, rho_arg.tolist()),
-                             np.float64, count=c)
+    rho_ou = np.fromiter(map(math.exp, rho_arg.tolist()),
+                         np.float64, count=c)
     ou_sqrt = np.sqrt(1.0 - rho_ou * rho_ou)
     return ChunkPlan(
         bulk_speed=bulk_v, bulk_pressure=bulk_p, bulk_temp=bulk_t,

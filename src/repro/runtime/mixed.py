@@ -153,8 +153,6 @@ class MixedEngine:
         Any rig list; structural diversity is handled by grouping.
         Groups must share one loop rate and line clock (the merged
         result needs a single time base).
-    numerics:
-        Forwarded to every group's ``BatchEngine``.
     workers:
         With ``workers > 1`` and at least two config groups, each group
         is one job (:mod:`repro.runtime.parallel`): every :meth:`run`
@@ -176,23 +174,24 @@ class MixedEngine:
     #: What :meth:`rewind` restores; None on an engine restored from a
     #: pickle, which leaves it out.
     _step0 = None
-    #: Parallel-job knobs (:class:`~repro.runtime.parallel.ShardedEngine`
-    #: sets its own).
+    #: The retry and watchdog budget of a ``workers > 1`` window: each
+    #: job is re-submitted once after a worker failure, then falls back
+    #: in-process, and no attempt has a timeout.
+    #: :class:`~repro.runtime.parallel.ShardedEngine` takes both as
+    #: arguments.
     _max_retries = 1
     _timeout_s = None
 
-    def __init__(self, rigs: list[TestRig], numerics: str = "exact",
+    def __init__(self, rigs: list[TestRig],
                  workers: int | None = None) -> None:
         if workers is not None and int(workers) < 1:
             raise ConfigurationError("workers must be a positive integer")
         self._groups = [
             _MixGroup(key, positions,
-                      BatchEngine([rigs[i] for i in positions],
-                                  numerics=numerics))
+                      BatchEngine([rigs[i] for i in positions]))
             for key, positions in fleet_groups(rigs).items()
         ]
         self._n = len(rigs)
-        self._numerics = self._groups[0].engine.numerics
         self._offset = 0
         # The groups and caller rows rewind() restores after drops.
         self._step0 = ([(g, g.positions) for g in self._groups], self._n)
@@ -228,11 +227,6 @@ class MixedEngine:
     def n_monitors(self) -> int:
         """Rigs currently in the fleet (caller rows of every result)."""
         return self._n
-
-    @property
-    def numerics(self) -> str:
-        """The resolved numerics mode shared by every group engine."""
-        return self._numerics
 
     @property
     def groups(self) -> list[tuple[str, tuple[int, ...]]]:
@@ -390,7 +384,7 @@ class MixedEngine:
                     raise ConfigurationError(
                         f"config group {key} is new to this engine; a new "
                         f"group can only join at step 0", reason="admit")
-                engine = BatchEngine(group_rigs, numerics=self._numerics)
+                engine = BatchEngine(group_rigs)
                 if (engine._dt, engine._line_time) != (self._dt,
                                                        self._line_time):
                     raise ConfigurationError(

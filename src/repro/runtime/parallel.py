@@ -405,24 +405,19 @@ class ShardedEngine(MixedEngine):
         Per-attempt wall-clock budget, measured from that attempt's
         submission; ``None`` disables the watchdog.  A timed-out worker
         is killed, not abandoned.
-    numerics:
-        Kernel numerics mode for every group engine (``"exact"``, the
-        default, or ``"fast"``).  Worker-count invariance holds per
-        mode: every worker runs the same kernels the serial engine
-        would.
 
     Raises
     ------
     ConfigurationError
         From the batch engine's validation of each group, on groups
         that do not share a time base (``reason="heterogeneous"``), or
-        on invalid knobs (``reason="numerics"`` for an unknown numerics
-        mode).
+        on a non-positive ``workers``, a negative ``max_retries`` or a
+        non-positive ``timeout_s``.
     """
 
     def __init__(self, rigs: list[TestRig], workers: int,
-                 max_retries: int = 1, timeout_s: float | None = None,
-                 numerics: str = "exact") -> None:
+                 max_retries: int = 1,
+                 timeout_s: float | None = None) -> None:
         if int(workers) < 1:
             raise ConfigurationError("workers must be a positive integer")
         if max_retries < 0:
@@ -432,7 +427,7 @@ class ShardedEngine(MixedEngine):
         self._max_retries = int(max_retries)
         self._timeout_s = timeout_s
         self._closed = False
-        super().__init__(rigs, numerics=numerics, workers=int(workers))
+        super().__init__(rigs, workers=int(workers))
 
     @property
     def workers(self) -> int:

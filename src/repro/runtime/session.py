@@ -18,7 +18,7 @@ until ``close``.  ``run`` may be called any number of times, and never
 consults the LRU, the store or a campaign again.  Every run starts from
 the same freshly-built post-calibration state by one path: it rewinds a
 step-0 engine the session built from those pairs on its first run with
-the same numerics mode and effective worker count.  Serial, durable and
+the same effective worker count.  Serial, durable and
 parallel runs all go that way; only ``calibrate`` and each engine's
 first build assemble monitors.  Calling a stage out of order raises
 :class:`~repro.errors.SessionError`.
@@ -35,7 +35,6 @@ from repro.observability import (get_event_log, get_profiler,
                                  get_registry, get_tracer)
 from repro.conditioning.calibration import FlowCalibration
 from repro.conditioning.monitor import WaterFlowMonitor
-from repro.runtime.kernels import resolve_numerics
 from repro.runtime.mixed import MixedEngine, fleet_groups
 from repro.runtime.result import RunResult
 from repro.runtime.spec import FleetSpec
@@ -123,8 +122,8 @@ class Session:
         self._dt = self._fleet.dt_s
         self._timings: dict[str, float] = {}
         self._runs = 0
-        # Step-0 engines of every run, by (numerics, effective workers).
-        self._templates: dict[tuple[str, int], MixedEngine] = {}
+        # Step-0 engines of every run, by effective worker count.
+        self._templates: dict[int, MixedEngine] = {}
         # Config groups of the fleet, counted at calibrate.
         self._n_groups = 0
         if checkpoint_dir is not None:
@@ -194,7 +193,6 @@ class Session:
 
     def run(self, profile: Profile, *,
             workers: int | None = None,
-            numerics: str = "exact",
             record_every_n: int = 20,
             resume: bool = False,
             backend: str = "spawn") -> RunResult:
@@ -211,7 +209,7 @@ class Session:
         structurally mixed :class:`~repro.runtime.FleetSpec` is
         sub-batched per config group (bit-identical per rig to running
         its group alone).  Every run reuses the session's engine for
-        its numerics mode and effective worker count, rewound to step 0
+        its effective worker count, rewound to step 0
         (:meth:`MixedEngine.rewind
         <repro.runtime.mixed.MixedEngine.rewind>`); the first such run
         builds it from freshly assembled rigs.  With the same seeds
@@ -232,11 +230,6 @@ class Session:
             count.  A one-group fleet, ``None`` (default) and 1 stay
             serial and in-process.  The effective count is
             ``min(workers or 1, number of config groups)``.
-        numerics:
-            Kernel numerics mode: ``"exact"`` (default, bit-identical
-            to the scalar reference path) or ``"fast"`` (vectorized
-            transcendentals, ≤1e-9 relative error; see
-            :mod:`repro.runtime.kernels`).
         record_every_n:
             Loop ticks between recorded points (default 20: 50 Hz at
             the 1 kHz loop).
@@ -256,7 +249,6 @@ class Session:
             goes when the benchmark stops reading it.
         """
         self._expect("calibrated")
-        mode = resolve_numerics(numerics)
         if backend != "spawn":
             raise ConfigurationError(
                 f"unknown parallel backend {backend!r}; the only backend "
@@ -276,9 +268,8 @@ class Session:
                 "in the checkpoint; a workers override doesn't apply "
                 "to a resumed run — rerun without it")
         t0 = time.perf_counter()
-        with get_tracer().span("session.run", numerics=mode,
-                               n_monitors=self.n_monitors):
-            engine = self._engine(mode, workers)
+        with get_tracer().span("session.run", n_monitors=self.n_monitors):
+            engine = self._engine(workers)
             if durable:
                 from repro.runtime.checkpoint import run_durable
                 result = run_durable(
@@ -349,19 +340,18 @@ class Session:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    def _engine(self, mode: str, workers: int | None) -> MixedEngine:
-        """This session's step-0 engine for ``mode`` and ``workers``,
-        rewound (built on first use).
+    def _engine(self, workers: int | None) -> MixedEngine:
+        """This session's step-0 engine for ``workers``, rewound (built
+        on first use).
 
         A one-group fleet runs in-process whatever ``workers`` says
         (:class:`MixedEngine`), so it shares the serial engine.
         """
-        key = (mode, min(int(workers or 1), self._n_groups))
+        key = min(int(workers or 1), self._n_groups)
         engine = self._templates.get(key)
         if engine is None:
             rigs = [handle.rig for handle in self._materialize()]
-            engine = self._templates[key] = MixedEngine(
-                rigs, numerics=mode, workers=key[1])
+            engine = self._templates[key] = MixedEngine(rigs, workers=key)
         else:
             engine.rewind()
         return engine

@@ -27,7 +27,7 @@ __all__ = ["ServiceClient", "connect", "run"]
 
 
 def run(profile: Profile, *, fleet=None,
-        workers: int | None = None, numerics: str = "exact",
+        workers: int | None = None,
         record_every_n: int = 20) -> RunResult:
     """One-shot fleet run: session lifecycle in a single call.
 
@@ -46,7 +46,7 @@ def run(profile: Profile, *, fleet=None,
     heterogeneous fleet sub-batches per config group, bit-identical per
     rig to running its group alone).  All other keywords mirror
     :meth:`repro.runtime.Session.run` (``record_every_n``,
-    ``workers``, ``numerics``).
+    ``workers``).
     Traces are bit-identical to what a
     :meth:`~repro.service.service.FleetService` client streaming the
     same config/seed/profile would stitch together.
@@ -60,7 +60,7 @@ def run(profile: Profile, *, fleet=None,
     """
     with Session(fleet=fleet) as session:
         session.calibrate()
-        return session.run(profile, workers=workers, numerics=numerics,
+        return session.run(profile, workers=workers,
                            record_every_n=record_every_n)
 
 

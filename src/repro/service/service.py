@@ -4,7 +4,7 @@
 concurrent client runs onto shared engine advances.  Clients
 :meth:`~FleetService.attach` a profile with their own fleet description
 (a :class:`~repro.runtime.FleetSpec`); the service groups clients who
-share a profile, cadence, loop rate and numerics into *cohorts* — build
+share a profile, cadence and loop rate into *cohorts* — build
 configurations may differ, because each cohort runs on a
 :class:`~repro.runtime.mixed.MixedEngine` that sub-batches per config
 group — advances each cohort in bounded tick slices, and streams every
@@ -56,7 +56,6 @@ from repro.runtime.mixed import MixedEngine
 from repro.runtime.result import RunResult
 from repro.runtime.session import Session
 from repro.runtime.spec import FleetSpec
-from repro.runtime.kernels import resolve_numerics
 from repro.service.streams import Snapshot, SnapshotStream
 from repro.station.health import RigHealthTracker, fleet_reference
 from repro.station.profiles import Profile
@@ -94,8 +93,8 @@ class _Member:
 
 
 class _Group:
-    """One cohort: clients sharing a profile, cadence, loop rate and
-    numerics — build configurations may differ, the cohort engine is a
+    """One cohort: clients sharing a profile, cadence and loop rate —
+    build configurations may differ, the cohort engine is a
     :class:`~repro.runtime.mixed.MixedEngine` sub-batching per config
     group, built from the first member's rigs; later members are
     admitted as lanes, in attach order.  The cohort's
@@ -399,8 +398,7 @@ class FleetService:
 
     async def attach(self, profile: Profile, *,
                      fleet: FleetSpec | None = None,
-                     record_every_n: int = 20,
-                     numerics: str = "exact") -> ClientSession:
+                     record_every_n: int = 20) -> ClientSession:
         """Join the service with a profile; returns the client handle.
 
         Builds (and calibrates) a :class:`~repro.runtime.Session` for
@@ -408,19 +406,19 @@ class FleetService:
         ``fleet=``, possibly mixed — the same deterministic
         materialization a standalone run uses, which is what makes the
         streamed rows bit-identical to ``Session.run`` — then joins a
-        cohort of clients sharing this profile, cadence, loop rate and
-        numerics at the next tick boundary, bit-identical per rig to a
-        cohort of its own.  Build configurations may differ: the cohort
-        engine sub-batches per config group.  A running cohort takes
-        the client as a new lane when its drive phase matches (always
-        for continuous drive, at step 0 for pulsed), ``done %
+        cohort of clients sharing this profile, cadence and loop rate at
+        the next tick boundary, bit-identical per rig to a cohort of its
+        own.  Build configurations may differ: the cohort engine
+        sub-batches per config group.  A running cohort takes the
+        client as a new lane when its drive phase matches (always for
+        continuous drive, at step 0 for pulsed), ``done %
         record_every_n == 0``, and the client's config groups are in
         it (any group joins at step 0); otherwise the client starts a
         cohort.  The client leaves at its own horizon.
 
-        Parameters mirror :meth:`repro.runtime.Session.run` where they
-        overlap (``record_every_n``, ``numerics``); ``fleet`` mirrors
-        the :class:`~repro.runtime.Session` constructor.
+        ``record_every_n`` mirrors :meth:`repro.runtime.Session.run`;
+        ``fleet`` mirrors the :class:`~repro.runtime.Session`
+        constructor.
 
         Raises
         ------
@@ -432,7 +430,6 @@ class FleetService:
         """
         if self._stopped:
             raise ServiceError("service stopped", reason="stopped")
-        mode = resolve_numerics(numerics)
         session = Session(fleet=fleet)
         session.open()
         try:
@@ -467,7 +464,7 @@ class FleetService:
         member = _Member(client, session, len(rigs), stream)
         client._member = member
 
-        key = self._group_key(session, profile, record_every_n, mode)
+        key = self._group_key(session, profile, record_every_n)
         group, fault = self._cohort_for(key, rigs), None
         if group is None:
             self._group_seq += 1
@@ -478,8 +475,7 @@ class FleetService:
                 checkpoint_path=path))
             self._groups[group.group_id] = group
             try:
-                group.run.engine = MixedEngine(rigs, numerics=mode,
-                                               workers=self._workers)
+                group.run.engine = MixedEngine(rigs, workers=self._workers)
             except ReproError as exc:
                 fault = exc  # the client learns it from its result
         member.start = group.run.done
@@ -593,17 +589,16 @@ class FleetService:
     # -- internals -----------------------------------------------------------
 
     @staticmethod
-    def _group_key(session: Session, profile: Profile, every: int,
-                   mode: str) -> tuple:
+    def _group_key(session: Session, profile: Profile, every: int) -> tuple:
         """Cohort identity: everything that must match for one engine.
 
         Build configurations are deliberately *absent*: the cohort
         engine is a :class:`~repro.runtime.mixed.MixedEngine`, so
         clients with different builds coalesce into one mixed cohort.
-        Only the shared clocks remain — profile, cadence, loop rate
-        (``session._dt``) and numerics.
+        Only the shared clocks remain — profile, cadence and loop rate
+        (``session._dt``).
         """
-        return (tuple(profile.segments), every, session._dt, mode)
+        return (tuple(profile.segments), every, session._dt)
 
     def _cohort_for(self, key: tuple, rigs: list) -> "_Group | None":
         """The oldest cohort with ``key`` that admits ``rigs`` as a lane

@@ -371,7 +371,6 @@ def run_campaign(fleet, *, duration_s: float | None = None,
                  base_profile: Profile | None = None,
                  demand: str = "household",
                  record_every_n: int = 20,
-                 numerics: str = "exact",
                  checkpoint_dir=None,
                  resume: bool = False) -> CampaignReport:
     """Run a scenario campaign described by a scenario-tagged FleetSpec.
@@ -405,8 +404,6 @@ def run_campaign(fleet, *, duration_s: float | None = None,
         ``base_profile`` is given.
     record_every_n:
         Loop ticks between recorded points (default 20).
-    numerics:
-        Forwarded to every group engine.
     checkpoint_dir:
         Durability root (default None: no disk artifacts).  The
         campaign checkpoints its state to
@@ -434,7 +431,6 @@ def run_campaign(fleet, *, duration_s: float | None = None,
     # module-import time (cycle; see module docstring).
     from repro.runtime import FleetSpec, MixedEngine, RunResult
     from repro.runtime.checkpoint import WindowedRun, run_fingerprint
-    from repro.runtime.kernels import resolve_numerics
 
     if not isinstance(fleet, FleetSpec):
         raise ConfigurationError(
@@ -488,9 +484,8 @@ def run_campaign(fleet, *, duration_s: float | None = None,
     # rides the artifact.
     checkpoint_path = (Path(checkpoint_dir) / "campaign.ckpt"
                        if checkpoint_dir is not None else None)
-    fingerprint = run_fingerprint(
-        base_profile, total_steps, record_every_n, resolve_numerics(numerics),
-        fleet=fleet.to_dict())
+    fingerprint = run_fingerprint(base_profile, total_steps, record_every_n,
+                                  fleet=fleet.to_dict())
     if resume:
         run, state = WindowedRun.restore(checkpoint_path, fingerprint,
                                          expect_kind="mixed")
@@ -531,8 +526,7 @@ def run_campaign(fleet, *, duration_s: float | None = None,
                 current = None
             else:
                 run.engine = MixedEngine([rigs[pos]
-                                          for pos in leg["positions"]],
-                                         numerics=numerics)
+                                          for pos in leg["positions"]])
                 windows = [[] for _ in run.engine.groups]
                 window_rows = []
                 first_window = 0

@@ -33,7 +33,6 @@ def characterize_meter_pool(fleet, *,
                             duration_s: float = 20.0,
                             settle_s: float = 8.0,
                             workers: int | None = None,
-                            numerics: str = "exact",
                             ) -> list["MeterCharacter"]:
     """Measure meter characters from full monitor simulations.
 
@@ -63,11 +62,6 @@ def characterize_meter_pool(fleet, *,
         as jobs in worker processes, and a one-group pool runs
         in-process (bit-identical traces either way, so the measured
         characters do not depend on the worker count).
-    numerics:
-        Kernel numerics mode for the characterization hold, forwarded
-        to :meth:`repro.runtime.Session.run`: ``"exact"`` (default) or
-        ``"fast"`` (≤1e-9 relative error on the traces, far below the
-        bias/noise statistics condensed here).
 
     Returns
     -------
@@ -92,12 +86,12 @@ def characterize_meter_pool(fleet, *,
         with Session(fleet=spec) as session:
             session.calibrate()
             result = session.run(hold(speed_cmps, duration_s),
-                                 workers=workers, numerics=numerics)
+                                 workers=workers)
     registry = get_registry()
     if registry.enabled:
         registry.counter("station.fleet.meters_characterized").inc(n_meters)
     get_event_log().emit("fleet.characterize", n_meters=n_meters,
-                         seed=spec.seed, workers=workers, numerics=numerics)
+                         seed=spec.seed, workers=workers)
     characters = []
     for i in range(n_meters):
         window = result.trace(i).steady_window(settle_s, duration_s)

@@ -4,7 +4,7 @@ Run from the repository root::
 
     PYTHONPATH=src python -m tests.golden.regen
 
-Five archives pin the execution paths of the same physics:
+Four archives pin the execution paths of the same physics:
 
 - ``scalar_cta.npz`` — one rig through the per-sample scalar reference
   loop (``TestRig.run``, i.e. the CTA loop ticked in Python);
@@ -13,8 +13,6 @@ Five archives pin the execution paths of the same physics:
 - ``sharded_engine.npz`` — the same fleet through the process-parallel
   :class:`~repro.runtime.parallel.ShardedEngine` (two workers; the
   fleet is one config group, hence one job, which runs in-process);
-- ``fast_engine.npz`` — the same fleet through the batch engine with
-  ``numerics="fast"`` (vectorized transcendentals);
 - ``mixed_fleet.npz`` — an interleaved two-config-group fleet through
   the group-by-config :class:`~repro.runtime.mixed.MixedEngine` (the
   ragged merge back into caller order).
@@ -28,12 +26,9 @@ from the restored engine and stitched.  Each must be byte-identical to
 its uninterrupted sibling archive — asserted pairwise by
 ``tests/test_golden_traces.py`` via :data:`RESUME_PAIRS`.
 
-The exact-mode cases are pure functions of their hard-coded seeds, so
+The cases are pure functions of their hard-coded seeds, so
 regenerating on the same code produces byte-identical archives; the
-test suite compares them byte for byte.  The fast case is additionally
-subject to numpy's SIMD transcendentals, whose last-ulp rounding may
-differ across builds, so ``tests/test_golden_traces.py`` holds it to a
-1e-9 relative tolerance instead of bytes.  A diff against the
+test suite compares them byte for byte.  A diff against the
 checked-in files therefore means the simulation's numerics changed —
 commit regenerated archives only for *intentional* physics changes, and
 say so in the commit message.
@@ -52,9 +47,9 @@ from repro.station.profiles import staircase
 from repro.station.rig import RigRecord
 from repro.station.scenarios import build_calibrated_monitor
 
-__all__ = ["GOLDEN_DIR", "CASES", "TOLERANT_CASES", "RESUME_PAIRS",
+__all__ = ["GOLDEN_DIR", "CASES", "RESUME_PAIRS",
            "scalar_cta_case", "batch_engine_case", "sharded_engine_case",
-           "fast_engine_case", "mixed_fleet_case", "scalar_resume_case",
+           "mixed_fleet_case", "scalar_resume_case",
            "batch_resume_case", "sharded_resume_case", "mixed_resume_case",
            "main"]
 
@@ -96,14 +91,6 @@ def batch_engine_case() -> dict[str, np.ndarray]:
 def sharded_engine_case() -> dict[str, np.ndarray]:
     """The same fleet through the sharded engine (two workers)."""
     result = ShardedEngine(_fleet_rigs(), workers=2).run(
-        _PROFILE, record_every_n=_RECORD_EVERY_N)
-    return {name: np.asarray(getattr(result, name))
-            for name in ("time_s",) + RunResult.STACKED_FIELDS}
-
-
-def fast_engine_case() -> dict[str, np.ndarray]:
-    """The same fleet through the batch engine in fast numerics mode."""
-    result = BatchEngine(_fleet_rigs(), numerics="fast").run(
         _PROFILE, record_every_n=_RECORD_EVERY_N)
     return {name: np.asarray(getattr(result, name))
             for name in ("time_s",) + RunResult.STACKED_FIELDS}
@@ -187,7 +174,6 @@ CASES = {
     "scalar_cta": scalar_cta_case,
     "batch_engine": batch_engine_case,
     "sharded_engine": sharded_engine_case,
-    "fast_engine": fast_engine_case,
     "mixed_fleet": mixed_fleet_case,
     "scalar_resume": scalar_resume_case,
     "batch_resume": batch_resume_case,
@@ -203,11 +189,6 @@ RESUME_PAIRS = {
     "sharded_resume": "sharded_engine",
     "mixed_resume": "mixed_fleet",
 }
-
-#: Stems whose archives are compared with a tolerance rather than byte
-#: for byte (numpy's vectorized transcendentals are build-dependent in
-#: the last ulp).
-TOLERANT_CASES = frozenset({"fast_engine"})
 
 
 def main() -> int:

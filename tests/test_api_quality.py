@@ -79,7 +79,7 @@ def test_all_exports_resolve(pkg_name):
 
 
 def test_version_string():
-    assert repro.__version__ == "8.0.0"
+    assert repro.__version__ == "9.0.0"
 
 
 def test_removed_in_5_0():
@@ -128,7 +128,7 @@ def test_removed_in_6_0():
     and ``exp`` helpers are gone.  ``MonitoredNetwork.run`` keeps its
     own ``snapshot_s``: the day-scale meter reporting cadence.
     """
-    from repro.runtime import FleetSpec, Session, resolve_numerics
+    from repro.runtime import FleetSpec, Session
     from repro.station import MonitoredNetwork, TestRig, run_campaign
     from repro.station.profiles import hold
 
@@ -188,13 +188,6 @@ def test_removed_in_6_0():
                          ("repro.runtime.batch", "_vexp")):
         assert not hasattr(importlib.import_module(module), name), name
 
-    class Policy:
-        mode = "fast"
-
-    with pytest.raises(ConfigurationError) as excinfo:
-        resolve_numerics(Policy())
-    assert excinfo.value.reason == "numerics"
-
 
 def test_removed_in_7_0():
     """7.0 runs config groups, not row shards, as parallel jobs.
@@ -215,7 +208,7 @@ def test_removed_in_7_0():
     assert parallel.__all__ == ["ShardedEngine"]
     assert issubclass(ShardedEngine, MixedEngine)
     assert list(inspect.signature(ShardedEngine).parameters) == [
-        "rigs", "workers", "max_retries", "timeout_s", "numerics"]
+        "rigs", "workers", "max_retries", "timeout_s"]
 
 
 def test_removed_in_8_0(tmp_path):
@@ -258,6 +251,52 @@ def test_removed_in_8_0(tmp_path):
                   "--seed", "5"])
         assert exit_info.value.code == 2
     assert not hasattr(Session, "_fresh_rigs")
+
+
+def test_removed_in_9_0():
+    """9.0 has one numerics: the bit-exact path.
+
+    ``numerics=`` is gone from the three engines and the five run
+    surfaces above them, ``resolve_numerics`` and ``NUMERICS_MODES``
+    from every module, and ``repro fleet --numerics`` from the CLI.
+    """
+    from repro.cli import main
+    from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, Session,
+                               ShardedEngine)
+    from repro.station import run_campaign
+    from repro.station.fleet import characterize_meter_pool
+    from repro.station.profiles import hold
+
+    profile = hold(50.0, 0.1)
+    spec = FleetSpec.homogeneous(1)
+    # Arguments bind before any body runs, so no rig, session or
+    # service below is touched.
+    surfaces = [
+        lambda **kw: BatchEngine([], **kw),
+        lambda **kw: MixedEngine([], **kw),
+        lambda **kw: ShardedEngine([], workers=1, **kw),
+        lambda **kw: Session.run(None, profile, **kw),
+        lambda **kw: repro.run(profile, **kw),
+        lambda **kw: repro.FleetService.attach(None, profile, **kw),
+        lambda **kw: run_campaign(spec, duration_s=1.0, **kw),
+        lambda **kw: characterize_meter_pool(spec, **kw),
+    ]
+    for surface in surfaces:
+        for value in ("exact", "fast"):
+            with pytest.raises(TypeError):
+                surface(numerics=value)
+    for func in (BatchEngine, MixedEngine, ShardedEngine, Session.run,
+                 repro.run, repro.FleetService.attach, run_campaign,
+                 characterize_meter_pool):
+        assert "numerics" not in inspect.signature(func).parameters, func
+    for module in ("repro", "repro.runtime", "repro.runtime.kernels"):
+        pkg = importlib.import_module(module)
+        for name in ("resolve_numerics", "NUMERICS_MODES"):
+            assert not hasattr(pkg, name), f"{module}.{name}"
+            assert name not in pkg.__all__
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fleet", "--n-monitors", "1", "--numerics", "fast"])
+    assert exit_info.value.code == 2
 
 
 def test_error_hierarchy_single_source():

@@ -330,28 +330,30 @@ def test_campaign_resume_refuses_batch_engine_checkpoint(tmp_path):
 
 
 def test_previous_format_version_refused(tmp_path):
-    """A version-3 artifact (the row-shard sharded-engine layout) is
+    """A version-6 artifact (engines that carried a numerics mode) is
     refused.
 
-    A version-3 sharded engine held contiguous row shards as ``_blobs``
-    with their ``_sizes`` and no config groups; read as the current
-    layout (one job blob per config group) it has no groups to advance
-    or merge, so the version gate has to stop it before any engine
-    state is used.
+    A version-6 engine may have run with ``numerics="fast"``, and its
+    run fingerprint named that mode.  The current fingerprint hashes no
+    mode, so only the version gate keeps a fast-mode run from resuming
+    as a bit-exact one.
     """
-    engine = ShardedEngine(_rigs(2), workers=2)
-    engine.__dict__.clear()
-    engine.__dict__.update(_offset=300, _workers=2, _max_retries=1,
-                           _timeout_s=None, _closed=False,
-                           _blobs=[b"shard-0", b"shard-1"], _sizes=[1, 1])
-    path = tmp_path / "v3.ckpt"
+    engine = MixedEngine(_rigs(2))
+    engine.advance(_PROFILE, 300)
+    engine.__dict__["_numerics"] = "fast"
+    for group in engine._groups:
+        group.engine.__dict__.update(_numerics="fast", _fast=True)
+    path = tmp_path / "v6.ckpt"
     path.write_bytes(pickle.dumps({
-        "magic": "repro-checkpoint", "version": 3, "kind": "sharded",
+        "magic": "repro-checkpoint", "version": 6, "kind": "mixed",
         "offset": 300, "meta": {"fingerprint": "x", "windows": []},
         "engine": engine}))
-    assert CHECKPOINT_FORMAT_VERSION == 6
+    assert CHECKPOINT_FORMAT_VERSION == 7
     with pytest.raises(CheckpointError) as exc:
         WindowedRun.restore(path, "x")
+    assert exc.value.reason == "version"
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
     assert exc.value.reason == "version"
 
 

@@ -10,10 +10,9 @@ form:
   exactly at the thresholds, NaN, every initial state and zero
   hysteresis;
 - engine traces equal the scalar ``TestRig.run`` loop bit for bit
-  (``numerics="exact"``) or within 1e-9 (``"fast"``) where the chunk
-  tail has edge cases: chunks without a valid sample, ticks recorded
-  before a chunk's first valid sample, two direction flips in one
-  chunk, and advance windows cut just after a flip.
+  where the chunk tail has edge cases: chunks without a valid sample,
+  ticks recorded before a chunk's first valid sample, two direction
+  flips in one chunk, and advance windows cut just after a flip.
 """
 
 import numpy as np
@@ -93,22 +92,23 @@ def oracle():
                                       ("reversing", REVERSING, False))}
 
 
-def _assert_matches(result, scalar, numerics):
+def _assert_matches(result, scalar):
     assert np.array_equal(result.time_s, scalar.time_s)
     for name in RunResult.STACKED_FIELDS:
         got = np.asarray(getattr(result, name))
         want = np.asarray(getattr(scalar, name))
         assert got.shape == want.shape, name
-        if numerics == "exact" or not np.issubdtype(want.dtype, np.floating):
-            assert np.array_equal(got, want), name
-        else:
-            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12,
-                                       err_msg=name)
+        assert np.array_equal(got, want), name
 
 
-@pytest.mark.parametrize("numerics", ["exact", "fast"])
-def test_small_pulsed_chunks_match_scalar(oracle, numerics):
-    engine = BatchEngine(_rigs(True), chunk_size=37, numerics=numerics)
+#: The engine traces below are held to the scalar loop bit for bit; the
+#: ``[exact]`` test id names that contract.
+bit_exact = pytest.mark.parametrize("contract", ["exact"])
+
+
+@bit_exact
+def test_small_pulsed_chunks_match_scalar(oracle, contract):
+    engine = BatchEngine(_rigs(True), chunk_size=37)
     chunks = []
     estimate = engine._estimate
 
@@ -118,24 +118,24 @@ def test_small_pulsed_chunks_match_scalar(oracle, numerics):
 
     engine._estimate = spy
     _assert_matches(engine.run(PULSED, record_every_n=20),
-                    oracle["pulsed"], numerics)
+                    oracle["pulsed"])
     # The edge cases this chunking exists for did occur.
     assert any(valid == 0 for valid, _ in chunks)
     assert any(valid and rec and rec[0] == 0 for valid, rec in chunks)
 
 
-@pytest.mark.parametrize("numerics", ["exact", "fast"])
-def test_two_flips_in_one_chunk_match_scalar(oracle, numerics):
-    result = BatchEngine(_rigs(False), chunk_size=4096,
-                         numerics=numerics).run(REVERSING, record_every_n=20)
-    _assert_matches(result, oracle["reversing"], numerics)
+@bit_exact
+def test_two_flips_in_one_chunk_match_scalar(oracle, contract):
+    result = BatchEngine(_rigs(False), chunk_size=4096).run(
+        REVERSING, record_every_n=20)
+    _assert_matches(result, oracle["reversing"])
     assert len(result.time_s) * 20 <= 4096
     for row in result.direction:
         assert list(row[np.flatnonzero(np.diff(row)) + 1]) == [1, -1, 1]
 
 
-@pytest.mark.parametrize("numerics", ["exact", "fast"])
-def test_advance_cut_after_a_flip_matches_scalar(oracle, numerics):
+@bit_exact
+def test_advance_cut_after_a_flip_matches_scalar(oracle, contract):
     every_step = BatchEngine(_rigs(False)).run(REVERSING, record_every_n=1)
     flips = sorted({int(k) + 1 for row in every_step.direction
                     for k in np.flatnonzero(np.diff(row))})
@@ -143,10 +143,10 @@ def test_advance_cut_after_a_flip_matches_scalar(oracle, numerics):
     # its next recorded tick is not yet.
     cuts = [f + 1 for f in flips if (f + 1) % 20] + [REVERSING_STEPS]
     assert len(cuts) >= 5
-    engine = BatchEngine(_rigs(False), numerics=numerics)
+    engine = BatchEngine(_rigs(False))
     parts, prev = [], 0
     for cut in cuts:
         parts.append(engine.advance(REVERSING, cut - prev, record_every_n=20))
         prev = cut
     _assert_matches(RunResult.concat(parts, axis="time"),
-                    oracle["reversing"], numerics)
+                    oracle["reversing"])

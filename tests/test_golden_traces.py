@@ -7,12 +7,6 @@ which is strictly stronger than any numeric tolerance: a single ulp of
 drift anywhere in the physics, the DSP chain, the RNG consumption order
 or the merge logic fails the suite.
 
-The one exception is the fast-numerics case (``TOLERANT_CASES``): its
-transcendentals go through numpy's SIMD kernels, whose last-ulp
-rounding is build-dependent, so it is held to the fast-mode contract —
-1e-9 relative error on float traces, exact on integer traces — instead
-of bytes.
-
 The ``*_resume`` archives additionally pin the checkpoint contract:
 each was produced by cutting its sibling case at step 737 (not a
 recording boundary), round-tripping the live engine through
@@ -31,8 +25,7 @@ and commit the new archives together with the change that explains them.
 import numpy as np
 import pytest
 
-from tests.golden.regen import (CASES, GOLDEN_DIR, RESUME_PAIRS,
-                                TOLERANT_CASES)
+from tests.golden.regen import CASES, GOLDEN_DIR, RESUME_PAIRS
 
 
 @pytest.mark.parametrize("stem", sorted(CASES))
@@ -51,18 +44,8 @@ def test_traces_match_golden_bytes(stem):
             fresh = np.ascontiguousarray(live[name])
             assert fresh.dtype == stored.dtype, f"{stem}/{name} dtype"
             assert fresh.shape == stored.shape, f"{stem}/{name} shape"
-            if stem in TOLERANT_CASES:
-                if np.issubdtype(stored.dtype, np.floating):
-                    np.testing.assert_allclose(
-                        fresh, stored, rtol=1e-9, atol=1e-12,
-                        err_msg=f"{stem}/{name}: fast trace outside the "
-                                f"1e-9 fast-mode contract")
-                else:
-                    assert np.array_equal(fresh, stored), \
-                        f"{stem}/{name}: integer trace drifted"
-            else:
-                assert fresh.tobytes() == stored.tobytes(), \
-                    f"{stem}/{name}: traces drifted from the golden bytes"
+            assert fresh.tobytes() == stored.tobytes(), \
+                f"{stem}/{name}: traces drifted from the golden bytes"
 
 
 @pytest.mark.parametrize("resume_stem,base_stem", sorted(RESUME_PAIRS.items()))

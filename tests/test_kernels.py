@@ -3,36 +3,30 @@
 The golden traces pin the engine end to end; these tests pin the
 kernels *on their own*:
 
-- the exact-mode transcendentals (``exp_exact``, ``pow_exact``,
-  ``pow10_exact``) are bitwise
+- the transcendentals (``exp_exact``, ``pow_exact``, ``pow10_exact``)
+  are bitwise
   ``math.exp`` / ``**`` over a magnitude sweep that includes
   denormal-adjacent and large-negative arguments;
 - ``film_conductance`` is bitwise the per-element scalar composition
   over :func:`repro.physics.water.film_properties_scalar`, for both
   the flat and the ``(2, N)`` joint-Horner shapes;
-- the unified ``numerics=`` knob is a mode string, validated with a
-  machine-readable ``reason`` on every surface;
-- fast mode stays within 1e-9 relative error of exact on every
-  recorded field of a real engine run.
+- the numerics knob is gone (9.0): no engine, run surface or kernel
+  takes one, and the kernels module has no mode check left.
 """
 
-import json
+import importlib
 import math
-import pickle
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime import (BatchEngine, FleetSpec, MixedEngine, RunResult,
-                           Session)
-from repro.runtime.kernels import (NUMERICS_MODES, exp_exact,
-                                   film_conductance, pow10_exact, pow_exact,
-                                   resolve_numerics)
+from repro.runtime import BatchEngine, FleetSpec, MixedEngine, Session
+from repro.runtime.kernels import (exp_exact, film_conductance, pow10_exact,
+                                   pow_exact)
 from repro.runtime.parallel import ShardedEngine
 from repro.physics.water import film_properties_scalar
 from repro.station.profiles import staircase
-from repro.station.scenarios import build_calibrated_monitor
 
 #: Magnitude sweep for the exponential: large-negative (flushes to
 #: zero), denormal-adjacent (results in the subnormal range), the
@@ -127,13 +121,6 @@ def test_film_conductance_accepts_boxed_geometry():
     assert boxed.tobytes() == plain.tobytes()
 
 
-def test_film_conductance_fast_mode_close():
-    v, t = _film_cases()
-    exact = film_conductance(v, t, _DIAMETER, _LENGTH)
-    fast = film_conductance(v, t, _DIAMETER, _LENGTH, fast=True)
-    np.testing.assert_allclose(fast, exact, rtol=1e-12)
-
-
 def test_film_conductance_range_guard():
     v = np.full(3, 0.5)
     bad = np.array([300.0, 300.0, 120.0])  # Celsius passed as K
@@ -141,90 +128,46 @@ def test_film_conductance_range_guard():
         film_conductance(v, bad, _DIAMETER, _LENGTH)
 
 
-# -- the numerics knob --------------------------------------------------------
-
-
-def test_resolve_numerics_accepts_modes_and_policy():
-    assert NUMERICS_MODES == ("exact", "fast")
-    assert resolve_numerics("exact") == "exact"
-    assert resolve_numerics("fast") == "fast"
+# -- the removed numerics knob -----------------------------------------------
 
 
 @pytest.mark.parametrize("bad", ["turbo", "", "EXACT", None, 3])
 def test_resolve_numerics_rejects_with_reason(bad):
-    with pytest.raises(ConfigurationError) as excinfo:
-        resolve_numerics(bad)
-    assert excinfo.value.reason == "numerics"
-
-
-def test_numerics_policy_validates_and_serializes():
-    """The policy is the mode string itself (the 6.0 ``Numerics`` class
-    and its ``to_dict`` image are gone): it serializes as itself, and
-    policy-shaped objects are refused with the same reason."""
-    for mode in NUMERICS_MODES:
-        assert resolve_numerics(json.loads(json.dumps(mode))) == mode
-        assert resolve_numerics(pickle.loads(pickle.dumps(mode))) == mode
-
-    class Policy:
-        mode = "fast"
-
-    for bad in (Policy(), {"mode": "fast"}):
-        with pytest.raises(ConfigurationError) as excinfo:
-            resolve_numerics(bad)
-        assert excinfo.value.reason == "numerics"
+    """There is no numerics mode left to resolve: the check and its mode
+    table are gone, and any ``numerics=`` value fails at argument
+    binding, before a rig is looked at."""
+    kernels = importlib.import_module("repro.runtime.kernels")
+    for name in ("resolve_numerics", "NUMERICS_MODES"):
+        assert not hasattr(kernels, name), name
+        assert name not in kernels.__all__
+    with pytest.raises(TypeError):
+        BatchEngine([], numerics=bad)
 
 
 def test_engines_reject_unknown_numerics(shared_setup):
-    # resolve_numerics runs before any rig is touched, so the shared
-    # read-mostly rig is safe to pass.
-    with pytest.raises(ConfigurationError) as excinfo:
-        BatchEngine([shared_setup.rig], numerics="bogus")
-    assert excinfo.value.reason == "numerics"
-    with pytest.raises(ConfigurationError) as excinfo:
-        ShardedEngine([shared_setup.rig], workers=1, numerics="bogus")
-    assert excinfo.value.reason == "numerics"
-    with pytest.raises(ConfigurationError) as excinfo:
-        MixedEngine([shared_setup.rig], numerics="bogus")
-    assert excinfo.value.reason == "numerics"
+    # Arguments bind before any body runs, so the shared read-mostly rig
+    # is never touched; the former default is refused like any value.
+    for value in ("exact", "fast", "bogus"):
+        with pytest.raises(TypeError):
+            BatchEngine([shared_setup.rig], numerics=value)
+        with pytest.raises(TypeError):
+            ShardedEngine([shared_setup.rig], workers=1, numerics=value)
+        with pytest.raises(TypeError):
+            MixedEngine([shared_setup.rig], numerics=value)
+    v, t = _film_cases()
+    with pytest.raises(TypeError):
+        film_conductance(v, t, _DIAMETER, _LENGTH, fast=True)
 
 
 def test_session_run_validates_numerics():
+    profile = staircase([0.0, 50.0], dwell_s=0.5)
     with Session(fleet=FleetSpec.homogeneous(
             1, seed=42, fast_calibration=True)) as session:
         session.calibrate()
-        with pytest.raises(ConfigurationError) as excinfo:
-            session.run(staircase([0.0, 50.0], dwell_s=0.5),
-                        numerics="bogus")
-        assert excinfo.value.reason == "numerics"
-        # Every Session run is on the vectorized kernels, so "fast"
-        # always applies; engine= no longer exists.
+        for value in ("exact", "fast", "bogus"):
+            with pytest.raises(TypeError):
+                session.run(profile, numerics=value)
         with pytest.raises(TypeError):
-            session.run(staircase([0.0, 50.0], dwell_s=0.5),
-                        engine="scalar", numerics="fast")
-        fast = session.run(staircase([0.0, 50.0], dwell_s=0.5),
-                           numerics="fast")
-        assert fast.n_monitors == 1
-
-
-# -- fast-mode engine parity --------------------------------------------------
-
-
-def _mode_result(numerics: str) -> RunResult:
-    rigs = [build_calibrated_monitor(seed=s, fast=True).rig for s in (55, 56)]
-    return BatchEngine(rigs, numerics=numerics).run(
-        staircase([0.0, 70.0, 160.0], dwell_s=0.6), record_every_n=20)
-
-
-def test_fast_mode_within_1e9_of_exact():
-    exact = _mode_result("exact")
-    fast = _mode_result("fast")
-    for name in ("time_s",) + RunResult.STACKED_FIELDS:
-        a = np.asarray(getattr(exact, name))
-        b = np.asarray(getattr(fast, name))
-        assert a.shape == b.shape, name
-        if np.issubdtype(a.dtype, np.floating):
-            np.testing.assert_allclose(
-                b, a, rtol=1e-9, atol=1e-12,
-                err_msg=f"{name}: fast mode outside the 1e-9 contract")
-        else:
-            assert np.array_equal(a, b), f"{name}: integer trace differs"
+            session.run(profile, engine="scalar")
+        # The refused calls left the session usable.
+        assert session.run(profile).n_monitors == 1

@@ -104,12 +104,15 @@ def test_config_mismatch_opens_separate_cohorts():
             cadence = await service.attach(hold(50.0, 0.5),
                                            fleet=fast_fleet(1, 5),
                                            record_every_n=10)
-            numerics = await service.attach(hold(50.0, 0.5),
-                                            fleet=fast_fleet(1, 5),
-                                            numerics="fast")
-            groups = {base.group_id, cadence.group_id, numerics.group_id}
+            profile = await service.attach(hold(60.0, 0.5),
+                                           fleet=fast_fleet(1, 5))
+            # There is no numerics mode left to split cohorts on.
+            with pytest.raises(TypeError):
+                await service.attach(hold(50.0, 0.5),
+                                     fleet=fast_fleet(1, 5), numerics="exact")
+            groups = {base.group_id, cadence.group_id, profile.group_id}
             await asyncio.gather(base.result(), cadence.result(),
-                                 numerics.result())
+                                 profile.result())
         return groups
 
     assert len(asyncio.run(main())) == 3
